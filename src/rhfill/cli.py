@@ -23,14 +23,7 @@ from .automata import (
     set_system_to_json,
     validate_automaton,
 )
-from .convergence import (
-    bundled_edf_queries,
-    chabauty_check,
-    edf_condition_check,
-    elliptic_family,
-    limit_set_convergence,
-    sanov_generators,
-)
+from .convergence import sanov_generators
 from .cusped import build_cusped_ball, dump_graph, load_graph
 from .delta import MODE_ALIASES, estimate_delta
 from .errors import (
@@ -51,22 +44,21 @@ from .filling_geometry import (
     injectivity_report,
     lift_roundtrip_report,
 )
-from .groups import make_filling, standard_f2_pair
-from .scenarios import _dump_json, pair_from_spec, run_scenario
+from .groups import make_filling
+from .scenarios import Scenario, _dump_json, pair_from_spec, run_scenario, run_task
 
 FILL_CHECKS = ("local-isometry", "descent", "uniform-delta", "map",
                "injectivity")
 
 
-def _pair_from_file(path: str | None):
+def _pair_spec(path: str | None) -> dict:
     if path is None:
-        return standard_f2_pair()
+        return {"builtin": "f2"}
     p = Path(path)
     try:
-        spec = json.loads(p.read_text())
+        return json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise SchemaError(f"{p.name}: invalid JSON ({e})") from None
-    return pair_from_spec(spec)
 
 
 def _filling_from_args(pair, kernels: str):
@@ -86,17 +78,21 @@ def _filling_from_args(pair, kernels: str):
     return make_filling(pair, by_id)
 
 
-def _family_from_args(args):
-    pair = _pair_from_file(args.pair)
+def _family_task(args, task: dict) -> int:
+    """Run one task of a scenario over the elliptic family, as ``run`` does."""
     try:
-        ns = tuple(int(x) for x in args.indices.split(",") if x.strip())
+        ns = [int(x) for x in args.indices.split(",") if x.strip()]
     except ValueError:
         raise InvalidParameterError(
             f"--indices: expected comma-separated integers, got "
             f"{args.indices!r}") from None
     if not ns:
         raise InvalidParameterError("--indices must name at least one index")
-    return pair, elliptic_family(pair, ns)
+    sc = Scenario({"pair": _pair_spec(args.pair), "tasks": [task],
+                   "filling_family": {"builtin": "elliptic", "indices": ns}})
+    report = run_task(sc, task)
+    _emit(report, args.out)
+    return _passfail(report)
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -119,7 +115,7 @@ def _passfail(report: dict) -> int:
 
 
 def cmd_cusped(args) -> int:
-    pair = _pair_from_file(args.pair)
+    pair = pair_from_spec(_pair_spec(args.pair))
     graph = build_cusped_ball(pair, args.radius, max_depth=args.max_depth)
     if args.dump:
         Path(args.dump).write_text(dump_graph(graph))
@@ -154,7 +150,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_fill(args) -> int:
-    pair = _pair_from_file(args.pair)
+    pair = pair_from_spec(_pair_spec(args.pair))
     filling = _filling_from_args(pair, args.kernels)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     for c in checks:
@@ -196,7 +192,7 @@ def cmd_fill(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    pair = _pair_from_file(args.pair)
+    pair = pair_from_spec(_pair_spec(args.pair))
     filling = _filling_from_args(pair, args.kernels)
     fg = build_quotient_cusped(pair, filling, args.radius)
     report = lift_roundtrip_report(fg, n_paths=args.paths, seed=args.seed)
@@ -205,7 +201,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_automaton(args) -> int:
-    pair = _pair_from_file(args.pair)
+    pair = pair_from_spec(_pair_spec(args.pair))
     if args.auto:
         try:
             obj = json.loads(Path(args.auto).read_text())
@@ -242,44 +238,18 @@ def cmd_automaton(args) -> int:
 
 
 def cmd_edf(args) -> int:
-    pair, family = _family_from_args(args)
-    reports = [edf_condition_check(family, q, enumeration_depth=args.depth)
-               for q in bundled_edf_queries(pair)]
-    table = [{"query": rep["query"], "n": row["index"],
-              "min_margin": row["min_margin"], "verdict": row["verdict"]}
-             for rep in reports for row in rep["edf"]]
-    report = {
-        "name": "edf-condition-set",
-        "enumeration_depth": args.depth,
-        "queries": reports,
-        "table": table,
-        "stability_implies_edf": all(r["stability_implies_edf"]
-                                     for r in reports),
-        "pass": all(r["pass"] for r in reports),
-    }
-    _emit(report, args.out)
-    return _passfail(report)
+    return _family_task(args, {"check": "edf", "enumeration_depth": args.depth})
 
 
 def cmd_chabauty(args) -> int:
-    _, family = _family_from_args(args)
-    report = chabauty_check(family, ball_radius=args.radius,
-                            word_depth=args.depth)
-    _emit(report, args.out)
-    return _passfail(report)
+    return _family_task(args, {"check": "chabauty", "ball_radius": args.radius,
+                               "word_depth": args.depth})
 
 
 def cmd_limitset(args) -> int:
-    _, family = _family_from_args(args)
-    report = limit_set_convergence(family, word_depth=args.depth,
-                                   screen_powers=args.screen_powers)
-    ok = bool(report["decreasing"])
-    if args.max_final is not None:
-        ok = ok and (report["final_distance"] is not None
-                     and report["final_distance"] <= args.max_final)
-    report["pass"] = ok
-    _emit(report, args.out)
-    return _passfail(report)
+    return _family_task(args, {"check": "limitset", "word_depth": args.depth,
+                               "screen_powers": args.screen_powers,
+                               "max_final_distance": args.max_final})
 
 
 def cmd_run(args) -> int:

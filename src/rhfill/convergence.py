@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import Ball, GPath, _contain_exact, _element_matrix, _rep_matrices
+from .automata import (Ball, GPath, _contain_exact, _element_matrix, _rep_matrices,
+                       _sindist)
 from .cusped import (
     ExactCuspedMetric,
     build_cusped_ball,
@@ -28,13 +29,14 @@ from .cusped import (
     shortest_path,
 )
 from .errors import InvalidParameterError, UnsupportedKindError, WindowError
-from .flags import flag_distance, line_type, q_divergence, q_limit_set
+from .flags import (_unit_det, ball_images, flag_distance, line_type, q_divergence,
+                    q_limit_set)
 from .groups import (
     BALL_CAP,
     FillingData,
     GroupElement,
     RelHypPair,
-    enumerate_ball,
+    ball_tree,
     format_word,
     make_filling,
     parse_word,
@@ -97,11 +99,7 @@ def _as_matrix(m) -> np.ndarray:
 def _kernel_deviation(mats: dict[str, np.ndarray], pair: RelHypPair,
                       word: str) -> float:
     """Projective distance of the word's image from the identity."""
-    g = parse_word(pair.group, word)
-    m = np.eye(next(iter(mats.values())).shape[0])
-    for name, e in pair.group.syllables(g):
-        m = m @ np.linalg.matrix_power(mats[name], e)
-        m = m / math.sqrt(abs(np.linalg.det(m)))
+    m = _element_matrix(mats, pair.group, parse_word(pair.group, word), {})
     d = m.shape[0]
     m = m * math.sqrt(d) / np.linalg.norm(m)
     eye = np.eye(d)
@@ -289,7 +287,7 @@ def edf_condition_check(family: RepFamily, query: EdfQuery,
                 f"peripheral {query.peripheral}")
     for kb in query.repelling:
         for ub in query.attracting:
-            sep = (_sin_circdist(float(kb.center), float(ub.center))
+            sep = (_sindist(float(kb.center), float(ub.center))
                    - kb.radius - ub.radius)
             if sep <= 0:
                 raise InvalidParameterError(
@@ -395,42 +393,8 @@ def edf_condition_check(family: RepFamily, query: EdfQuery,
     return report
 
 
-def _sin_circdist(u: float, v: float) -> float:
-    d = abs(u - v) % math.pi
-    return math.sin(min(d, math.pi - d))
-
-
 # ---------------------------------------------------------------------------
 # windowed matrix sets (local Hausdorff)
-
-
-def _det_normed_products(mats: dict[str, np.ndarray], oracle,
-                         elements) -> np.ndarray:
-    """Unit-determinant images of the elements, one flattened row each.
-
-    Products are cached syllable by syllable, so each element costs one
-    prefix lookup and one matrix power regardless of enumeration order.
-    """
-    d = next(iter(mats.values())).shape[0]
-    cache: dict = {GroupElement(()): np.eye(d)}
-
-    def product_of(g: GroupElement) -> np.ndarray:
-        m = cache.get(g)
-        if m is not None:
-            return m
-        anchor = product_of(GroupElement(g.word[:-1]))
-        tail = np.eye(d)
-        for name, e in oracle.syllables(GroupElement(g.word[-1:])):
-            tail = tail @ np.linalg.matrix_power(mats[name], e)
-        m = anchor @ tail
-        m = m / abs(np.linalg.det(m)) ** (1.0 / d)
-        cache[g] = m
-        return m
-
-    out = np.empty((len(elements), d * d))
-    for i, g in enumerate(elements):
-        out[i] = product_of(g).reshape(-1)
-    return out
 
 
 def _sign_canonical(rows: np.ndarray) -> np.ndarray:
@@ -475,24 +439,25 @@ def chabauty_check(family: RepFamily, ball_radius: float = 10.0,
     Truncating both sides would punish matrices that drift across the
     window boundary even as the family converges.  The relative version
     restricts the words to each peripheral subgroup.
+
+    The word ball is enumerated once as a BFS tree; each representation's
+    unit-|det| images come from one :func:`ball_images` call, and the
+    peripheral sets are rows of that array.
     """
     if word_depth < 1:
         raise InvalidParameterError("word_depth must be >= 1")
     if ball_radius <= 0:
         raise InvalidParameterError("ball_radius must be positive")
     pair = family.pair
-    elements = enumerate_ball(pair.group, word_depth, cap)
-    per_locals = {p.id: [p.embed(loc) for loc in p.factor.p_within(word_depth)]
-                  for p in pair.peripherals}
+    tree = ball_tree(pair.group, word_depth, cap)
+    # every peripheral element of length <= word_depth lies in the ball
+    per_rows = {p.id: [i for i, g in enumerate(tree.elements) if p.membership(g)]
+                for p in pair.peripherals}
 
     def image_sets(rep):
-        mats = {n: m / abs(np.linalg.det(m)) ** (1.0 / family.dimension)
-                for n, m in rep.items()}
-        full = _sign_canonical(_det_normed_products(mats, pair.group, elements))
-        peri = {pid: _sign_canonical(
-                    _det_normed_products(mats, pair.group, els))
-                for pid, els in per_locals.items()}
-        return full, peri
+        rows = ball_images(rep, pair.group, tree).reshape(len(tree.elements), -1)
+        return _sign_canonical(rows), {pid: _sign_canonical(rows[idx])
+                                       for pid, idx in per_rows.items()}
 
     base_full, base_peri = image_sets(family.base)
     table = []
@@ -511,12 +476,8 @@ def chabauty_check(family: RepFamily, ball_radius: float = 10.0,
             },
             "peripheral": {},
         }
-        gen_dev = max(
-            float(np.linalg.norm(
-                rep[n] / abs(np.linalg.det(rep[n])) ** (1.0 / family.dimension)
-                - family.base[n]
-                / abs(np.linalg.det(family.base[n])) ** (1.0 / family.dimension)))
-            for n in family.base)
+        gen_dev = max(float(np.linalg.norm(
+            _unit_det(rep[n]) - _unit_det(family.base[n]))) for n in family.base)
         row["generator_deviation"] = gen_dev
         for pid in sorted(base_peri):
             pa = _sup_min(base_peri[pid], mem_peri[pid], ball_radius)

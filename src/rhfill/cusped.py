@@ -509,6 +509,16 @@ def _coset_label(pair, pid, coset: GroupElement) -> str:
     return f"{pid}:{format_word(pair.group, coset)}"
 
 
+def _cayley_edges(pair: RelHypPair, vertices, index: dict):
+    """Generator edges (i, j) with i < j, from (vertex id, element) pairs to
+    the depth-zero vertices that ``index`` maps to ids."""
+    for i, g in vertices:
+        for s in pair.genset:
+            j = index.get(depth0_key(pair.group.multiply(g, s)))
+            if j is not None and j > i:
+                yield i, j
+
+
 def build_cayley_ball(pair: RelHypPair, radius: int,
                       cap: int = 2_000_000) -> CuspedGraph:
     """Depth-zero window: the word-metric ball with generator edges."""
@@ -516,15 +526,8 @@ def build_cayley_ball(pair: RelHypPair, radius: int,
     keys = [depth0_key(g) for g in elems]
     index = {k: i for i, k in enumerate(keys)}
     G = pair.group
-    eu, ev, ek = [], [], []
-    for i, g in enumerate(elems):
-        for s in pair.genset:
-            h = G.multiply(g, s)
-            j = index.get(depth0_key(h))
-            if j is not None and j > i:
-                eu.append(i)
-                ev.append(j)
-                ek.append("cayley")
+    edges = list(_cayley_edges(pair, enumerate(elems), index))
+    eu, ev, ek = [e[0] for e in edges], [e[1] for e in edges], ["cayley"] * len(edges)
     labels = [format_word(G, g) for g in elems]
     meta = {"radius": radius, "max_depth": 0,
             "dist_from_id": np.array([G.word_length(g) for g in elems])}
@@ -553,15 +556,8 @@ def build_coned_off(pair: RelHypPair, radius: int,
     depth = [0] * len(elems)
     coset_labels = ["-"] * len(elems)
     index = {k: i for i, k in enumerate(keys)}
-    eu, ev, ek = [], [], []
-    for i, g in enumerate(elems):
-        for s in pair.genset:
-            h = G.multiply(g, s)
-            j = index.get(depth0_key(h))
-            if j is not None and j > i:
-                eu.append(i)
-                ev.append(j)
-                ek.append("cayley")
+    edges = list(_cayley_edges(pair, enumerate(elems), index))
+    eu, ev, ek = [e[0] for e in edges], [e[1] for e in edges], ["cayley"] * len(edges)
     cones: dict = {}
     for i, g in enumerate(elems):
         for pid, per in enumerate(pair.peripherals):
@@ -758,16 +754,9 @@ def build_cusped_ball(pair: RelHypPair, radius: int,
         ek.append(kind)
 
     # cayley edges (these double as the level-zero horizontal edges)
-    for key in keys:
-        if key[0] != "c":
-            continue
-        i = index[key]
-        g = GroupElement(key[1])
-        for s in pair.genset:
-            h = G.multiply(g, s)
-            j = index.get(depth0_key(h))
-            if j is not None and j > i:
-                add_edge(i, j, "cayley")
+    depth0 = ((index[key], GroupElement(key[1])) for key in keys if key[0] == "c")
+    for i, j in _cayley_edges(pair, depth0, index):
+        add_edge(i, j, "cayley")
     # vertical edges
     for key in keys:
         if key[0] != "h":

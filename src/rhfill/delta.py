@@ -102,9 +102,9 @@ def estimate_delta(graph_or_matrix, mode: str = "auto",
 
     ``auto`` picks exhaustive when the quadruple count fits the budget.
     """
-    mode = MODE_ALIASES.get(mode)
-    if mode is None:
+    if mode not in MODE_ALIASES:
         raise InvalidParameterError(f"unknown delta mode {mode!r}")
+    mode = MODE_ALIASES[mode]
     if mode == "thin-triangles":
         return thin_triangle_delta(graph_or_matrix, seed=seed)
     D = _as_matrix(graph_or_matrix)

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (BudgetExceededError, GapTooSmallError,
                      InvalidParameterError, TypeMismatchError)
-from .groups import (BALL_CAP, FreeAbelianOracle, FreeOracle,
-                     FreeProductOracle, GroupOracle, enumerate_ball)
+from .groups import (BALL_CAP, BallTree, FreeAbelianOracle, FreeOracle,
+                     FreeProductOracle, GroupOracle, ball_tree)
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 
@@ -336,6 +336,42 @@ def q_divergence(seq, ptype: ParabolicType,
 
 
 # ---------------------------------------------------------------------------
+# word-ball images
+
+
+def _unit_det(m: np.ndarray) -> np.ndarray:
+    """Rescale each matrix of a stack to |det| = 1."""
+    d = m.shape[-1]
+    return m / (np.abs(np.linalg.det(m)) ** (1.0 / d))[..., None, None]
+
+
+def ball_images(rep: dict, oracle: GroupOracle, tree: BallTree) -> np.ndarray:
+    """Unit-|det| images of the ball elements, shape (len(elements), d, d).
+
+    rep maps generator names to matrices.  Images are formed level by level
+    along the BFS tree, one batched product per generator step, each
+    rescaled to |det| = 1 so long words neither overflow nor underflow.
+    """
+    mats = {n: np.asarray(m, dtype=float) for n, m in rep.items()}
+    d = next(iter(mats.values())).shape[0]
+    steps = []
+    for g in oracle.generators():
+        m = np.eye(d)
+        for name, e in oracle.syllables(g):
+            m = m @ np.linalg.matrix_power(mats[name], e)
+        steps.append(_unit_det(m))
+    images = np.empty((len(tree.elements), d, d))
+    images[0] = np.eye(d)
+    for lvl in range(1, int(tree.level.max(initial=0)) + 1):
+        at = np.flatnonzero(tree.level == lvl)
+        for j, m in enumerate(steps):
+            sel = at[tree.step[at] == j]
+            images[sel] = images[tree.parent[sel]] @ m
+        images[at] = _unit_det(images[at])
+    return images
+
+
+# ---------------------------------------------------------------------------
 # limit sets
 
 
@@ -491,12 +527,13 @@ def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
                 cap: int = BALL_CAP) -> FlagCloud:
     """Attracting flags of every ball element whose gaps clear the threshold.
 
-    rep maps the oracle's generator names to matrices; the ball of radius
-    word_depth is enumerated through the oracle and each element's flag is
-    kept when well defined, then the cloud is deduplicated at the dedup
-    resolution in flag distance.  Free groups in d = 2 take a batched
-    reduced-word route.  Depth 0 gives the empty cloud: the identity has
-    no attracting flag.
+    rep maps the oracle's generator names to matrices.  The ball of radius
+    word_depth is enumerated through the oracle as a BFS tree, its images
+    come from :func:`ball_images`, and each element's flag is kept when
+    well defined; the cloud is then deduplicated at the dedup resolution
+    in flag distance.  Free groups in d = 2 take a batched reduced-word
+    route with closed 2x2 forms instead.  Depth 0 gives the empty cloud:
+    the identity has no attracting flag.
     """
     if word_depth < 0:
         raise InvalidParameterError("word_depth must be >= 0")
@@ -532,14 +569,10 @@ def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
         angles = _dedup_angles(raw, tols.dedup)
         return FlagCloud(ptype, angles, None, seen, rejected)
 
-    elements = enumerate_ball(oracle, word_depth, cap)
+    tree = ball_tree(oracle, word_depth, cap)
     kept: list[Flag] = []
     rejected = 0
-    eye = np.eye(d)
-    for g in elements:
-        m = eye
-        for name, power in oracle.syllables(g):
-            m = m @ np.linalg.matrix_power(mats[name].entries, power)
+    for m in ball_images({n: m.entries for n, m in mats.items()}, oracle, tree):
         try:
             flag, _ = attracting_flag(ProjectiveMatrix(m, tols), ptype, tols)
         except (GapTooSmallError, InvalidParameterError):
@@ -549,12 +582,12 @@ def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
     if d == 2:
         raw = np.array([flag_angle(f) for f in kept])
         return FlagCloud(ptype, _dedup_angles(raw, tols.dedup), None,
-                         len(elements), rejected)
+                         len(tree.elements), rejected)
     unique: list[Flag] = []
     for f in kept:
         if all(flag_distance(f, u) >= tols.dedup for u in unique):
             unique.append(f)
-    return FlagCloud(ptype, None, unique, len(elements), rejected)
+    return FlagCloud(ptype, None, unique, len(tree.elements), rejected)
 
 
 # ---------------------------------------------------------------------------

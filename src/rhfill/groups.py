@@ -14,8 +14,11 @@ ordering is provided separately through ``sort_key``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError, UnsupportedKindError
 from .lattices import elementary_divisors, lattice_contains, reduce_mod_rows, row_hermite
@@ -666,10 +669,6 @@ class RelHypPair:
     def peripheral(self, pid: int) -> PeripheralSubgroup:
         return self.peripherals[pid]
 
-    def coset_of(self, pid: int, g: GroupElement) -> tuple[GroupElement, Any]:
-        per = self.peripherals[pid]
-        return per.coset_key(g), per.local(g)
-
     def describe(self) -> dict:
         return {
             "kind": self.group.kind,
@@ -761,14 +760,6 @@ class FillingData:
         sylls = [(fi, self.project_local(fi, p)) for fi, p in g.word]
         return self.quotient_group.from_syllables(sylls)
 
-    def kernel_elements(self) -> list[GroupElement]:
-        out = []
-        for pid, kernels in enumerate(self.kernel_locals):
-            per = self.pair.peripherals[pid]
-            for p in kernels:
-                out.append(per.embed(p))
-        return out
-
     def describe(self) -> dict:
         return {
             "kernels": [
@@ -798,15 +789,9 @@ def _quotient_factor(factor: AbelianFactor, kernels: list) -> AbelianFactor:
     if isinstance(factor, FiniteCyclicOracle):
         order = factor.order
         for p in kernels:
-            order = _gcd(order, p % factor.order)
+            order = math.gcd(order, p % factor.order)
         return FiniteCyclicOracle(order if order else 1, factor.gen_names)
     raise UnsupportedKindError(f"cannot fill factor kind {factor.kind!r}")
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def make_filling(pair: RelHypPair, kernel_spec) -> FillingData:
@@ -839,25 +824,54 @@ def make_filling(pair: RelHypPair, kernel_spec) -> FillingData:
 # enumeration
 
 
-def enumerate_ball(oracle: GroupOracle, radius: int,
-                   cap: int = BALL_CAP) -> list[GroupElement]:
-    """All elements of word length <= radius, ordered by (length, sort key)."""
+class BallTree(NamedTuple):
+    """A word ball with the BFS tree that built it.
+
+    ``elements`` is ordered by (length, sort key).  For i > 0, element i is
+    ``multiply(elements[parent[i]], generators()[step[i]])`` and has word
+    length ``level[i] = level[parent[i]] + 1``; the identity is element 0,
+    with parent and step -1.
+    """
+
+    elements: list[GroupElement]
+    parent: np.ndarray
+    step: np.ndarray
+    level: np.ndarray
+
+
+def ball_tree(oracle: GroupOracle, radius: int, cap: int = BALL_CAP) -> BallTree:
+    """The ball of the given radius as a BFS tree; at most ``cap`` elements."""
     if radius < 0:
         raise InvalidParameterError("radius must be >= 0")
+    if cap < 1:
+        raise BudgetExceededError("ball elements", cap)
     gens = oracle.generators()
-    seen = {oracle.identity(): 0}
+    # element -> (level, parent element, generator step)
+    seen = {oracle.identity(): (0, None, -1)}
     frontier = [oracle.identity()]
     for layer in range(1, radius + 1):
         nxt = []
         for g in frontier:
-            for s in gens:
+            for j, s in enumerate(gens):
                 h = oracle.multiply(g, s)
                 if h not in seen:
-                    if len(seen) + len(nxt) >= cap:
+                    if len(seen) >= cap:
                         raise BudgetExceededError("ball elements", cap)
-                    seen[h] = layer
+                    seen[h] = (layer, g, j)
                     nxt.append(h)
         frontier = nxt
-    out = list(seen)
-    out.sort(key=oracle.sort_key)
-    return out
+    out = sorted(seen, key=oracle.sort_key)
+    index = {g: i for i, g in enumerate(out)}
+    level, parent, step = zip(*(seen[g] for g in out))
+    return BallTree(out, np.array([index.get(p, -1) for p in parent]),
+                    np.array(step), np.array(level))
+
+
+def enumerate_ball(oracle: GroupOracle, radius: int,
+                   cap: int = BALL_CAP) -> list[GroupElement]:
+    """All elements of word length <= radius, ordered by (length, sort key).
+
+    Raises BudgetExceededError when the ball has more than ``cap`` elements;
+    :func:`ball_tree` gives the same elements with their BFS tree.
+    """
+    return ball_tree(oracle, radius, cap).elements

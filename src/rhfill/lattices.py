@@ -7,6 +7,8 @@ pivots small (smallest-absolute-value pivot rule) to avoid entry blowup.
 """
 from __future__ import annotations
 
+import math
+
 
 def _check_widths(rows, width):
     for r in rows:
@@ -127,13 +129,7 @@ def elementary_divisors(rows: list[list[int]], width: int | None = None) -> list
     for i in range(len(divisors)):
         for j in range(i + 1, len(divisors)):
             a, b = divisors[i], divisors[j]
-            g = _gcd(a, b)
+            g = math.gcd(a, b)
             if g:
                 divisors[i], divisors[j] = g, a * b // g
     return [d for d in divisors if d != 0]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

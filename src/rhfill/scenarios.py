@@ -55,6 +55,7 @@ __all__ = [
     "load_scenario",
     "pair_from_spec",
     "run_scenario",
+    "run_task",
     "emit_plot_data",
     "bundled_scenario_path",
     "thread_cap",
@@ -62,22 +63,47 @@ __all__ = [
 
 DEFAULT_BUDGETS = {
     "elements": 2_000_000,
-    "edges": 2_000_000,
     "matrices": 200_000,
     "seconds": None,
 }
 
-TASK_CHECKS = (
-    "metric-lemmas",
-    "uniform-delta",
-    "compatibility",
-    "contraction",
-    "edf",
-    "chabauty",
-    "limitset",
-    "fiber",
-    "tracking",
-)
+
+def _int(minimum: int) -> dict:
+    return {"type": "integer", "minimum": minimum}
+
+
+_NUMBER = {"type": "number"}
+_BALLS = {"type": "array", "items": {"type": "object", "properties": {
+    "angle": _NUMBER, "radius": _NUMBER}}}
+
+# the parameters each task runner reads, beside the keys every task takes
+TASK_PARAMS = {
+    "metric-lemmas": {"radius": _int(0), "samples": _int(1),
+                      "quasidensity_radius": _int(0)},
+    "uniform-delta": {"radius": _int(0), "slack": _NUMBER, "samples": _int(1)},
+    "compatibility": {"enumeration_depth": _int(1)},
+    "contraction": {"path_length": _int(1), "count": _int(1),
+                    "label_cutoff": _int(0), "rate_bound": _NUMBER,
+                    "max_repetition": _int(0), "samples": _int(1)},
+    "edf": {"enumeration_depth": _int(1),
+            "expect_stability_failures": {"type": "boolean"},
+            "queries": {"type": "array", "items": {
+                "type": "object", "additionalProperties": False,
+                "properties": {"peripheral": _int(0), "name": {"type": "string"},
+                               "excluded": {"type": "array",
+                                            "items": {"type": "string"}},
+                               "attracting": _BALLS, "repelling": _BALLS}}}},
+    "chabauty": {"ball_radius": {"type": "number", "exclusiveMinimum": 0},
+                 "word_depth": _int(1)},
+    "limitset": {"word_depth": _int(1), "screen_powers": _int(1),
+                 "max_final_distance": {"type": ["number", "null"], "minimum": 0}},
+    "fiber": {"path_length": _int(1), "count": _int(1), "label_cutoff": _int(0),
+              "distance_bound": {"type": "number", "minimum": 0}},
+    "tracking": {"path_length": _int(1), "label_cutoff": _int(0),
+                 "radius": _int(0)},
+}
+_TASK_COMMON = {"check": {"enum": list(TASK_PARAMS)}, "name": {"type": "string"},
+                "assert": {"type": "boolean"}, "csv": {"type": "string"}}
 
 SCENARIO_SCHEMA = {
     "type": "object",
@@ -117,7 +143,6 @@ SCENARIO_SCHEMA = {
             "type": "object",
             "properties": {
                 "elements": {"type": "integer", "minimum": 1},
-                "edges": {"type": "integer", "minimum": 1},
                 "matrices": {"type": "integer", "minimum": 1},
                 "seconds": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -129,11 +154,20 @@ SCENARIO_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["check"],
-                "properties": {"check": {"enum": list(TASK_CHECKS)}},
+                "properties": _TASK_COMMON,
+                "allOf": [
+                    {"if": {"required": ["check"],
+                            "properties": {"check": {"const": check}}},
+                     "then": {"properties": {**_TASK_COMMON, **params},
+                              "additionalProperties": False}}
+                    for check, params in TASK_PARAMS.items()],
             },
         },
     },
 }
+
+# built once: jsonschema.validate would check the schema itself on every call
+_VALIDATOR = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
 
 
 def thread_cap() -> int:
@@ -182,11 +216,10 @@ class Scenario:
     """Validated scenario: pair, representation family, budgets, tasks."""
 
     def __init__(self, spec: dict, base_dir: Path | None = None):
-        try:
-            jsonschema.validate(spec, SCENARIO_SCHEMA)
-        except jsonschema.ValidationError as e:
+        e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(spec))
+        if e is not None:
             path = ".".join(str(p) for p in e.absolute_path) or "<root>"
-            raise SchemaError(f"{path}: {e.message}") from None
+            raise SchemaError(f"{path}: {e.message}")
         self.spec = spec
         self.base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
         self.seed = int(spec.get("seed", 0))
@@ -442,6 +475,11 @@ _TASK_RUNNERS = {
 }
 
 
+def run_task(sc: Scenario, task: dict) -> dict:
+    """The report of one validated task of the scenario; nothing is written."""
+    return _TASK_RUNNERS[task["check"]](sc, task)
+
+
 # ---------------------------------------------------------------------------
 # emission
 
@@ -547,11 +585,10 @@ def run_scenario(path, output_dir=None) -> tuple[int, dict]:
             raise BudgetExceededError("seconds", budget_s)
         check = task["check"]
         name = task.get("name", f"{i:02d}-{check}")
-        runner = _TASK_RUNNERS[check]
         entry = {"task": name, "check": check,
                  "asserted": bool(task.get("assert", True))}
         try:
-            report = runner(sc, task)
+            report = run_task(sc, task)
         except BudgetExceededError:
             raise
         except RhfillError as e:

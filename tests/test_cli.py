@@ -162,6 +162,22 @@ def test_run_verb(tmp_path, capsys):
     assert (tmp_path / "out" / "00-tracking.json").is_file()
 
 
+@pytest.mark.parametrize("task", [{"check": "uniform-delta", "radius": "abc"},
+                                  {"check": "chabauty", "word_depht": 4}])
+def test_run_bad_task_parameter_is_usage(tmp_path, capsys, task):
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps({"pair": {"builtin": "f2"},
+                              "tasks": [{"check": "tracking"}, task]}))
+    assert main(["run", str(sc), "--out", str(tmp_path / "out")]) == 2
+    assert "tasks.1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_family_verbs_check_parameters_like_run(capsys):
+    assert main(["chabauty", "--indices", "10,20", "--depth", "0"]) == 2
+    assert "word_depth" in capsys.readouterr().err
+
+
 def test_run_missing_scenario_is_usage(capsys):
     assert main(["run", "no-such-scenario.json"]) == 2
     capsys.readouterr()

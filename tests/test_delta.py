@@ -66,6 +66,11 @@ def test_unknown_mode_rejected():
         estimate_delta(cycle_graph(6), mode="triangle-free")
 
 
+def test_unknown_mode_is_named_in_the_error():
+    with pytest.raises(InvalidParameterError, match="unknown delta mode 'bogus'"):
+        estimate_delta(cycle_graph(6), mode="bogus")
+
+
 def test_matrix_input():
     D = cycle_graph(8).distance_matrix()
     assert estimate_delta(D, mode="exhaustive").delta == 2.0

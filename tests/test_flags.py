@@ -16,8 +16,10 @@ from rhfill.flags import (Flag, FlagCloud, ParabolicType, ProjectiveMatrix,
                           attracting_flag, flag_angle, flag_distance,
                           hausdorff_rp1, is_transverse, line_flag, line_type,
                           parse_representation, q_divergence, q_limit_set,
-                          random_flag, _dedup_angles)
-from rhfill.groups import enumerate_ball, make_oracle
+                          random_flag, _dedup_angles, ball_images)
+from rhfill.convergence import elliptic_generators
+from rhfill.groups import (ball_tree, enumerate_ball, make_filling, make_oracle,
+                           standard_f2_pair)
 
 SANOV_A = np.array([[1.0, 2.0], [0.0, 1.0]])
 SANOV_B = np.array([[1.0, 0.0], [2.0, 1.0]])
@@ -275,6 +277,61 @@ def test_batch_route_matches_per_element_svd(f2):
     ref_angles = _dedup_angles(np.array(ref), 1e-6)
     assert ref_angles.size == cloud.size
     assert np.max(np.abs(ref_angles - cloud.angles)) < 1e-12
+
+
+def _syllable_image(rep, oracle, g):
+    """Reference image: one matrix power per syllable, then unit |det|."""
+    m = np.eye(next(iter(rep.values())).shape[0])
+    for name, power in oracle.syllables(g):
+        m = m @ np.linalg.matrix_power(rep[name], power)
+    return m / abs(np.linalg.det(m)) ** (1.0 / m.shape[0])
+
+
+D3_REP = {"a": np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.5]]),
+          "b": np.array([[0.5, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 2.0]])}
+
+
+@pytest.mark.parametrize("rep", [{"a": SANOV_A, "b": SANOV_B},
+                                 elliptic_generators(10), D3_REP],
+                         ids=["sanov", "elliptic-10", "d3"])
+def test_ball_images_match_syllable_products(f2, rep):
+    tree = ball_tree(f2, 6)
+    images = ball_images(rep, f2, tree)
+    assert images.shape == (len(tree.elements),) + rep["a"].shape
+    for g, m in zip(tree.elements, images):
+        ref = _syllable_image(rep, f2, g)
+        assert np.linalg.norm(m - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_ball_images_on_a_filled_quotient():
+    # rho_10 kills a^10 and b^10 projectively (a^10 = -I), so on the
+    # quotient the tree products agree with the syllable products up to sign
+    quotient = make_filling(standard_f2_pair(), {0: ["a^10"], 1: ["b^10"]}
+                            ).quotient_group
+    rep = elliptic_generators(10)
+    tree = ball_tree(quotient, 7)
+    for g, m in zip(tree.elements, ball_images(rep, quotient, tree)):
+        ref = _syllable_image(rep, quotient, g)
+        assert min(np.linalg.norm(m - ref), np.linalg.norm(m + ref)) \
+            <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_generic_limit_set_route_on_a_filled_quotient():
+    quotient = make_filling(standard_f2_pair(), {0: ["a^10"], 1: ["b^10"]}
+                            ).quotient_group
+    rep = elliptic_generators(10)
+    cloud = q_limit_set(rep, quotient, 5)
+    assert cloud.words_seen == len(enumerate_ball(quotient, 5))
+    ref = []
+    for g in enumerate_ball(quotient, 5):
+        try:
+            flag, _ = attracting_flag(_syllable_image(rep, quotient, g), line_type())
+        except GapTooSmallError:
+            continue
+        ref.append(flag_angle(flag))
+    assert cloud.words_seen - cloud.gap_rejections == len(ref)
+    assert np.allclose(cloud.angles, _dedup_angles(np.array(ref), 1e-6),
+                       atol=1e-9)
 
 
 def test_sanov_cloud_respects_ping_pong(f2):

@@ -6,6 +6,7 @@ from rhfill.errors import BudgetExceededError, InvalidParameterError, Unsupporte
 from rhfill.groups import (
     FiniteCyclicOracle,
     FreeAbelianOracle,
+    ball_tree,
     enumerate_ball,
     format_word,
     make_filling,
@@ -75,6 +76,30 @@ def test_ball_ordering_and_trivia():
 def test_ball_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_ball(G, 10, cap=100)
+
+
+@pytest.mark.parametrize("radius,size", [(0, 1), (2, 17), (3, 53)])
+def test_ball_budget_is_exact(radius, size):
+    assert len(enumerate_ball(G, radius, cap=size)) == size
+    with pytest.raises(BudgetExceededError):
+        enumerate_ball(G, radius, cap=size - 1)
+
+
+@pytest.mark.parametrize("oracle,radius", [
+    (G, 6),
+    (make_filling(F2, {0: ["a^5"], 1: ["b^7"]}).quotient_group, 6),
+])
+def test_ball_tree_records_parents(oracle, radius):
+    tree = ball_tree(oracle, radius)
+    assert tree.elements == enumerate_ball(oracle, radius)
+    gens = oracle.generators()
+    assert oracle.is_identity(tree.elements[0])
+    assert (tree.parent[0], tree.step[0], tree.level[0]) == (-1, -1, 0)
+    for i in range(1, len(tree.elements)):
+        parent = tree.elements[tree.parent[i]]
+        assert oracle.multiply(parent, gens[tree.step[i]]) == tree.elements[i]
+        assert tree.level[i] == tree.level[tree.parent[i]] + 1
+        assert tree.level[i] == oracle.word_length(tree.elements[i])
 
 
 def test_make_oracle_errors():

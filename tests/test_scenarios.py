@@ -2,14 +2,15 @@
 and CSV emission."""
 import json
 
+import jsonschema
 import pytest
 
 from rhfill.convergence import elliptic_generators
 from rhfill.errors import (BudgetExceededError, InvalidParameterError,
                            NoTabularDataError, SchemaError)
-from rhfill.scenarios import (Scenario, bundled_scenario_path, emit_plot_data,
-                              load_scenario, pair_from_spec, run_scenario,
-                              thread_cap)
+from rhfill.scenarios import (SCENARIO_SCHEMA, Scenario, bundled_scenario_path,
+                              emit_plot_data, load_scenario, pair_from_spec,
+                              run_scenario, thread_cap)
 
 # frozen from the bundled scenario run (seed 7)
 CONTRACTION_MAX_RATE = 0.058372998207474325
@@ -138,6 +139,36 @@ def test_unknown_check_is_schema_error(tmp_path):
                                  "tasks": [{"check": "frobnicate"}]})
     with pytest.raises(SchemaError, match=r"tasks\.0\.check"):
         load_scenario(p)
+
+
+def test_scenario_schema_is_a_valid_schema():
+    jsonschema.validators.validator_for(SCENARIO_SCHEMA).check_schema(
+        SCENARIO_SCHEMA)
+
+
+def test_bundled_scenario_validates():
+    assert [t["check"] for t in load_scenario(bundled_scenario_path()).tasks] == [
+        "compatibility", "uniform-delta", "edf", "limitset", "chabauty",
+        "contraction"]
+
+
+@pytest.mark.parametrize("task,where", [
+    ({"check": "uniform-delta", "radius": "abc"}, r"tasks\.0\.radius"),
+    ({"check": "chabauty", "word_depth": 0}, r"tasks\.0\.word_depth"),
+    ({"check": "limitset", "word_depht": 8}, "word_depht"),
+    ({"check": "edf", "queries": [{"peripheral": "x"}]},
+     r"tasks\.0\.queries\.0\.peripheral"),
+    ({"check": "tracking", "assert": "yes"}, r"tasks\.0\.assert"),
+])
+def test_task_parameters_are_schema_checked(task, where):
+    with pytest.raises(SchemaError, match=where):
+        Scenario({"pair": {"builtin": "f2"}, "tasks": [task]})
+
+
+def test_edges_budget_is_gone():
+    with pytest.raises(SchemaError, match="edges"):
+        Scenario({"pair": {"builtin": "f2"}, "budgets": {"edges": 10},
+                  "tasks": []})
 
 
 def test_missing_pair_is_schema_error():
