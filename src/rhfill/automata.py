@@ -509,7 +509,8 @@ def check_compatibility(rep, auto: AutomatonGraph, sys_: SetSystem,
     inside the set at v.  On the projective line the test is exact and a
     failure is a refutation; in higher rank the image radius is bounded
     from sampled boundary flags times a safety factor and a failure is
-    only inconclusive.
+    only inconclusive.  A margin within ``tols.transversality`` of zero is
+    inconclusive in either case: its sign may be a rounding artifact.
     """
     for u, w in auto.edges:
         for v in (u, w):
@@ -562,10 +563,9 @@ def check_compatibility(rep, auto: AutomatonGraph, sys_: SetSystem,
                             "ball": bi,
                             "margin": margin,
                         })
-    failed = min_margin <= 0.0 if containments else False
-    if not failed:
+    if min_margin > tols.transversality:  # inf when nothing was checked
         verdict = "pass"
-    elif sys_.d == 2:
+    elif sys_.d == 2 and min_margin < -tols.transversality:
         verdict = "fail"
     else:
         verdict = "inconclusive"

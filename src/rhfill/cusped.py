@@ -24,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     BudgetExceededError,
@@ -42,6 +41,7 @@ from .groups import (
 )
 
 MATRIX_CAP = 6000  # largest window for dense all-pairs work
+BFS_BLOCK = 256  # rows per block of the all-pairs BFS and of the certificate
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +406,7 @@ class CuspedGraph:
         self._adj = None
         self._neighbor_lists = None
         self._dist_matrix = None
+        self._cert = None
         self._kind_map = None
 
     @property
@@ -417,11 +418,13 @@ class CuspedGraph:
         return len(self.edges_u)
 
     def adjacency(self) -> csr_matrix:
+        """Symmetric edge counts, typed to hold every row sum (see _bfs_rows)."""
         if self._adj is None:
             n = self.n_vertices
             u = np.concatenate([self.edges_u, self.edges_v])
             v = np.concatenate([self.edges_v, self.edges_u])
-            data = np.ones(len(u), dtype=np.int8)
+            wide = np.bincount(u, minlength=n).max(initial=0) >= 2 ** 15
+            data = np.ones(len(u), dtype=np.int32 if wide else np.int16)
             self._adj = csr_matrix((data, (u, v)), shape=(n, n))
         return self._adj
 
@@ -434,16 +437,41 @@ class CuspedGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return j in self.neighbors(i)
 
+    def _bfs_rows(self, sources) -> np.ndarray:
+        """Read-only int16 distance rows from ``sources``, -1 if unreachable:
+        per BFS level one sparse product over a dense n x k frontier block."""
+        adj = self.adjacency()
+        dist = np.full((self.n_vertices, len(sources)), -1, dtype=np.int16)
+        dist[sources, np.arange(len(sources))] = 0
+        reached = dist == 0
+        for level in range(1, self.n_vertices):
+            reached = (adj @ reached.astype(adj.dtype) != 0) & (dist < 0)
+            if not reached.any():
+                break
+            dist[reached] = level
+        dist.flags.writeable = False
+        return dist.T
+
     def bfs_distances(self, source: int) -> np.ndarray:
-        d = dijkstra(self.adjacency(), unweighted=True, indices=source)
-        return d
+        """Read-only int16 distances from ``source``, -1 where unreachable;
+        a row of the cached ``distance_matrix`` once that has been formed."""
+        if self._dist_matrix is None:
+            return self._bfs_rows([source])[0]
+        return self._dist_matrix[source]
 
     def distance_matrix(self) -> np.ndarray:
+        """All-pairs window distances, n x n int16 with -1 if unreachable,
+        formed in blocks of ``BFS_BLOCK`` sources; cached and read-only."""
         if self._dist_matrix is None:
-            if self.n_vertices > MATRIX_CAP:
+            n = self.n_vertices
+            if n > MATRIX_CAP:
                 raise BudgetExceededError("dense distance matrix vertices",
-                                          MATRIX_CAP, self.n_vertices)
-            self._dist_matrix = dijkstra(self.adjacency(), unweighted=True)
+                                          MATRIX_CAP, n)
+            D = np.empty((n, n), dtype=np.int16)
+            for s in range(0, n, BFS_BLOCK):
+                D[s:s + BFS_BLOCK] = self._bfs_rows(range(s, min(s + BFS_BLOCK, n)))
+            D.flags.writeable = False
+            self._dist_matrix = D
         return self._dist_matrix
 
     def edge_kind_of(self, i: int, j: int) -> str | None:
@@ -455,32 +483,26 @@ class CuspedGraph:
 
     # -- truncation certificate ------------------------------------------
 
-    def certified_limit(self, i: int, j: int) -> float:
-        """Window distances at or below this value equal the true d_X.
-
-        A geodesic between the endpoints that is shorter than the window
-        distance would stay inside both the metric ball and the depth cap,
-        a contradiction; see the module docstring.
-        """
-        dist0 = self.meta.get("dist_from_id")
-        if dist0 is None:
-            return -1.0
-        R = self.meta["radius"]
-        md = self.meta.get("max_depth", R)
-        lim = (R + 1 - dist0[i]) + (R + 1 - dist0[j])
-        lim_depth = (md + 1 - self.depth[i]) + (md + 1 - self.depth[j])
-        return float(min(lim, lim_depth))
-
     def certified_pairs_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(window distance matrix, boolean certificate matrix)."""
+        """(int16 ``distance_matrix()``, -1 if unreachable; boolean
+        certificate), both cached and read-only. A pair is certified at
+        window distance d >= 0 with d <= (R+1 - |i|) + (R+1 - |j|) and
+        d <= (md+1 - depth i) + (md+1 - depth j), |i| = d(id, i): a shorter
+        geodesic would stay inside the ball and the depth cap (module doc)."""
         D = self.distance_matrix()
-        dist0 = np.asarray(self.meta["dist_from_id"], dtype=np.int64)
-        R = self.meta["radius"]
-        md = self.meta.get("max_depth", R)
-        lim = (R + 1 - dist0)[:, None] + (R + 1 - dist0)[None, :]
-        limd = (md + 1 - self.depth)[:, None] + (md + 1 - self.depth)[None, :]
-        cert = (D <= np.minimum(lim, limd)) & np.isfinite(D)
-        return D, cert
+        if self._cert is None:
+            R = self.meta["radius"]
+            md = self.meta.get("max_depth", R)
+            ball = R + 1 - np.asarray(self.meta["dist_from_id"], np.int16)
+            cap = (md + 1 - self.depth).astype(np.int16)
+            cert = np.empty(D.shape, dtype=bool)
+            for s in range(0, len(D), BFS_BLOCK):
+                rows = slice(s, s + BFS_BLOCK)
+                lim = np.minimum(ball[rows, None] + ball, cap[rows, None] + cap)
+                cert[rows] = (D[rows] >= 0) & (D[rows] <= lim)
+            cert.flags.writeable = False
+            self._cert = cert
+        return D, self._cert
 
 
 def shortest_path(graph: CuspedGraph, u, v) -> GraphPath:
@@ -488,7 +510,7 @@ def shortest_path(graph: CuspedGraph, u, v) -> GraphPath:
     ui = graph.index[u] if not isinstance(u, (int, np.integer)) else int(u)
     vi = graph.index[v] if not isinstance(v, (int, np.integer)) else int(v)
     dist = graph.bfs_distances(ui)
-    if not np.isfinite(dist[vi]):
+    if dist[vi] < 0:
         raise DisconnectedError(f"vertices {u!r} and {v!r} not connected in window")
     path = [vi]
     cur = vi

@@ -5,7 +5,9 @@ d(x,y)+d(z,w), d(x,z)+d(y,w), d(x,w)+d(y,z) the two largest differ by at
 most 2*delta. Exhaustive mode scans all quadruples (cubic memory-free,
 quartic time); sampled mode draws quadruples with a seeded generator and
 yields a lower bound for delta, which is the safe direction whenever delta
-appears on the right-hand side of a bound being verified.
+appears on the right-hand side of a bound being verified. Graph distances
+are the cached, read-only n x n int16 matrix, -1 where unreachable; integer
+matrices are used without a float copy.
 """
 from __future__ import annotations
 
@@ -42,10 +44,11 @@ def _as_matrix(graph_or_matrix) -> np.ndarray:
     if isinstance(graph_or_matrix, CuspedGraph):
         D = graph_or_matrix.distance_matrix()
     else:
-        D = np.asarray(graph_or_matrix, dtype=float)
+        D = np.asarray(graph_or_matrix)
+        D = D if np.issubdtype(D.dtype, np.integer) else np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise InvalidParameterError("need a square distance matrix or graph")
-    if not np.isfinite(D).all():
+    if not (np.isfinite(D) if D.dtype.kind == "f" else D >= 0).all():
         raise DisconnectedError("distance matrix has unreachable pairs")
     return D
 

@@ -18,6 +18,7 @@ from rhfill.errors import (BudgetExceededError, InvalidParameterError,
                            SchemaError)
 from rhfill.flags import Flag, ParabolicType, attracting_flag
 from rhfill.groups import format_word, standard_f2_pair
+from rhfill.tolerances import DEFAULT_TOLS
 
 SANOV = {"a": [[1.0, 2.0], [0.0, 1.0]], "b": [[1.0, 0.0], [2.0, 1.0]]}
 IDENT = {"a": [[1.0, 0.0], [0.0, 1.0]], "b": [[1.0, 0.0], [0.0, 1.0]]}
@@ -177,6 +178,24 @@ def test_self_loop_cannot_certify(pair):
     report = check_compatibility(SANOV, auto, sys_, enumeration_depth=6)
     assert report["verdict"] == "fail"
     assert report["min_margin"] == pytest.approx(-0.52, abs=1e-12)
+
+
+def test_zero_margin_is_inconclusive(pair):
+    # under the identity transition the inflated ball at vertex 1 is the
+    # target ball at vertex 0, so the exact margin is 0 up to rounding
+    one = pair.group.identity()
+    auto = AutomatonGraph(pair, [SingletonLabel(one), SingletonLabel(one)],
+                          [(0, 1)])
+    sys_ = SetSystem(2, 0.02, {0: [Ball(0.3, 0.3)], 1: [Ball(0.3, 0.28)]})
+    report = check_compatibility(IDENT, auto, sys_, enumeration_depth=2)
+    assert abs(report["min_margin"]) <= DEFAULT_TOLS.transversality
+    assert report["verdict"] == "inconclusive" and not report["pass"]
+    # the same ball, one rounding band away on either side, decides
+    for radius, verdict in ((0.28 - 2e-9, "pass"), (0.28 + 2e-9, "fail")):
+        moved = SetSystem(2, 0.02, {0: [Ball(0.3, 0.3)],
+                                    1: [Ball(0.3, radius)]})
+        assert check_compatibility(IDENT, auto, moved, enumeration_depth=2)[
+            "verdict"] == verdict
 
 
 def test_margin_grows_as_epsilon_shrinks(bundled):
