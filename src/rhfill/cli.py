@@ -19,11 +19,9 @@ from .automata import (
     automaton_from_json,
     automaton_to_json,
     bundled_sanov_automaton,
-    check_compatibility,
     set_system_to_json,
     validate_automaton,
 )
-from .convergence import sanov_generators
 from .cusped import build_cusped_ball, dump_graph, load_graph
 from .delta import MODE_ALIASES, estimate_delta
 from .errors import (
@@ -201,7 +199,8 @@ def cmd_lift(args) -> int:
 
 
 def cmd_automaton(args) -> int:
-    pair = pair_from_spec(_pair_spec(args.pair))
+    pspec = _pair_spec(args.pair)
+    pair = pair_from_spec(pspec)
     if args.auto:
         try:
             obj = json.loads(Path(args.auto).read_text())
@@ -221,9 +220,9 @@ def cmd_automaton(args) -> int:
         if sys_ is None:
             raise InvalidParameterError(
                 "--compat needs the bundled set system; drop --auto")
-        crep = check_compatibility(sanov_generators(), auto, sys_,
-                                   enumeration_depth=args.depth,
-                                   seed=args.seed)
+        task = {"check": "compatibility", "enumeration_depth": args.depth}
+        crep = run_task(Scenario({"pair": pspec, "seed": args.seed,
+                                  "tasks": [task]}), task)
         report["compatibility"] = crep
         report["pass"] = report["pass"] and crep["pass"]
     if args.dump:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (BudgetExceededError, GapTooSmallError,
                      InvalidParameterError, TypeMismatchError)
-from .groups import (BALL_CAP, BallTree, FreeAbelianOracle, FreeOracle,
-                     FreeProductOracle, GroupOracle, ball_tree)
+from .groups import (BALL_CAP, BallTree, FreeAbelianOracle, FreeProductOracle,
+                     GroupOracle, ball_tree)
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 
@@ -464,8 +464,6 @@ def hausdorff_rp1(a, b) -> float:
 
 def _free_rank(oracle: GroupOracle) -> int | None:
     """Rank if the oracle is a free group presented as such, else None."""
-    if isinstance(oracle, FreeOracle):
-        return oracle.rank
     if isinstance(oracle, FreeAbelianOracle) and oracle.rank == 1:
         return 1
     if isinstance(oracle, FreeProductOracle) and all(

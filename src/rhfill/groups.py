@@ -3,10 +3,10 @@
 Every oracle ships a canonical normal form, so equality is literal payload
 equality and the word problem is exact:
 
-* free groups: reduced syllable tuples ((gen, exp), ...)
 * free abelian: exponent vectors
 * finite cyclic: residues
-* free products of abelian factors: alternating syllable tuples
+* free products of abelian factors: alternating syllable tuples; a free
+  group is the free product of rank-one free abelian factors
 * filled quotients: free products of abelian quotients (lattice reduction)
 
 Payloads are nested tuples of ints, hashable and order-free; deterministic
@@ -377,59 +377,6 @@ class QuotientAbelianOracle(AbelianFactor):
         return reduce_mod_rows(list(vec), self.hermite)
 
 
-class FreeOracle(GroupOracle):
-    """Free group with reduced syllable normal forms ((gen, exp), ...)."""
-
-    kind = "free"
-
-    def __init__(self, rank: int, names: tuple[str, ...] | None = None):
-        if rank < 1:
-            raise InvalidParameterError("free rank must be >= 1")
-        self.rank = rank
-        self.gen_names = tuple(names) if names else tuple(ALPHABET[:rank])
-
-    def identity(self):
-        return GroupElement(())
-
-    def multiply(self, x, y):
-        xs = list(x.word)
-        ys = list(y.word)
-        while xs and ys and xs[-1][0] == ys[0][0]:
-            g, e1 = xs.pop()
-            _, e2 = ys.pop(0)
-            e = e1 + e2
-            if e != 0:
-                xs.append((g, e))
-                break
-        return GroupElement(tuple(xs + ys))
-
-    def inverse(self, x):
-        return GroupElement(tuple((g, -e) for g, e in reversed(x.word)))
-
-    def word_length(self, x):
-        return sum(abs(e) for _, e in x.word)
-
-    def generators(self):
-        out = []
-        for i in range(self.rank):
-            for s in (1, -1):
-                out.append(GroupElement(((i, s),)))
-        return out
-
-    def sort_key(self, x):
-        return (self.word_length(x), x.word)
-
-    def syllables(self, x):
-        return [(self.gen_names[g], e) for g, e in x.word]
-
-    def generator(self, name, power=1):
-        if name not in self.gen_names:
-            raise InvalidParameterError(f"unknown generator {name!r}")
-        if power == 0:
-            return self.identity()
-        return GroupElement(((self.gen_names.index(name), power),))
-
-
 class FreeProductOracle(GroupOracle):
     """Free product of abelian factors; syllables alternate between factors."""
 
@@ -566,7 +513,9 @@ def make_oracle(spec: dict) -> GroupOracle:
             rank = int(s.get("rank", 0))
             if rank < 1:
                 raise InvalidParameterError("free rank must be >= 1")
-            return FreeOracle(rank, tuple(next(used) for _ in range(rank)))
+            return FreeProductOracle(
+                [FreeAbelianOracle(1, (next(used),)) for _ in range(rank)],
+                kind="free")
         if kind == "free-abelian":
             rank = int(s.get("rank", 0))
             if rank < 1:
@@ -686,9 +635,19 @@ def make_pair(oracle: GroupOracle, peripheral_spec=None) -> RelHypPair:
 
     Free-product oracles take their factors as peripherals (the only layout
     the coarse-geometry code supports: every generator must be peripheral).
-    A free oracle is re-realized as the free product of rank-one factors,
-    one per designated cyclic generator.
+    A free oracle (kind "free") takes one cyclic peripheral per generator;
+    its pair reports the kind "free-product".
     """
+    if isinstance(oracle, FreeProductOracle) and oracle.kind == "free":
+        names = None
+        if peripheral_spec:
+            names = list(peripheral_spec.get("cyclic-generators", []))
+        if not names:
+            names = list(oracle.gen_names)
+        if sorted(names) != sorted(oracle.gen_names):
+            raise UnsupportedKindError(
+                "designated cyclic peripherals must cover every free generator")
+        oracle, peripheral_spec = FreeProductOracle(oracle.factors), None
     if isinstance(oracle, FreeProductOracle):
         if peripheral_spec not in (None, "factors"):
             idx = list(peripheral_spec.get("factors", []))
@@ -698,19 +657,6 @@ def make_pair(oracle: GroupOracle, peripheral_spec=None) -> RelHypPair:
         pair = RelHypPair(oracle, [])
         pair.peripherals = [PeripheralSubgroup(i, f, pair)
                             for i, f in enumerate(oracle.factors)]
-        return pair
-    if isinstance(oracle, FreeOracle):
-        names = None
-        if peripheral_spec:
-            names = list(peripheral_spec.get("cyclic-generators", []))
-        if not names:
-            names = list(oracle.gen_names)
-        if sorted(names) != sorted(oracle.gen_names):
-            raise UnsupportedKindError(
-                "designated cyclic peripherals must cover every free generator")
-        factors = [FreeAbelianOracle(1, (n,)) for n in oracle.gen_names]
-        product = FreeProductOracle(factors)
-        pair = make_pair(product)
         return pair
     raise UnsupportedKindError(
         f"cannot attach peripherals to oracle kind {oracle.kind!r}")

@@ -8,10 +8,8 @@ same bytes on every run (sorted keys, no timestamps, no absolute paths).
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
-import os
 import time
 from pathlib import Path
 
@@ -58,12 +56,10 @@ __all__ = [
     "run_task",
     "emit_plot_data",
     "bundled_scenario_path",
-    "thread_cap",
 ]
 
 DEFAULT_BUDGETS = {
     "elements": 2_000_000,
-    "matrices": 200_000,
     "seconds": None,
 }
 
@@ -143,7 +139,6 @@ SCENARIO_SCHEMA = {
             "type": "object",
             "properties": {
                 "elements": {"type": "integer", "minimum": 1},
-                "matrices": {"type": "integer", "minimum": 1},
                 "seconds": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
@@ -168,31 +163,6 @@ SCENARIO_SCHEMA = {
 
 # built once: jsonschema.validate would check the schema itself on every call
 _VALIDATOR = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
-
-
-def thread_cap() -> int:
-    """Worker cap for per-index fan-out; RHFILL_THREADS overrides."""
-    env = os.environ.get("RHFILL_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise InvalidParameterError(
-                f"RHFILL_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise InvalidParameterError("RHFILL_THREADS must be >= 1")
-        return cap
-    return min(4, os.cpu_count() or 1)
-
-
-def _pool_map(fn, items):
-    """Order-preserving parallel map; degenerates to a loop at cap 1."""
-    items = list(items)
-    cap = thread_cap()
-    if cap == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +261,6 @@ def _task_compatibility(sc: Scenario, params: dict) -> dict:
     return check_compatibility(
         sc.family.base, auto, sys_,
         enumeration_depth=int(params.get("enumeration_depth", 12)),
-        max_checks=sc.budgets["matrices"],
         seed=sc.seed)
 
 
@@ -345,9 +314,8 @@ def _task_edf(sc: Scenario, params: dict) -> dict:
     else:
         queries = list(bundled_edf_queries(sc.pair))
     depth = int(params.get("enumeration_depth", 8))
-    reports = _pool_map(
-        lambda q: edf_condition_check(sc.family, q, enumeration_depth=depth),
-        queries)
+    reports = [edf_condition_check(sc.family, q, enumeration_depth=depth)
+               for q in queries]
     table = []
     for rep in reports:
         for row in rep["edf"]:
@@ -393,14 +361,14 @@ def _task_limitset(sc: Scenario, params: dict) -> dict:
 
 
 def _paths_of_length(sc: Scenario, length: int, cutoff: int, count: int):
-    auto, _ = bundled_sanov_automaton(sc.pair)
+    auto, sys_ = bundled_sanov_automaton(sc.pair)
     out = []
     for p in enumerate_gpaths(auto, length, label_cutoff=cutoff):
         if len(p) == length:
             out.append(p)
             if len(out) == count:
                 break
-    return auto, out
+    return sys_, out
 
 
 def _task_contraction(sc: Scenario, params: dict) -> dict:
@@ -409,19 +377,15 @@ def _task_contraction(sc: Scenario, params: dict) -> dict:
     cutoff = int(params.get("label_cutoff", 8))
     rate_bound = float(params.get("rate_bound", 0.9))
     rep_bound = int(params.get("max_repetition", 2))
-    auto, paths = _paths_of_length(sc, length, cutoff, count)
-    _, sys_ = bundled_sanov_automaton(sc.pair)
+    sys_, paths = _paths_of_length(sc, length, cutoff, count)
     samples = int(params.get("samples", 128))
-
-    def one(item):
-        i, p = item
+    table = []
+    for i, p in enumerate(paths):
         rep = nested_diameters(sc.family.base, p, sys_,
                                samples=samples, seed=sc.seed)
-        return {"path": i, "words": p.words(), "rate": rep["rate"],
-                "monotone": rep["monotone_nonincreasing"],
-                "max_repetition": rep["max_repetition"]}
-
-    table = _pool_map(one, enumerate(paths))
+        table.append({"path": i, "words": p.words(), "rate": rep["rate"],
+                      "monotone": rep["monotone_nonincreasing"],
+                      "max_repetition": rep["max_repetition"]})
     worst_rate = max((r["rate"] for r in table), default=0.0)
     worst_rep = max((r["max_repetition"] for r in table), default=0)
     return {
@@ -563,7 +527,10 @@ def emit_plot_data(report: dict) -> str:
 
 
 def run_scenario(path, output_dir=None) -> tuple[int, dict]:
-    """Execute every task in order; returns (exit_code, summary).
+    """Execute the tasks one at a time, in order; returns (exit_code, summary).
+
+    ``budgets.seconds`` is checked before each task starts, against the
+    time since the first one started; a running task is not interrupted.
 
     Exit codes follow the CLI convention: 0 all asserted verdicts pass,
     1 a property failed or a task errored, 2 schema problems (raised as

@@ -13,7 +13,7 @@ from rhfill.automata import (AutomatonGraph, Ball, CosetLabel, GPath,
                              check_compatibility, enumerate_gpaths,
                              nested_diameters, set_system_from_json,
                              set_system_to_json, validate_automaton,
-                             _ball_arc, _mobius_arc)
+                             _angle_diameter, _ball_arc, _mobius_arc)
 from rhfill.errors import (BudgetExceededError, InvalidParameterError,
                            SchemaError)
 from rhfill.flags import Flag, ParabolicType, attracting_flag
@@ -450,6 +450,37 @@ def test_nested_requires_coverage(pair, ping_pong_path):
     lonely = SetSystem(2, 0.02, {0: [Ball(0.0, 0.48)]})
     with pytest.raises(InvalidParameterError):
         nested_diameters(SANOV, ping_pong_path, lonely)
+
+
+def _pairwise_sine_diameter(angles):
+    # reference: the sine of every pairwise circular distance, then the max
+    diff = np.abs(angles[:, None] - angles[None, :]) % math.pi
+    circ = np.minimum(diff, math.pi - diff)
+    return float(np.max(np.sin(circ)))
+
+
+def _diameter_cases():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        yield rng.uniform(-math.pi, math.pi, int(rng.integers(2, 130)))
+    for _ in range(100):  # clusters on both sides of 0 and of pi
+        n = int(rng.integers(2, 40))
+        yield np.concatenate([rng.normal(0.0, 0.05, n),
+                              rng.choice([-math.pi, math.pi], n)
+                              + rng.normal(0.0, 0.05, n)])
+    for _ in range(100):
+        yield rng.uniform(-math.pi, math.pi, 2)
+    yield np.array([0.0, math.pi])
+    yield np.array([-math.pi / 2, math.pi / 2])
+    yield np.array([0.3, 0.3])
+    yield np.full(5, -1.2)
+    yield np.repeat(rng.uniform(-math.pi, math.pi, 4), 3)
+
+
+def test_angle_diameter_matches_pairwise_sines():
+    for angles in _diameter_cases():
+        assert _angle_diameter(angles) == _pairwise_sine_diameter(angles), \
+            angles
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from rhfill.cli import main
 from rhfill.cusped import load_graph
+from rhfill.scenarios import Scenario, _dump_json, run_task
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,15 @@ def test_automaton_compat_and_json_roundtrip(tmp_path, capsys):
     assert main(["automaton", "--auto", str(auto)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["validation"]["pass"]
+
+
+def test_automaton_compat_is_the_compatibility_task(capsys):
+    assert main(["automaton", "--compat", "--depth", "12"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    task = {"check": "compatibility", "enumeration_depth": 12}
+    expected = run_task(Scenario({"pair": {"builtin": "f2"}, "tasks": [task]}),
+                        task)
+    assert report["compatibility"] == json.loads(_dump_json(expected))
 
 
 def test_automaton_compat_needs_bundled_sets(tmp_path, capsys):

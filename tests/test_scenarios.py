@@ -5,12 +5,14 @@ import json
 import jsonschema
 import pytest
 
+import rhfill
+import rhfill.scenarios
+from rhfill.cli import main
 from rhfill.convergence import elliptic_generators
-from rhfill.errors import (BudgetExceededError, InvalidParameterError,
-                           NoTabularDataError, SchemaError)
+from rhfill.errors import BudgetExceededError, NoTabularDataError, SchemaError
 from rhfill.scenarios import (SCENARIO_SCHEMA, Scenario, bundled_scenario_path,
                               emit_plot_data, load_scenario, pair_from_spec,
-                              run_scenario, thread_cap)
+                              run_scenario)
 
 # frozen from the bundled scenario run (seed 7)
 CONTRACTION_MAX_RATE = 0.058372998207474325
@@ -171,6 +173,22 @@ def test_edges_budget_is_gone():
                   "tasks": []})
 
 
+def test_matrices_budget_is_gone(tmp_path):
+    p = scenario_file(tmp_path, {"pair": {"builtin": "f2"},
+                                 "budgets": {"matrices": 200_000},
+                                 "tasks": []})
+    with pytest.raises(SchemaError, match="matrices"):
+        load_scenario(p)
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("module", [rhfill, rhfill.scenarios])
+def test_public_names_resolve(module):
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+
+
 def test_missing_pair_is_schema_error():
     with pytest.raises(SchemaError, match="pair"):
         Scenario({"tasks": []})
@@ -251,29 +269,6 @@ def test_seconds_budget_is_enforced(tmp_path):
         "tasks": [{"check": "tracking"}]})
     with pytest.raises(BudgetExceededError, match="seconds"):
         run_scenario(p, output_dir=tmp_path / "out")
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("RHFILL_THREADS", raising=False)
-    assert 1 <= thread_cap() <= 4
-    monkeypatch.setenv("RHFILL_THREADS", "2")
-    assert thread_cap() == 2
-    monkeypatch.setenv("RHFILL_THREADS", "0")
-    with pytest.raises(InvalidParameterError):
-        thread_cap()
-    monkeypatch.setenv("RHFILL_THREADS", "two")
-    with pytest.raises(InvalidParameterError):
-        thread_cap()
-
-
-def test_single_thread_run_matches(tmp_path, monkeypatch, bundled_run):
-    # determinism must not depend on the worker pool
-    _, _, out = bundled_run
-    monkeypatch.setenv("RHFILL_THREADS", "1")
-    code, _ = run_scenario(bundled_scenario_path(), output_dir=tmp_path)
-    assert code == 0
-    name = "02-edf.json"
-    assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
