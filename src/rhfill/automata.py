@@ -27,7 +27,7 @@ from .errors import (BudgetExceededError, InvalidParameterError, SchemaError,
                      UnsupportedKindError)
 from .flags import Flag, as_projective, flag_distance, is_transverse, line_flag
 from .groups import GroupElement, RelHypPair, format_word, parse_word
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS
 
 # ---------------------------------------------------------------------------
 # transition labels and the automaton graph
@@ -284,13 +284,11 @@ class SetSystem:
     by grid search when none is supplied; in higher rank it must be given.
     """
 
-    def __init__(self, d: int, epsilon: float, sets, witnesses=None,
-                 tols: Tolerances = DEFAULT_TOLS):
+    def __init__(self, d: int, epsilon: float, sets, witnesses=None):
         if epsilon <= 0:
             raise InvalidParameterError("set system margin must be positive")
         self.d = int(d)
         self.epsilon = float(epsilon)
-        self.tols = tols
         self.sets: dict[int, tuple[Ball, ...]] = {}
         for v, balls in sets.items():
             balls = tuple(balls)
@@ -331,7 +329,7 @@ class SetSystem:
         best, best_score = None, -math.inf
         for t in np.linspace(0.0, math.pi, 720, endpoint=False):
             cand = line_flag(float(t))
-            score = min(is_transverse(cand, c, self.tols)[1] - b.radius
+            score = min(is_transverse(cand, c)[1] - b.radius
                         for c, b in zip(centers, balls))
             if score > best_score:
                 best, best_score = float(t), score
@@ -340,7 +338,7 @@ class SetSystem:
     def _check_witness(self, v, witness, balls):
         wflag = line_flag(float(witness)) if self.d == 2 else witness
         for b in balls:
-            _, margin = is_transverse(wflag, self.center_flag(b), self.tols)
+            _, margin = is_transverse(wflag, self.center_flag(b))
             if not margin > b.radius:
                 raise InvalidParameterError(
                     f"set at vertex {v}: witness transversality margin "
@@ -361,7 +359,7 @@ def set_system_to_json(sys_: SetSystem) -> dict:
     }
 
 
-def set_system_from_json(obj, tols: Tolerances = DEFAULT_TOLS) -> SetSystem:
+def set_system_from_json(obj) -> SetSystem:
     if not isinstance(obj, dict):
         raise SchemaError("set system: expected an object")
     if "epsilon" not in obj:
@@ -386,7 +384,7 @@ def set_system_from_json(obj, tols: Tolerances = DEFAULT_TOLS) -> SetSystem:
     witnesses = None
     if "witnesses" in obj:
         witnesses = {int(k): float(w) for k, w in obj["witnesses"].items()}
-    return SetSystem(2, float(obj["epsilon"]), sets, witnesses, tols)
+    return SetSystem(2, float(obj["epsilon"]), sets, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +480,13 @@ def _contain_exact(m: np.ndarray, ball: Ball, inflated: float,
 
 
 def _contain_sampled(m: np.ndarray, ball: Ball, inflated: float, targets,
-                     samples: int, rng, inflation: float) -> tuple[bool, float]:
+                     samples: int, rng) -> tuple[bool, float]:
     center = ball.center
     image_center = center.apply(m)
     bound = 0.0
     for s in _sample_flag_sphere(center, inflated, samples, rng):
         bound = max(bound, flag_distance(s.apply(m), image_center))
-    bound *= inflation
+    bound *= DEFAULT_TOLS.sampled_inflation
     margin = -math.inf
     for tb in targets:
         margin = max(margin,
@@ -498,7 +496,6 @@ def _contain_sampled(m: np.ndarray, ball: Ball, inflated: float, targets,
 
 def check_compatibility(rep, auto: AutomatonGraph, sys_: SetSystem,
                         enumeration_depth: int = 8,
-                        tols: Tolerances = DEFAULT_TOLS,
                         max_checks: int = 200_000,
                         samples: int = 64, seed: int = 0) -> dict:
     """Certify that the representation respects the set system edge-wise.
@@ -509,8 +506,8 @@ def check_compatibility(rep, auto: AutomatonGraph, sys_: SetSystem,
     inside the set at v.  On the projective line the test is exact and a
     failure is a refutation; in higher rank the image radius is bounded
     from sampled boundary flags times a safety factor and a failure is
-    only inconclusive.  A margin within ``tols.transversality`` of zero is
-    inconclusive in either case: its sign may be a rounding artifact.
+    only inconclusive.  A margin within the transversality tolerance of
+    zero is inconclusive in either case: its sign may be a rounding artifact.
     """
     for u, w in auto.edges:
         for v in (u, w):
@@ -550,8 +547,7 @@ def check_compatibility(rep, auto: AutomatonGraph, sys_: SetSystem,
                     ok, margin = _contain_exact(m, ball, inflated, targets)
                 else:
                     ok, margin = _contain_sampled(
-                        m, ball, inflated, targets, samples, rng,
-                        tols.sampled_inflation)
+                        m, ball, inflated, targets, samples, rng)
                 containments += 1
                 min_margin = min(min_margin, margin)
                 if not ok:
@@ -563,9 +559,9 @@ def check_compatibility(rep, auto: AutomatonGraph, sys_: SetSystem,
                             "ball": bi,
                             "margin": margin,
                         })
-    if min_margin > tols.transversality:  # inf when nothing was checked
+    if min_margin > DEFAULT_TOLS.transversality:  # inf when none checked
         verdict = "pass"
-    elif sys_.d == 2 and min_margin < -tols.transversality:
+    elif sys_.d == 2 and min_margin < -DEFAULT_TOLS.transversality:
         verdict = "fail"
     else:
         verdict = "inconclusive"
@@ -674,8 +670,7 @@ def _angle_diameter(angles: np.ndarray) -> float:
 
 
 def nested_diameters(rep, gpath: GPath, sys_: SetSystem,
-                     samples: int = 128, seed: int = 0,
-                     tols: Tolerances = DEFAULT_TOLS) -> dict:
+                     samples: int = 128, seed: int = 0) -> dict:
     """Diameters of the nested images sigma(alpha_1 ... alpha_n) U_{v_{n+1}}.
 
     Each set is sampled (on the projective line: evenly across every ball

@@ -41,7 +41,7 @@ from .groups import (
     make_filling,
     parse_word,
 )
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS
 
 __all__ = [
     "RepFamily",
@@ -118,10 +118,8 @@ class RepFamily:
     """
 
     def __init__(self, pair: RelHypPair, base: dict, members: dict,
-                 kernels: dict | None = None,
-                 tols: Tolerances = DEFAULT_TOLS):
+                 kernels: dict | None = None):
         self.pair = pair
-        self.tols = tols
         self.base = {n: _as_matrix(m) for n, m in base.items()}
         if set(self.base) != set(pair.group.gen_names):
             raise InvalidParameterError(
@@ -149,7 +147,7 @@ class RepFamily:
             for words in spec.values():
                 for word in words:
                     dev = _kernel_deviation(self.members[idx], pair, word)
-                    if dev > tols.kernel:
+                    if dev > DEFAULT_TOLS.kernel:
                         raise InvalidParameterError(
                             f"member {idx} maps kernel word {word!r} at "
                             f"projective distance {dev:.3e} from the identity")
@@ -168,15 +166,14 @@ class RepFamily:
 
 
 def elliptic_family(pair: RelHypPair,
-                    ns: tuple[int, ...] = (10, 20, 30, 40, 60),
-                    tols: Tolerances = DEFAULT_TOLS) -> RepFamily:
+                    ns: tuple[int, ...] = (10, 20, 30, 40, 60)) -> RepFamily:
     """The bundled elliptic deformations of the parabolic ping-pong pair."""
     if len(pair.peripherals) != 2 or tuple(pair.group.gen_names) != ("a", "b"):
         raise InvalidParameterError(
             "the elliptic family needs the two-generator parabolic pair")
     members = {n: elliptic_generators(n) for n in ns}
     kernels = {n: {0: [f"a^{n}"], 1: [f"b^{n}"]} for n in ns}
-    return RepFamily(pair, sanov_generators(), members, kernels, tols)
+    return RepFamily(pair, sanov_generators(), members, kernels)
 
 
 def constant_family(pair: RelHypPair, rep: dict,
@@ -232,7 +229,7 @@ def bundled_edf_queries(pair: RelHypPair) -> tuple[EdfQuery, EdfQuery]:
     return qa, qb
 
 
-def _query_margins(mats, pair, query, locals_, skip, tols):
+def _query_margins(mats, pair, query, locals_, skip):
     """Worst containment margin over the non-skipped peripheral elements.
 
     Returns (rows, min_margin, worst_word); rows hold one entry per tested
@@ -261,8 +258,7 @@ def _query_margins(mats, pair, query, locals_, skip, tols):
 
 
 def edf_condition_check(family: RepFamily, query: EdfQuery,
-                        enumeration_depth: int = 8,
-                        tols: Tolerances = DEFAULT_TOLS) -> dict:
+                        enumeration_depth: int = 8) -> dict:
     """Check the extended filling condition and strict peripheral stability.
 
     The base hypothesis is verified first on the truncated peripheral ball.
@@ -301,7 +297,7 @@ def edf_condition_check(family: RepFamily, query: EdfQuery,
 
     def truncated_run(mats):
         locals_ = per.factor.p_within(enumeration_depth)
-        return _query_margins(mats, pair, query, locals_, excluded_locals, tols)
+        return _query_margins(mats, pair, query, locals_, excluded_locals)
 
     base_rows, base_min, base_worst = truncated_run(base_mats)
     base_conclusive = per.factor.p_order() is not None
@@ -357,7 +353,7 @@ def edf_condition_check(family: RepFamily, query: EdfQuery,
                 continue
             seen[res] = loc
         rows, mn, worst = _query_margins(
-            mats, pair, query, list(seen.values()), set(), tols)
+            mats, pair, query, list(seen.values()), set())
         covered = len(seen) + len(skip_residues)
         conclusive = covered >= order
         if not rows:
@@ -374,7 +370,7 @@ def edf_condition_check(family: RepFamily, query: EdfQuery,
         # strict stability: only the excluded elements themselves are
         # skipped, so kernel words land on the identity residue
         srows, smn, sworst = _query_margins(
-            mats, pair, query, locals_, excluded_locals, tols)
+            mats, pair, query, locals_, excluded_locals)
         sverdict = "pass" if (smn is not None and smn > 0) else "fail"
         stability_rows.append({
             "index": idx, "tested": len(srows), "min_margin": smn,
@@ -429,8 +425,7 @@ def _sup_min(sup_side: np.ndarray, inf_side: np.ndarray,
 
 
 def chabauty_check(family: RepFamily, ball_radius: float = 10.0,
-                   word_depth: int = 8, cap: int = BALL_CAP,
-                   tols: Tolerances = DEFAULT_TOLS) -> dict:
+                   word_depth: int = 8, cap: int = BALL_CAP) -> dict:
     """Local Hausdorff comparison of windowed image sets, per member.
 
     Following the two one-sided convergence criteria, the window applies
@@ -516,7 +511,6 @@ def chabauty_check(family: RepFamily, ball_radius: float = 10.0,
 
 def limit_set_convergence(family: RepFamily, word_depth: int = 12,
                           screen_powers: int = 7,
-                          tols: Tolerances = DEFAULT_TOLS,
                           cap: int = BALL_CAP) -> dict:
     """Hausdorff distance of each member's limit cloud from the base cloud.
 
@@ -527,9 +521,9 @@ def limit_set_convergence(family: RepFamily, word_depth: int = 12,
     """
     if word_depth < 1:
         raise InvalidParameterError("word_depth must be >= 1")
-    if screen_powers < tols.tail_window:
-        raise InvalidParameterError(
-            f"screen_powers must cover the tail window ({tols.tail_window})")
+    if screen_powers < DEFAULT_TOLS.tail_window:
+        raise InvalidParameterError(f"screen_powers must cover the tail "
+                                    f"window ({DEFAULT_TOLS.tail_window})")
     pair = family.pair
     if family.dimension != 2:
         raise UnsupportedKindError("limit clouds are implemented for d = 2")
@@ -542,7 +536,7 @@ def limit_set_convergence(family: RepFamily, word_depth: int = 12,
         w = w / math.sqrt(abs(np.linalg.det(w)))
         seq = [np.linalg.matrix_power(w, k) for k in range(1, screen_powers + 1)]
         try:
-            return q_divergence(seq, ptype, tols).verdict == "divergent"
+            return q_divergence(seq, ptype).verdict == "divergent"
         except InvalidParameterError:
             # a power too ill-conditioned to certify cannot pass screening
             return False
@@ -550,8 +544,8 @@ def limit_set_convergence(family: RepFamily, word_depth: int = 12,
     if not screened(family.base):
         raise InvalidParameterError(
             "base representation fails divergence screening")
-    base_cloud = q_limit_set(family.base, pair.group, word_depth,
-                             ptype, tols, cap)
+    base_cloud = q_limit_set(family.base, pair.group, word_depth, ptype,
+                             cap=cap)
     table = []
     flagged = []
     for idx in family.indices:
@@ -560,7 +554,7 @@ def limit_set_convergence(family: RepFamily, word_depth: int = 12,
             flagged.append({"index": idx,
                             "reason": "divergence-screening-failed"})
             continue
-        cloud = q_limit_set(rep, pair.group, word_depth, ptype, tols, cap)
+        cloud = q_limit_set(rep, pair.group, word_depth, ptype, cap=cap)
         table.append({
             "index": idx,
             "d_hausdorff": cloud.hausdorff(base_cloud),
@@ -588,8 +582,7 @@ def sequences_from_gpaths(paths) -> list[list[GroupElement]]:
 
 
 def fiber_consistency_check(rep: dict, pair: RelHypPair, sequences,
-                            distance_bound: float = 3.0,
-                            tols: Tolerances = DEFAULT_TOLS) -> dict:
+                            distance_bound: float = 3.0) -> dict:
     """Sequences that stay close in the cusped metric share a limit flag.
 
     Each sequence gets a divergence certificate and, when divergent, the
@@ -617,7 +610,7 @@ def fiber_consistency_check(rep: dict, pair: RelHypPair, sequences,
         if not seq:
             raise InvalidParameterError(f"sequence {si} is empty")
         ms = [_element_matrix(mats, pair.group, g, cache) for g in seq]
-        cert = q_divergence(ms, ptype, tols)
+        cert = q_divergence(ms, ptype)
         entries.append({
             "index": si,
             "length": len(seq),
@@ -647,7 +640,7 @@ def fiber_consistency_check(rep: dict, pair: RelHypPair, sequences,
                 fd = flag_distance(ei["flag"], ej["flag"])
                 row["flag_distance"] = fd
                 row["verified"] = True
-                row["ok"] = (not paired) or fd <= tols.fiber
+                row["ok"] = (not paired) or fd <= DEFAULT_TOLS.fiber
             ok_all = ok_all and row["ok"]
             rows.append(row)
 
@@ -667,7 +660,6 @@ def fiber_consistency_check(rep: dict, pair: RelHypPair, sequences,
 
 
 def gpath_tracking_check(pair: RelHypPair, gpath, radius: int,
-                         tols: Tolerances = DEFAULT_TOLS,
                          cap: int = BALL_CAP) -> dict:
     """Partial products of a path stay near the cusped geodesic they track.
 

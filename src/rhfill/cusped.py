@@ -820,10 +820,9 @@ def build_cusped_ball(pair: RelHypPair, radius: int,
 # generic graphs, dump and load
 
 
-def generic_graph(n: int, edges: list[tuple[int, int]],
-                  labels: list[str] | None = None) -> CuspedGraph:
+def generic_graph(n: int, edges: list[tuple[int, int]]) -> CuspedGraph:
     keys = [("v", i) for i in range(n)]
-    labels = labels or [str(i) for i in range(n)]
+    labels = [str(i) for i in range(n)]
     eu = [e[0] for e in edges]
     ev = [e[1] for e in edges]
     return CuspedGraph("generic", keys, [0] * n, labels, ["-"] * n,

@@ -365,17 +365,15 @@ def check_uniform_delta(pair: RelHypPair, fillings: dict[int, FillingData],
     }
 
 
-def injectivity_report(filling: FillingData, radius: int,
-                       peripheral_radius: int | None = None) -> dict:
-    """Is the projection injective on the word ball and on peripheral balls?
+def injectivity_report(filling: FillingData, radius: int) -> dict:
+    """Is the projection injective on the word ball and on the peripheral
+    balls, all of the given radius?
 
     The guaranteed window for cyclic fillings <a^n> is floor((n-1)/2) in the
     peripheral and the same bound groupwide when every kernel is that long.
     """
     pair = filling.pair
     G = pair.group
-    if peripheral_radius is None:
-        peripheral_radius = radius
     ball = enumerate_ball(G, radius)
     seen: dict = {}
     collisions = []
@@ -387,7 +385,7 @@ def injectivity_report(filling: FillingData, radius: int,
             seen[img.word] = g
     per_reports = []
     for pid, per in enumerate(pair.peripherals):
-        locals_ = per.factor.p_within(peripheral_radius)
+        locals_ = per.factor.p_within(radius)
         imgs = {filling.project_local(pid, p) for p in locals_}
         per_reports.append({
             "pid": pid,

@@ -26,7 +26,7 @@ from .errors import (BudgetExceededError, GapTooSmallError,
                      InvalidParameterError, TypeMismatchError)
 from .groups import (BALL_CAP, BallTree, FreeAbelianOracle, FreeProductOracle,
                      GroupOracle, ball_tree)
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ class ProjectiveMatrix:
 
     __slots__ = ("entries", "d")
 
-    def __init__(self, entries, tols: Tolerances = DEFAULT_TOLS):
+    def __init__(self, entries):
         m = np.array(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise InvalidParameterError(
@@ -96,7 +96,7 @@ class ProjectiveMatrix:
         if flat[np.flatnonzero(flat)[0]] < 0:
             m = -m
         sv = np.linalg.svd(m, compute_uv=False)
-        if not sv[-1] > tols.condition * sv[0]:
+        if not sv[-1] > DEFAULT_TOLS.condition * sv[0]:
             raise InvalidParameterError("matrix is numerically singular")
         m.setflags(write=False)
         self.entries = m
@@ -116,9 +116,9 @@ class ProjectiveMatrix:
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.entries, compute_uv=False)
 
-    def same_class(self, other: "ProjectiveMatrix", tol: float = 1e-12) -> bool:
+    def same_class(self, other: "ProjectiveMatrix") -> bool:
         return self.d == other.d and bool(
-            np.allclose(self.entries, other.entries, atol=tol, rtol=0.0))
+            np.allclose(self.entries, other.entries, atol=1e-12, rtol=0.0))
 
     def __repr__(self):
         return f"ProjectiveMatrix(d={self.d})"
@@ -128,10 +128,10 @@ def as_projective(m) -> ProjectiveMatrix:
     return m if isinstance(m, ProjectiveMatrix) else ProjectiveMatrix(m)
 
 
-def _orthonormal_span(b: np.ndarray, tols: Tolerances) -> np.ndarray:
+def _orthonormal_span(b: np.ndarray) -> np.ndarray:
     # SVD rather than QR: deterministic orthonormal basis of the column span
     u, s, _ = np.linalg.svd(b, full_matrices=False)
-    if not s[-1] > tols.condition * max(s[0], 1.0):
+    if not s[-1] > DEFAULT_TOLS.condition * max(s[0], 1.0):
         raise InvalidParameterError("degenerate spanning set for a flag subspace")
     return u
 
@@ -145,8 +145,7 @@ class Flag:
 
     __slots__ = ("type", "bases")
 
-    def __init__(self, ptype: ParabolicType, bases: dict,
-                 tols: Tolerances = DEFAULT_TOLS):
+    def __init__(self, ptype: ParabolicType, bases: dict):
         fixed: dict[int, np.ndarray] = {}
         for i in ptype.indices:
             if i not in bases:
@@ -155,13 +154,13 @@ class Flag:
             if b.shape != (ptype.d, i):
                 raise InvalidParameterError(
                     f"basis for index {i} must be {ptype.d}x{i}, got {b.shape}")
-            q = _orthonormal_span(b, tols)
+            q = _orthonormal_span(b)
             q.setflags(write=False)
             fixed[i] = q
         for a, b in zip(ptype.indices, ptype.indices[1:]):
             # V_a inside V_b iff projecting V_a onto V_b loses nothing
             defect = fixed[a] - fixed[b] @ (fixed[b].T @ fixed[a])
-            if np.linalg.norm(defect, 2) > tols.nesting:
+            if np.linalg.norm(defect, 2) > DEFAULT_TOLS.nesting:
                 raise InvalidParameterError(
                     f"flag bases are not nested: V_{a} is not inside V_{b}")
         self.type = ptype
@@ -224,8 +223,7 @@ def flag_distance(xi: Flag, eta: Flag) -> float:
     return best
 
 
-def attracting_flag(g, ptype: ParabolicType,
-                    tols: Tolerances = DEFAULT_TOLS) -> tuple[Flag, dict[int, float]]:
+def attracting_flag(g, ptype: ParabolicType) -> tuple[Flag, dict[int, float]]:
     """Flag of leading left-singular subspaces of g, plus the gap report.
 
     Returns (flag, gaps) with gaps[i] = sigma_i / sigma_{i+1} (1-based).
@@ -238,16 +236,15 @@ def attracting_flag(g, ptype: ParabolicType,
         raise TypeMismatchError(f"type is for d={ptype.d}, matrix has d={g.d}")
     u, s, _ = np.linalg.svd(g.entries)
     gaps = {i: float(s[i - 1] / s[i]) for i in ptype.indices}
-    bad = [i for i in ptype.indices if not gaps[i] > tols.gap_threshold]
+    bad = [i for i in ptype.indices if not gaps[i] > DEFAULT_TOLS.gap_threshold]
     if bad:
         raise GapTooSmallError(
             f"singular gap {gaps[bad[0]]:.9g} at index {bad[0]} does not clear "
-            f"{tols.gap_threshold}; the flag is ill-defined")
-    return Flag(ptype, {i: u[:, :i] for i in ptype.indices}, tols), gaps
+            f"{DEFAULT_TOLS.gap_threshold}; the flag is ill-defined")
+    return Flag(ptype, {i: u[:, :i] for i in ptype.indices}), gaps
 
 
-def is_transverse(xi: Flag, eta: Flag,
-                  tols: Tolerances = DEFAULT_TOLS) -> tuple[bool, float]:
+def is_transverse(xi: Flag, eta: Flag) -> tuple[bool, float]:
     """Whether V_i of xi and W_{d-i} of eta together span R^d, with margin.
 
     The margin is the smallest singular value of the stacked basis
@@ -265,7 +262,7 @@ def is_transverse(xi: Flag, eta: Flag,
         stacked = np.hstack([xi.bases[i], eta.bases[d - i]])
         sv = np.linalg.svd(stacked, compute_uv=False)
         margin = min(margin, float(sv[-1]))
-    return margin > tols.transversality, margin
+    return margin > DEFAULT_TOLS.transversality, margin
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +285,7 @@ class DivergenceCertificate:
     limit_flag_inverse: Flag | None = None
 
 
-def q_divergence(seq, ptype: ParabolicType,
-                 tols: Tolerances = DEFAULT_TOLS) -> DivergenceCertificate:
+def q_divergence(seq, ptype: ParabolicType) -> DivergenceCertificate:
     """Judge a matrix sequence by its singular-gap trajectories.
 
     divergent: over the last tail_window entries every type-relevant gap
@@ -311,21 +307,21 @@ def q_divergence(seq, ptype: ParabolicType,
     sv = np.array([m.singular_values() for m in mats])
     gaps = {i: tuple(float(x) for x in sv[:, i - 1] / sv[:, i])
             for i in ptype.indices}
-    w = tols.tail_window
+    w = DEFAULT_TOLS.tail_window
     if len(mats) < w:
         return DivergenceCertificate(
             "inconclusive", gaps,
             f"sequence shorter than the tail window ({len(mats)} < {w})")
     tails = {i: np.asarray(g[-w:]) for i, g in gaps.items()}
-    if all(t.max() <= tols.gap_threshold for t in tails.values()):
+    if all(t.max() <= DEFAULT_TOLS.gap_threshold for t in tails.values()):
         return DivergenceCertificate(
             "bounded", gaps, "tail gaps never clear the flag threshold")
-    if all((np.diff(t) > 0).all() and (t > tols.gap_threshold).all()
+    if all((np.diff(t) > 0).all() and (t > DEFAULT_TOLS.gap_threshold).all()
            for t in tails.values()):
-        flag, _ = attracting_flag(mats[-1], ptype, tols)
+        flag, _ = attracting_flag(mats[-1], ptype)
         inv_flag = None
         if ptype.symmetric:
-            inv_flag, _ = attracting_flag(mats[-1].inv(), ptype, tols)
+            inv_flag, _ = attracting_flag(mats[-1].inv(), ptype)
         return DivergenceCertificate(
             "divergent", gaps,
             "tail gaps increase strictly above the flag threshold",
@@ -521,7 +517,6 @@ def _free2_angles(letters: np.ndarray, depth: int, threshold: float
 
 def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
                 ptype: ParabolicType | None = None,
-                tols: Tolerances = DEFAULT_TOLS,
                 cap: int = BALL_CAP) -> FlagCloud:
     """Attracting flags of every ball element whose gaps clear the threshold.
 
@@ -563,8 +558,8 @@ def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
             letters[2 * i] = mats[name].entries
             letters[2 * i + 1] = np.linalg.inv(mats[name].entries)
         raw, seen, rejected = _free2_angles(letters, word_depth,
-                                            tols.gap_threshold)
-        angles = _dedup_angles(raw, tols.dedup)
+                                            DEFAULT_TOLS.gap_threshold)
+        angles = _dedup_angles(raw, DEFAULT_TOLS.dedup)
         return FlagCloud(ptype, angles, None, seen, rejected)
 
     tree = ball_tree(oracle, word_depth, cap)
@@ -572,18 +567,18 @@ def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
     rejected = 0
     for m in ball_images({n: m.entries for n, m in mats.items()}, oracle, tree):
         try:
-            flag, _ = attracting_flag(ProjectiveMatrix(m, tols), ptype, tols)
+            flag, _ = attracting_flag(ProjectiveMatrix(m), ptype)
         except (GapTooSmallError, InvalidParameterError):
             rejected += 1
             continue
         kept.append(flag)
     if d == 2:
         raw = np.array([flag_angle(f) for f in kept])
-        return FlagCloud(ptype, _dedup_angles(raw, tols.dedup), None,
+        return FlagCloud(ptype, _dedup_angles(raw, DEFAULT_TOLS.dedup), None,
                          len(tree.elements), rejected)
     unique: list[Flag] = []
     for f in kept:
-        if all(flag_distance(f, u) >= tols.dedup for u in unique):
+        if all(flag_distance(f, u) >= DEFAULT_TOLS.dedup for u in unique):
             unique.append(f)
     return FlagCloud(ptype, None, unique, len(tree.elements), rejected)
 

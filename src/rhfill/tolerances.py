@@ -1,7 +1,8 @@
 """Central numeric tolerances.
 
-All floating-point thresholds used anywhere in the library live in this one
-record so that a test or scenario can tighten/loosen them in a single place.
+The floating-point thresholds behind the flag, automaton and convergence
+verdicts live in one fixed record, ``DEFAULT_TOLS``, which those modules
+read directly; there is no per-call override.
 """
 from dataclasses import dataclass
 

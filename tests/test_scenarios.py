@@ -1,5 +1,6 @@
 """Scenario files: schema gates, the task pipeline, deterministic artifacts,
 and CSV emission."""
+import inspect
 import json
 
 import jsonschema
@@ -187,6 +188,23 @@ def test_matrices_budget_is_gone(tmp_path):
 def test_public_names_resolve(module):
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+def test_tolerances_are_not_a_parameter():
+    with_tols = [n for n in rhfill.__all__
+                 if callable(obj := getattr(rhfill, n))
+                 and _has_param(obj, "tols")]
+    assert with_tols == []
+    assert not _has_param(rhfill.ProjectiveMatrix.same_class, "tol")
+    assert not _has_param(rhfill.injectivity_report, "peripheral_radius")
+    assert not _has_param(rhfill.generic_graph, "labels")
+
+
+def _has_param(obj, name: str) -> bool:
+    try:
+        return name in inspect.signature(obj).parameters
+    except (TypeError, ValueError):  # builtins without a signature
+        return False
 
 
 def test_missing_pair_is_schema_error():
