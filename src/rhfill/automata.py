@@ -790,6 +790,12 @@ def automaton_to_json(auto: AutomatonGraph) -> dict:
     return {"vertices": vertices, "edges": [list(e) for e in auto.edges]}
 
 
+def _json_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def automaton_from_json(pair: RelHypPair, obj) -> AutomatonGraph:
     if not isinstance(obj, dict):
         raise SchemaError("automaton: expected an object")
@@ -797,7 +803,8 @@ def automaton_from_json(pair: RelHypPair, obj) -> AutomatonGraph:
         if key not in obj or not isinstance(obj[key], list):
             raise SchemaError(f"automaton: missing list field {key!r}")
     entries = obj["vertices"]
-    ids = sorted(e.get("id") for e in entries if isinstance(e, dict))
+    ids = sorted(e["id"] for e in entries
+                 if isinstance(e, dict) and isinstance(e.get("id"), int))
     if ids != list(range(len(entries))):
         raise SchemaError("vertices: ids must be exactly 0..n-1")
     labels: list = [None] * len(entries)
@@ -817,8 +824,10 @@ def automaton_from_json(pair: RelHypPair, obj) -> AutomatonGraph:
                         raise SchemaError(f"vertices[{i}].label.{fld}: missing")
                 excluded = tuple(parse_word(pair.group, w)
                                  for w in lab.get("excluded", []))
-                parsed = CosetLabel(parse_word(pair.group, lab["g"]),
-                                    int(lab["peripheral"]), excluded)
+                pid = _json_int(lab["peripheral"],
+                                f"vertices[{i}].label.peripheral")
+                parsed = CosetLabel(parse_word(pair.group, lab["g"]), pid,
+                                    excluded)
             else:
                 raise SchemaError(f"vertices[{i}].label.kind: unknown kind {kind!r}")
         except InvalidParameterError as err:
@@ -828,7 +837,8 @@ def automaton_from_json(pair: RelHypPair, obj) -> AutomatonGraph:
     for j, e in enumerate(obj["edges"]):
         if not (isinstance(e, list) and len(e) == 2):
             raise SchemaError(f"edges[{j}]: expected a [from, to] pair")
-        edges.append((int(e[0]), int(e[1])))
+        edges.append((_json_int(e[0], f"edges[{j}][0]"),
+                      _json_int(e[1], f"edges[{j}][1]")))
     try:
         return AutomatonGraph(pair, labels, edges)
     except InvalidParameterError as err:

@@ -199,8 +199,12 @@ def cmd_lift(args) -> int:
 
 
 def cmd_automaton(args) -> int:
-    pspec = _pair_spec(args.pair)
-    pair = pair_from_spec(pspec)
+    task = {"check": "compatibility", "enumeration_depth": args.depth}
+    spec = {"pair": _pair_spec(args.pair), "tasks": []}
+    if args.compat:
+        spec.update(seed=args.seed, tasks=[task])
+    sc = Scenario(spec)
+    pair = sc.pair
     if args.auto:
         try:
             obj = json.loads(Path(args.auto).read_text())
@@ -220,9 +224,7 @@ def cmd_automaton(args) -> int:
         if sys_ is None:
             raise InvalidParameterError(
                 "--compat needs the bundled set system; drop --auto")
-        task = {"check": "compatibility", "enumeration_depth": args.depth}
-        crep = run_task(Scenario({"pair": pspec, "seed": args.seed,
-                                  "tasks": [task]}), task)
+        crep = run_task(sc, task)
         report["compatibility"] = crep
         report["pass"] = report["pass"] and crep["pass"]
     if args.dump:

@@ -845,26 +845,38 @@ def dump_graph(graph: CuspedGraph) -> str:
 
 
 def load_graph(text: str) -> CuspedGraph:
+    """Inverse of :func:`dump_graph`; a malformed line raises
+    InvalidParameterError naming its line number."""
     depth, labels, coset_labels = [], [], []
-    eu, ev, ek = [], [], []
+    eu, ev, ek, edge_lines = [], [], [], []
     n = 0
-    for line in text.splitlines():
+    for no, line in enumerate(text.splitlines(), 1):
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "V":
-            if int(parts[1]) != n:
-                raise InvalidParameterError("vertex ids must be consecutive")
-            depth.append(int(parts[2]))
-            coset_labels.append(parts[3])
-            labels.append(parts[4] if len(parts) > 4 else "")
-            n += 1
-        elif parts[0] == "E":
-            eu.append(int(parts[1]))
-            ev.append(int(parts[2]))
-            ek.append(parts[3])
-        else:
-            raise InvalidParameterError(f"bad dump line: {line!r}")
+        try:
+            if parts[0] == "V":
+                if int(parts[1]) != n:
+                    raise InvalidParameterError(
+                        f"line {no}: vertex ids must be consecutive")
+                depth.append(int(parts[2]))
+                coset_labels.append(parts[3])
+                labels.append(parts[4] if len(parts) > 4 else "")
+                n += 1
+            elif parts[0] == "E":
+                eu.append(int(parts[1]))
+                ev.append(int(parts[2]))
+                ek.append(parts[3])
+                edge_lines.append(no)
+            else:
+                raise InvalidParameterError(f"line {no}: bad dump line {line!r}")
+        except (IndexError, ValueError):
+            raise InvalidParameterError(
+                f"line {no}: bad dump line {line!r}") from None
+    for u, v, no in zip(eu, ev, edge_lines):
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidParameterError(
+                f"line {no}: edge ({u}, {v}) leaves the vertex range 0..{n - 1}")
     keys = [("v", i) for i in range(n)]
     return CuspedGraph("generic", keys, depth, labels, coset_labels,
                        eu, ev, ek, None, {})

@@ -223,7 +223,7 @@ def lift_roundtrip_report(fg: FillingGeometry, n_paths: int = 1000,
     }
 
 
-def check_local_isometry(fg: FillingGeometry, r: int,
+def check_local_isometry(fg: FillingGeometry, r: int, *,
                          include_interior: bool = False) -> dict:
     """Compare all pairwise distances in the radius-r ball around the
     identity with the distances of the images in the quotient.
@@ -279,11 +279,12 @@ def check_local_isometry(fg: FillingGeometry, r: int,
     }
 
 
-def local_isometry_failure_radius(fg: FillingGeometry,
+def local_isometry_failure_radius(fg: FillingGeometry, *,
                                   include_interior: bool = False) -> int | None:
     """Smallest r in the window where check_local_isometry fails, if any."""
     for r in range(1, fg.source.meta["radius"] + 1):
-        if not check_local_isometry(fg, r, include_interior)["pass"]:
+        if not check_local_isometry(
+                fg, r, include_interior=include_interior)["pass"]:
             return r
     return None
 
@@ -344,7 +345,13 @@ def check_descent_quasigeodesic(fg: FillingGeometry, K: float,
 def check_uniform_delta(pair: RelHypPair, fillings: dict[int, FillingData],
                         radius: int, slack: float = 2.0,
                         samples: int = 100_000, seed: int = 0) -> dict:
-    """Window delta per filling index, against the unfilled window delta."""
+    """Window delta per filling index, against the unfilled window delta.
+
+    Every delta here is the four-point delta over ``samples`` random
+    quadruples of the window, a lower bound on the window's delta.  The test
+    ``filled <= unfilled + slack`` therefore compares lower bounds, and a
+    pass is not a certificate of uniform hyperbolicity.
+    """
     source = build_cusped_ball(pair, radius)
     base = four_point_delta_sampled(source.distance_matrix(),
                                     samples=samples, seed=seed).delta

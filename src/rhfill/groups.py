@@ -475,6 +475,8 @@ def format_word(oracle: GroupOracle, g: GroupElement) -> str:
 
 
 def parse_word(oracle: GroupOracle, text: str) -> GroupElement:
+    if not isinstance(text, str):
+        raise InvalidParameterError(f"a word must be a string, got {text!r}")
     text = text.strip()
     if text in ("1", ""):
         return oracle.identity()
@@ -754,12 +756,20 @@ def make_filling(pair: RelHypPair, kernel_spec) -> FillingData:
         if not 0 <= pid < len(pair.peripherals):
             raise InvalidParameterError(f"no peripheral with id {pid}")
         per = pair.peripherals[pid]
+        if not isinstance(kernels, (list, tuple)):
+            raise InvalidParameterError(
+                f"peripheral {pid}: expected a list of kernels, got {kernels!r}")
         for k in kernels:
             if isinstance(k, str):
-                elem = parse_word(per.factor, k)
-                local = elem.word
+                local = parse_word(per.factor, k).word
+            elif isinstance(k, (list, tuple)) and all(
+                    isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                    for x in k):
+                local = per.factor.p_from_exponents(k)
             else:
-                local = per.factor.p_from_exponents(list(k))
+                raise InvalidParameterError(
+                    f"peripheral {pid}: kernel {k!r} is neither a word nor "
+                    "a list of integer exponents")
             if local == per.factor.p_identity():
                 continue
             kernel_locals[pid].append(local)

@@ -68,7 +68,17 @@ def _int(minimum: int) -> dict:
     return {"type": "integer", "minimum": minimum}
 
 
+def _int_keyed(values: dict) -> dict:
+    """An object keyed by decimal integer strings, as member or peripheral ids."""
+    return {"type": "object", "propertyNames": {"pattern": "^[0-9]+$"},
+            "additionalProperties": values}
+
+
 _NUMBER = {"type": "number"}
+_STRING = {"type": "string"}
+_MATRICES = {"type": "object", "additionalProperties": {
+    "type": "array", "minItems": 1,
+    "items": {"type": "array", "items": _NUMBER}}}
 _BALLS = {"type": "array", "items": {"type": "object", "properties": {
     "angle": _NUMBER, "radius": _NUMBER}}}
 
@@ -76,30 +86,33 @@ _BALLS = {"type": "array", "items": {"type": "object", "properties": {
 TASK_PARAMS = {
     "metric-lemmas": {"radius": _int(0), "samples": _int(1),
                       "quasidensity_radius": _int(0)},
-    "uniform-delta": {"radius": _int(0), "slack": _NUMBER, "samples": _int(1)},
+    "uniform-delta": {"radius": _int(0), "slack": _NUMBER, "samples": _int(1),
+                      "csv": _STRING},
     "compatibility": {"enumeration_depth": _int(1)},
     "contraction": {"path_length": _int(1), "count": _int(1),
                     "label_cutoff": _int(0), "rate_bound": _NUMBER,
-                    "max_repetition": _int(0), "samples": _int(1)},
+                    "max_repetition": _int(0), "samples": _int(1),
+                    "csv": _STRING},
     "edf": {"enumeration_depth": _int(1),
-            "expect_stability_failures": {"type": "boolean"},
+            "expect_stability_failures": {"type": "boolean"}, "csv": _STRING,
             "queries": {"type": "array", "items": {
                 "type": "object", "additionalProperties": False,
-                "properties": {"peripheral": _int(0), "name": {"type": "string"},
-                               "excluded": {"type": "array",
-                                            "items": {"type": "string"}},
+                "properties": {"peripheral": _int(0), "name": _STRING,
+                               "excluded": {"type": "array", "items": _STRING},
                                "attracting": _BALLS, "repelling": _BALLS}}}},
     "chabauty": {"ball_radius": {"type": "number", "exclusiveMinimum": 0},
-                 "word_depth": _int(1)},
+                 "word_depth": _int(1), "csv": _STRING},
     "limitset": {"word_depth": _int(1), "screen_powers": _int(1),
-                 "max_final_distance": {"type": ["number", "null"], "minimum": 0}},
+                 "max_final_distance": {"type": ["number", "null"], "minimum": 0},
+                 "csv": _STRING},
     "fiber": {"path_length": _int(1), "count": _int(1), "label_cutoff": _int(0),
               "distance_bound": {"type": "number", "minimum": 0}},
     "tracking": {"path_length": _int(1), "label_cutoff": _int(0),
                  "radius": _int(0)},
 }
-_TASK_COMMON = {"check": {"enum": list(TASK_PARAMS)}, "name": {"type": "string"},
-                "assert": {"type": "boolean"}, "csv": {"type": "string"}}
+# csv is a parameter of the checks whose reports emit_plot_data renders
+_TASK_COMMON = {"check": {"enum": list(TASK_PARAMS)}, "name": _STRING,
+                "assert": {"type": "boolean"}}
 
 SCENARIO_SCHEMA = {
     "type": "object",
@@ -120,7 +133,7 @@ SCENARIO_SCHEMA = {
             "type": "object",
             "properties": {
                 "builtin": {"enum": ["sanov"]},
-                "matrices": {"type": "object"},
+                "matrices": _MATRICES,
             },
             "additionalProperties": False,
         },
@@ -130,8 +143,9 @@ SCENARIO_SCHEMA = {
                 "builtin": {"enum": ["elliptic"]},
                 "indices": {"type": "array",
                             "items": {"type": "integer", "minimum": 2}},
-                "members": {"type": "object"},
-                "kernels": {"type": "object"},
+                "members": _int_keyed(_MATRICES),
+                "kernels": _int_keyed(_int_keyed(
+                    {"type": "array", "items": _STRING})),
             },
             "additionalProperties": False,
         },
@@ -143,7 +157,7 @@ SCENARIO_SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "output_dir": {"type": "string"},
+        "output_dir": _STRING,
         "tasks": {
             "type": "array",
             "items": {
@@ -208,7 +222,8 @@ class Scenario:
         if not mats:
             raise SchemaError(
                 "representation: needs either 'builtin' or 'matrices'")
-        return {name: np.asarray(m, dtype=float) for name, m in mats.items()}
+        return {name: _matrix(m, f"representation.matrices.{name}")
+                for name, m in mats.items()}
 
     def _build_family(self, rspec: dict, fspec: dict | None) -> RepFamily:
         base = self._rep_matrices(rspec)
@@ -222,12 +237,16 @@ class Scenario:
                 raise SchemaError(f"filling_family: {e}") from None
         members = {}
         for key, rep in fspec.get("members", {}).items():
-            members[int(key)] = {n: np.asarray(m, dtype=float)
-                                 for n, m in rep.items()}
+            members[int(key)] = {
+                n: _matrix(m, f"filling_family.members.{key}.{n}")
+                for n, m in rep.items()}
         kernels = fspec.get("kernels", {})
         # surface malformed kernel words as schema errors naming the field
         for idx, per_spec in kernels.items():
             for pid, words in per_spec.items():
+                if int(pid) >= len(self.pair.peripherals):
+                    raise SchemaError(f"filling_family.kernels.{idx}.{pid}: "
+                                      f"no peripheral with id {pid}")
                 per = self.pair.peripherals[int(pid)]
                 for k, word in enumerate(words):
                     try:
@@ -237,6 +256,12 @@ class Scenario:
                             f"filling_family.kernels.{idx}.{pid}[{k}]: {e}"
                         ) from None
         return RepFamily(self.pair, base, members, kernels or None)
+
+
+def _matrix(rows: list, where: str) -> np.ndarray:
+    if any(len(r) != len(rows) for r in rows):
+        raise SchemaError(f"{where}: expected a square matrix")
+    return np.array(rows, dtype=float)
 
 
 def load_scenario(path) -> Scenario:

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from rhfill.cli import main
+from rhfill.convergence import elliptic_generators
 from rhfill.cusped import load_graph
 from rhfill.scenarios import Scenario, _dump_json, run_task
 
@@ -191,3 +192,123 @@ def test_family_verbs_check_parameters_like_run(capsys):
 def test_run_missing_scenario_is_usage(capsys):
     assert main(["run", "no-such-scenario.json"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# malformed input exits 2, an exceeded budget exits 3
+
+
+def _run_scenario(tmp_path, spec) -> int:
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(spec))
+    return main(["run", str(sc), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("check", ["compatibility", "metric-lemmas", "fiber",
+                                   "tracking"])
+def test_run_csv_on_a_check_without_table_is_usage(tmp_path, capsys, check):
+    code = _run_scenario(tmp_path, {"pair": {"builtin": "f2"},
+                                    "tasks": [{"check": check, "csv": "c.csv"}]})
+    assert code == 2
+    assert "csv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+ELLIPTIC_10 = {n: m.tolist() for n, m in elliptic_generators(10).items()}
+
+
+@pytest.mark.parametrize("family,where", [
+    ({"members": {"10": ELLIPTIC_10}, "kernels": {"10": {"0": [5]}}},
+     "filling_family.kernels.10.0.0"),
+    ({"members": {"10": ELLIPTIC_10}, "kernels": {"10": {"9": ["a^10"]}}},
+     "filling_family.kernels.10.9"),
+    ({"members": {"10": ELLIPTIC_10}, "kernels": {"10": {"x": ["a^10"]}}},
+     "filling_family.kernels.10"),
+    ({"members": {"x": {}}}, "filling_family.members"),
+    ({"members": {"10": {"a": "x", "b": IDENTITY}}},
+     "filling_family.members.10.a"),
+    ({"members": {"10": {"a": [[1.0, 0.0], [0.0]], "b": IDENTITY}}},
+     "filling_family.members.10.a"),
+])
+def test_run_malformed_family_is_usage(tmp_path, capsys, family, where):
+    code = _run_scenario(tmp_path, {"pair": {"builtin": "f2"},
+                                    "filling_family": family, "tasks": []})
+    assert code == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("matrices,where", [
+    ({"a": "x", "b": IDENTITY}, "representation.matrices.a"),
+    ({"a": [[1.0, 2.0], [0.0]], "b": IDENTITY}, "representation.matrices.a"),
+    ({"a": [[1.0, 2.0]], "b": IDENTITY}, "representation.matrices.a"),
+])
+def test_run_malformed_matrix_is_usage(tmp_path, capsys, matrices, where):
+    code = _run_scenario(tmp_path, {"pair": {"builtin": "f2"},
+                                    "representation": {"matrices": matrices},
+                                    "tasks": []})
+    assert code == 2
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,where", [
+    ("V 0 0\n", "line 1"),
+    ("V 0 0 - 1\nV 1 0 - a\nE 0\n", "line 3"),
+    ("V 0 zero - 1\n", "line 1"),
+    ("V 0 0 - 1\nV 1 0 - a\nE 0 x cayley\n", "line 3"),
+    ("V 0 0 - 1\nV 1 0 - a\nE 0 1 cayley\nE 0 2 cayley\n", "line 4"),
+    ("V 0 0 - 1\nE -1 0 cayley\n", "line 2"),
+])
+def test_delta_malformed_graph_is_usage(tmp_path, capsys, text, where):
+    g = tmp_path / "bad.graph"
+    g.write_text(text)
+    assert main(["delta", "--graph", str(g)]) == 2
+    assert where in capsys.readouterr().err
+
+
+CHAIN = {"vertices": [
+    {"id": 0, "label": {"kind": "coset", "g": "1", "peripheral": 0}},
+    {"id": 1, "label": {"kind": "coset", "g": "1", "peripheral": 1}}],
+    "edges": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("edit,where", [
+    (lambda a: a["edges"].__setitem__(0, ["x", 1]), "edges[0][0]"),
+    (lambda a: a["edges"].__setitem__(1, [1, 0.5]), "edges[1][1]"),
+    (lambda a: a["vertices"][1]["label"].__setitem__("peripheral", "b"),
+     "vertices[1].label.peripheral"),
+    (lambda a: a["vertices"][0]["label"].__setitem__("g", 5),
+     "vertices[0].label"),
+])
+def test_automaton_malformed_file_is_usage(tmp_path, capsys, edit, where):
+    auto = json.loads(json.dumps(CHAIN))
+    edit(auto)
+    f = tmp_path / "auto.json"
+    f.write_text(json.dumps(auto))
+    assert main(["automaton", "--auto", str(f)]) == 2
+    assert where in capsys.readouterr().err
+
+
+def test_automaton_file_round_trips(tmp_path, capsys):
+    f = tmp_path / "auto.json"
+    f.write_text(json.dumps(CHAIN))
+    assert main(["automaton", "--auto", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out)["validation"]["pass"]
+
+
+@pytest.mark.parametrize("kernels", ['{"0": [5]}', '{"0": "a^5"}',
+                                     '{"0": [["1"]]}', '{"0": [true]}'])
+def test_fill_malformed_kernel_is_usage(capsys, kernels):
+    assert main(["fill", "--kernels", kernels, "--radius", "2",
+                 "--checks", "injectivity"]) == 2
+    assert "peripheral 0" in capsys.readouterr().err
+
+
+def test_run_elements_budget_exits_three(tmp_path, capsys):
+    code = _run_scenario(tmp_path, {
+        "pair": {"builtin": "f2"}, "budgets": {"elements": 100},
+        "filling_family": {"builtin": "elliptic", "indices": [10]},
+        "tasks": [{"check": "chabauty", "word_depth": 4}]})
+    assert code == 3
+    assert "ball elements" in capsys.readouterr().err

@@ -118,7 +118,7 @@ def test_local_isometry_short_filling(fg3):
     first = rep["violations"][0]
     # 1 and a^-2 collapse to distance 1 in the Z/3 horoball
     assert first == {"u": "1", "v": "a^-2", "source": 2, "target": 1}
-    assert local_isometry_failure_radius(fg3, 4) == 1
+    assert local_isometry_failure_radius(fg3, include_interior=True) == 1
 
 
 def test_local_isometry_radius_gate(fg50):
