@@ -822,8 +822,11 @@ def automaton_from_json(pair: RelHypPair, obj) -> AutomatonGraph:
                 for fld in ("g", "peripheral"):
                     if fld not in lab:
                         raise SchemaError(f"vertices[{i}].label.{fld}: missing")
-                excluded = tuple(parse_word(pair.group, w)
-                                 for w in lab.get("excluded", []))
+                words = lab.get("excluded", [])
+                if not isinstance(words, list):
+                    raise SchemaError(f"vertices[{i}].label.excluded: "
+                                      "expected a list of words")
+                excluded = tuple(parse_word(pair.group, w) for w in words)
                 pid = _json_int(lab["peripheral"],
                                 f"vertices[{i}].label.peripheral")
                 parsed = CosetLabel(parse_word(pair.group, lab["g"]), pid,

@@ -66,14 +66,7 @@ def _filling_from_args(pair, kernels: str):
         raise SchemaError(f"--kernels: invalid JSON ({e})") from None
     if not isinstance(spec, dict):
         raise SchemaError("--kernels: expected an object keyed by peripheral")
-    by_id = {}
-    for k, v in spec.items():
-        try:
-            by_id[int(k)] = v
-        except ValueError:
-            raise SchemaError(
-                f"--kernels: peripheral id {k!r} is not an integer") from None
-    return make_filling(pair, by_id)
+    return make_filling(pair, spec)
 
 
 def _family_task(args, task: dict) -> int:

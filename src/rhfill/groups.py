@@ -752,7 +752,11 @@ def make_filling(pair: RelHypPair, kernel_spec) -> FillingData:
     kernel_locals: list[list] = [[] for _ in pair.peripherals]
     items = kernel_spec.items() if isinstance(kernel_spec, dict) else enumerate(kernel_spec)
     for key, kernels in items:
-        pid = int(key)
+        try:
+            pid = int(key)
+        except ValueError:
+            raise InvalidParameterError(
+                f"peripheral id {key!r} is not an integer") from None
         if not 0 <= pid < len(pair.peripherals):
             raise InvalidParameterError(f"no peripheral with id {pid}")
         per = pair.peripherals[pid]

@@ -280,6 +280,8 @@ CHAIN = {"vertices": [
      "vertices[1].label.peripheral"),
     (lambda a: a["vertices"][0]["label"].__setitem__("g", 5),
      "vertices[0].label"),
+    (lambda a: a["vertices"][0]["label"].__setitem__("excluded", 5),
+     "vertices[0].label.excluded"),
 ])
 def test_automaton_malformed_file_is_usage(tmp_path, capsys, edit, where):
     auto = json.loads(json.dumps(CHAIN))
@@ -297,12 +299,15 @@ def test_automaton_file_round_trips(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["validation"]["pass"]
 
 
-@pytest.mark.parametrize("kernels", ['{"0": [5]}', '{"0": "a^5"}',
-                                     '{"0": [["1"]]}', '{"0": [true]}'])
-def test_fill_malformed_kernel_is_usage(capsys, kernels):
+@pytest.mark.parametrize("kernels,where", [
+    ('{"0": [5]}', "peripheral 0"), ('{"0": "a^5"}', "peripheral 0"),
+    ('{"0": [["1"]]}', "peripheral 0"), ('{"0": [true]}', "peripheral 0"),
+    ('{"x": ["a^5"]}', "peripheral id 'x'"),
+])
+def test_fill_malformed_kernel_is_usage(capsys, kernels, where):
     assert main(["fill", "--kernels", kernels, "--radius", "2",
                  "--checks", "injectivity"]) == 2
-    assert "peripheral 0" in capsys.readouterr().err
+    assert where in capsys.readouterr().err
 
 
 def test_run_elements_budget_exits_three(tmp_path, capsys):
