@@ -803,9 +803,11 @@ def automaton_from_json(pair: RelHypPair, obj) -> AutomatonGraph:
         if key not in obj or not isinstance(obj[key], list):
             raise SchemaError(f"automaton: missing list field {key!r}")
     entries = obj["vertices"]
-    ids = sorted(e["id"] for e in entries
-                 if isinstance(e, dict) and isinstance(e.get("id"), int))
-    if ids != list(range(len(entries))):
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"vertices[{i}]: expected an object")
+        _json_int(entry.get("id"), f"vertices[{i}].id")
+    if sorted(e["id"] for e in entries) != list(range(len(entries))):
         raise SchemaError("vertices: ids must be exactly 0..n-1")
     labels: list = [None] * len(entries)
     for i, entry in enumerate(entries):

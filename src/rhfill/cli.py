@@ -192,12 +192,11 @@ def cmd_lift(args) -> int:
 
 
 def cmd_automaton(args) -> int:
+    pspec = _pair_spec(args.pair)
     task = {"check": "compatibility", "enumeration_depth": args.depth}
-    spec = {"pair": _pair_spec(args.pair), "tasks": []}
-    if args.compat:
-        spec.update(seed=args.seed, tasks=[task])
-    sc = Scenario(spec)
-    pair = sc.pair
+    sc = (Scenario({"pair": pspec, "seed": args.seed, "tasks": [task]})
+          if args.compat else None)
+    pair = sc.pair if sc is not None else pair_from_spec(pspec)
     if args.auto:
         try:
             obj = json.loads(Path(args.auto).read_text())

@@ -90,8 +90,11 @@ def elliptic_generators(n: int) -> dict[str, np.ndarray]:
 
 
 def _as_matrix(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    try:
+        arr = np.asarray(m, dtype=float)
+    except (TypeError, ValueError):  # ragged rows or non-numeric entries
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidParameterError("generator images must be square matrices")
     return arr
 

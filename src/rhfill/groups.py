@@ -752,11 +752,12 @@ def make_filling(pair: RelHypPair, kernel_spec) -> FillingData:
     kernel_locals: list[list] = [[] for _ in pair.peripherals]
     items = kernel_spec.items() if isinstance(kernel_spec, dict) else enumerate(kernel_spec)
     for key, kernels in items:
-        try:
-            pid = int(key)
-        except ValueError:
+        if isinstance(key, bool) or not (
+                isinstance(key, (int, np.integer))
+                or isinstance(key, str) and key.isdecimal()):
             raise InvalidParameterError(
-                f"peripheral id {key!r} is not an integer") from None
+                f"peripheral id {key!r} is not a non-negative integer")
+        pid = int(key)
         if not 0 <= pid < len(pair.peripherals):
             raise InvalidParameterError(f"no peripheral with id {pid}")
         per = pair.peripherals[pid]

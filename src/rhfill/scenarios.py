@@ -26,6 +26,7 @@ from .automata import (
 from .convergence import (
     EdfQuery,
     RepFamily,
+    _as_matrix,
     bundled_edf_queries,
     chabauty_check,
     edf_condition_check,
@@ -259,9 +260,10 @@ class Scenario:
 
 
 def _matrix(rows: list, where: str) -> np.ndarray:
-    if any(len(r) != len(rows) for r in rows):
-        raise SchemaError(f"{where}: expected a square matrix")
-    return np.array(rows, dtype=float)
+    try:
+        return _as_matrix(rows)
+    except InvalidParameterError as e:
+        raise SchemaError(f"{where}: {e}") from None
 
 
 def load_scenario(path) -> Scenario:

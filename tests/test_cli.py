@@ -282,6 +282,10 @@ CHAIN = {"vertices": [
      "vertices[0].label"),
     (lambda a: a["vertices"][0]["label"].__setitem__("excluded", 5),
      "vertices[0].label.excluded"),
+    (lambda a: [v.__setitem__("id", bool(v["id"])) for v in a["vertices"]],
+     "vertices[0].id"),
+    (lambda a: a["vertices"][1].__setitem__("id", 1.0), "vertices[1].id"),
+    (lambda a: a["vertices"].__setitem__(1, 5), "vertices[1]"),
 ])
 def test_automaton_malformed_file_is_usage(tmp_path, capsys, edit, where):
     auto = json.loads(json.dumps(CHAIN))
@@ -297,6 +301,22 @@ def test_automaton_file_round_trips(tmp_path, capsys):
     f.write_text(json.dumps(CHAIN))
     assert main(["automaton", "--auto", str(f)]) == 0
     assert json.loads(capsys.readouterr().out)["validation"]["pass"]
+
+
+def test_automaton_file_for_a_rank_three_pair(tmp_path, capsys):
+    # without --compat no representation is built, so any pair will do
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"group": {"kind": "free", "rank": 3}}))
+    auto = {"vertices": [{"id": i, "label": {"kind": "coset", "g": "1",
+                                              "peripheral": i}}
+                         for i in range(3)],
+            "edges": [[i, j] for i in range(3) for j in range(3) if i != j]}
+    f = tmp_path / "auto.json"
+    f.write_text(json.dumps(auto))
+    assert main(["automaton", "--pair", str(pair), "--auto", str(f)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["validation"]["pass"]
+    assert "compatibility" not in report
 
 
 @pytest.mark.parametrize("kernels,where", [

@@ -102,6 +102,12 @@ def test_family_kernel_spec_needs_known_index(pair):
         RepFamily(pair, sanov_generators(), {}, kernels={10: {0: ["a^10"]}})
 
 
+@pytest.mark.parametrize("image", ["x", [[1.0, 0.0], [0.0]], [[1.0, 2.0]]])
+def test_family_rejects_non_square_images(pair, image):
+    with pytest.raises(InvalidParameterError, match="square"):
+        RepFamily(pair, {"a": image, "b": np.eye(2)}, {})
+
+
 def test_family_member_name_mismatch(pair):
     with pytest.raises(InvalidParameterError):
         RepFamily(pair, sanov_generators(), {5: {"a": np.eye(2)}})

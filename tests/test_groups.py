@@ -244,6 +244,12 @@ def test_make_filling_rejects_bad_kernels():
         make_filling(F2, {"0": ["b^5"]})  # b is not a letter of peripheral 0
 
 
+@pytest.mark.parametrize("key", [1.7, None, True, "x", "-1", " 1"])
+def test_make_filling_rejects_non_integer_peripheral_ids(key):
+    with pytest.raises(InvalidParameterError, match="peripheral id"):
+        make_filling(F2, {key: ["a^5"]})
+
+
 def test_pair_from_free_oracle():
     free = make_oracle({"kind": "free", "rank": 2})
     pair = make_pair(free, {"cyclic-generators": ["a", "b"]})
