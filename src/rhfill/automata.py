@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import (BudgetExceededError, InvalidParameterError, SchemaError,
                      UnsupportedKindError)
-from .flags import Flag, as_projective, flag_distance, is_transverse, line_flag
+from .flags import (Flag, ProjectiveMatrix, flag_distance, generator_images,
+                    is_transverse, line_flag)
 from .groups import GroupElement, RelHypPair, format_word, parse_word
 from .tolerances import DEFAULT_TOLS
 
@@ -392,16 +393,13 @@ def set_system_from_json(obj) -> SetSystem:
 
 
 def _rep_matrices(rep, pair: RelHypPair, d: int) -> dict[str, np.ndarray]:
-    mats = {}
-    for name in pair.group.gen_names:
-        if name not in rep:
-            raise InvalidParameterError(
-                f"representation is missing generator {name!r}")
-        m = as_projective(rep[name])
-        if m.d != d:
-            raise InvalidParameterError(
-                f"generator {name!r} acts on R^{m.d}, set system lives in R^{d}")
-        mats[name] = m.entries
+    """Generator images as ProjectiveMatrix entries; they must act on R^d."""
+    mats = {n: ProjectiveMatrix(m).entries
+            for n, m in generator_images(rep, pair.group.gen_names).items()}
+    got = len(next(iter(mats.values())))
+    if got != d:
+        raise UnsupportedKindError(
+            f"generators act on R^{got}, this check works in R^{d}")
     return mats
 
 

@@ -29,8 +29,8 @@ from .cusped import (
     shortest_path,
 )
 from .errors import InvalidParameterError, UnsupportedKindError, WindowError
-from .flags import (_unit_det, ball_images, flag_distance, line_type, q_divergence,
-                    q_limit_set)
+from .flags import (_unit_det, ball_images, flag_distance, generator_images,
+                    line_type, q_divergence, q_limit_set)
 from .groups import (
     BALL_CAP,
     FillingData,
@@ -89,16 +89,6 @@ def elliptic_generators(n: int) -> dict[str, np.ndarray]:
     }
 
 
-def _as_matrix(m) -> np.ndarray:
-    try:
-        arr = np.asarray(m, dtype=float)
-    except (TypeError, ValueError):  # ragged rows or non-numeric entries
-        arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidParameterError("generator images must be square matrices")
-    return arr
-
-
 def _kernel_deviation(mats: dict[str, np.ndarray], pair: RelHypPair,
                       word: str) -> float:
     """Projective distance of the word's image from the identity."""
@@ -112,8 +102,11 @@ def _kernel_deviation(mats: dict[str, np.ndarray], pair: RelHypPair,
 class RepFamily:
     """A base representation plus indexed deformations and their kernels.
 
-    ``base`` and each member map generator names to matrices.  ``kernels``
-    maps a member index to a per-peripheral kernel spec in the format of
+    ``base`` and each member map generator names to matrices.  This is
+    where a scenario's images are checked: each representation goes
+    through :func:`generator_images`, so a bad image fails while the
+    scenario loads, before any task runs.  ``kernels`` maps a member index
+    to a per-peripheral kernel spec in the format of
     :func:`make_filling` ({pid: ["a^30"], ...}); every kernel word must die
     projectively in that member to the kernel tolerance, and the induced
     filling supplies exact peripheral orders to the downstream checks.
@@ -123,21 +116,16 @@ class RepFamily:
     def __init__(self, pair: RelHypPair, base: dict, members: dict,
                  kernels: dict | None = None):
         self.pair = pair
-        self.base = {n: _as_matrix(m) for n, m in base.items()}
-        if set(self.base) != set(pair.group.gen_names):
-            raise InvalidParameterError(
-                "base representation names do not match the pair's generators")
-        d = next(iter(self.base.values())).shape[0]
-        self.dimension = d
+        self.base = generator_images(base, pair.group.gen_names)
+        self.dimension = d = len(next(iter(self.base.values())))
         self.members: dict[int, dict[str, np.ndarray]] = {}
         for idx, rep in members.items():
-            rep = {n: _as_matrix(m) for n, m in rep.items()}
-            if set(rep) != set(self.base):
-                raise InvalidParameterError(
-                    f"member {idx} names do not match the base representation")
-            if any(m.shape[0] != d for m in rep.values()):
-                raise InvalidParameterError(
-                    f"member {idx} has matrices of the wrong dimension")
+            try:
+                rep = generator_images(rep, pair.group.gen_names)
+            except InvalidParameterError as e:
+                raise InvalidParameterError(f"member {idx}, generator {e}") from None
+            if len(next(iter(rep.values()))) != d:
+                raise InvalidParameterError(f"member {idx} has images of the wrong size")
             self.members[int(idx)] = rep
         self.kernel_specs: dict[int, dict] = {}
         self.fillings: dict[int, FillingData] = {}
@@ -597,12 +585,7 @@ def fiber_consistency_check(rep: dict, pair: RelHypPair, sequences,
     """
     if not sequences:
         raise InvalidParameterError("need at least one sequence")
-    if not rep:
-        raise InvalidParameterError("empty representation")
-    d = _as_matrix(next(iter(rep.values()))).shape[0]
-    if d != 2:
-        raise UnsupportedKindError("fiber limits are implemented for d = 2")
-    mats = _rep_matrices(rep, pair, d)
+    mats = _rep_matrices(rep, pair, 2)  # fiber limits are implemented for d = 2
     ptype = line_type()
     metric = ExactCuspedMetric(pair)
     cache: dict = {}

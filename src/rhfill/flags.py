@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -82,7 +81,10 @@ class ProjectiveMatrix:
     __slots__ = ("entries", "d")
 
     def __init__(self, entries):
-        m = np.array(entries, dtype=float)
+        try:
+            m = np.array(entries, dtype=float)
+        except (TypeError, ValueError):  # ragged rows or non-numeric entries
+            raise InvalidParameterError("need a square matrix of numbers") from None
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise InvalidParameterError(
                 f"need a square matrix with d >= 2, got shape {m.shape}")
@@ -332,6 +334,39 @@ def q_divergence(seq, ptype: ParabolicType) -> DivergenceCertificate:
 
 
 # ---------------------------------------------------------------------------
+# generator images
+
+
+def generator_images(rep: dict, names) -> dict[str, np.ndarray]:
+    """The one rule for a representation given by its generator images.
+
+    ``rep`` must map exactly the generator ``names`` to square matrices of
+    one size d >= 2 with finite entries, each invertible by the
+    :class:`ProjectiveMatrix` rule.  Returns unscaled float copies in the
+    order of ``names``.  A violation raises InvalidParameterError whose
+    message starts with the offending generator's name.
+    """
+    for name in rep:
+        if name not in names:
+            raise InvalidParameterError(f"{name}: not a generator of the group")
+    out: dict[str, np.ndarray] = {}
+    for name in names:
+        if name not in rep:
+            raise InvalidParameterError(f"{name}: no image given")
+        try:
+            ProjectiveMatrix(rep[name])
+        except InvalidParameterError as e:
+            raise InvalidParameterError(f"{name}: {e}") from None
+        m = np.array(rep[name], dtype=float)
+        d, first = len(m), len(next(iter(out.values()), m))
+        if d != first:
+            raise InvalidParameterError(
+                f"{name}: {d}x{d} matrix, the other images are {first}x{first}")
+        out[name] = m
+    return out
+
+
+# ---------------------------------------------------------------------------
 # word-ball images
 
 
@@ -530,23 +565,15 @@ def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
     """
     if word_depth < 0:
         raise InvalidParameterError("word_depth must be >= 0")
-    mats = {n: as_projective(m) for n, m in rep.items()}
-    if not mats:
-        raise InvalidParameterError("empty representation")
-    dims = {m.d for m in mats.values()}
-    if len(dims) != 1:
-        raise TypeMismatchError("generator matrices have mixed dimensions")
-    d = dims.pop()
+    mats = {n: ProjectiveMatrix(m).entries
+            for n, m in generator_images(rep, oracle.gen_names).items()}
+    d = len(mats[oracle.gen_names[0]])
     if ptype is None:
         if d != 2:
             raise InvalidParameterError("ptype may only be omitted when d = 2")
         ptype = line_type()
     if ptype.d != d:
         raise TypeMismatchError(f"type is for d={ptype.d}, matrices have d={d}")
-    if set(mats) != set(oracle.gen_names):
-        raise InvalidParameterError(
-            f"representation names {sorted(mats)} do not match the oracle's "
-            f"generators {sorted(oracle.gen_names)}")
 
     rank = _free_rank(oracle)
     if d == 2 and rank is not None:
@@ -555,8 +582,8 @@ def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
             raise BudgetExceededError("reduced words", cap, total)
         letters = np.empty((2 * rank, 2, 2))
         for i, name in enumerate(oracle.gen_names):
-            letters[2 * i] = mats[name].entries
-            letters[2 * i + 1] = np.linalg.inv(mats[name].entries)
+            letters[2 * i] = mats[name]
+            letters[2 * i + 1] = np.linalg.inv(mats[name])
         raw, seen, rejected = _free2_angles(letters, word_depth,
                                             DEFAULT_TOLS.gap_threshold)
         angles = _dedup_angles(raw, DEFAULT_TOLS.dedup)
@@ -565,7 +592,7 @@ def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
     tree = ball_tree(oracle, word_depth, cap)
     kept: list[Flag] = []
     rejected = 0
-    for m in ball_images({n: m.entries for n, m in mats.items()}, oracle, tree):
+    for m in ball_images(mats, oracle, tree):
         try:
             flag, _ = attracting_flag(ProjectiveMatrix(m), ptype)
         except (GapTooSmallError, InvalidParameterError):
@@ -581,49 +608,3 @@ def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
         if all(flag_distance(f, u) >= DEFAULT_TOLS.dedup for u in unique):
             unique.append(f)
     return FlagCloud(ptype, None, unique, len(tree.elements), rejected)
-
-
-# ---------------------------------------------------------------------------
-# interchange formats
-
-
-def parse_representation(obj: dict) -> dict[str, ProjectiveMatrix]:
-    """Parse {generator: row-major matrix of decimal strings} into matrices.
-
-    Strings go through Fraction, so "0.1" means exactly 1/10 before the
-    single rounding to float; plain numbers are taken as-is.  Nested rows
-    are accepted alongside the flat row-major form.
-    """
-    if not isinstance(obj, dict) or not obj:
-        raise InvalidParameterError("representation must be a nonempty mapping")
-    out: dict[str, ProjectiveMatrix] = {}
-    dim: int | None = None
-    for name, raw in obj.items():
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise InvalidParameterError(f"bad matrix for generator {name!r}")
-        if isinstance(raw[0], (list, tuple)):
-            flat, d = [x for row in raw for x in row], len(raw)
-        else:
-            flat, d = list(raw), math.isqrt(len(raw))
-        if d * d != len(flat):
-            raise InvalidParameterError(
-                f"matrix for {name!r} is not square: {len(flat)} entries")
-        vals = []
-        for x in flat:
-            if isinstance(x, str):
-                try:
-                    vals.append(float(Fraction(x)))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise InvalidParameterError(
-                        f"bad matrix entry {x!r} for {name!r}") from exc
-            elif isinstance(x, (int, float)) and not isinstance(x, bool):
-                vals.append(float(x))
-            else:
-                raise InvalidParameterError(
-                    f"bad matrix entry {x!r} for {name!r}")
-        if dim is None:
-            dim = d
-        elif d != dim:
-            raise InvalidParameterError("generator matrices have mixed sizes")
-        out[name] = ProjectiveMatrix(np.array(vals).reshape(d, d))
-    return out

@@ -26,7 +26,6 @@ from .automata import (
 from .convergence import (
     EdfQuery,
     RepFamily,
-    _as_matrix,
     bundled_edf_queries,
     chabauty_check,
     edf_condition_check,
@@ -45,6 +44,7 @@ from .errors import (
     SchemaError,
 )
 from .filling_geometry import check_uniform_delta
+from .flags import generator_images
 from .groups import RelHypPair, make_oracle, make_pair, parse_word, standard_f2_pair
 from .metric_checks import verify_metric_lemmas
 
@@ -216,18 +216,18 @@ class Scenario:
                                          spec.get("filling_family"))
         self.tasks = list(spec["tasks"])
 
-    def _rep_matrices(self, rspec: dict) -> dict:
-        if rspec.get("builtin") == "sanov" or not rspec:
-            return sanov_generators()
-        mats = rspec.get("matrices")
-        if not mats:
-            raise SchemaError(
-                "representation: needs either 'builtin' or 'matrices'")
-        return {name: _matrix(m, f"representation.matrices.{name}")
-                for name, m in mats.items()}
+    def _images(self, rep: dict, where: str) -> dict:
+        """RepFamily checks the images too; this call names the bad field."""
+        try:
+            return generator_images(rep, self.pair.group.gen_names)
+        except InvalidParameterError as e:
+            raise SchemaError(f"{where}.{e}") from None
 
     def _build_family(self, rspec: dict, fspec: dict | None) -> RepFamily:
-        base = self._rep_matrices(rspec)
+        if rspec.get("builtin") == "sanov" or "matrices" not in rspec:
+            base = sanov_generators()
+        else:
+            base = self._images(rspec["matrices"], "representation.matrices")
         if fspec is None:
             return RepFamily(self.pair, base, {})
         if fspec.get("builtin") == "elliptic":
@@ -236,11 +236,8 @@ class Scenario:
                 return elliptic_family(self.pair, ns)
             except RhfillError as e:
                 raise SchemaError(f"filling_family: {e}") from None
-        members = {}
-        for key, rep in fspec.get("members", {}).items():
-            members[int(key)] = {
-                n: _matrix(m, f"filling_family.members.{key}.{n}")
-                for n, m in rep.items()}
+        members = {int(key): self._images(rep, f"filling_family.members.{key}")
+                   for key, rep in fspec.get("members", {}).items()}
         kernels = fspec.get("kernels", {})
         # surface malformed kernel words as schema errors naming the field
         for idx, per_spec in kernels.items():
@@ -257,13 +254,6 @@ class Scenario:
                             f"filling_family.kernels.{idx}.{pid}[{k}]: {e}"
                         ) from None
         return RepFamily(self.pair, base, members, kernels or None)
-
-
-def _matrix(rows: list, where: str) -> np.ndarray:
-    try:
-        return _as_matrix(rows)
-    except InvalidParameterError as e:
-        raise SchemaError(f"{where}: {e}") from None
 
 
 def load_scenario(path) -> Scenario:

@@ -239,6 +239,19 @@ def test_missing_generator_rejected(bundled):
         check_compatibility({"a": SANOV["a"]}, auto, sys_, enumeration_depth=4)
 
 
+@pytest.mark.parametrize("image,message", [
+    ({"b": [[1.0, 2.0], [2.0, 4.0]]}, "b: matrix is numerically singular"),
+    ({"c": [[1.0, 0.0], [0.0, 1.0]]}, "c: not a generator"),
+])
+def test_bad_image_rejected_by_name(bundled, ping_pong_path, image, message):
+    auto, sys_ = bundled
+    rep = {**SANOV, **image}
+    with pytest.raises(InvalidParameterError, match=f"^{message}"):
+        check_compatibility(rep, auto, sys_, enumeration_depth=4)
+    with pytest.raises(InvalidParameterError, match=f"^{message}"):
+        nested_diameters(rep, ping_pong_path, sys_)
+
+
 # ---------------------------------------------------------------------------
 # higher rank goes through the sampled route
 

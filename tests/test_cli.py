@@ -230,6 +230,10 @@ ELLIPTIC_10 = {n: m.tolist() for n, m in elliptic_generators(10).items()}
      "filling_family.members.10.a"),
     ({"members": {"10": {"a": [[1.0, 0.0], [0.0]], "b": IDENTITY}}},
      "filling_family.members.10.a"),
+    ({"members": {"10": {"a": [[1.0, 2.0], [2.0, 4.0]], "b": IDENTITY}}},
+     "filling_family.members.10.a: matrix is numerically singular"),
+    ({"members": {"10": {"a": IDENTITY, "c": IDENTITY}}},
+     "filling_family.members.10.c: not a generator"),
 ])
 def test_run_malformed_family_is_usage(tmp_path, capsys, family, where):
     code = _run_scenario(tmp_path, {"pair": {"builtin": "f2"},
@@ -243,6 +247,9 @@ def test_run_malformed_family_is_usage(tmp_path, capsys, family, where):
     ({"a": "x", "b": IDENTITY}, "representation.matrices.a"),
     ({"a": [[1.0, 2.0], [0.0]], "b": IDENTITY}, "representation.matrices.a"),
     ({"a": [[1.0, 2.0]], "b": IDENTITY}, "representation.matrices.a"),
+    ({"a": [[1.0, 2.0], [2.0, 4.0]], "b": IDENTITY},
+     "representation.matrices.a: matrix is numerically singular"),
+    ({"a": IDENTITY}, "representation.matrices.b: no image given"),
 ])
 def test_run_malformed_matrix_is_usage(tmp_path, capsys, matrices, where):
     code = _run_scenario(tmp_path, {"pair": {"builtin": "f2"},

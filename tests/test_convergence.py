@@ -113,6 +113,21 @@ def test_family_member_name_mismatch(pair):
         RepFamily(pair, sanov_generators(), {5: {"a": np.eye(2)}})
 
 
+@pytest.mark.parametrize("image,a", [
+    ({"a": [[1.0, 2.0], [2.0, 4.0]]}, "numerically singular"),
+    ({"a": [[1.0, 2.0], [0.0, math.nan]]}, "finite"),
+    ({"a": [[1.0, 2.0], [0.0]]}, "square"),
+    ({"b": np.eye(3)}, "3x3 matrix, the other images are 2x2"),
+    ({"c": np.eye(2)}, "not a generator"),
+])
+def test_family_names_the_member_and_generator_of_a_bad_image(pair, image, a):
+    rep = {**sanov_generators(), **image}
+    name = next(iter(image))
+    with pytest.raises(InvalidParameterError,
+                       match=f"^member 10, generator {name}: .*{a}"):
+        RepFamily(pair, sanov_generators(), {10: rep})
+
+
 def test_family_indices_and_lookup(pair, family):
     assert family.indices == [10, 20, 30, 40, 60]
     assert family.rep(None) is family.base
@@ -419,6 +434,12 @@ def test_fiber_validation(pair):
     d3 = {"a": np.eye(3), "b": np.eye(3)}
     with pytest.raises(UnsupportedKindError):
         fiber_consistency_check(d3, pair, [[pair.group.generator("a", 1)]])
+
+
+def test_fiber_refuses_a_singular_image(pair):
+    rep = {"a": [[1.0, 2.0], [2.0, 4.0]], "b": np.eye(2)}
+    with pytest.raises(InvalidParameterError, match="^a: matrix is numerically"):
+        fiber_consistency_check(rep, pair, [[pair.group.generator("a", 1)]])
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from rhfill.errors import (BudgetExceededError, GapTooSmallError,
 from rhfill.flags import (Flag, FlagCloud, ParabolicType, ProjectiveMatrix,
                           attracting_flag, flag_angle, flag_distance,
                           hausdorff_rp1, is_transverse, line_flag, line_type,
-                          parse_representation, q_divergence, q_limit_set,
-                          random_flag, _dedup_angles, ball_images)
+                          q_divergence, q_limit_set, random_flag,
+                          _dedup_angles, ball_images)
 from rhfill.convergence import elliptic_generators
 from rhfill.groups import (ball_tree, enumerate_ball, make_filling, make_oracle,
                            standard_f2_pair)
@@ -246,6 +246,18 @@ def test_limit_set_of_one_hyperbolic():
     assert cloud.gap_rejections == 1  # the identity
 
 
+@pytest.mark.parametrize("rep,message", [
+    ({"a": SANOV_A, "b": [[1.0, 2.0], [2.0, 4.0]]},
+     "b: matrix is numerically singular"),
+    ({"a": SANOV_A}, "b: no image given"),
+    ({"a": SANOV_A, "b": SANOV_B, "c": SANOV_B}, "c: not a generator"),
+    ({"a": SANOV_A, "b": np.eye(3)}, "b: 3x3 matrix, the other images are 2x2"),
+])
+def test_limit_set_refuses_bad_images_naming_the_generator(f2, rep, message):
+    with pytest.raises(InvalidParameterError, match=f"^{message}"):
+        q_limit_set(rep, f2, 2)
+
+
 def test_limit_set_depth_zero_empty(f2):
     cloud = q_limit_set({"a": SANOV_A, "b": SANOV_B}, f2, 0)
     assert cloud.size == 0
@@ -406,17 +418,3 @@ def test_hausdorff_rp1_matches_flag_metric(xs, ys):
         for f in a:
             sup = max(sup, min(flag_distance(f, g) for g in b))
     assert hausdorff_rp1(xs, ys) == pytest.approx(sup, abs=1e-9)
-
-
-def test_parse_representation_exact_decimals():
-    rep = parse_representation({"a": ["1", "2", "0", "1"],
-                                "b": [["1", "0"], ["2", "1"]]})
-    assert rep["a"].same_class(ProjectiveMatrix(SANOV_A))
-    assert rep["b"].same_class(ProjectiveMatrix(SANOV_B))
-    assert parse_representation({"g": ["0.1", "0", "0", "1"]})  # exact tenth
-    with pytest.raises(InvalidParameterError):
-        parse_representation({"a": ["1", "2", "0"]})
-    with pytest.raises(InvalidParameterError):
-        parse_representation({"a": ["one", "0", "0", "1"]})
-    with pytest.raises(InvalidParameterError):
-        parse_representation({})

@@ -168,6 +168,15 @@ def test_task_parameters_are_schema_checked(task, where):
         Scenario({"pair": {"builtin": "f2"}, "tasks": [task]})
 
 
+def test_non_finite_matrix_entry_names_the_field():
+    spec = {"pair": {"builtin": "f2"}, "tasks": [],
+            "representation": {"matrices": {"a": [[1.0, 2.0], [0.0, float("nan")]],
+                                            "b": [[1.0, 0.0], [2.0, 1.0]]}}}
+    with pytest.raises(SchemaError,
+                       match="representation.matrices.a: matrix entries must be finite"):
+        Scenario(spec)
+
+
 def test_edges_budget_is_gone():
     with pytest.raises(SchemaError, match="edges"):
         Scenario({"pair": {"builtin": "f2"}, "budgets": {"edges": 10},
