@@ -27,7 +27,7 @@ from .errors import (BudgetExceededError, InvalidParameterError, SchemaError,
                      UnsupportedKindError)
 from .flags import (Flag, ProjectiveMatrix, flag_distance, generator_images,
                     is_transverse, line_flag)
-from .groups import GroupElement, RelHypPair, format_word, parse_word
+from .groups import GroupElement, RelHypPair, _json_int, format_word, parse_word
 from .tolerances import DEFAULT_TOLS
 
 # ---------------------------------------------------------------------------
@@ -786,12 +786,6 @@ def automaton_to_json(auto: AutomatonGraph) -> dict:
                      "excluded": [format_word(group, f) for f in lab.excluded]}
         vertices.append({"id": vid, "label": label})
     return {"vertices": vertices, "edges": [list(e) for e in auto.edges]}
-
-
-def _json_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: expected an integer, got {value!r}")
-    return value
 
 
 def automaton_from_json(pair: RelHypPair, obj) -> AutomatonGraph:

@@ -11,7 +11,6 @@ input problems, 3 a budget was exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -43,7 +42,8 @@ from .filling_geometry import (
     lift_roundtrip_report,
 )
 from .groups import make_filling
-from .scenarios import Scenario, _dump_json, pair_from_spec, run_scenario, run_task
+from .scenarios import (Scenario, _dump_json, _load_json, pair_from_spec,
+                        run_scenario, run_task)
 
 FILL_CHECKS = ("local-isometry", "descent", "uniform-delta", "map",
                "injectivity")
@@ -53,20 +53,14 @@ def _pair_spec(path: str | None) -> dict:
     if path is None:
         return {"builtin": "f2"}
     p = Path(path)
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{p.name}: invalid JSON ({e})") from None
+    return _load_json(p.read_text(), p.name)
 
 
-def _filling_from_args(pair, kernels: str):
-    try:
-        spec = json.loads(kernels)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"--kernels: invalid JSON ({e})") from None
+def _kernels(text: str) -> dict:
+    spec = _load_json(text, "--kernels")
     if not isinstance(spec, dict):
         raise SchemaError("--kernels: expected an object keyed by peripheral")
-    return make_filling(pair, spec)
+    return spec
 
 
 def _family_task(args, task: dict) -> int:
@@ -142,7 +136,8 @@ def cmd_delta(args) -> int:
 
 def cmd_fill(args) -> int:
     pair = pair_from_spec(_pair_spec(args.pair))
-    filling = _filling_from_args(pair, args.kernels)
+    kernels = _kernels(args.kernels)
+    filling = make_filling(pair, kernels)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     for c in checks:
         if c not in FILL_CHECKS:
@@ -174,7 +169,7 @@ def cmd_fill(args) -> int:
     report = {
         "name": "filling-checks",
         "radius": args.radius,
-        "kernels": json.loads(args.kernels),
+        "kernels": kernels,
         "checks": sub,
         "pass": all(r.get("pass", False) for r in sub.values()),
     }
@@ -184,7 +179,7 @@ def cmd_fill(args) -> int:
 
 def cmd_lift(args) -> int:
     pair = pair_from_spec(_pair_spec(args.pair))
-    filling = _filling_from_args(pair, args.kernels)
+    filling = make_filling(pair, _kernels(args.kernels))
     fg = build_quotient_cusped(pair, filling, args.radius)
     report = lift_roundtrip_report(fg, n_paths=args.paths, seed=args.seed)
     _emit(report, args.out)
@@ -194,15 +189,11 @@ def cmd_lift(args) -> int:
 def cmd_automaton(args) -> int:
     pspec = _pair_spec(args.pair)
     task = {"check": "compatibility", "enumeration_depth": args.depth}
-    sc = (Scenario({"pair": pspec, "seed": args.seed, "tasks": [task]})
-          if args.compat else None)
+    sc = Scenario({"pair": pspec, "tasks": [task]}) if args.compat else None
     pair = sc.pair if sc is not None else pair_from_spec(pspec)
     if args.auto:
-        try:
-            obj = json.loads(Path(args.auto).read_text())
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{args.auto}: invalid JSON ({e})") from None
-        auto = automaton_from_json(pair, obj)
+        auto = automaton_from_json(
+            pair, _load_json(Path(args.auto).read_text(), args.auto))
         sys_ = None
     else:
         auto, sys_ = bundled_sanov_automaton(pair)
@@ -325,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compat", action="store_true",
                    help="also check the built-in representation against it")
     p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump", metavar="FILE", help="write the automaton JSON")
     p.add_argument("--dump-sets", metavar="FILE",
                    help="write the set system JSON")

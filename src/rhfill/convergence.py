@@ -127,13 +127,11 @@ class RepFamily:
             if len(next(iter(rep.values()))) != d:
                 raise InvalidParameterError(f"member {idx} has images of the wrong size")
             self.members[int(idx)] = rep
-        self.kernel_specs: dict[int, dict] = {}
         self.fillings: dict[int, FillingData] = {}
         for idx, spec in (kernels or {}).items():
             idx = int(idx)
             if idx not in self.members:
                 raise InvalidParameterError(f"kernel spec for unknown index {idx}")
-            self.kernel_specs[idx] = spec
             self.fillings[idx] = make_filling(pair, spec)
             for words in spec.values():
                 for word in words:
@@ -220,6 +218,27 @@ def bundled_edf_queries(pair: RelHypPair) -> tuple[EdfQuery, EdfQuery]:
     return qa, qb
 
 
+def _check_query(pair: RelHypPair, query: EdfQuery) -> None:
+    """A query must name a peripheral of the pair, exclude only its
+    elements, and keep every repelling ball apart from every attracting one."""
+    if not 0 <= query.peripheral < len(pair.peripherals):
+        raise InvalidParameterError(f"no peripheral with id {query.peripheral}")
+    per = pair.peripherals[query.peripheral]
+    for g in query.excluded:
+        if not per.membership(g):
+            raise InvalidParameterError(
+                f"excluded element {format_word(pair.group, g)!r} is not in "
+                f"peripheral {query.peripheral}")
+    for kb in query.repelling:
+        for ub in query.attracting:
+            sep = (_sindist(float(kb.center), float(ub.center))
+                   - kb.radius - ub.radius)
+            if sep <= 0:
+                raise InvalidParameterError(
+                    "repelling and attracting balls are not separated "
+                    f"(margin {sep:.4f})")
+
+
 def _query_margins(mats, pair, query, locals_, skip):
     """Worst containment margin over the non-skipped peripheral elements.
 
@@ -264,22 +283,8 @@ def edf_condition_check(family: RepFamily, query: EdfQuery,
     if family.dimension != 2:
         raise UnsupportedKindError(
             "the filling-condition check is exact-arc only (d = 2)")
-    if not 0 <= query.peripheral < len(pair.peripherals):
-        raise InvalidParameterError(f"no peripheral with id {query.peripheral}")
+    _check_query(pair, query)
     per = pair.peripherals[query.peripheral]
-    for g in query.excluded:
-        if not per.membership(g):
-            raise InvalidParameterError(
-                f"excluded element {format_word(pair.group, g)!r} is not in "
-                f"peripheral {query.peripheral}")
-    for kb in query.repelling:
-        for ub in query.attracting:
-            sep = (_sindist(float(kb.center), float(ub.center))
-                   - kb.radius - ub.radius)
-            if sep <= 0:
-                raise InvalidParameterError(
-                    "repelling and attracting balls are not separated "
-                    f"(margin {sep:.4f})")
     if enumeration_depth < 1:
         raise InvalidParameterError("enumeration_depth must be >= 1")
 

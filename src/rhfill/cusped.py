@@ -361,9 +361,6 @@ class ExactCuspedMetric:
 # graphs
 
 
-EDGE_KINDS = ("cayley", "horizontal", "vertical", "cone")
-
-
 @dataclass
 class GraphPath:
     """A path in a graph: consecutive vertices are adjacent."""

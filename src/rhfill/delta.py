@@ -48,6 +48,8 @@ def _as_matrix(graph_or_matrix) -> np.ndarray:
         D = D if np.issubdtype(D.dtype, np.integer) else np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise InvalidParameterError("need a square distance matrix or graph")
+    if D.shape[0] == 0:
+        raise InvalidParameterError("the graph has no vertices")
     if not (np.isfinite(D) if D.dtype.kind == "f" else D >= 0).all():
         raise DisconnectedError("distance matrix has unreachable pairs")
     return D
@@ -74,7 +76,8 @@ def four_point_delta_exhaustive(graph_or_matrix) -> HyperbolicityEstimate:
                 best = float(sub[t])
                 wit = (i, j, int(iu[t]), int(il[t]))
     pairs = n * (n - 1) // 2
-    return HyperbolicityEstimate(best / 2.0, "four-point-exhaustive",
+    # one vertex has no quadruple to scan; its delta is 0
+    return HyperbolicityEstimate(max(best, 0.0) / 2.0, "four-point-exhaustive",
                                  pairs * pairs, wit, True)
 
 
@@ -133,7 +136,7 @@ def thin_triangle_delta(graph: CuspedGraph, triangles: int = 1000,
     if not isinstance(graph, CuspedGraph):
         raise InvalidParameterError("thin-triangles mode needs a graph, "
                                     "not a bare distance matrix")
-    D = graph.distance_matrix()
+    D = _as_matrix(graph)
     n = graph.n_vertices
     rng = np.random.default_rng(seed)
     best = -1.0

@@ -20,7 +20,8 @@ from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidParameterError, UnsupportedKindError
+from .errors import (BudgetExceededError, InvalidParameterError, SchemaError,
+                     UnsupportedKindError)
 from .lattices import elementary_divisors, lattice_contains, reduce_mod_rows, row_hermite
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -498,6 +499,13 @@ def parse_word(oracle: GroupOracle, text: str) -> GroupElement:
 # descriptors
 
 
+def _json_int(value, where: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def make_oracle(spec: dict) -> GroupOracle:
     """Build an oracle from a JSON-style descriptor.
 
@@ -512,26 +520,29 @@ def make_oracle(spec: dict) -> GroupOracle:
             raise UnsupportedKindError(f"bad group descriptor: {s!r}")
         kind = s["kind"]
         if kind == "free":
-            rank = int(s.get("rank", 0))
+            rank = _json_int(s.get("rank", 0), "rank")
             if rank < 1:
                 raise InvalidParameterError("free rank must be >= 1")
             return FreeProductOracle(
                 [FreeAbelianOracle(1, (next(used),)) for _ in range(rank)],
                 kind="free")
         if kind == "free-abelian":
-            rank = int(s.get("rank", 0))
+            rank = _json_int(s.get("rank", 0), "rank")
             if rank < 1:
                 raise InvalidParameterError("free-abelian rank must be >= 1")
             return FreeAbelianOracle(rank, tuple(next(used) for _ in range(rank)))
         if kind == "finite-cyclic":
-            order = int(s.get("order", 0))
+            order = _json_int(s.get("order", 0), "order")
             if order < 1:
                 raise InvalidParameterError("cyclic order must be >= 1")
             return FiniteCyclicOracle(order, (next(used),))
         if kind == "free-product":
             if not top:
                 raise UnsupportedKindError("nested free products are not supported")
-            factors = [build(f, False) for f in s.get("factors", [])]
+            factors = s.get("factors", [])
+            if not isinstance(factors, list):
+                raise SchemaError(f"factors: expected a list, got {factors!r}")
+            factors = [build(f, False) for f in factors]
             for f in factors:
                 if not isinstance(f, AbelianFactor):
                     raise UnsupportedKindError(
@@ -617,9 +628,6 @@ class RelHypPair:
         """(peripheral id, local payload) decomposition of the normal form."""
         return self.group.syllable_list(g)
 
-    def peripheral(self, pid: int) -> PeripheralSubgroup:
-        return self.peripherals[pid]
-
     def describe(self) -> dict:
         return {
             "kind": self.group.kind,
@@ -643,7 +651,11 @@ def make_pair(oracle: GroupOracle, peripheral_spec=None) -> RelHypPair:
     if isinstance(oracle, FreeProductOracle) and oracle.kind == "free":
         names = None
         if peripheral_spec:
-            names = list(peripheral_spec.get("cyclic-generators", []))
+            names = peripheral_spec.get("cyclic-generators", [])
+            if not (isinstance(names, list)
+                    and all(isinstance(n, str) for n in names)):
+                raise SchemaError("cyclic-generators: expected a list of "
+                                  f"generator names, got {names!r}")
         if not names:
             names = list(oracle.gen_names)
         if sorted(names) != sorted(oracle.gen_names):
@@ -652,7 +664,10 @@ def make_pair(oracle: GroupOracle, peripheral_spec=None) -> RelHypPair:
         oracle, peripheral_spec = FreeProductOracle(oracle.factors), None
     if isinstance(oracle, FreeProductOracle):
         if peripheral_spec not in (None, "factors"):
-            idx = list(peripheral_spec.get("factors", []))
+            idx = peripheral_spec.get("factors", [])
+            if not isinstance(idx, list):
+                raise SchemaError(f"factors: expected a list, got {idx!r}")
+            idx = [_json_int(i, f"factors[{k}]") for k, i in enumerate(idx)]
             if sorted(idx) != list(range(len(oracle.factors))):
                 raise UnsupportedKindError(
                     "peripherals must cover every free-product factor")

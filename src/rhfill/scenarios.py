@@ -26,6 +26,7 @@ from .automata import (
 from .convergence import (
     EdfQuery,
     RepFamily,
+    _check_query,
     bundled_edf_queries,
     chabauty_check,
     edf_condition_check,
@@ -198,7 +199,11 @@ def pair_from_spec(pspec: dict) -> RelHypPair:
 
 
 class Scenario:
-    """Validated scenario: pair, representation family, budgets, tasks."""
+    """Validated scenario: pair, representation family, budgets, tasks.
+
+    Each edf task's ``queries`` are parsed into :class:`EdfQuery` objects
+    and checked against the pair here, before any task runs.
+    """
 
     def __init__(self, spec: dict, base_dir: Path | None = None):
         e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(spec))
@@ -214,7 +219,15 @@ class Scenario:
         self.pair = pair_from_spec(spec["pair"])
         self.family = self._build_family(spec.get("representation", {}),
                                          spec.get("filling_family"))
-        self.tasks = list(spec["tasks"])
+        self.tasks = [self._parse_queries(i, task)
+                      for i, task in enumerate(spec["tasks"])]
+
+    def _parse_queries(self, i: int, task: dict) -> dict:
+        if task["check"] != "edf" or "queries" not in task:
+            return task
+        return {**task, "queries": [
+            _query_from_json(self.pair, q, f"tasks.{i}.queries.{k}")
+            for k, q in enumerate(task["queries"])]}
 
     def _images(self, rep: dict, where: str) -> dict:
         """RepFamily checks the images too; this call names the bad field."""
@@ -256,13 +269,21 @@ class Scenario:
         return RepFamily(self.pair, base, members, kernels or None)
 
 
+def _load_json(text: str, where: str):
+    """Strict JSON: the NaN, Infinity and -Infinity that Python's json
+    accepts are refused, so no bound in the schema is dodged by a NaN."""
+    def refuse(token):
+        raise SchemaError(f"{where}: invalid JSON ({token} is not a number)")
+
+    try:
+        return json.loads(text, parse_constant=refuse)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{where}: invalid JSON ({e})") from None
+
+
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    try:
-        spec = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path.name}: invalid JSON ({e})") from None
-    return Scenario(spec, base_dir=path.parent)
+    return Scenario(_load_json(path.read_text(), path.name), base_dir=path.parent)
 
 
 def bundled_scenario_path() -> Path:
@@ -302,34 +323,35 @@ def _task_uniform_delta(sc: Scenario, params: dict) -> dict:
         seed=sc.seed)
 
 
-def _query_from_json(pair, obj: dict, k: int) -> EdfQuery:
+def _query_from_json(pair, obj: dict, where: str) -> EdfQuery:
     def balls(key):
         out = []
         for i, b in enumerate(obj.get(key, ())):
             if "angle" not in b or "radius" not in b:
                 raise SchemaError(
-                    f"queries[{k}].{key}[{i}]: a ball needs "
-                    "'angle' and 'radius'")
+                    f"{where}.{key}.{i}: a ball needs 'angle' and 'radius'")
             out.append(Ball(float(b["angle"]), float(b["radius"])))
         return tuple(out)
 
     try:
         excl = tuple(parse_word(pair.group, w) for w in obj.get("excluded", ()))
     except RhfillError as e:
-        raise SchemaError(f"queries[{k}].excluded: {e}") from None
-    return EdfQuery(peripheral=int(obj.get("peripheral", 0)),
-                    attracting=balls("attracting"),
-                    repelling=balls("repelling"),
-                    excluded=excl,
-                    name=str(obj.get("name", "")))
+        raise SchemaError(f"{where}.excluded: {e}") from None
+    query = EdfQuery(peripheral=obj.get("peripheral", 0),
+                     attracting=balls("attracting"),
+                     repelling=balls("repelling"),
+                     excluded=excl,
+                     name=obj.get("name", ""))
+    try:
+        _check_query(pair, query)
+    except InvalidParameterError as e:
+        raise SchemaError(f"{where}: {e}") from None
+    return query
 
 
 def _task_edf(sc: Scenario, params: dict) -> dict:
-    if "queries" in params:
-        queries = [_query_from_json(sc.pair, q, k)
-                   for k, q in enumerate(params["queries"])]
-    else:
-        queries = list(bundled_edf_queries(sc.pair))
+    queries = (params["queries"] if "queries" in params
+               else bundled_edf_queries(sc.pair))
     depth = int(params.get("enumeration_depth", 8))
     reports = [edf_condition_check(sc.family, q, enumeration_depth=depth)
                for q in queries]

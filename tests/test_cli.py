@@ -174,7 +174,9 @@ def test_run_verb(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("task", [{"check": "uniform-delta", "radius": "abc"},
-                                  {"check": "chabauty", "word_depht": 4}])
+                                  {"check": "chabauty", "word_depht": 4},
+                                  {"check": "edf", "queries": [{"excluded": ["zz"]}]},
+                                  {"check": "edf", "queries": [{"peripheral": 5}]}])
 def test_run_bad_task_parameter_is_usage(tmp_path, capsys, task):
     sc = tmp_path / "sc.json"
     sc.write_text(json.dumps({"pair": {"builtin": "f2"},
@@ -293,6 +295,7 @@ CHAIN = {"vertices": [
      "vertices[0].id"),
     (lambda a: a["vertices"][1].__setitem__("id", 1.0), "vertices[1].id"),
     (lambda a: a["vertices"].__setitem__(1, 5), "vertices[1]"),
+    (lambda a: a["edges"].__setitem__(0, [float("nan"), 1]), "invalid JSON"),
 ])
 def test_automaton_malformed_file_is_usage(tmp_path, capsys, edit, where):
     auto = json.loads(json.dumps(CHAIN))
@@ -330,11 +333,69 @@ def test_automaton_file_for_a_rank_three_pair(tmp_path, capsys):
     ('{"0": [5]}', "peripheral 0"), ('{"0": "a^5"}', "peripheral 0"),
     ('{"0": [["1"]]}', "peripheral 0"), ('{"0": [true]}', "peripheral 0"),
     ('{"x": ["a^5"]}', "peripheral id 'x'"),
+    ('{"0": ["a^5"], "1": NaN}', "invalid JSON"),
 ])
 def test_fill_malformed_kernel_is_usage(capsys, kernels, where):
     assert main(["fill", "--kernels", kernels, "--radius", "2",
                  "--checks", "injectivity"]) == 2
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", [
+    {"check": "uniform-delta", "slack": float("nan")},
+    {"check": "chabauty", "ball_radius": float("inf")},
+    {"check": "limitset", "max_final_distance": -float("inf")},
+])
+def test_run_non_finite_json_is_usage(tmp_path, capsys, task):
+    code = _run_scenario(tmp_path, {"pair": {"builtin": "f2"}, "tasks": [task]})
+    assert code == 2
+    assert "invalid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+FREE_PRODUCT = {"kind": "free-product",
+                "factors": [{"kind": "free-abelian", "rank": 1}] * 2}
+
+
+@pytest.mark.parametrize("pair,where", [
+    ({"group": {"kind": "free", "rank": "x"}}, "rank: expected an integer"),
+    ({"group": {"kind": "free", "rank": 2.7}}, "rank: expected an integer"),
+    ({"group": {"kind": "free-abelian", "rank": True}},
+     "rank: expected an integer"),
+    ({"group": {"kind": "finite-cyclic", "order": [3]}},
+     "order: expected an integer"),
+    ({"group": {"kind": "free-product", "factors": 5}},
+     "factors: expected a list"),
+    ({"group": FREE_PRODUCT, "peripherals": {"factors": [0, "x"]}},
+     "factors[1]: expected an integer"),
+    ({"group": FREE_PRODUCT, "peripherals": {"factors": 5}},
+     "factors: expected a list"),
+    ({"group": {"kind": "free", "rank": 2},
+      "peripherals": {"cyclic-generators": 5}},
+     "cyclic-generators: expected a list"),
+    ({"group": {"kind": "free", "rank": float("nan")}}, "invalid JSON"),
+])
+@pytest.mark.parametrize("verb", ["cusped", "run"])
+def test_malformed_pair_is_usage(tmp_path, capsys, pair, where, verb):
+    if verb == "cusped":
+        f = tmp_path / "pair.json"
+        f.write_text(json.dumps(pair))
+        code = main(["cusped", "--pair", str(f), "--radius", "1"])
+    else:
+        code = _run_scenario(tmp_path, {"pair": pair, "tasks": []})
+    assert code == 2
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["auto", "exhaustive", "sampled", "triangles"])
+def test_delta_on_tiny_graphs(tmp_path, capsys, mode):
+    g = tmp_path / "g.graph"
+    g.write_text("")
+    assert main(["delta", "--graph", str(g), "--mode", mode]) == 2
+    assert "no vertices" in capsys.readouterr().err
+    g.write_text("V 0 0 - 1\n")
+    assert main(["delta", "--graph", str(g), "--mode", mode]) == 0
+    assert json.loads(capsys.readouterr().out)["delta"] == 0.0
 
 
 def test_run_elements_budget_exits_three(tmp_path, capsys):

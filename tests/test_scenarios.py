@@ -161,6 +161,13 @@ def test_bundled_scenario_validates():
     ({"check": "limitset", "word_depht": 8}, "word_depht"),
     ({"check": "edf", "queries": [{"peripheral": "x"}]},
      r"tasks\.0\.queries\.0\.peripheral"),
+    ({"check": "edf", "queries": [{"excluded": ["zz"]}]},
+     r"tasks\.0\.queries\.0\.excluded"),
+    ({"check": "edf", "queries": [{"peripheral": 5}]},
+     r"tasks\.0\.queries\.0: no peripheral with id 5"),
+    ({"check": "edf", "queries": [{"attracting": [{"angle": 0.0, "radius": 0.9}],
+                                   "repelling": [{"angle": 1.5, "radius": 0.9}]}]},
+     r"tasks\.0\.queries\.0: repelling and attracting balls are not separated"),
     ({"check": "tracking", "assert": "yes"}, r"tasks\.0\.assert"),
 ])
 def test_task_parameters_are_schema_checked(task, where):
