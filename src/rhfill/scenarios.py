@@ -269,6 +269,32 @@ class Scenario:
         return RepFamily(self.pair, base, members, kernels or None)
 
 
+def _query_from_json(pair, obj: dict, where: str) -> EdfQuery:
+    def balls(key):
+        out = []
+        for i, b in enumerate(obj.get(key, ())):
+            if "angle" not in b or "radius" not in b:
+                raise SchemaError(
+                    f"{where}.{key}.{i}: a ball needs 'angle' and 'radius'")
+            out.append(Ball(float(b["angle"]), float(b["radius"])))
+        return tuple(out)
+
+    try:
+        excl = tuple(parse_word(pair.group, w) for w in obj.get("excluded", ()))
+    except RhfillError as e:
+        raise SchemaError(f"{where}.excluded: {e}") from None
+    query = EdfQuery(peripheral=obj.get("peripheral", 0),
+                     attracting=balls("attracting"),
+                     repelling=balls("repelling"),
+                     excluded=excl,
+                     name=obj.get("name", ""))
+    try:
+        _check_query(pair, query)
+    except InvalidParameterError as e:
+        raise SchemaError(f"{where}: {e}") from None
+    return query
+
+
 def _load_json(text: str, where: str):
     """Strict JSON: the NaN, Infinity and -Infinity that Python's json
     accepts are refused, so no bound in the schema is dodged by a NaN."""
@@ -321,32 +347,6 @@ def _task_uniform_delta(sc: Scenario, params: dict) -> dict:
         slack=float(params.get("slack", 2.0)),
         samples=int(params.get("samples", 50_000)),
         seed=sc.seed)
-
-
-def _query_from_json(pair, obj: dict, where: str) -> EdfQuery:
-    def balls(key):
-        out = []
-        for i, b in enumerate(obj.get(key, ())):
-            if "angle" not in b or "radius" not in b:
-                raise SchemaError(
-                    f"{where}.{key}.{i}: a ball needs 'angle' and 'radius'")
-            out.append(Ball(float(b["angle"]), float(b["radius"])))
-        return tuple(out)
-
-    try:
-        excl = tuple(parse_word(pair.group, w) for w in obj.get("excluded", ()))
-    except RhfillError as e:
-        raise SchemaError(f"{where}.excluded: {e}") from None
-    query = EdfQuery(peripheral=obj.get("peripheral", 0),
-                     attracting=balls("attracting"),
-                     repelling=balls("repelling"),
-                     excluded=excl,
-                     name=obj.get("name", ""))
-    try:
-        _check_query(pair, query)
-    except InvalidParameterError as e:
-        raise SchemaError(f"{where}: {e}") from None
-    return query
 
 
 def _task_edf(sc: Scenario, params: dict) -> dict:
