@@ -115,15 +115,18 @@ class RepFamily:
 
     def __init__(self, pair: RelHypPair, base: dict, members: dict,
                  kernels: dict | None = None):
+        def images(rep, which):
+            try:
+                return generator_images(rep, pair.group.gen_names)
+            except InvalidParameterError as e:
+                raise InvalidParameterError(f"{which}, generator {e}") from None
+
         self.pair = pair
-        self.base = generator_images(base, pair.group.gen_names)
+        self.base = images(base, "base")
         self.dimension = d = len(next(iter(self.base.values())))
         self.members: dict[int, dict[str, np.ndarray]] = {}
         for idx, rep in members.items():
-            try:
-                rep = generator_images(rep, pair.group.gen_names)
-            except InvalidParameterError as e:
-                raise InvalidParameterError(f"member {idx}, generator {e}") from None
+            rep = images(rep, f"member {idx}")
             if len(next(iter(rep.values()))) != d:
                 raise InvalidParameterError(f"member {idx} has images of the wrong size")
             self.members[int(idx)] = rep
@@ -220,9 +223,13 @@ def bundled_edf_queries(pair: RelHypPair) -> tuple[EdfQuery, EdfQuery]:
 
 def _check_query(pair: RelHypPair, query: EdfQuery) -> None:
     """A query must name a peripheral of the pair, exclude only its
-    elements, and keep every repelling ball apart from every attracting one."""
+    elements, and keep every repelling ball apart from every attracting one;
+    ball radii lie in (0, 1), the range of the sine metric."""
     if not 0 <= query.peripheral < len(pair.peripherals):
         raise InvalidParameterError(f"no peripheral with id {query.peripheral}")
+    for b in query.attracting + query.repelling:
+        if not 0 < b.radius < 1:
+            raise InvalidParameterError(f"ball radius {b.radius} is not in (0, 1)")
     per = pair.peripherals[query.peripheral]
     for g in query.excluded:
         if not per.membership(g):

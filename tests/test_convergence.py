@@ -128,6 +128,11 @@ def test_family_names_the_member_and_generator_of_a_bad_image(pair, image, a):
         RepFamily(pair, sanov_generators(), {10: rep})
 
 
+def test_family_names_the_generator_missing_from_the_base(pair):
+    with pytest.raises(InvalidParameterError, match="^base, generator b: no image"):
+        RepFamily(pair, {"a": np.eye(2)}, {})
+
+
 def test_family_indices_and_lookup(pair, family):
     assert family.indices == [10, 20, 30, 40, 60]
     assert family.rep(None) is family.base

@@ -168,6 +168,8 @@ def test_bundled_scenario_validates():
     ({"check": "edf", "queries": [{"attracting": [{"angle": 0.0, "radius": 0.9}],
                                    "repelling": [{"angle": 1.5, "radius": 0.9}]}]},
      r"tasks\.0\.queries\.0: repelling and attracting balls are not separated"),
+    ({"check": "edf", "queries": [{"attracting": [{"angle": 0.0, "radius": -0.5}]}]},
+     r"tasks\.0\.queries\.0: ball radius -0\.5 is not in \(0, 1\)"),
     ({"check": "tracking", "assert": "yes"}, r"tasks\.0\.assert"),
 ])
 def test_task_parameters_are_schema_checked(task, where):
