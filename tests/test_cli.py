@@ -341,13 +341,16 @@ def test_fill_malformed_kernel_is_usage(capsys, kernels, where):
     assert where in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("task", [
-    {"check": "uniform-delta", "slack": float("nan")},
-    {"check": "chabauty", "ball_radius": float("inf")},
-    {"check": "limitset", "max_final_distance": -float("inf")},
+@pytest.mark.parametrize("part", [
+    {"tasks": [{"check": "uniform-delta", "slack": float("nan")}]},
+    {"tasks": [{"check": "chabauty", "ball_radius": float("inf")}]},
+    {"tasks": [{"check": "limitset", "max_final_distance": -float("inf")}]},
+    {"representation": {"matrices": {"a": [[1.0, 2.0], [0.0, float("nan")]],
+                                      "b": IDENTITY}}},
 ])
-def test_run_non_finite_json_is_usage(tmp_path, capsys, task):
-    code = _run_scenario(tmp_path, {"pair": {"builtin": "f2"}, "tasks": [task]})
+def test_run_non_finite_json_is_usage(tmp_path, capsys, part):
+    code = _run_scenario(tmp_path, {"pair": {"builtin": "f2"}, "tasks": [],
+                                    **part})
     assert code == 2
     assert "invalid JSON" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
