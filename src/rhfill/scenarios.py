@@ -479,7 +479,8 @@ _TASK_RUNNERS = {
 
 
 def run_task(sc: Scenario, task: dict) -> dict:
-    """The report of one validated task of the scenario; nothing is written."""
+    """The report of one validated task of the scenario, an entry of
+    ``sc.tasks`` (edf queries already parsed); nothing is written."""
     return _TASK_RUNNERS[task["check"]](sc, task)
 
 

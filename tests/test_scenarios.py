@@ -161,6 +161,7 @@ def test_bundled_scenario_validates():
     ({"check": "limitset", "word_depht": 8}, "word_depht"),
     ({"check": "edf", "queries": [{"peripheral": "x"}]},
      r"tasks\.0\.queries\.0\.peripheral"),
+    ({"check": "tracking", "assert": "yes"}, r"tasks\.0\.assert"),
     ({"check": "edf", "queries": [{"excluded": ["zz"]}]},
      r"tasks\.0\.queries\.0\.excluded"),
     ({"check": "edf", "queries": [{"peripheral": 5}]},
@@ -170,7 +171,6 @@ def test_bundled_scenario_validates():
      r"tasks\.0\.queries\.0: repelling and attracting balls are not separated"),
     ({"check": "edf", "queries": [{"attracting": [{"angle": 0.0, "radius": -0.5}]}]},
      r"tasks\.0\.queries\.0: ball radius -0\.5 is not in \(0, 1\)"),
-    ({"check": "tracking", "assert": "yes"}, r"tasks\.0\.assert"),
 ])
 def test_task_parameters_are_schema_checked(task, where):
     with pytest.raises(SchemaError, match=where):
