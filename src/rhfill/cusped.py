@@ -34,6 +34,7 @@ from .errors import (
 )
 from .groups import (
     FreeAbelianOracle,
+    FreeProductOracle,
     GroupElement,
     RelHypPair,
     enumerate_ball,
@@ -111,6 +112,33 @@ def coned_length(pair: RelHypPair, g: GroupElement) -> int:
 
 def coned_distance(pair: RelHypPair, g: GroupElement, h: GroupElement) -> int:
     return coned_length(pair, pair.group.multiply(pair.group.inverse(g), h))
+
+
+def pair_word_costs(group: FreeProductOracle, elems: list[GroupElement],
+                    i: np.ndarray, j: np.ndarray, cost) -> np.ndarray:
+    """Cost of the reduced word g_i^-1 g_j for every pair (i[t], j[t]).
+
+    ``elems`` must be in ``group``'s normal form; a syllable p of factor f
+    costs ``cost(f.p_length(p))``, so ``horo_flat``, ``int`` and
+    ``min(., 2)`` give d_X, word and coned length. Past the common prefix,
+    the next syllables s and t merge into the nontrivial p_add(p_neg(s), t)
+    when they share a factor and add up otherwise (a missing one costs 0);
+    the tails behind them are kept."""
+    ids: dict = {}
+    rows = [[ids.setdefault(s, len(ids)) for s in g.word] for g in elems]
+    width = max(map(len, rows), default=0) + 1
+    A = np.array([row + [len(ids)] * (width - len(row)) for row in rows],
+                 dtype=np.int64).reshape(len(rows), width)
+    each = np.array([cost(group.factors[f].p_length(p)) for f, p in ids] + [0])
+    merge = np.add.outer(each, each)
+    for a, (f, p) in enumerate(ids):
+        fac = group.factors[f]
+        for b, (g, q) in enumerate(ids):
+            if g == f:
+                merge[a, b] = cost(fac.p_length(fac.p_add(fac.p_neg(p), q)))
+    tails = np.cumsum(each[A][:, ::-1], axis=1)[:, ::-1] - each[A]
+    c = (A[i, :-1] == A[j, :-1]).cumprod(axis=1).sum(axis=1)
+    return tails[i, c] + tails[j, c] + merge[A[i, c], A[j, c]]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ or collapses to a loop (never for vertical edges), which makes the map
 """
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .cusped import (
@@ -17,8 +19,10 @@ from .cusped import (
     GraphPath,
     build_cusped_ball,
     depth0_key,
+    horo_flat,
     horo_key,
     key_base_element,
+    pair_word_costs,
     shortest_path,
 )
 from .delta import four_point_delta_sampled
@@ -101,7 +105,6 @@ def filling_map_report(fg: FillingGeometry) -> dict:
             kind_mismatches += 1
     Ds, cert = src.certified_pairs_matrix()
     Dt = tgt.distance_matrix()
-    lip_ok = True
     worst = 0.0
     iu, il = np.nonzero(cert)
     vals_s = Ds[iu, il]
@@ -228,37 +231,46 @@ def check_local_isometry(fg: FillingGeometry, r: int, *,
     """Compare all pairwise distances in the radius-r ball around the
     identity with the distances of the images in the quotient.
 
-    Distances on both sides come from the exact cusped metrics, so this is
+    Distances on both sides are exact cusped distances, so this is
     an exact statement about the infinite spaces. By equivariance, the ball
     around any depth-zero vertex gives the same comparison as the ball
     around the identity, so one center suffices. The image of the ball must
     also equal the quotient's own radius-r ball (the image is a metric
     ball), which is checked as a set equality.
     """
+    if r < 1:
+        raise InvalidParameterError(f"local isometry needs r >= 1, got {r}")
     if r > fg.source.meta["radius"]:
         raise WindowError(f"r={r} exceeds window radius; rebuild larger")
-    sm = fg.source_metric
-    tm = fg.target_metric
     dist0 = np.asarray(fg.source.meta["dist_from_id"])
-    keys = [k for i, k in enumerate(fg.source.vertices)
-            if dist0[i] <= r and (include_interior or k[0] == "c")]
+    depth0 = fg.source.depth == 0
+    idx = np.flatnonzero((dist0 <= r) & (depth0 | include_interior))
+    keys = [fg.source.vertices[i] for i in idx]
     images = [project_vertex_key(fg.filling, k) for k in keys]
-    violations = []
-    checked = 0
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            ds = sm.dist(keys[a], keys[b])
-            dt = tm.dist(images[a], images[b])
-            checked += 1
-            if ds != dt:
-                violations.append({
-                    "u": fg.source.labels[fg.source.index[keys[a]]],
-                    "v": fg.source.labels[fg.source.index[keys[b]]],
-                    "source": ds, "target": dt})
-                if len(violations) >= 50:
-                    break
-        if len(violations) >= 50:
+    # all depth-zero pairs from the syllable arrays; pairs with an interior
+    # key from the exact metrics, in row-major order until 50 violations
+    a, b = np.triu_indices(len(keys), k=1)
+    flat = depth0[idx]
+    at, both = np.cumsum(flat) - 1, flat[a] & flat[b]
+    d = np.zeros((2, len(a)), dtype=np.int64)
+    sides = ((fg.source_metric, keys), (fg.target_metric, images))
+    for side, (metric, ks) in enumerate(sides):
+        d[side, both] = pair_word_costs(
+            metric.G, [GroupElement(k[1]) for k in ks if k[0] == "c"],
+            at[a[both]], at[b[both]], horo_flat)
+    bad = np.flatnonzero(d[0] != d[1]).tolist()
+    for t in np.flatnonzero(~both):
+        if bisect.bisect_left(bad, t) >= 50:
             break
+        d[:, t] = [metric.dist(ks[a[t]], ks[b[t]]) for metric, ks in sides]
+        if d[0, t] != d[1, t]:
+            bisect.insort(bad, t)
+    bad = bad[:50]
+    checked = int(bad[-1]) + 1 if len(bad) == 50 else len(a)
+    violations = [{"u": fg.source.labels[idx[a[t]]],
+                   "v": fg.source.labels[idx[b[t]]],
+                   "source": int(d[0, t]), "target": int(d[1, t])}
+                  for t in bad[:10]]
     # image must be the full quotient ball of the same radius
     tdist0 = np.asarray(fg.target.meta["dist_from_id"])
     target_ball = {k for i, k in enumerate(fg.target.vertices)
@@ -271,11 +283,11 @@ def check_local_isometry(fg: FillingGeometry, r: int, *,
         "ball_size": len(keys),
         "pairs_checked": checked,
         "include_interior": include_interior,
-        "violations": violations[:10],
-        "violation_count": len(violations),
+        "violations": violations,
+        "violation_count": len(bad),
         "image_is_ball": bool(ball_image),
         "missing_from_image": len(target_ball - image_set),
-        "pass": not violations and ball_image,
+        "pass": not len(bad) and ball_image,
     }
 
 
@@ -299,6 +311,8 @@ def check_descent_quasigeodesic(fg: FillingGeometry, K: float,
     target sub-pairs; geodesics that dive deeper than ``max_depth_used``
     are skipped (the statement is depth-filtered).
     """
+    if samples < 1:
+        raise InvalidParameterError(f"descent needs samples >= 1, got {samples}")
     Ds, cert_s = fg.source.certified_pairs_matrix()
     Dt, cert_t = fg.target.certified_pairs_matrix()
     delta = four_point_delta_sampled(Dt, samples=50_000, seed=seed).delta
@@ -317,19 +331,17 @@ def check_descent_quasigeodesic(fg: FillingGeometry, K: float,
         if max(int(fg.source.depth[i]) for i in spath.vertices) > max_depth_used:
             continue
         checked_paths += 1
-        tverts = [int(fg.vertex_map[i]) for i in spath.vertices]
-        for i in range(len(tverts)):
-            for j in range(i + 1, len(tverts)):
-                a, b = tverts[i], tverts[j]
-                if not cert_t[a, b]:
-                    continue
-                # steps between i and j along the projected (collapsed) path
-                steps = sum(1 for t in range(i, j) if tverts[t] != tverts[t + 1])
-                if steps > K * Dt[a, b] + 2 * delta + 1e-9:
-                    failures.append({
-                        "start": fg.source.labels[u], "end": fg.source.labels[v],
-                        "sub": (i, j), "steps": steps,
-                        "target_distance": float(Dt[a, b])})
+        tv = fg.vertex_map[spath.vertices]
+        # steps[k]: non-collapsed steps among the first k of the projection
+        steps = np.concatenate(([0], np.cumsum(tv[1:] != tv[:-1])))
+        i, j = np.triu_indices(len(tv), k=1)
+        gap, dist = steps[j] - steps[i], Dt[tv[i], tv[j]]
+        far = cert_t[tv[i], tv[j]] & (gap > K * dist + 2 * delta + 1e-9)
+        for t in np.flatnonzero(far):
+            failures.append({
+                "start": fg.source.labels[u], "end": fg.source.labels[v],
+                "sub": (int(i[t]), int(j[t])), "steps": int(gap[t]),
+                "target_distance": float(dist[t])})
     return {
         "name": "descent-quasigeodesic",
         "K": K,

@@ -244,6 +244,9 @@ class Scenario:
         if fspec is None:
             return RepFamily(self.pair, base, {})
         if fspec.get("builtin") == "elliptic":
+            if "matrices" in rspec:
+                raise SchemaError("representation.matrices: the elliptic "
+                                  "family is built on the Sanov base")
             ns = tuple(fspec.get("indices", (10, 20, 30, 40, 60)))
             try:
                 return elliptic_family(self.pair, ns)

@@ -408,3 +408,27 @@ def test_run_elements_budget_exits_three(tmp_path, capsys):
         "tasks": [{"check": "chabauty", "word_depth": 4}]})
     assert code == 3
     assert "ball elements" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--checks", "local-isometry", "--isometry-radius", "0"], "r >= 1"),
+    (["--checks", "local-isometry", "--isometry-radius", "-1"], "r >= 1"),
+    (["--checks", "descent", "--samples", "0"], "samples >= 1"),
+])
+def test_fill_vacuous_check_is_usage(pair_file, capsys, args, message):
+    code = main(["fill", "--pair", pair_file,
+                 "--kernels", '{"0":["a^3"],"1":["b^3"]}', "--radius", "3",
+                 *args])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_run_elliptic_family_with_own_base_is_usage(tmp_path, capsys):
+    code = _run_scenario(tmp_path, {
+        "pair": {"builtin": "f2"},
+        "representation": {"matrices": {"a": [[2.0, 0.0], [0.0, 0.5]],
+                                        "b": IDENTITY}},
+        "filling_family": {"builtin": "elliptic"}, "tasks": []})
+    assert code == 2
+    assert "representation.matrices" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

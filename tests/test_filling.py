@@ -4,6 +4,8 @@ The two standing examples are (F_2, Z*Z) filled along <a^50, b^50> (long:
 everything should look like the unfilled pair near the identity) and along
 <a^3, b^3> (short: local isometry and injectivity must fail visibly).
 """
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from rhfill.filling_geometry import (build_quotient_cusped,
                                      filling_map_report, injectivity_report,
                                      lift_path, lift_roundtrip_report,
                                      local_isometry_failure_radius,
-                                     project_path)
+                                     project_path, project_vertex_key)
 from rhfill.groups import make_filling, standard_f2_pair
 from rhfill.cusped import GraphPath, shortest_path
 
@@ -151,3 +153,94 @@ def test_uniform_delta(pair, f50, f3):
     assert rep["uniform"]
     assert rep["unfilled_delta"] == 1.5
     assert rep["delta_by_n"] == {3: 1.0, 50: 1.5}
+
+
+def _reference_local_isometry(fg, r, include_interior):
+    """The pair-by-pair loop over exact metric distances, in row-major
+    order, stopping at the 50th violation."""
+    sm, tm = fg.source_metric, fg.target_metric
+    dist0 = np.asarray(fg.source.meta["dist_from_id"])
+    keys = [k for i, k in enumerate(fg.source.vertices)
+            if dist0[i] <= r and (include_interior or k[0] == "c")]
+    images = [project_vertex_key(fg.filling, k) for k in keys]
+    violations, checked = [], 0
+    for a in range(len(keys)):
+        for b in range(a + 1, len(keys)):
+            ds, dt = sm.dist(keys[a], keys[b]), tm.dist(images[a], images[b])
+            checked += 1
+            if ds != dt:
+                violations.append({
+                    "u": fg.source.labels[fg.source.index[keys[a]]],
+                    "v": fg.source.labels[fg.source.index[keys[b]]],
+                    "source": ds, "target": dt})
+                if len(violations) >= 50:
+                    return keys, images, checked, violations
+    return keys, images, checked, violations
+
+
+@pytest.mark.parametrize("which,r,interior,checked", [
+    ("fg3", 2, False, 110), ("fg3", 2, True, 172),
+    ("fg3", 4, False, 94), ("fg3", 4, True, 94),
+    ("fg50", 2, False, 136), ("fg50", 2, True, 528)])
+def test_local_isometry_matches_pair_loop(request, which, r, interior, checked):
+    fg = request.getfixturevalue(which)
+    rep = check_local_isometry(fg, r, include_interior=interior)
+    keys, images, ref_checked, violations = _reference_local_isometry(
+        fg, r, interior)
+    tdist0 = np.asarray(fg.target.meta["dist_from_id"])
+    target_ball = {k for i, k in enumerate(fg.target.vertices)
+                   if tdist0[i] <= r and (interior or k[0] == "c")}
+    assert rep == {
+        "name": "local-isometry", "r": r, "ball_size": len(keys),
+        "pairs_checked": ref_checked, "include_interior": interior,
+        "violations": violations[:10], "violation_count": len(violations),
+        "image_is_ball": set(images) == target_ball,
+        "missing_from_image": len(target_ball - set(images)),
+        "pass": not violations and set(images) == target_ball}
+    assert rep["pairs_checked"] == checked
+    json.dumps(rep)  # plain Python values only
+
+
+@pytest.mark.parametrize("which,K", [("fg3", 0.5), ("fg3", 1.0), ("fg50", 1.0)])
+def test_descent_matches_pair_loop(request, which, K):
+    fg = request.getfixturevalue(which)
+    rep = check_descent_quasigeodesic(fg, K=K, max_depth_used=4, samples=40,
+                                      seed=1)
+    _, cert_t = fg.target.certified_pairs_matrix()
+    Dt = fg.target.distance_matrix()
+    rng = np.random.default_rng(1)
+    n, paths, failures = fg.source.n_vertices, 0, []
+    _, cert_s = fg.source.certified_pairs_matrix()
+    while paths < 40:
+        u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+        if not cert_s[u, v]:
+            continue
+        paths += 1
+        tv = [int(fg.vertex_map[i])
+              for i in shortest_path(fg.source, u, v).vertices]
+        for i in range(len(tv)):
+            for j in range(i + 1, len(tv)):
+                steps = sum(tv[t] != tv[t + 1] for t in range(i, j))
+                if cert_t[tv[i], tv[j]] and \
+                        steps > K * Dt[tv[i], tv[j]] + 2 * rep["delta"] + 1e-9:
+                    failures.append({
+                        "start": fg.source.labels[u],
+                        "end": fg.source.labels[v], "sub": (i, j),
+                        "steps": steps,
+                        "target_distance": float(Dt[tv[i], tv[j]])})
+    assert rep["paths_checked"] == 40
+    assert rep["failures"] == failures[:10]
+    assert rep["failure_count"] == len(failures)
+    assert rep["pass"] == (not failures)
+    json.dumps(rep)
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_local_isometry_needs_a_positive_radius(fg50, r):
+    with pytest.raises(InvalidParameterError, match="r >= 1"):
+        check_local_isometry(fg50, r)
+
+
+def test_descent_needs_a_sample(fg50):
+    with pytest.raises(InvalidParameterError, match="samples >= 1"):
+        check_descent_quasigeodesic(fg50, K=1.0, max_depth_used=2, samples=0)

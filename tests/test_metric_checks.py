@@ -1,12 +1,17 @@
 """Window verification of the coarse-geometry inequalities for (F_2, Z*Z)."""
+import json
+import math
+
+import numpy as np
 import pytest
 
 from rhfill.errors import WindowError
-from rhfill.groups import standard_f2_pair
-from rhfill.metric_checks import (quasidensity_check,
+from rhfill.groups import (GroupElement, make_filling, make_oracle, make_pair,
+                           standard_f2_pair)
+from rhfill.metric_checks import (comparison_lemma_check, quasidensity_check,
                                   truncation_monotonicity_check,
                                   verify_metric_lemmas)
-from rhfill.cusped import build_cusped_ball
+from rhfill.cusped import build_cusped_ball, coned_length
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +87,50 @@ def test_quasidensity_ball_must_fit(pair):
     window = build_cusped_ball(pair, 3)
     with pytest.raises(WindowError):
         quasidensity_check(window, delta=1.5, ball_radius=5)
+
+
+def _reference_comparison(window):
+    """The pair-by-pair loop: one group product per certified pair."""
+    pair, G = window.pair, window.pair.group
+    D, cert = window.certified_pairs_matrix()
+    d0 = np.flatnonzero(window.depth == 0)
+    elems = [GroupElement(window.vertices[i][1]) for i in d0]
+    checked, violations, max_ratio = 0, [], 0.0
+    for a in range(len(d0)):
+        for b in range(a + 1, len(d0)):
+            if not cert[d0[a], d0[b]]:
+                continue
+            dx = D[d0[a], d0[b]]
+            w = G.multiply(G.inverse(elems[a]), elems[b])
+            dg, dh = G.word_length(w), coned_length(pair, w)
+            ub = dx * math.sqrt(2.0) ** dx
+            checked += 1
+            if not (dh <= dx <= dg <= ub + 1e-9):
+                violations.append({
+                    "u": window.labels[d0[a]], "v": window.labels[d0[b]],
+                    "coned": dh, "cusped": float(dx), "word": dg,
+                    "distortion_bound": ub})
+            if ub > 0:
+                max_ratio = max(max_ratio, dg / ub)
+    return {"name": "comparison", "pairs_checked": checked,
+            "violations": violations[:10], "violation_count": len(violations),
+            "max_distortion_ratio": max_ratio, "pass": not violations}
+
+
+@pytest.mark.parametrize("factors,kernels,radius", [
+    ([{"kind": "free-abelian", "rank": 1}] * 2, None, 4),
+    ([{"kind": "free-abelian", "rank": 1}] * 2, {0: ["a^3"], 1: ["b^3"]}, 4),
+    ([{"kind": "finite-cyclic", "order": 5},
+      {"kind": "free-abelian", "rank": 1}], None, 4),
+    ([{"kind": "free-abelian", "rank": 2},
+      {"kind": "free-abelian", "rank": 1}], None, 3),
+])
+def test_comparison_matches_pair_loop(factors, kernels, radius):
+    pair = make_pair(make_oracle({"kind": "free-product", "factors": factors}))
+    if kernels is not None:
+        pair = make_filling(pair, kernels).quotient_pair
+    window = build_cusped_ball(pair, radius)
+    rep = comparison_lemma_check(window)
+    assert rep == _reference_comparison(window)
+    assert rep["pairs_checked"] > 0
+    json.dumps(rep)  # plain Python values only
