@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity
 
 from .errors import (
     BudgetExceededError,
@@ -429,6 +429,7 @@ class CuspedGraph:
         self.pair = pair
         self.meta = meta or {}
         self._adj = None
+        self._closed = None
         self._neighbor_lists = None
         self._dist_matrix = None
         self._cert = None
@@ -443,14 +444,12 @@ class CuspedGraph:
         return len(self.edges_u)
 
     def adjacency(self) -> csr_matrix:
-        """Symmetric edge counts, typed to hold every row sum (see _bfs_rows)."""
+        """Symmetric boolean adjacency pattern; parallel edges count once."""
         if self._adj is None:
-            n = self.n_vertices
             u = np.concatenate([self.edges_u, self.edges_v])
             v = np.concatenate([self.edges_v, self.edges_u])
-            wide = np.bincount(u, minlength=n).max(initial=0) >= 2 ** 15
-            data = np.ones(len(u), dtype=np.int32 if wide else np.int16)
-            self._adj = csr_matrix((data, (u, v)), shape=(n, n))
+            self._adj = csr_matrix((np.ones(len(u), dtype=bool), (u, v)),
+                                   shape=(self.n_vertices,) * 2)
         return self._adj
 
     def neighbors(self, i: int) -> np.ndarray:
@@ -463,23 +462,63 @@ class CuspedGraph:
         return j in self.neighbors(i)
 
     def _bfs_rows(self, sources) -> np.ndarray:
-        """Read-only int16 distance rows from ``sources``, -1 if unreachable:
-        per BFS level one sparse product over a dense n x k frontier block."""
-        adj = self.adjacency()
-        dist = np.full((self.n_vertices, len(sources)), -1, dtype=np.int16)
-        dist[sources, np.arange(len(sources))] = 0
-        reached = dist == 0
-        for level in range(1, self.n_vertices):
-            reached = (adj @ reached.astype(adj.dtype) != 0) & (dist < 0)
-            if not reached.any():
-                break
-            dist[reached] = level
-        dist.flags.writeable = False
-        return dist.T
+        """Read-only int16 distance rows from ``sources``, -1 if unreachable.
 
-    def bfs_distances(self, source: int) -> np.ndarray:
-        """Read-only int16 distances from ``source``, -1 where unreachable;
-        a row of the cached ``distance_matrix`` once that has been formed."""
+        The k BFSs run together, one bit each: bit s of row v of the
+        ``(n, ceil(k/64))`` little-endian uint64 words says that v has been
+        reached from ``sources[s]``. A level ORs the frontier words over each
+        closed neighbourhood (adjacency plus diagonal, so no ``reduceat``
+        segment is empty) and drops the bits already seen. Each frontier is
+        ORed into the binary planes of its level; planes and seen bits are
+        unpacked into the int16 rows at the end."""
+        n, k = self.n_vertices, len(sources)
+        if self._closed is None:
+            closed = self.adjacency() + identity(n, dtype=bool, format="csr")
+            self._closed = closed.indices.astype(np.intp), closed.indptr[:-1]
+        nbrs, starts = self._closed
+        col = np.arange(k)
+        seen = np.zeros((n, -(-k // 64)), dtype="<u8")
+        np.bitwise_or.at(seen, (sources, col // 64),
+                         np.uint64(1) << (col % 64).astype(np.uint64))
+        frontier, planes = seen, {}
+        for level in range(1, n):
+            frontier = np.bitwise_or.reduceat(np.take(frontier, nbrs, axis=0),
+                                              starts) & ~seen
+            if not frontier.any():
+                break
+            seen |= frontier
+            for b in range(level.bit_length()):
+                if level >> b & 1:
+                    planes[b] = planes.get(b, 0) | frontier
+
+        def bits(words, rows):
+            return np.unpackbits(words[rows].view(np.uint8), axis=1, count=k,
+                                 bitorder="little").astype(np.int16)
+
+        dist = np.empty((k, n), dtype=np.int16)
+        for s in range(0, n, BFS_BLOCK):
+            rows = slice(s, s + BFS_BLOCK)
+            block = bits(seen, rows) - 1
+            for b, plane in planes.items():
+                block += bits(plane, rows) << b
+            dist[:, rows] = block.T
+        dist.flags.writeable = False
+        return dist
+
+    def vertex_index(self, v) -> int:
+        """Index of vertex ``v``, given as an index or as a key tuple;
+        InvalidParameterError if the window has no such vertex."""
+        i = self.index.get(v, -1) if isinstance(v, tuple) else v
+        if not isinstance(i, (int, np.integer)) or not 0 <= i < self.n_vertices:
+            raise InvalidParameterError(
+                f"no vertex {v!r} in a window of {self.n_vertices} vertices")
+        return int(i)
+
+    def bfs_distances(self, source) -> np.ndarray:
+        """Read-only int16 distances from ``source`` (index or key), -1
+        where unreachable; a row of the cached ``distance_matrix`` once that
+        has been formed."""
+        source = self.vertex_index(source)
         if self._dist_matrix is None:
             return self._bfs_rows([source])[0]
         return self._dist_matrix[source]
@@ -494,7 +533,7 @@ class CuspedGraph:
                                           MATRIX_CAP, n)
             D = np.empty((n, n), dtype=np.int16)
             for s in range(0, n, BFS_BLOCK):
-                D[s:s + BFS_BLOCK] = self._bfs_rows(range(s, min(s + BFS_BLOCK, n)))
+                D[s:s + BFS_BLOCK] = self._bfs_rows(np.arange(s, min(s + BFS_BLOCK, n)))
             D.flags.writeable = False
             self._dist_matrix = D
         return self._dist_matrix
@@ -532,8 +571,7 @@ class CuspedGraph:
 
 def shortest_path(graph: CuspedGraph, u, v) -> GraphPath:
     """BFS geodesic; ties broken toward the smallest vertex index."""
-    ui = graph.index[u] if not isinstance(u, (int, np.integer)) else int(u)
-    vi = graph.index[v] if not isinstance(v, (int, np.integer)) else int(v)
+    ui, vi = graph.vertex_index(u), graph.vertex_index(v)
     dist = graph.bfs_distances(ui)
     if dist[vi] < 0:
         raise DisconnectedError(f"vertices {u!r} and {v!r} not connected in window")

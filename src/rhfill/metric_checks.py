@@ -90,30 +90,24 @@ def horoball_entry_check(window: CuspedGraph, delta: float,
     D, cert = window.certified_pairs_matrix()
     bound = 3 * C + 7 * delta
     n = window.n_vertices
-    all_idx = np.arange(n)
     pairs_checked = 0
     pairs_scanned = 0
     violations = []
     for label, idx_H in _horoball_members(window).items():
         in_H = np.zeros(n, dtype=bool)
         in_H[idx_H] = True
-        dist_to_H = D[:, idx_H].min(axis=1)
-        near = np.flatnonzero(dist_to_H <= C)
-        if len(near) < 2:
-            continue
-        outside = all_idx[~in_H]
-        if len(outside) == 0:
+        rows = D[idx_H]  # D is symmetric: rows of H are its columns
+        near = np.flatnonzero(rows.min(axis=0) <= C)
+        if len(near) < 2 or in_H.all():
             continue
         d_out = np.zeros(n)
-        d_out[idx_H] = D[np.ix_(idx_H, outside)].min(axis=1)
-        sub_D = D[np.ix_(near, near)]
-        sub_cert = cert[np.ix_(near, near)]
-        iu, il = np.triu_indices(len(near), k=1)
-        ok = sub_cert[iu, il]
+        d_out[idx_H] = np.where(in_H, np.iinfo(D.dtype).max, rows).min(axis=1)
+        sub = np.ix_(near, near)
+        ok = np.triu(cert[sub], k=1)
         pairs_checked += int(ok.sum())
-        needs_scan = ok & (np.ceil(sub_D[iu, il] / 2.0) > bound)
-        for t in np.flatnonzero(needs_scan):
-            x, y = int(near[iu[t]]), int(near[il[t]])
+        needs_scan = ok & (np.ceil(D[sub] / 2.0) > bound)
+        for x, y in zip(*np.nonzero(needs_scan)):  # row-major, as i < j
+            x, y = int(near[x]), int(near[y])
             pairs_scanned += 1
             on_geo = D[x] + D[y] == D[x, y]
             d_ends = np.minimum(D[x], D[y])
@@ -194,34 +188,41 @@ def deep_horoball_isometry_check(window: CuspedGraph, depth_floor: int) -> dict:
     horoball equal the within-horoball closed form."""
     pair = window.pair
     D, cert = window.certified_pairs_matrix()
-    checked = 0
-    violations = []
     groups: dict = {}
+    locals_: dict = {}
+    local = np.zeros(window.n_vertices, dtype=np.int64)
     for i, key in enumerate(window.vertices):
         if key[0] == "h" and key[4] >= depth_floor:
-            groups.setdefault((key[1], key[2]), []).append(i)
-    for (pid, cw), idx in groups.items():
-        per = pair.peripherals[pid]
-        for a in range(len(idx)):
-            ka = window.vertices[idx[a]]
-            for b in range(a + 1, len(idx)):
-                kb = window.vertices[idx[b]]
-                if not cert[idx[a], idx[b]]:
-                    continue
-                expected = horo_pair(per.d_local(ka[3], kb[3]), ka[4], kb[4])
-                checked += 1
-                if D[idx[a], idx[b]] != expected:
-                    violations.append({
-                        "u": window.labels[idx[a]], "v": window.labels[idx[b]],
-                        "window": float(D[idx[a], idx[b]]),
-                        "horoball": expected})
+            groups.setdefault(key[1:3], []).append(i)
+            local[i] = locals_.setdefault((key[1], key[3]), len(locals_))
+    # certified pairs, row-major within each horoball
+    pairs = [np.zeros((2, 0), dtype=np.int64)]
+    for idx in map(np.array, groups.values()):
+        uv = idx[np.vstack(np.triu_indices(len(idx), k=1))]
+        pairs.append(uv[:, cert[uv[0], uv[1]]])
+    u, v = np.hstack(pairs)
+    # d_local once per distinct pair of locals, horo_pair once per (d, k, l)
+    locs, m = list(locals_), len(locals_)
+    codes, inv = np.unique(local[u] * m + local[v], return_inverse=True)
+    d = np.array([pair.peripherals[locs[c // m][0]].d_local(
+        locs[c // m][1], locs[c % m][1]) for c in codes.tolist()],
+        dtype=np.int64)[inv]
+    base = int(window.depth.max(initial=0)) + 1
+    dkl, inv = np.unique((d * base + window.depth[u]) * base + window.depth[v],
+                         return_inverse=True)
+    expected = np.array([horo_pair(c // base ** 2, c // base % base, c % base)
+                         for c in dkl.tolist()], dtype=np.int64)[inv]
+    bad = np.flatnonzero(D[u, v] != expected)
+    violations = [{"u": window.labels[u[t]], "v": window.labels[v[t]],
+                   "window": float(D[u[t], v[t]]), "horoball": int(expected[t])}
+                  for t in bad[:10]]
     return {
         "name": "deep-horoball-isometry",
         "depth_floor": depth_floor,
-        "pairs_checked": checked,
-        "violations": violations[:10],
-        "violation_count": len(violations),
-        "pass": not violations,
+        "pairs_checked": len(u),
+        "violations": violations,
+        "violation_count": len(bad),
+        "pass": not len(bad),
     }
 
 

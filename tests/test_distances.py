@@ -8,9 +8,11 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rhfill import (
     DisconnectedError,
+    InvalidParameterError,
     build_coned_off,
     build_cusped_ball,
     build_horoball,
@@ -188,3 +190,75 @@ def test_delta_same_on_int16_and_float_copy(name):
     if len(D) <= 20:
         a, b = four_point_delta_exhaustive(D), four_point_delta_exhaustive(F)
         assert (a.delta, a.witness) == (b.delta, b.witness)
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 200 vertices and at most 1.5 edges per vertex, with repeated
+    edges and loops allowed: draws have isolated vertices and several
+    components, and some have parallel edges."""
+    n = draw(st.integers(0, 200))
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n // 2))
+    return generic_graph(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(), st.data())
+def test_bit_parallel_bfs_matches_reference_on_multigraphs(g, data):
+    n = g.n_vertices
+    if n:
+        sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                     max_size=5, unique=True))
+        rows = reference_rows(g, sources)
+        for s in sources:  # before the matrix: one bit-parallel BFS each
+            assert g.bfs_distances(s).tolist() == rows[s]
+    D = g.distance_matrix()
+    assert D.shape == (n, n) and D.dtype == np.int16
+    assert D.tolist() == [reference_rows(g, [s])[s] for s in range(n)]
+
+
+def test_long_path_needs_nine_planes():
+    g = generic_graph(300, [(i, i + 1) for i in range(299)])
+    assert g.bfs_distances(0)[299] == 299
+    assert g.bfs_distances(150).tolist() == [abs(150 - j) for j in range(300)]
+    i = np.arange(300)
+    assert (g.distance_matrix() == abs(i[:, None] - i)).all()
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 257])
+def test_bfs_rows_across_word_and_block_boundaries(k):
+    # sources start past 0 and run in descending order, so the bit of
+    # column s is not the bit of vertex s
+    g = BUILDERS["cusped-r4"]()
+    sources = list(range(100 + k, 100, -1))
+    rows = g._bfs_rows(sources)
+    assert rows.shape == (k, g.n_vertices) and rows.dtype == np.int16
+    assert not rows.flags.writeable
+    ref = reference_rows(g, sources)
+    for col, s in enumerate(sources):
+        assert rows[col].tolist() == ref[s], (k, s)
+
+
+def test_one_vertex_and_edgeless_graphs():
+    one = generic_graph(1, [])
+    assert one.bfs_distances(0).tolist() == [0]
+    assert one.distance_matrix().tolist() == [[0]]
+    empty = generic_graph(5, [])
+    assert empty.bfs_distances(2).tolist() == [-1, -1, 0, -1, -1]
+    assert (empty.distance_matrix() == np.where(np.eye(5, dtype=bool), 0, -1)).all()
+
+
+@pytest.mark.parametrize("u,v", [(-1, 0), (0, 9), (9, 0), (0, -10),
+                                 (("v", 9), 0), (0, "nope"), ([0], 1)])
+def test_vertices_outside_the_window_are_input_errors(u, v):
+    # InvalidParameterError is the CLI's exit 2; no vertex wraps around
+    g = cycle_graph(9)
+    with pytest.raises(InvalidParameterError):
+        shortest_path(g, u, v)
+    with pytest.raises(InvalidParameterError):
+        g.bfs_distances(u if u != 0 else v)
+    g.distance_matrix()
+    with pytest.raises(InvalidParameterError):
+        g.bfs_distances(u if u != 0 else v)
+    assert shortest_path(g, ("v", 8), 1).vertices == [8, 0, 1]

@@ -8,10 +8,12 @@ import pytest
 from rhfill.errors import WindowError
 from rhfill.groups import (GroupElement, make_filling, make_oracle, make_pair,
                            standard_f2_pair)
-from rhfill.metric_checks import (comparison_lemma_check, quasidensity_check,
+from rhfill.metric_checks import (_horoball_members, comparison_lemma_check,
+                                  deep_horoball_isometry_check,
+                                  horoball_entry_check, quasidensity_check,
                                   truncation_monotonicity_check,
                                   verify_metric_lemmas)
-from rhfill.cusped import build_cusped_ball, coned_length
+from rhfill.cusped import build_cusped_ball, coned_length, horo_pair
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +136,126 @@ def test_comparison_matches_pair_loop(factors, kernels, radius):
     assert rep == _reference_comparison(window)
     assert rep["pairs_checked"] > 0
     json.dumps(rep)  # plain Python values only
+
+
+def _reference_entry(window, delta, C=2):
+    """The column-wise loop: per horoball, distances to it from columns of
+    D and distances out of it from an (H, outside) block."""
+    D, cert = window.certified_pairs_matrix()
+    bound = 3 * C + 7 * delta
+    n = window.n_vertices
+    checked, scanned, violations = 0, 0, []
+    for label, idx_H in _horoball_members(window).items():
+        in_H = np.zeros(n, dtype=bool)
+        in_H[idx_H] = True
+        near = np.flatnonzero(D[:, idx_H].min(axis=1) <= C)
+        outside = np.flatnonzero(~in_H)
+        if len(near) < 2 or len(outside) == 0:
+            continue
+        d_out = np.zeros(n)
+        d_out[idx_H] = D[np.ix_(idx_H, outside)].min(axis=1)
+        iu, il = np.triu_indices(len(near), k=1)
+        ok = cert[near[iu], near[il]]
+        checked += int(ok.sum())
+        for t in np.flatnonzero(ok & (np.ceil(D[near[iu], near[il]] / 2.0)
+                                      > bound)):
+            x, y = int(near[iu[t]]), int(near[il[t]])
+            scanned += 1
+            d_ends = np.minimum(D[x], D[y])
+            bad = (D[x] + D[y] == D[x, y]) & (d_ends > d_out + bound)
+            violations += [{"horoball": label, "x": window.labels[x],
+                            "y": window.labels[y], "z": window.labels[int(z)],
+                            "d_to_ends": float(d_ends[z]),
+                            "d_outside": float(d_out[z]), "bound": bound}
+                           for z in np.flatnonzero(bad)]
+    return {"name": "horoball-entry", "C": C, "delta": delta, "bound": bound,
+            "pairs_checked": checked, "pairs_scanned": scanned,
+            "violations": violations[:10], "violation_count": len(violations),
+            "pass": not violations}
+
+
+def _reference_deep(window, depth_floor):
+    """The pair-by-pair loop: one d_local and one horo_pair per pair."""
+    pair = window.pair
+    D, cert = window.certified_pairs_matrix()
+    groups = {}
+    for i, key in enumerate(window.vertices):
+        if key[0] == "h" and key[4] >= depth_floor:
+            groups.setdefault((key[1], key[2]), []).append(i)
+    checked, violations = 0, []
+    for (pid, _), idx in groups.items():
+        per = pair.peripherals[pid]
+        for a in range(len(idx)):
+            for b in range(a + 1, len(idx)):
+                if not cert[idx[a], idx[b]]:
+                    continue
+                ka, kb = window.vertices[idx[a]], window.vertices[idx[b]]
+                expected = horo_pair(per.d_local(ka[3], kb[3]), ka[4], kb[4])
+                checked += 1
+                if D[idx[a], idx[b]] != expected:
+                    violations.append({
+                        "u": window.labels[idx[a]], "v": window.labels[idx[b]],
+                        "window": float(D[idx[a], idx[b]]),
+                        "horoball": expected})
+    return {"name": "deep-horoball-isometry", "depth_floor": depth_floor,
+            "pairs_checked": checked, "violations": violations[:10],
+            "violation_count": len(violations), "pass": not violations}
+
+
+LEMMA_WINDOWS = {
+    "F2 r=4": lambda: build_cusped_ball(standard_f2_pair(), 4),
+    "F2 r=6 depth 1": lambda: build_cusped_ball(standard_f2_pair(), 6,
+                                                max_depth=1),
+    "Z/5 * Z r=4": lambda: build_cusped_ball(make_pair(make_oracle({
+        "kind": "free-product", "factors": [
+            {"kind": "finite-cyclic", "order": 5},
+            {"kind": "free-abelian", "rank": 1}]})), 4),
+    "Z^2 * Z r=3": lambda: build_cusped_ball(make_pair(make_oracle({
+        "kind": "free-product", "factors": [
+            {"kind": "free-abelian", "rank": 2},
+            {"kind": "free-abelian", "rank": 1}]})), 3),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LEMMA_WINDOWS))
+def lemma_window(request):
+    return LEMMA_WINDOWS[request.param]()
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.5])
+def test_horoball_entry_matches_column_loop(lemma_window, delta):
+    rep = horoball_entry_check(lemma_window, delta)
+    assert rep == _reference_entry(lemma_window, delta)
+    assert rep["pairs_checked"] > 0
+    json.dumps(rep)
+
+
+def test_horoball_entry_scan_and_violations_match_column_loop(pair):
+    # a negative delta sends every pair to the on-geodesic scan and makes
+    # violations, so their order and the first-10 cut are compared too
+    window = build_cusped_ball(pair, 3)
+    rep = horoball_entry_check(window, -2.0)
+    assert rep == _reference_entry(window, -2.0)
+    assert rep["pairs_scanned"] == rep["pairs_checked"] > 0
+    assert rep["violation_count"] > 10
+
+
+@pytest.mark.parametrize("depth_floor", [1, 2, 3])
+def test_deep_isometry_matches_pair_loop(lemma_window, depth_floor):
+    rep = deep_horoball_isometry_check(lemma_window, depth_floor)
+    assert rep == _reference_deep(lemma_window, depth_floor)
+    json.dumps(rep)
+
+
+def test_deep_isometry_violations_match_pair_loop(pair):
+    # shift every certified distance between even-indexed vertices, so
+    # violations come from many horoballs and the first 10 are compared
+    window = build_cusped_ball(pair, 4)
+    D, cert = window.certified_pairs_matrix()
+    shifted = D.copy()
+    shifted[::2, ::2] += 1
+    window.certified_pairs_matrix = lambda: (shifted, cert)
+    rep = deep_horoball_isometry_check(window, 1)
+    assert rep == _reference_deep(window, 1)
+    assert rep["violation_count"] > 10 and not rep["pass"]
+    json.dumps(rep)
