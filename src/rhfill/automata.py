@@ -661,7 +661,9 @@ def _set_sample_angles(balls, samples: int) -> np.ndarray:
 
 
 def _angle_diameter(angles: np.ndarray) -> float:
-    diff = np.abs(angles[:, None] - angles[None, :]) % math.pi
+    diff = np.abs(angles[:, None] - angles[None, :])
+    for _ in range(2):  # diff % pi on [0, 3pi), where each x - pi is exact
+        np.subtract(diff, math.pi, out=diff, where=diff >= math.pi)
     circ = np.minimum(diff, math.pi - diff)
     # circ lies in [0, pi/2], where sin increases: one sine of the widest gap
     return float(np.sin(circ.max()))

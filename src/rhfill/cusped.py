@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
 
 from .errors import (
     BudgetExceededError,
@@ -428,7 +427,6 @@ class CuspedGraph:
         self.edge_kind = list(edge_kind)
         self.pair = pair
         self.meta = meta or {}
-        self._adj = None
         self._closed = None
         self._neighbor_lists = None
         self._dist_matrix = None
@@ -443,19 +441,19 @@ class CuspedGraph:
     def n_edges(self) -> int:
         return len(self.edges_u)
 
-    def adjacency(self) -> csr_matrix:
-        """Symmetric boolean adjacency pattern; parallel edges count once."""
-        if self._adj is None:
-            u = np.concatenate([self.edges_u, self.edges_v])
-            v = np.concatenate([self.edges_v, self.edges_u])
-            self._adj = csr_matrix((np.ones(len(u), dtype=bool), (u, v)),
-                                   shape=(self.n_vertices,) * 2)
-        return self._adj
+    def _pattern(self, loops: bool) -> tuple[np.ndarray, np.ndarray]:
+        """CSR (indices, indptr) of the symmetric adjacency pattern, plus the
+        diagonal if ``loops``; parallel edges count once, columns sorted."""
+        n, u, v = self.n_vertices, self.edges_u, self.edges_v
+        diagonal = np.arange(n if loops else 0) * (n + 1)
+        keys = np.sort(np.concatenate([u * n + v, v * n + u, diagonal]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        return keys % n, np.searchsorted(keys, np.arange(n + 1) * n)
 
     def neighbors(self, i: int) -> np.ndarray:
         if self._neighbor_lists is None:
-            adj = self.adjacency()
-            self._neighbor_lists = np.split(adj.indices, adj.indptr[1:-1])
+            indices, indptr = self._pattern(loops=False)
+            self._neighbor_lists = np.split(indices, indptr[1:-1])
         return self._neighbor_lists[i]
 
     def has_edge(self, i: int, j: int) -> bool:
@@ -473,8 +471,8 @@ class CuspedGraph:
         unpacked into the int16 rows at the end."""
         n, k = self.n_vertices, len(sources)
         if self._closed is None:
-            closed = self.adjacency() + identity(n, dtype=bool, format="csr")
-            self._closed = closed.indices.astype(np.intp), closed.indptr[:-1]
+            indices, indptr = self._pattern(loops=True)
+            self._closed = indices, indptr[:-1]
         nbrs, starts = self._closed
         col = np.arange(k)
         seen = np.zeros((n, -(-k // 64)), dtype="<u8")

@@ -410,10 +410,10 @@ def ball_images(rep: dict, oracle: GroupOracle, tree: BallTree) -> np.ndarray:
 class FlagCloud:
     """Deduplicated attracting flags over a word ball of a representation.
 
-    For d = 2 the cloud is an array of sorted line angles in [0, pi); for
-    d >= 3 it is a list of Flag objects.  words_seen counts ball elements
-    inspected (identity included); gap_rejections counts those whose gaps
-    did not clear the threshold.
+    For d = 2 the cloud is an array of line angles sorted in [0, pi], as
+    hausdorff requires; for d >= 3 it is a list of Flag objects.  words_seen
+    counts ball elements inspected (identity included); gap_rejections
+    counts those whose gaps did not clear the threshold.
     """
 
     type: ParabolicType
@@ -430,7 +430,7 @@ class FlagCloud:
         if self.type != other.type:
             raise TypeMismatchError("clouds have different flag types")
         if self.angles is not None and other.angles is not None:
-            return hausdorff_rp1(self.angles, other.angles)
+            return _hausdorff_sorted(self.angles, other.angles)
         if self.size == 0 or other.size == 0:
             raise InvalidParameterError("hausdorff distance needs nonempty clouds")
         sup = 0.0
@@ -456,9 +456,13 @@ class FlagCloud:
         return "\n".join(lines) + "\n"
 
 
-def _dedup_angles(angles: np.ndarray, resolution: float) -> np.ndarray:
-    """Greedy circular dedup of line angles at the given sin-metric resolution."""
-    a = np.sort(np.mod(np.asarray(angles, dtype=float), math.pi))
+def _sorted_rp1(angles) -> np.ndarray:
+    """Line angles reduced mod pi and sorted."""
+    return np.sort(np.mod(np.asarray(angles, dtype=float).ravel(), math.pi))
+
+
+def _dedup_sorted(a: np.ndarray, resolution: float) -> np.ndarray:
+    """Greedy circular dedup of sorted line angles at a sin-metric resolution."""
     if a.size <= 1:
         return a
     d = np.diff(a)
@@ -471,12 +475,23 @@ def _dedup_angles(angles: np.ndarray, resolution: float) -> np.ndarray:
     return out
 
 
-def _sup_min_rp1(x: np.ndarray, ys: np.ndarray) -> float:
-    # ys sorted; nearest circular neighbor on the period-pi circle
-    pad = np.concatenate((ys[-1:] - math.pi, ys, ys[:1] + math.pi))
-    pos = np.searchsorted(pad, x)
-    near = np.minimum(x - pad[pos - 1], pad[pos] - x)
-    return float(np.max(near))
+def _dedup_angles(angles, resolution: float) -> np.ndarray:
+    """Greedy circular dedup of line angles at the given sin-metric resolution."""
+    return _dedup_sorted(_sorted_rp1(angles), resolution)
+
+
+def _hausdorff_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Hausdorff distance between two sorted angle arrays in [0, pi]."""
+    if xs.size == 0 or ys.size == 0:
+        raise InvalidParameterError("hausdorff distance needs nonempty sets")
+    if not all(np.all(np.diff(a, prepend=0.0, append=math.pi) >= 0) for a in (xs, ys)):
+        raise InvalidParameterError("angles must be sorted in [0, pi]")
+    sups = []
+    for x, y in ((xs, ys), (ys, xs)):  # nearest neighbours on the period-pi circle
+        pad = np.concatenate((y[-1:] - math.pi, y, y[:1] + math.pi))
+        pos = np.searchsorted(pad, x)
+        sups.append(float(np.max(np.minimum(x - pad[pos - 1], pad[pos] - x))))
+    return math.sin(max(sups))
 
 
 def hausdorff_rp1(a, b) -> float:
@@ -485,12 +500,7 @@ def hausdorff_rp1(a, b) -> float:
     Arguments are angle arrays (radians, any reals); the underlying metric
     is |sin(s - t)|, matching flag_distance on line flags.
     """
-    x = np.mod(np.asarray(a, dtype=float).ravel(), math.pi)
-    y = np.mod(np.asarray(b, dtype=float).ravel(), math.pi)
-    if x.size == 0 or y.size == 0:
-        raise InvalidParameterError("hausdorff distance needs nonempty sets")
-    xs, ys = np.sort(x), np.sort(y)
-    return math.sin(max(_sup_min_rp1(xs, ys), _sup_min_rp1(ys, xs)))
+    return _hausdorff_sorted(_sorted_rp1(a), _sorted_rp1(b))
 
 
 def _free_rank(oracle: GroupOracle) -> int | None:
@@ -515,26 +525,31 @@ def _free_word_count(rank: int, depth: int) -> int:
 
 def _free2_angles(letters: np.ndarray, depth: int, threshold: float
                   ) -> tuple[np.ndarray, int, int]:
-    """Attracting-line angles over all reduced words of length <= depth.
+    """Sorted attracting-line angles in [0, pi) over all reduced words of
+    length <= depth, with the words seen and the gap rejections.
 
-    letters has shape (2r, 2, 2) with letter 2i+1 inverse to letter 2i.
-    Words are walked level by level; per word the top singular direction
-    and the gap come from closed 2x2 forms, no SVD.
+    letters has shape (2r, 2, 2) with letter 2i+1 inverse to letter 2i.  A
+    level is laid out in 2r equal blocks by last letter, in letter order, so
+    block j of the next level is letter j appended to every block but j^1:
+    two contiguous slices, each one flat (2n, 2) @ (2, 2) dgemm.  That forms
+    every entry by the same FMA chain, fma(b, g, a*e), as numpy's stacked
+    (n, 2, 2) @ (2, 2), so the clouds keep their bits.  Per word the top
+    singular direction and the gap come from closed 2x2 forms, no SVD.
     """
     k = letters.shape[0]
     parts: list[np.ndarray] = []
     seen, rejected = 1, 1          # the identity never clears the threshold
     prods = letters.copy()
-    last = np.arange(k)
     for level in range(1, depth + 1):
         if level > 1:
-            chunks, labels = [], []
-            for j in range(k):
-                ok = last != (j ^ 1)   # appending j must not cancel the last letter
-                chunks.append(prods[ok] @ letters[j])
-                labels.append(np.full(int(ok.sum()), j, dtype=np.int64))
-            prods = np.concatenate(chunks)
-            last = np.concatenate(labels)
+            n, m = len(prods), len(prods) // k    # k blocks of m words
+            nxt, pos = np.empty(((k - 1) * n, 2, 2)), 0
+            for j in range(k):     # appending j must not cancel a last j^1
+                for lo, hi in ((0, (j ^ 1) * m), ((j ^ 1) * m + m, n)):
+                    np.matmul(prods[lo:hi].reshape(-1, 2), letters[j],
+                              out=nxt[pos:pos + hi - lo].reshape(-1, 2))
+                    pos += hi - lo
+            prods = nxt
         a, b = prods[:, 0, 0], prods[:, 0, 1]
         c, d = prods[:, 1, 0], prods[:, 1, 1]
         top, mid, bot = a * a + b * b, a * c + b * d, c * c + d * d
@@ -543,10 +558,13 @@ def _free2_angles(letters: np.ndarray, depth: int, threshold: float
         gap = lam1 / det           # sigma_1 / sigma_2, since sigma products = det
         good = gap > threshold
         theta = 0.5 * np.arctan2(2 * mid[good], (top - bot)[good])
-        parts.append(np.mod(theta, math.pi))
+        # np.mod(theta, pi) on [-pi/2, pi/2], which also sends -0.0 to +0.0
+        parts.append(theta + np.where(theta < 0, math.pi, 0.0))
         seen += prods.shape[0]
         rejected += int(prods.shape[0] - good.sum())
     angles = np.concatenate(parts) if parts else np.empty(0)
+    angles[angles == math.pi] = 0.0    # theta + pi rounded up: pi mod pi
+    angles.sort()
     return angles, seen, rejected
 
 
@@ -586,7 +604,7 @@ def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
             letters[2 * i + 1] = np.linalg.inv(mats[name])
         raw, seen, rejected = _free2_angles(letters, word_depth,
                                             DEFAULT_TOLS.gap_threshold)
-        angles = _dedup_angles(raw, DEFAULT_TOLS.dedup)
+        angles = _dedup_sorted(raw, DEFAULT_TOLS.dedup)
         return FlagCloud(ptype, angles, None, seen, rejected)
 
     tree = ball_tree(oracle, word_depth, cap)

@@ -5,11 +5,16 @@ Distances are checked against a plain deque BFS over the edge list, written
 here and sharing nothing with the library's frontier BFS.
 """
 import collections
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rhfill
 from rhfill import (
     DisconnectedError,
     InvalidParameterError,
@@ -262,3 +267,31 @@ def test_vertices_outside_the_window_are_input_errors(u, v):
     with pytest.raises(InvalidParameterError):
         g.bfs_distances(u if u != 0 else v)
     assert shortest_path(g, ("v", 8), 1).vertices == [8, 0, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_csr_patterns_are_the_sorted_neighbour_sets(g):
+    n = g.n_vertices
+    nbrs = [set() for _ in range(n)]
+    for u, v in zip(g.edges_u.tolist(), g.edges_v.tolist()):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    for i in range(n):
+        assert g.neighbors(i).tolist() == sorted(nbrs[i])
+    for loops in (False, True):
+        indices, indptr = g._pattern(loops)
+        assert len(indptr) == n + 1 and indptr[0] == 0 \
+            and indptr[-1] == len(indices)
+        assert [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(n)] \
+            == [sorted(nbrs[i] | {i} if loops else nbrs[i]) for i in range(n)]
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(rhfill.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, rhfill; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

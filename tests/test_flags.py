@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis import assume
 
 from rhfill.errors import (BudgetExceededError, GapTooSmallError,
                            InvalidParameterError, TypeMismatchError)
@@ -17,6 +18,10 @@ from rhfill.flags import (Flag, FlagCloud, ParabolicType, ProjectiveMatrix,
                           hausdorff_rp1, is_transverse, line_flag, line_type,
                           q_divergence, q_limit_set, random_flag,
                           _dedup_angles, ball_images)
+from rhfill.flags import (_dedup_sorted, _free2_angles, _hausdorff_sorted,
+                          _sorted_rp1)
+from rhfill.scenarios import bundled_scenario_path, load_scenario
+from rhfill.tolerances import DEFAULT_TOLS
 from rhfill.convergence import elliptic_generators
 from rhfill.groups import (ball_tree, enumerate_ball, make_filling, make_oracle,
                            standard_f2_pair)
@@ -418,3 +423,172 @@ def test_hausdorff_rp1_matches_flag_metric(xs, ys):
         for f in a:
             sup = max(sup, min(flag_distance(f, g) for g in b))
     assert hausdorff_rp1(xs, ys) == pytest.approx(sup, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the free d = 2 route against the per-letter stacked loop it replaced
+
+def _free2_angles_reference(letters, depth, threshold):
+    """Unsorted angles, reduced once mod pi, from one stacked (N, 2, 2) @
+    (2, 2) product per letter over a boolean gather of its parents."""
+    k = letters.shape[0]
+    parts = []
+    seen, rejected = 1, 1
+    prods = letters.copy()
+    last = np.arange(k)
+    for level in range(1, depth + 1):
+        if level > 1:
+            chunks, labels = [], []
+            for j in range(k):
+                ok = last != (j ^ 1)
+                chunks.append(prods[ok] @ letters[j])
+                labels.append(np.full(int(ok.sum()), j, dtype=np.int64))
+            prods = np.concatenate(chunks)
+            last = np.concatenate(labels)
+        a, b = prods[:, 0, 0], prods[:, 0, 1]
+        c, d = prods[:, 1, 0], prods[:, 1, 1]
+        top, mid, bot = a * a + b * b, a * c + b * d, c * c + d * d
+        det = np.abs(a * d - b * c)
+        lam1 = (top + bot) / 2 + np.sqrt((top - bot) ** 2 / 4 + mid * mid)
+        gap = lam1 / det
+        good = gap > threshold
+        theta = 0.5 * np.arctan2(2 * mid[good], (top - bot)[good])
+        parts.append(np.mod(theta, math.pi))
+        seen += prods.shape[0]
+        rejected += int(prods.shape[0] - good.sum())
+    angles = np.concatenate(parts) if parts else np.empty(0)
+    return angles, seen, rejected
+
+
+def _letters(mats):
+    """Letters as q_limit_set forms them: each image and its inverse."""
+    out = []
+    for m in mats:
+        e = ProjectiveMatrix(m).entries
+        out += [e, np.linalg.inv(e)]
+    return np.array(out)
+
+
+def _assert_same_cloud(letters, depth):
+    threshold = DEFAULT_TOLS.gap_threshold
+    got, seen, rejected = _free2_angles(letters, depth, threshold)
+    raw, ref_seen, ref_rejected = _free2_angles_reference(letters, depth,
+                                                          threshold)
+    # the reference clouds were reduced mod pi a second time, in the dedup
+    assert got.tobytes() == _sorted_rp1(raw).tobytes()
+    assert (seen, rejected) == (ref_seen, ref_rejected)
+    assert np.all(got[1:] >= got[:-1]) and np.all((got >= 0) & (got < math.pi))
+
+
+def _rotation(t):
+    return [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+
+
+@st.composite
+def free_letters(draw):
+    """Rank 1-3 letter sets of integer, rotation or elliptic images, and a
+    depth whose ball stays small."""
+    rank = draw(st.integers(1, 3))
+    mats = []
+    for _ in range(rank):
+        kind = draw(st.sampled_from(["integer", "rotation", "elliptic"]))
+        if kind == "integer":
+            m = np.array(draw(st.lists(st.integers(-4, 4), min_size=4,
+                                       max_size=4)), float).reshape(2, 2)
+            assume(abs(np.linalg.det(m)) >= 1)
+        elif kind == "rotation":
+            m = np.array(_rotation(draw(st.floats(-math.pi, math.pi))))
+        else:
+            m = elliptic_generators(draw(st.integers(2, 60)))[
+                draw(st.sampled_from("ab"))]
+        mats.append(m)
+    depth = draw(st.integers(0, {1: 9, 2: 9, 3: 6}[rank]))
+    return _letters(mats), depth
+
+
+@settings(max_examples=80, deadline=None)
+@given(free_letters())
+def test_free2_angles_match_the_stacked_reference(case):
+    _assert_same_cloud(*case)
+
+
+@pytest.mark.parametrize("letter", [
+    [[2.0, 0.0], [0.0, 0.5]],        # theta = +0.0 and pi/2
+    [[2.0, -0.0], [-0.0, 0.5]],      # arctan2 of -0.0 gives -0.0 and -pi/2
+    [[2.0, 5e-18], [-2e-17, 0.5]],   # theta + pi rounds up to pi
+])
+def test_free2_angles_at_the_ends_of_the_range(letter):
+    letters = np.array([letter, np.linalg.inv(letter)])
+    _assert_same_cloud(letters, 4)
+    got, _, _ = _free2_angles(letters, 4, DEFAULT_TOLS.gap_threshold)
+    assert math.copysign(1.0, got[0]) == 1.0 and got[-1] < math.pi
+
+
+def test_free2_angles_match_the_reference_on_the_bundled_family():
+    sc = load_scenario(bundled_scenario_path())
+    fam = sc.family
+    for rep in [fam.base] + [fam.members[i] for i in fam.indices]:
+        _assert_same_cloud(_letters([rep["a"], rep["b"]]), 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+def test_flat_product_equals_the_stacked_product_bitwise(n, seed):
+    # both compute each entry as the same FMA chain with K = 2; the free
+    # route's clouds keep their bits because of it
+    rng = np.random.default_rng(seed)
+    prods = rng.standard_normal((n, 2, 2)) * np.exp(rng.uniform(-20, 20, (n, 1, 1)))
+    letter = rng.standard_normal((2, 2)) * math.exp(rng.uniform(-20, 20))
+    flat = np.empty_like(prods)
+    np.matmul(prods.reshape(-1, 2), letter, out=flat.reshape(-1, 2))
+    assert flat.tobytes() == (prods @ letter).tobytes()
+
+
+def test_flat_product_equals_the_stacked_product_on_a_large_block():
+    rng = np.random.default_rng(5)
+    prods = rng.standard_normal((200_000, 2, 2))
+    for letter in _letters([SANOV_A, SANOV_B, *elliptic_generators(7).values()]):
+        flat = np.matmul(prods.reshape(-1, 2), letter).reshape(-1, 2, 2)
+        assert flat.tobytes() == (prods @ letter).tobytes()
+
+
+def test_conditional_add_is_mod_pi_on_half_angles():
+    rng = np.random.default_rng(3)
+    theta = np.concatenate([
+        [0.0, -0.0, math.pi / 2, -math.pi / 2, -1e-17, 1e-300, -5e-324],
+        0.5 * np.arctan2(rng.standard_normal(10_000), rng.standard_normal(10_000)),
+        rng.uniform(-math.pi / 2, math.pi / 2, 10_000)])
+    got = theta.copy()
+    np.add(got, math.pi, out=got, where=got < 0)
+    got += 0.0
+    assert got.tobytes() == np.mod(theta, math.pi).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40),
+       st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40))
+def test_cloud_hausdorff_is_hausdorff_rp1(xs, ys):
+    a = _dedup_sorted(_sorted_rp1(xs), DEFAULT_TOLS.dedup)
+    b = _dedup_sorted(_sorted_rp1(ys), DEFAULT_TOLS.dedup)
+    ca = FlagCloud(line_type(), a, None, len(xs), 0)
+    cb = FlagCloud(line_type(), b, None, len(ys), 0)
+    assert ca.hausdorff(cb) == hausdorff_rp1(a, b) == _hausdorff_sorted(a, b)
+    assert cb.hausdorff(ca) == hausdorff_rp1(b, a)
+
+
+def test_cloud_hausdorff_refuses_empty_clouds():
+    full = FlagCloud(line_type(), np.array([0.1, 1.0]), None, 3, 1)
+    empty = FlagCloud(line_type(), np.empty(0), None, 1, 1)
+    for x, y in ((full, empty), (empty, full), (empty, empty)):
+        with pytest.raises(InvalidParameterError):
+            x.hausdorff(y)
+
+
+@pytest.mark.parametrize("angles", [[1.0, 0.5], [-0.1, 0.5], [0.5, 3.5],
+                                    [0.5, math.nan]])
+def test_cloud_hausdorff_refuses_unsorted_or_unreduced_angles(angles):
+    bad = FlagCloud(line_type(), np.array(angles), None, 3, 1)
+    good = FlagCloud(line_type(), np.array([0.1, 1.0]), None, 3, 1)
+    for x, y in ((bad, good), (good, bad)):
+        with pytest.raises(InvalidParameterError, match="sorted"):
+            x.hausdorff(y)
