@@ -195,6 +195,8 @@ def cmd_automaton(args) -> int:
         auto = automaton_from_json(
             pair, _load_json(Path(args.auto).read_text(), args.auto))
         sys_ = None
+    elif sc is not None:
+        auto, sys_ = sc.automaton
     else:
         auto, sys_ = bundled_sanov_automaton(pair)
     validation = validate_automaton(auto, pair)

@@ -19,8 +19,9 @@ truncation cannot have cut any geodesic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,10 @@ from .groups import (
     FreeProductOracle,
     GroupElement,
     RelHypPair,
-    enumerate_ball,
     format_word,
+    intern_syllables,
+    sort_columns,
+    tuple_key,
 )
 
 MATRIX_CAP = 6000  # largest window for dense all-pairs work
@@ -123,16 +126,12 @@ def pair_word_costs(group: FreeProductOracle, elems: list[GroupElement],
     the next syllables s and t merge into the nontrivial p_add(p_neg(s), t)
     when they share a factor and add up otherwise (a missing one costs 0);
     the tails behind them are kept."""
-    ids: dict = {}
-    rows = [[ids.setdefault(s, len(ids)) for s in g.word] for g in elems]
-    width = max(map(len, rows), default=0) + 1
-    A = np.array([row + [len(ids)] * (width - len(row)) for row in rows],
-                 dtype=np.int64).reshape(len(rows), width)
-    each = np.array([cost(group.factors[f].p_length(p)) for f, p in ids] + [0])
+    sylls, A = intern_syllables([g.word for g in elems])
+    each = np.array([cost(group.factors[f].p_length(p)) for f, p in sylls] + [0])
     merge = np.add.outer(each, each)
-    for a, (f, p) in enumerate(ids):
+    for a, (f, p) in enumerate(sylls):
         fac = group.factors[f]
-        for b, (g, q) in enumerate(ids):
+        for b, (g, q) in enumerate(sylls):
             if g == f:
                 merge[a, b] = cost(fac.p_length(fac.p_add(fac.p_neg(p), q)))
     tails = np.cumsum(each[A][:, ::-1], axis=1)[:, ::-1] - each[A]
@@ -189,8 +188,6 @@ class ExactCuspedMetric:
     def __init__(self, pair: RelHypPair):
         self.pair = pair
         self.G = pair.group
-        self._approach_cache: dict = {}
-        self._flat_tables: dict = {}
 
     # -- element level
 
@@ -227,19 +224,15 @@ class ExactCuspedMetric:
         per_u = self.pair.peripherals[pid_u]
         if pid_v == pid_u and cw_v == ():
             return horo_pair(per_u.d_local(x, y), k, l)
-        # leave through a depth-zero exit point of u's horoball
-        s1 = per_u.factor.p_identity()
+        # leaving u's horoball at p costs horo_pair(|x - p|, k, 0) plus
+        # horo_flat(|s1 - p|) for the syllable s1 by which v's coset word
+        # enters it (the identity if none) plus terms free of p; the
+        # horoball's triangle inequality puts the minimum at p = s1
+        s1 = _exact_factor(per_u.factor).p_identity()
         if cw_v and cw_v[0][0] == pid_u:
             s1 = cw_v[0][1]
-        best = None
-        for p in self._box_candidates(per_u.factor, x, s1):
-            d1 = horo_pair(per_u.d_local(x, p), k, 0)
-            if best is not None and d1 >= best:
-                continue
-            d2 = self._from_elem(per_u.embed(p), v2)
-            if best is None or d1 + d2 < best:
-                best = d1 + d2
-        return best
+        return (horo_pair(per_u.d_local(x, s1), k, 0)
+                + self._from_elem(per_u.embed(s1), v2))
 
     def _from_elem(self, g: GroupElement, v) -> int:
         if v[0] == "c":
@@ -254,85 +247,81 @@ class ExactCuspedMetric:
         else:
             prefix = w
             t = y
-        return self.elem_cost(prefix) + self._approach(pid, t, k)
-
-    def _approach(self, pid: int, t, k: int) -> int:
-        """min over entries r of horo_flat(|r|) + horoball((r,0) -> (t,k))."""
-        key = (pid, t, k)
-        hit = self._approach_cache.get(key)
-        if hit is not None:
-            return hit
-        factor = self.pair.peripherals[pid].factor
-        best = None
-        for r in self._box_candidates(factor, factor.p_identity(), t):
-            d = factor.p_length(factor.p_add(t, factor.p_neg(r)))
-            c = horo_flat(factor.p_length(r)) + horo_pair(d, 0, k)
-            if best is None or c < best:
-                best = c
-        self._approach_cache[key] = best
-        return best
-
-    @staticmethod
-    def _box_candidates(factor, a, b):
-        """Payloads 'between' a and b; both scan objectives are monotone in
-        the distances to the endpoints (clamping any candidate coordinatewise
-        into the box shrinks both), so the optimum lies in this box. Finite
-        factors are small enough to enumerate outright."""
-        if isinstance(factor, FreeAbelianOracle):
-            lows = [min(x, y) for x, y in zip(a, b)]
-            highs = [max(x, y) for x, y in zip(a, b)]
-            out = []
-
-            def rec(prefix, i):
-                if i == len(lows):
-                    out.append(tuple(prefix))
-                    return
-                for v in range(lows[i], highs[i] + 1):
-                    rec(prefix + [v], i + 1)
-
-            rec([], 0)
-            return out
-        order = factor.p_order()
-        if order is None:
-            raise UnsupportedKindError(
-                "exact cusped distances need free or finite abelian "
-                f"peripheral factors, got {factor.kind}")
-        return factor.p_within(order)
+        # entering at r costs horo_flat(|r|) + horo_dip(|t - r|, k), least
+        # at r = 0 by the horoball's triangle inequality
+        return self.elem_cost(prefix) + horo_dip(
+            _exact_factor(per.factor).p_length(t), k)
 
     # -- exact metric balls
 
-    def _flat_table(self, pid: int, budget: int):
-        """Non-identity locals p with horo_flat(|p|) <= budget, with costs."""
-        if budget <= 0:
-            return []
-        key = (pid, budget)
-        hit = self._flat_tables.get(key)
-        if hit is None:
-            factor = self.pair.peripherals[pid].factor
-            hit = []
-            for p in factor.p_within(flat_reach(budget)):
-                if p == factor.p_identity():
-                    continue
-                c = horo_flat(factor.p_length(p))
-                if c <= budget:
-                    hit.append((p, c))
-            self._flat_tables[key] = hit
-        return hit
+    def _ball_rows(self, radius: int, max_depth: int, cap: int) -> "_Ball":
+        """The exact ball as arrays (see :class:`_Ball`).
 
-    def _interior_table(self, pid: int, k: int, budget: int):
-        """(local y, cost) with approach(pid, y, k) = cost <= budget."""
-        factor = self.pair.peripherals[pid].factor
-        cache_key = ("itab", pid, k, budget)
-        hit = self._approach_cache.get(cache_key)
-        if hit is None:
-            span = flat_reach(budget) + max(0, dip_reach(budget, k))
-            hit = []
-            for y in factor.p_within(span):
-                c = self._approach(pid, y, k)
-                if c <= budget:
-                    hit.append((y, c))
-            self._approach_cache[cache_key] = hit
-        return hit
+        Depth-zero elements come depth first, each syllable appended in
+        ``p_within`` order, then the interior keys in (element, peripheral,
+        depth, local) order. Both costs grow with the local's length, so the
+        locals of one coset and level within a budget are a prefix of
+        ``p_within``: horo_flat(|p|) for a syllable, horo_dip(|y|, k) for
+        (y, k) over the coset's identity (module doc)."""
+        pers = self.pair.peripherals
+        K = min(radius, max_depth)
+        span = flat_reach(radius) + max(
+            [0] + [dip_reach(radius, k) for k in range(1, K + 1)])
+        sylls, off = [], []
+        for pid, per in enumerate(pers):
+            if K:
+                _exact_factor(per.factor)
+            off.append(len(sylls))
+            sylls += [(pid, p) for p in per.factor.p_within(span)]
+        off.append(len(sylls))
+        lens = [pers[f].factor.p_length(p) for f, p in sylls]
+        flat = [horo_flat(L) for L in lens]
+        budgets = np.arange(radius + 1)
+        # non-identity syllables of peripheral f within each budget
+        n_flat = [np.searchsorted(flat[off[f] + 1:off[f + 1]], budgets,
+                                  side="right").tolist()
+                  for f in range(len(pers))]
+        words, parent, cost0 = [], [], []
+
+        def rec(word, cost, up, last_fi):
+            if len(words) >= cap:
+                raise BudgetExceededError("cusped ball vertices", cap)
+            e = len(words)
+            words.append(word)
+            parent.append(up)
+            cost0.append(cost)
+            for fi in range(len(pers)):
+                if fi != last_fi:
+                    first = off[fi] + 1  # past the identity
+                    for s in range(first, first + n_flat[fi][radius - cost]):
+                        rec(word + (sylls[s],), cost + flat[s], e, fi)
+
+        rec((), 0, -1, -1)
+        # dip[k, s]: horo_dip(|y|, k) of syllable s; n_dip[f, k, budget]
+        dip = np.array([[horo_dip(L, k) for L in lens] for k in range(K + 1)],
+                       dtype=np.int64).reshape(K + 1, len(sylls))
+        n_dip = np.array([[np.searchsorted(dip[k, off[f]:off[f + 1]], budgets,
+                                           side="right") for k in range(1, K + 1)]
+                          for f in range(len(pers))],
+                         dtype=np.int64).reshape(len(pers), K, radius + 1)
+        last_fi = np.array([w[-1][0] if w else -1 for w in words], dtype=np.int64)
+        cost0 = np.array(cost0, dtype=np.int64)
+        counts = n_dip[:, :, radius - cost0].transpose(2, 0, 1).copy()
+        counts[last_fi[:, None] == np.arange(len(pers))] = 0
+        counts = counts.ravel()
+        if len(words) + counts.sum() > cap:
+            raise BudgetExceededError("cusped ball vertices", cap)
+        block = np.repeat(np.arange(counts.size), counts)
+        pos = np.arange(len(block)) - (np.cumsum(counts) - counts)[block]
+        e, pid = block // (len(pers) * K), block // K % len(pers)
+        k = block % K + 1
+        sid = np.array(off[:-1], dtype=np.int64)[pid] + pos
+        keys = [("c", w) for w in words] + [
+            ("h", f, words[x], sylls[y][1], d)
+            for x, f, y, d in zip(e.tolist(), pid.tolist(), sid.tolist(),
+                                  k.tolist())]
+        return _Ball(sylls, words, np.array(parent, dtype=np.int64), e, k, sid,
+                     keys, np.concatenate([cost0, cost0[e] + dip[k, sid]]))
 
     def ball(self, radius: int, max_depth: int | None = None,
              cap: int = 2_000_000) -> dict:
@@ -342,46 +331,48 @@ class ExactCuspedMetric:
         taken inside the depth-capped subgraph; distances stay exact for the
         full space wherever the certificate of CuspedGraph says so).
         """
-        if max_depth is None:
-            max_depth = radius
-        out: dict = {}
-        elems: list[tuple[GroupElement, int]] = []
+        b = self._ball_rows(radius, radius if max_depth is None else max_depth,
+                            cap)
+        return dict(zip(b.keys, b.cost.tolist()))
 
-        def rec(g, cost, last_fi):
-            if len(out) >= cap:
-                raise BudgetExceededError("cusped ball vertices", cap)
-            elems.append((g, cost))
-            out[depth0_key(g)] = cost
-            for fi in range(len(self.pair.peripherals)):
-                if fi == last_fi:
-                    continue
-                for p, c in self._flat_table(fi, radius - cost):
-                    rec(self.G.multiply(g, self.pair.peripherals[fi].embed(p)),
-                        cost + c, fi)
 
-        rec(self.G.identity(), 0, None)
-        # interior vertices, one coset at a time
-        seen_cosets = set()
-        for g, cost in elems:
-            for pid, per in enumerate(self.pair.peripherals):
-                if g.word and g.word[-1][0] == pid:
-                    continue  # not a coset key for this peripheral
-                ck = (pid, g.word)
-                if ck in seen_cosets:
-                    continue
-                seen_cosets.add(ck)
-                base_cost = cost
-                rem = radius - base_cost
-                for k in range(1, min(rem, max_depth) + 1):
-                    for y, c in self._interior_table(pid, k, rem):
-                        key = horo_key(pid, g, y, k)
-                        d = base_cost + c
-                        prev = out.get(key)
-                        if prev is None or d < prev:
-                            out[key] = d
-                        if len(out) > cap:
-                            raise BudgetExceededError("cusped ball vertices", cap)
-        return out
+def _exact_factor(factor):
+    """``factor`` if exact distances cover it: free abelian or finite."""
+    if not isinstance(factor, FreeAbelianOracle) and factor.p_order() is None:
+        raise UnsupportedKindError(
+            "exact cusped distances need free or finite abelian "
+            f"peripheral factors, got {factor.kind}")
+    return factor
+
+
+class _Ball(NamedTuple):
+    """An exact cusped ball as rows: the depth-zero elements, then the
+    interior keys, each over the coset of element ``e``."""
+
+    sylls: list          # (peripheral, local) of every local within reach
+    words: list          # depth-zero normal forms
+    parent: np.ndarray   # element index of each word less its last syllable
+    e: np.ndarray        # interior rows: coset element, depth and local id
+    k: np.ndarray
+    sid: np.ndarray
+    keys: list           # vertex keys, depth-zero elements first
+    cost: np.ndarray     # d_X(id, key)
+
+
+def run_pairs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions i < j with labels[i] == labels[j], row-major, for labels
+    that come in contiguous runs."""
+    n = len(labels)
+    cut = np.flatnonzero(np.diff(labels)) + 1
+    ends = np.repeat(np.append(cut, n), np.diff(np.concatenate(([0], cut, [n]))))
+    counts = ends - np.arange(n) - 1
+    return np.repeat(np.arange(n), counts), _ranges(np.arange(1, n + 1), counts)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated arange(s, s + c) over the starts s and counts c."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -588,80 +579,6 @@ def shortest_path(graph: CuspedGraph, u, v) -> GraphPath:
 # builders
 
 
-def _coset_label(pair, pid, coset: GroupElement) -> str:
-    return f"{pid}:{format_word(pair.group, coset)}"
-
-
-def _cayley_edges(pair: RelHypPair, vertices, index: dict):
-    """Generator edges (i, j) with i < j, from (vertex id, element) pairs to
-    the depth-zero vertices that ``index`` maps to ids."""
-    for i, g in vertices:
-        for s in pair.genset:
-            j = index.get(depth0_key(pair.group.multiply(g, s)))
-            if j is not None and j > i:
-                yield i, j
-
-
-def build_cayley_ball(pair: RelHypPair, radius: int,
-                      cap: int = 2_000_000) -> CuspedGraph:
-    """Depth-zero window: the word-metric ball with generator edges."""
-    elems = enumerate_ball(pair.group, radius, cap=cap)
-    keys = [depth0_key(g) for g in elems]
-    index = {k: i for i, k in enumerate(keys)}
-    G = pair.group
-    edges = list(_cayley_edges(pair, enumerate(elems), index))
-    eu, ev, ek = [e[0] for e in edges], [e[1] for e in edges], ["cayley"] * len(edges)
-    labels = [format_word(G, g) for g in elems]
-    meta = {"radius": radius, "max_depth": 0,
-            "dist_from_id": np.array([G.word_length(g) for g in elems])}
-    return CuspedGraph("cayley", keys, [0] * len(keys), labels,
-                       ["-"] * len(keys), eu, ev, ek, pair, meta)
-
-
-def build_coned_off(pair: RelHypPair, radius: int,
-                    extra_elements: list[GroupElement] | None = None,
-                    cap: int = 2_000_000) -> CuspedGraph:
-    """Word ball plus one cone vertex per peripheral coset met by the ball.
-
-    The true coned-off ball of any radius >= 2 is infinite (it contains whole
-    cosets), so the window is a word ball; ``extra_elements`` lets callers
-    adjoin specific far elements, which attach to their cosets' cones.
-    """
-    elems = list(enumerate_ball(pair.group, radius, cap=cap))
-    seen = set(elems)
-    for g in extra_elements or []:
-        if g not in seen:
-            elems.append(g)
-            seen.add(g)
-    G = pair.group
-    keys = [depth0_key(g) for g in elems]
-    labels = [format_word(G, g) for g in elems]
-    depth = [0] * len(elems)
-    coset_labels = ["-"] * len(elems)
-    index = {k: i for i, k in enumerate(keys)}
-    edges = list(_cayley_edges(pair, enumerate(elems), index))
-    eu, ev, ek = [e[0] for e in edges], [e[1] for e in edges], ["cayley"] * len(edges)
-    cones: dict = {}
-    for i, g in enumerate(elems):
-        for pid, per in enumerate(pair.peripherals):
-            ck = per.coset_key(g)
-            cone_key = ("cone", pid, ck.word)
-            j = cones.get(cone_key)
-            if j is None:
-                j = len(keys)
-                cones[cone_key] = j
-                keys.append(cone_key)
-                labels.append(format_word(G, ck))
-                depth.append(0)
-                coset_labels.append(_coset_label(pair, pid, ck))
-            eu.append(i)
-            ev.append(j)
-            ek.append("cone")
-    meta = {"radius": radius, "max_depth": 0, "n_cones": len(cones)}
-    return CuspedGraph("coned", keys, depth, labels, coset_labels,
-                       eu, ev, ek, pair, meta)
-
-
 def integer_interval_metric(radius: int) -> tuple[np.ndarray, list[str]]:
     """Base metric for the window |u| <= radius of the Cayley graph of Z."""
     coords = np.arange(-radius, radius + 1)
@@ -791,90 +708,128 @@ def build_cusped_ball(pair: RelHypPair, radius: int,
     Vertices are exactly the keys at cusped distance <= radius (depth capped
     at ``max_depth`` if given); edges are all cusped-space edges between
     included vertices, so the graph is an induced subgraph of the full space.
+    Depth-zero vertices come first in ``sort_key`` order, then the interior
+    ones by (peripheral, coset ``sort_key``, depth, |local|, local).
+
+    Every edge lies in one horoball, a (coset, peripheral) pair whose
+    members sit at a level and a local: the interior vertices over the
+    coset, and each depth-zero element g in the horoball of each peripheral
+    f, over g less a last syllable in f, which is then g's local. Level-zero
+    members at local distance 1 give the generator edges, ordered by their
+    lower vertex and generator; members at one local on consecutive levels
+    give the vertical edges, by the upper vertex; level-k members at local
+    distance at most 2^k give the horizontal edges, by horoball and level,
+    then by local value on rank-one free factors and by vertex otherwise.
+    ``meta["horoball"]`` holds, per vertex and peripheral, the id of the
+    horoball the vertex lies in or -1. Ids follow the first interior vertex,
+    then the coset vertex and peripheral; ``meta["horoball_coset"]`` holds
+    each id's (peripheral, coset vertex).
     """
     if radius < 0:
         raise InvalidParameterError("radius must be >= 0")
     metric = ExactCuspedMetric(pair)
-    ball = metric.ball(radius, max_depth=max_depth, cap=cap)
     md = radius if max_depth is None else max_depth
+    b = metric._ball_rows(radius, md, cap)
+    factors, P = pair.group.factors, len(pair.peripherals)
+    sylls, A = intern_syllables(b.words, b.sylls)
+    pad, n0, n = len(sylls), len(b.words), len(b.keys)
+    # per syllable id (the pad last): peripheral, length, coordinates, text
+    spid = np.array([f for f, _ in sylls] + [-1], dtype=np.int64)
+    slen = np.array([factors[f].p_length(p) for f, p in sylls] + [0])
+    coord = [tuple_key(p) for _, p in sylls]
+    width = max(map(len, coord), default=1)
+    coord = np.array([c + (0,) * (width - len(c)) for c in coord]
+                     + [(0,) * width], dtype=np.int64)
+    text = [format_word(factors[f], GroupElement(p)) if L else ""
+            for (f, p), L in zip(sylls, slen.tolist())] + [""]
+    e = np.concatenate([np.arange(n0), b.e])
+    sid = np.concatenate([np.full(n0, pad), b.sid])
+    k = np.concatenate([np.zeros(n0, dtype=np.int64), b.k])
+    perm = np.lexsort(np.column_stack([
+        np.arange(n) >= n0, np.maximum(spid[sid], 0),
+        sort_columns(factors, sylls, A)[e], k, slen[sid], coord[sid]]).T[::-1])
+    at = np.empty(n, dtype=np.int64)
+    at[perm] = np.arange(n)
+    words = [".".join(filter(None, map(text.__getitem__, row)))
+             for row in A.tolist()]
+    labels = [words[x] or "1" for x in range(n0)] + [
+        ".".join(filter(None, (words[x], text[y]))) or "1"
+        for x, y in zip(b.e.tolist(), b.sid.tolist())]
+    coset_labels = ["-"] * n0 + [f"{f}:{words[x] or '1'}" for x, f in
+                                 zip(b.e.tolist(), spid[b.sid].tolist())]
+    # memberships: coset code (coset element * P + peripheral), vertex,
+    # level and local syllable id; then horoball ids for the coset codes
+    last = A[np.arange(n0), (A < pad).sum(axis=1) - 1]
+    ends_in = spid[last][:, None] == np.arange(P)
+    one = [sylls.index((f, factors[f].p_identity())) for f in range(P)]
+    coset = np.where(ends_in, b.parent[:, None], np.arange(n0)[:, None])
+    mc = np.concatenate([(coset * P + np.arange(P)).ravel(),
+                         b.e * P + spid[b.sid]])
+    mv = at[np.concatenate([np.repeat(np.arange(n0), P), np.arange(n0, n)])]
+    ml = np.concatenate([np.zeros(n0 * P, dtype=np.int64), b.k])
+    ms = np.concatenate([np.where(ends_in, last[:, None], one).ravel(), b.sid])
+    inner = mc[n0 * P:][perm[n0:] - n0]
+    inner = inner[np.diff(inner, prepend=-1) != 0]
+    outer = (perm[:n0, None] * P + np.arange(P)).ravel()
+    outer = outer[np.isin(outer, mc) & ~np.isin(outer, inner)]
+    ids = np.concatenate([inner, outer])
+    hid = np.empty(n0 * P, dtype=np.int64)
+    hid[ids] = np.arange(len(ids))
+    mh = hid[mc]
+    member = np.full((n, P), -1, dtype=np.int64)
+    member[mv, mc % P] = mh
+    rank_one = np.array([isinstance(f, FreeAbelianOracle) and f.rank == 1
+                         for f in factors])
+    o = np.lexsort((np.where(rank_one[spid[ms]], coord[ms, 0], mv), ml, mh))
+    mh, mv, ml, ms = mh[o], mv[o], ml[o], ms[o]
+    # pairs within one horoball and level: local distances (coordinate L1
+    # on free abelian factors) and generator steps from the lower vertex
+    a, c = run_pairs(mh * (radius + 1) + ml)
+    d = np.abs(coord[ms[a]] - coord[ms[c]]).sum(axis=1)
+    free = np.array([isinstance(f, FreeAbelianOracle) for f in factors])
+    other = np.flatnonzero(~free[spid[ms[a]]])
+    d[other] = _per_local_pair(sylls, ms[a[other]], ms[c[other]],
+                               lambda f, p, q: pair.peripherals[f].d_local(p, q))
+    lo, hi = np.minimum(mv[a], mv[c]), np.maximum(mv[a], mv[c])
+    cay = np.flatnonzero((ml[a] == 0) & (d == 1))
+    first = mv[a[cay]] < mv[c[cay]]
+    gens = {(f, p): t for t, (f, p) in enumerate(
+        (fi, p) for fi, fac in enumerate(factors) for p in fac.p_generators())}
+    step = _per_local_pair(
+        sylls, np.where(first, ms[a[cay]], ms[c[cay]]),
+        np.where(first, ms[c[cay]], ms[a[cay]]),
+        lambda f, p, q: gens[f, factors[f].p_add(q, factors[f].p_neg(p))])
+    cay = cay[np.lexsort((step, lo[cay]))]
+    hor = np.flatnonzero((ml[a] > 0) & (d > 0) & (d <= 1 << ml[a]))
+    # vertical: each interior member to the one at its local a level less deep
+    have = (mh * (md + 1) + ml) * pad + ms
+    want = have - pad
+    by_code = np.argsort(have)
+    j = by_code[np.minimum(np.searchsorted(have, want, sorter=by_code),
+                           len(have) - 1)]
+    ver = np.flatnonzero((ml > 0) & (have[j] == want))
+    ver = ver[np.argsort(mv[ver])]
+    eu = np.concatenate([lo[cay], mv[j[ver]], lo[hor]])
+    ev = np.concatenate([hi[cay], mv[ver], hi[hor]])
+    kinds = (["cayley"] * len(cay) + ["vertical"] * len(ver)
+             + ["horizontal"] * len(hor))
+    meta = {"radius": radius, "max_depth": md, "dist_from_id": b.cost[perm],
+            "metric": metric, "horoball": member,
+            "horoball_coset": np.column_stack([ids % P, at[ids // P]])}
+    return CuspedGraph("cusped", [b.keys[v] for v in perm.tolist()], k[perm],
+                       [labels[v] for v in perm.tolist()],
+                       [coset_labels[v] for v in perm.tolist()],
+                       eu, ev, kinds, pair, meta)
 
-    def order_key(item):
-        key = item
-        if key[0] == "c":
-            return (0, pair.group.sort_key(GroupElement(key[1])))
-        _, pid, cw, local, k = key
-        per = pair.peripherals[pid]
-        return (1, pid, pair.group.sort_key(GroupElement(cw)), k,
-                (per.factor.p_length(local),) + tuple(
-                    v for v in (local if isinstance(local, tuple) else (local,))))
 
-    keys = sorted(ball, key=order_key)
-    index = {k: i for i, k in enumerate(keys)}
-    G = pair.group
-    depth = [key_depth(k) for k in keys]
-    dist0 = np.array([ball[k] for k in keys], dtype=np.int64)
-    labels, coset_labels = [], []
-    by_coset_level: dict = {}
-    for key in keys:
-        if key[0] == "c":
-            labels.append(format_word(G, GroupElement(key[1])))
-            coset_labels.append("-")
-        else:
-            _, pid, cw, local, k = key
-            base = key_base_element(pair, key)
-            labels.append(format_word(G, base))
-            coset_labels.append(_coset_label(pair, pid, GroupElement(cw)))
-            by_coset_level.setdefault((pid, cw, k), []).append(key)
-    eu, ev, ek = [], [], []
-
-    def add_edge(i, j, kind):
-        if i is None or j is None or i == j:
-            return
-        if i > j:
-            i, j = j, i
-        eu.append(i)
-        ev.append(j)
-        ek.append(kind)
-
-    # cayley edges (these double as the level-zero horizontal edges)
-    depth0 = ((index[key], GroupElement(key[1])) for key in keys if key[0] == "c")
-    for i, j in _cayley_edges(pair, depth0, index):
-        add_edge(i, j, "cayley")
-    # vertical edges
-    for key in keys:
-        if key[0] != "h":
-            continue
-        _, pid, cw, local, k = key
-        i = index[key]
-        if k == 1:
-            base = key_base_element(pair, key)
-            add_edge(i, index.get(depth0_key(base)), "vertical")
-        else:
-            add_edge(i, index.get(("h", pid, cw, local, k - 1)), "vertical")
-    # horizontal edges per coset and level
-    for (pid, cw, k), group_keys in by_coset_level.items():
-        per = pair.peripherals[pid]
-        reach = 1 << k
-        locs = [gk[3] for gk in group_keys]
-        if isinstance(per.factor, FreeAbelianOracle) and per.factor.rank == 1:
-            order = np.argsort([p[0] for p in locs])
-            vals = np.array([locs[t][0] for t in order])
-            for a in range(len(vals)):
-                b = a + 1
-                while b < len(vals) and vals[b] - vals[a] <= reach:
-                    add_edge(index[group_keys[order[a]]],
-                             index[group_keys[order[b]]], "horizontal")
-                    b += 1
-        else:
-            for a in range(len(locs)):
-                for b in range(a + 1, len(locs)):
-                    if 0 < per.d_local(locs[a], locs[b]) <= reach:
-                        add_edge(index[group_keys[a]],
-                                 index[group_keys[b]], "horizontal")
-    meta = {"radius": radius, "max_depth": md, "dist_from_id": dist0,
-            "metric": metric}
-    return CuspedGraph("cusped", keys, depth, labels, coset_labels,
-                       eu, ev, ek, pair, meta)
+def _per_local_pair(sylls: list, s: np.ndarray, t: np.ndarray,
+                    fn) -> np.ndarray:
+    """fn(peripheral, p, q) for the locals p, q of the syllable ids s[i] and
+    t[i] of one peripheral, called once per distinct pair."""
+    codes, inv = np.unique(s * len(sylls) + t, return_inverse=True)
+    pairs = (divmod(x, len(sylls)) for x in codes.tolist())
+    return np.array([fn(sylls[x][0], sylls[x][1], sylls[y][1])
+                     for x, y in pairs], dtype=np.int64)[inv]
 
 
 # ---------------------------------------------------------------------------

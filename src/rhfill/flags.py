@@ -27,6 +27,8 @@ from .groups import (BALL_CAP, BallTree, FreeAbelianOracle, FreeProductOracle,
                      GroupOracle, ball_tree)
 from .tolerances import DEFAULT_TOLS
 
+CLOSED_FORM_CHUNK = 8192  # words per pass of the free d = 2 closed forms
+
 
 # ---------------------------------------------------------------------------
 # types
@@ -534,7 +536,8 @@ def _free2_angles(letters: np.ndarray, depth: int, threshold: float
     two contiguous slices, each one flat (2n, 2) @ (2, 2) dgemm.  That forms
     every entry by the same FMA chain, fma(b, g, a*e), as numpy's stacked
     (n, 2, 2) @ (2, 2), so the clouds keep their bits.  Per word the top
-    singular direction and the gap come from closed 2x2 forms, no SVD.
+    singular direction and the gap come from closed 2x2 forms, no SVD,
+    taken over chunks of a level so that their temporaries stay in cache.
     """
     k = letters.shape[0]
     parts: list[np.ndarray] = []
@@ -550,18 +553,20 @@ def _free2_angles(letters: np.ndarray, depth: int, threshold: float
                               out=nxt[pos:pos + hi - lo].reshape(-1, 2))
                     pos += hi - lo
             prods = nxt
-        a, b = prods[:, 0, 0], prods[:, 0, 1]
-        c, d = prods[:, 1, 0], prods[:, 1, 1]
-        top, mid, bot = a * a + b * b, a * c + b * d, c * c + d * d
-        det = np.abs(a * d - b * c)
-        lam1 = (top + bot) / 2 + np.sqrt((top - bot) ** 2 / 4 + mid * mid)
-        gap = lam1 / det           # sigma_1 / sigma_2, since sigma products = det
-        good = gap > threshold
-        theta = 0.5 * np.arctan2(2 * mid[good], (top - bot)[good])
-        # np.mod(theta, pi) on [-pi/2, pi/2], which also sends -0.0 to +0.0
-        parts.append(theta + np.where(theta < 0, math.pi, 0.0))
+        for chunk in range(0, len(prods), CLOSED_FORM_CHUNK):
+            words = prods[chunk:chunk + CLOSED_FORM_CHUNK]
+            a, b = words[:, 0, 0], words[:, 0, 1]
+            c, d = words[:, 1, 0], words[:, 1, 1]
+            top, mid, bot = a * a + b * b, a * c + b * d, c * c + d * d
+            det = np.abs(a * d - b * c)
+            lam1 = (top + bot) / 2 + np.sqrt((top - bot) ** 2 / 4 + mid * mid)
+            gap = lam1 / det       # sigma_1 / sigma_2, since sigma products = det
+            good = gap > threshold
+            theta = 0.5 * np.arctan2(2 * mid[good], (top - bot)[good])
+            # np.mod(theta, pi) on [-pi/2, pi/2], which also sends -0.0 to +0.0
+            parts.append(theta + np.where(theta < 0, math.pi, 0.0))
+            rejected += int(len(words) - good.sum())
         seen += prods.shape[0]
-        rejected += int(prods.shape[0] - good.sum())
     angles = np.concatenate(parts) if parts else np.empty(0)
     angles[angles == math.pi] = 0.0    # theta + pi rounded up: pi mod pi
     angles.sort()

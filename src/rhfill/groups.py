@@ -463,6 +463,34 @@ def tuple_key(k):
     return k if isinstance(k, tuple) else (k,)
 
 
+def intern_syllables(words, syllables=()) -> tuple[list, np.ndarray]:
+    """Syllable ids of normal forms: the distinct syllables, ``syllables``
+    first and then the others in first-seen order, and each word as a row
+    of ids padded on the right with at least one pad id ``len(ids)``."""
+    ids = {s: i for i, s in enumerate(syllables)}
+    rows = [[ids.setdefault(s, len(ids)) for s in w] for w in words]
+    width = max(map(len, rows), default=0) + 1
+    return list(ids), np.array([row + [len(ids)] * (width - len(row))
+                                for row in rows],
+                               dtype=np.int64).reshape(len(rows), width)
+
+
+def sort_columns(factors, syllables: list, rows: np.ndarray) -> np.ndarray:
+    """Integer columns, most significant first, whose lexicographic order
+    on the words given as :func:`intern_syllables` rows is the order of
+    ``FreeProductOracle.sort_key``: word length, then (factor, p_sort_key)
+    per syllable. The pad has factor -1, so a proper prefix sorts first,
+    as tuple comparison does."""
+    keys = [(fi,) + tuple_key(factors[fi].p_sort_key(p)) for fi, p in syllables]
+    width = max(map(len, keys), default=1)
+    table = np.array([k + (0,) * (width - len(k)) for k in keys]
+                     + [(-1,) + (0,) * (width - 1)], dtype=np.int64)
+    length = np.array([factors[fi].p_length(p) for fi, p in syllables] + [0],
+                      dtype=np.int64)
+    return np.column_stack([length[rows].sum(axis=1),
+                            table[rows].reshape(len(rows), -1)])
+
+
 # ---------------------------------------------------------------------------
 # word serialization
 
@@ -836,7 +864,13 @@ def ball_tree(oracle: GroupOracle, radius: int, cap: int = BALL_CAP) -> BallTree
                     seen[h] = (layer, g, j)
                     nxt.append(h)
         frontier = nxt
-    out = sorted(seen, key=oracle.sort_key)
+    elems = list(seen)
+    if isinstance(oracle, FreeProductOracle):
+        factors, words = oracle.factors, [g.word for g in elems]
+    else:  # an abelian oracle's payload is its only syllable
+        factors, words = [oracle], [((0, g.word),) for g in elems]
+    cols = sort_columns(factors, *intern_syllables(words))
+    out = [elems[i] for i in np.lexsort(cols.T[::-1])]
     index = {g: i for i, g in enumerate(out)}
     level, parent, step = zip(*(seen[g] for g in out))
     return BallTree(out, np.array([index.get(p, -1) for p in parent]),

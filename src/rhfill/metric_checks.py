@@ -13,39 +13,37 @@ import numpy as np
 
 from .cusped import (
     CuspedGraph,
-    _coset_label,
+    _ranges,
     build_cusped_ball,
     horo_pair,
     pair_word_costs,
+    run_pairs,
 )
 from .delta import four_point_delta_sampled
 from .errors import WindowError
 from .groups import GroupElement, RelHypPair
 
 MIN_LEMMA_RADIUS = 6
+PAIR_BLOCK = 1 << 16  # within-neighbourhood pairs gathered at once
 
 
 def _depth0_indices(window: CuspedGraph) -> np.ndarray:
     return np.flatnonzero(window.depth == 0)
 
 
-def _horoball_members(window: CuspedGraph) -> dict:
-    """Vertex indices of each horoball in the window, keyed by coset label.
+def _horoball_label(window: CuspedGraph, h: int) -> str:
+    pid, coset = window.meta["horoball_coset"][h]
+    return f"{pid}:{window.labels[coset]}"
 
-    A horoball consists of the interior vertices over one peripheral coset
-    together with the depth-zero points of that coset.
-    """
-    pair = window.pair
-    members: dict[str, list[int]] = {}
-    for i, key in enumerate(window.vertices):
-        if key[0] == "h":
-            members.setdefault(window.coset_labels[i], []).append(i)
-    for i in _depth0_indices(window):
-        g = GroupElement(window.vertices[i][1])
-        for pid, per in enumerate(pair.peripherals):
-            members.setdefault(_coset_label(pair, pid, per.coset_key(g)),
-                               []).append(int(i))
-    return {k: np.array(sorted(v)) for k, v in members.items()}
+
+def _unique_inverse(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` by one sort and a diff mask."""
+    order = np.argsort(codes)
+    ranked = codes[order]
+    first = np.diff(ranked, prepend=ranked[:1] - 1) != 0
+    inv = np.empty(len(codes), dtype=np.int64)
+    inv[order] = np.cumsum(first) - 1
+    return ranked[first], inv
 
 
 def comparison_lemma_check(window: CuspedGraph) -> dict:
@@ -85,48 +83,71 @@ def horoball_entry_check(window: CuspedGraph, delta: float,
     Points z with d(z, {x,y}) <= ceil(d(x,y)/2) <= bound can never violate,
     so whole pairs are discharged by that filter; remaining pairs get the
     full on-a-geodesic scan (z is on some geodesic iff the triangle
-    inequality through z is tight).
+    inequality through z is tight). The vertices within C of H are its
+    C-hop neighbourhood, as a cusped window is connected; their pairs are
+    read in blocks of about ``PAIR_BLOCK``, horoball by horoball.
     """
     D, cert = window.certified_pairs_matrix()
     bound = 3 * C + 7 * delta
     n = window.n_vertices
+    member = window.meta["horoball"]
+    v, col = np.nonzero(member >= 0)
+    h = member[v, col]
+    order = np.lexsort((v, h))
+    h, v = h[order], v[order]
+    size = np.bincount(h, minlength=len(window.meta["horoball_coset"]))
+    start = np.cumsum(size) - size
+    indices, indptr = window._pattern(loops=True)
+    near_h, near = h, v
+    for _ in range(C):
+        deg = indptr[near + 1] - indptr[near]
+        keys = np.sort(np.repeat(near_h, deg) * n
+                       + indices[_ranges(indptr[near], deg)])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        near_h, near = keys // n, keys % n
+    keep = size[near_h] < n  # a horoball that is the whole window has no outside
+    near_h, near = near_h[keep], near[keep]
+    m = np.bincount(near_h, minlength=len(size))
+    pairs = m * (m - 1) // 2
+    block = ((np.cumsum(pairs) - pairs) // PAIR_BLOCK)[near_h]
+    cuts = np.flatnonzero(np.diff(block, prepend=-1))
     pairs_checked = 0
-    pairs_scanned = 0
-    violations = []
-    for label, idx_H in _horoball_members(window).items():
-        in_H = np.zeros(n, dtype=bool)
-        in_H[idx_H] = True
-        rows = D[idx_H]  # D is symmetric: rows of H are its columns
-        near = np.flatnonzero(rows.min(axis=0) <= C)
-        if len(near) < 2 or in_H.all():
-            continue
-        d_out = np.zeros(n)
-        d_out[idx_H] = np.where(in_H, np.iinfo(D.dtype).max, rows).min(axis=1)
-        sub = np.ix_(near, near)
-        ok = np.triu(cert[sub], k=1)
+    scans = []
+    for lo, hi in zip(cuts, np.append(cuts[1:], len(block))):
+        a, b = run_pairs(near_h[lo:hi])
+        x, y = near[lo + a], near[lo + b]
+        ok = cert[x, y]
         pairs_checked += int(ok.sum())
-        needs_scan = ok & (np.ceil(D[sub] / 2.0) > bound)
-        for x, y in zip(*np.nonzero(needs_scan)):  # row-major, as i < j
-            x, y = int(near[x]), int(near[y])
-            pairs_scanned += 1
-            on_geo = D[x] + D[y] == D[x, y]
-            d_ends = np.minimum(D[x], D[y])
-            bad = on_geo & (d_ends > d_out + bound)
-            for z in np.flatnonzero(bad):
-                violations.append({
-                    "horoball": label,
-                    "x": window.labels[x], "y": window.labels[y],
-                    "z": window.labels[int(z)],
-                    "d_to_ends": float(d_ends[z]),
-                    "d_outside": float(d_out[z]),
-                    "bound": bound})
+        t = np.flatnonzero(ok & (np.ceil(D[x, y] / 2.0) > bound))
+        scans += zip(near_h[lo + a[t]].tolist(), x[t].tolist(), y[t].tolist())
+    violations = []
+    d_out = {}
+    for hh, x, y in scans:  # row-major within each horoball, as i < j
+        if hh not in d_out:
+            idx_H = v[start[hh]:start[hh] + size[hh]]
+            in_H = np.zeros(n, dtype=bool)
+            in_H[idx_H] = True
+            d_out[hh] = np.zeros(n)
+            d_out[hh][idx_H] = np.where(in_H, np.iinfo(D.dtype).max,
+                                        D[idx_H]).min(axis=1)
+        on_geo = D[x] + D[y] == D[x, y]
+        d_ends = np.minimum(D[x], D[y])
+        bad = on_geo & (d_ends > d_out[hh] + bound)
+        for z in np.flatnonzero(bad):
+            violations.append({
+                "horoball": _horoball_label(window, hh),
+                "x": window.labels[x], "y": window.labels[y],
+                "z": window.labels[int(z)],
+                "d_to_ends": float(d_ends[z]),
+                "d_outside": float(d_out[hh][z]),
+                "bound": bound})
     return {
         "name": "horoball-entry",
         "C": C,
         "delta": delta,
         "bound": bound,
         "pairs_checked": pairs_checked,
-        "pairs_scanned": pairs_scanned,
+        "pairs_scanned": len(scans),
         "violations": violations[:10],
         "violation_count": len(violations),
         "pass": not violations,
@@ -188,28 +209,25 @@ def deep_horoball_isometry_check(window: CuspedGraph, depth_floor: int) -> dict:
     horoball equal the within-horoball closed form."""
     pair = window.pair
     D, cert = window.certified_pairs_matrix()
-    groups: dict = {}
+    deep = np.flatnonzero(window.depth >= max(depth_floor, 1))
+    # an interior vertex lies in one horoball, whose vertices are contiguous
+    a, b = run_pairs(window.meta["horoball"][deep].max(axis=1))
+    u, v = deep[a], deep[b]
+    ok = cert[u, v]
+    u, v = u[ok], v[ok]
     locals_: dict = {}
     local = np.zeros(window.n_vertices, dtype=np.int64)
-    for i, key in enumerate(window.vertices):
-        if key[0] == "h" and key[4] >= depth_floor:
-            groups.setdefault(key[1:3], []).append(i)
-            local[i] = locals_.setdefault((key[1], key[3]), len(locals_))
-    # certified pairs, row-major within each horoball
-    pairs = [np.zeros((2, 0), dtype=np.int64)]
-    for idx in map(np.array, groups.values()):
-        uv = idx[np.vstack(np.triu_indices(len(idx), k=1))]
-        pairs.append(uv[:, cert[uv[0], uv[1]]])
-    u, v = np.hstack(pairs)
+    local[deep] = [locals_.setdefault((key[1], key[3]), len(locals_))
+                   for key in map(window.vertices.__getitem__, deep.tolist())]
     # d_local once per distinct pair of locals, horo_pair once per (d, k, l)
     locs, m = list(locals_), len(locals_)
-    codes, inv = np.unique(local[u] * m + local[v], return_inverse=True)
+    codes, inv = _unique_inverse(local[u] * m + local[v])
     d = np.array([pair.peripherals[locs[c // m][0]].d_local(
         locs[c // m][1], locs[c % m][1]) for c in codes.tolist()],
         dtype=np.int64)[inv]
     base = int(window.depth.max(initial=0)) + 1
-    dkl, inv = np.unique((d * base + window.depth[u]) * base + window.depth[v],
-                         return_inverse=True)
+    dkl, inv = _unique_inverse((d * base + window.depth[u]) * base
+                               + window.depth[v])
     expected = np.array([horo_pair(c // base ** 2, c // base % base, c % base)
                          for c in dkl.tolist()], dtype=np.int64)[inv]
     bad = np.flatnonzero(D[u, v] != expected)

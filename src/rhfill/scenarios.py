@@ -11,13 +11,16 @@ from __future__ import annotations
 import json
 import math
 import time
+from functools import cached_property
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
 from .automata import (
+    AutomatonGraph,
     Ball,
+    SetSystem,
     bundled_sanov_automaton,
     check_compatibility,
     enumerate_gpaths,
@@ -222,6 +225,11 @@ class Scenario:
         self.tasks = [self._parse_queries(i, task)
                       for i, task in enumerate(spec["tasks"])]
 
+    @cached_property
+    def automaton(self) -> tuple[AutomatonGraph, SetSystem]:
+        """The bundled automaton and set system, built on first use."""
+        return bundled_sanov_automaton(self.pair)
+
     def _parse_queries(self, i: int, task: dict) -> dict:
         if task["check"] != "edf" or "queries" not in task:
             return task
@@ -324,7 +332,7 @@ def bundled_scenario_path() -> Path:
 
 
 def _task_compatibility(sc: Scenario, params: dict) -> dict:
-    auto, sys_ = bundled_sanov_automaton(sc.pair)
+    auto, sys_ = sc.automaton
     return check_compatibility(
         sc.family.base, auto, sys_,
         enumeration_depth=int(params.get("enumeration_depth", 12)),
@@ -403,7 +411,7 @@ def _task_limitset(sc: Scenario, params: dict) -> dict:
 
 
 def _paths_of_length(sc: Scenario, length: int, cutoff: int, count: int):
-    auto, sys_ = bundled_sanov_automaton(sc.pair)
+    auto, sys_ = sc.automaton
     out = []
     for p in enumerate_gpaths(auto, length, label_cutoff=cutoff):
         if len(p) == length:

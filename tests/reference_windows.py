@@ -1,0 +1,303 @@
+"""Reference window builders: the per-key loops that the array builders in
+``rhfill.cusped`` replace, plus the word-ball Cayley and coned-off windows,
+which only tests build. Tests compare the library against these, so they
+favour plainness over speed.
+"""
+import itertools
+
+import numpy as np
+
+from rhfill.cusped import (
+    CuspedGraph,
+    ExactCuspedMetric,
+    depth0_key,
+    dip_reach,
+    flat_reach,
+    horo_flat,
+    horo_key,
+    horo_pair,
+    key_base_element,
+    key_depth,
+)
+from rhfill.groups import (
+    FreeAbelianOracle,
+    GroupElement,
+    RelHypPair,
+    enumerate_ball,
+    format_word,
+)
+from rhfill.errors import UnsupportedKindError
+
+
+def box_candidates(factor, a, b):
+    """Payloads 'between' a and b, where both scans below take their
+    optimum; finite factors are enumerated outright."""
+    if isinstance(factor, FreeAbelianOracle):
+        return list(itertools.product(*(range(min(x, y), max(x, y) + 1)
+                                        for x, y in zip(a, b))))
+    if factor.p_order() is None:
+        raise UnsupportedKindError(f"no exact distances on {factor.kind}")
+    return factor.p_within(factor.p_order())
+
+
+def reference_approach(pair: RelHypPair, pid: int, t, k: int) -> int:
+    """min over entries r of horo_flat(|r|) + horoball((r,0) -> (t,k))."""
+    factor = pair.peripherals[pid].factor
+    return min(horo_flat(factor.p_length(r))
+               + horo_pair(factor.p_length(factor.p_add(t, factor.p_neg(r))), 0, k)
+               for r in box_candidates(factor, factor.p_identity(), t))
+
+
+def reference_dist(metric: ExactCuspedMetric, u, v) -> int:
+    """Cusped distance by scanning every entry and exit point of the
+    horoballs of u and v."""
+    pair, G = metric.pair, metric.G
+
+    def from_elem(g, v):
+        if v[0] == "c":
+            return metric.elem_dist(g, GroupElement(v[1]))
+        _, pid, cw, y, k = v
+        factor = pair.peripherals[pid].factor
+        w = G.multiply(G.inverse(g), GroupElement(cw))
+        if w.word and w.word[-1][0] == pid:
+            return (metric.elem_cost(GroupElement(w.word[:-1]))
+                    + reference_approach(pair, pid, factor.p_add(w.word[-1][1], y), k))
+        return metric.elem_cost(w) + reference_approach(pair, pid, y, k)
+
+    if u[0] == "c":
+        return from_elem(GroupElement(u[1]), v)
+    if v[0] == "c":
+        return from_elem(GroupElement(v[1]), u)
+    _, pid_u, cw_u, x, k = u
+    v2 = metric.translate_key(G.inverse(GroupElement(cw_u)), v)
+    _, pid_v, cw_v, y, l = v2
+    per_u = pair.peripherals[pid_u]
+    if pid_v == pid_u and cw_v == ():
+        return horo_pair(per_u.d_local(x, y), k, l)
+    s1 = cw_v[0][1] if cw_v and cw_v[0][0] == pid_u else per_u.factor.p_identity()
+    return min(horo_pair(per_u.d_local(x, p), k, 0)
+               + from_elem(per_u.embed(p), v2)
+               for p in box_candidates(per_u.factor, x, s1))
+
+
+def reference_ball(pair: RelHypPair, radius: int,
+                   max_depth: int | None = None) -> dict:
+    """{key: d_X(id, key)} by recursion over syllables, then interior keys
+    per coset from :func:`reference_approach`, in that insertion order."""
+    if max_depth is None:
+        max_depth = radius
+    G, pers = pair.group, pair.peripherals
+    out: dict = {}
+    elems = []
+
+    def flat_table(fi, budget):
+        factor = pers[fi].factor
+        return [(p, horo_flat(factor.p_length(p)))
+                for p in factor.p_within(flat_reach(max(budget, 0)))
+                if p != factor.p_identity()
+                and horo_flat(factor.p_length(p)) <= budget]
+
+    def rec(g, cost, last_fi):
+        elems.append((g, cost))
+        out[depth0_key(g)] = cost
+        for fi in range(len(pers)):
+            if fi != last_fi:
+                for p, c in flat_table(fi, radius - cost):
+                    rec(G.multiply(g, pers[fi].embed(p)), cost + c, fi)
+
+    def interior_table(pid, k, budget):
+        if (pid, k, budget) not in tables:
+            span = flat_reach(budget) + max(0, dip_reach(budget, k))
+            tables[pid, k, budget] = [
+                (y, c) for y in pers[pid].factor.p_within(span)
+                if (c := reference_approach(pair, pid, y, k)) <= budget]
+        return tables[pid, k, budget]
+
+    rec(G.identity(), 0, None)
+    tables: dict = {}
+    for g, cost in elems:
+        for pid in range(len(pers)):
+            if g.word and g.word[-1][0] == pid:
+                continue
+            rem = radius - cost
+            for k in range(1, min(rem, max_depth) + 1):
+                for y, c in interior_table(pid, k, rem):
+                    out[horo_key(pid, g, y, k)] = cost + c
+    return out
+
+
+def _coset_label(pair, pid, coset: GroupElement) -> str:
+    return f"{pid}:{format_word(pair.group, coset)}"
+
+
+def _cayley_edges(pair: RelHypPair, vertices, index: dict):
+    """Generator edges (i, j) with i < j, from (vertex id, element) pairs to
+    the depth-zero vertices that ``index`` maps to ids."""
+    for i, g in vertices:
+        for s in pair.genset:
+            j = index.get(depth0_key(pair.group.multiply(g, s)))
+            if j is not None and j > i:
+                yield i, j
+
+
+def reference_build_cusped_ball(pair: RelHypPair, radius: int,
+                                max_depth: int | None = None) -> CuspedGraph:
+    """The exact cusped ball sorted by a per-key order key, labelled by
+    ``format_word`` and linked by group products and local distances."""
+    ball = reference_ball(pair, radius, max_depth)
+    md = radius if max_depth is None else max_depth
+
+    def order_key(key):
+        if key[0] == "c":
+            return (0, pair.group.sort_key(GroupElement(key[1])))
+        _, pid, cw, local, k = key
+        per = pair.peripherals[pid]
+        return (1, pid, pair.group.sort_key(GroupElement(cw)), k,
+                (per.factor.p_length(local),) + tuple(
+                    v for v in (local if isinstance(local, tuple) else (local,))))
+
+    keys = sorted(ball, key=order_key)
+    index = {k: i for i, k in enumerate(keys)}
+    G = pair.group
+    depth = [key_depth(k) for k in keys]
+    dist0 = np.array([ball[k] for k in keys], dtype=np.int64)
+    labels, coset_labels = [], []
+    by_coset_level: dict = {}
+    for key in keys:
+        if key[0] == "c":
+            labels.append(format_word(G, GroupElement(key[1])))
+            coset_labels.append("-")
+        else:
+            _, pid, cw, local, k = key
+            base = key_base_element(pair, key)
+            labels.append(format_word(G, base))
+            coset_labels.append(_coset_label(pair, pid, GroupElement(cw)))
+            by_coset_level.setdefault((pid, cw, k), []).append(key)
+    eu, ev, ek = [], [], []
+
+    def add_edge(i, j, kind):
+        if i is None or j is None or i == j:
+            return
+        if i > j:
+            i, j = j, i
+        eu.append(i)
+        ev.append(j)
+        ek.append(kind)
+
+    # cayley edges (these double as the level-zero horizontal edges)
+    depth0 = ((index[key], GroupElement(key[1])) for key in keys if key[0] == "c")
+    for i, j in _cayley_edges(pair, depth0, index):
+        add_edge(i, j, "cayley")
+    # vertical edges
+    for key in keys:
+        if key[0] != "h":
+            continue
+        _, pid, cw, local, k = key
+        i = index[key]
+        if k == 1:
+            base = key_base_element(pair, key)
+            add_edge(i, index.get(depth0_key(base)), "vertical")
+        else:
+            add_edge(i, index.get(("h", pid, cw, local, k - 1)), "vertical")
+    # horizontal edges per coset and level
+    for (pid, cw, k), group_keys in by_coset_level.items():
+        per = pair.peripherals[pid]
+        reach = 1 << k
+        locs = [gk[3] for gk in group_keys]
+        if isinstance(per.factor, FreeAbelianOracle) and per.factor.rank == 1:
+            order = np.argsort([p[0] for p in locs])
+            vals = np.array([locs[t][0] for t in order])
+            for a in range(len(vals)):
+                b = a + 1
+                while b < len(vals) and vals[b] - vals[a] <= reach:
+                    add_edge(index[group_keys[order[a]]],
+                             index[group_keys[order[b]]], "horizontal")
+                    b += 1
+        else:
+            for a in range(len(locs)):
+                for b in range(a + 1, len(locs)):
+                    if 0 < per.d_local(locs[a], locs[b]) <= reach:
+                        add_edge(index[group_keys[a]],
+                                 index[group_keys[b]], "horizontal")
+    meta = {"radius": radius, "max_depth": md, "dist_from_id": dist0}
+    return CuspedGraph("cusped", keys, depth, labels, coset_labels,
+                       eu, ev, ek, pair, meta)
+
+
+def build_cayley_ball(pair: RelHypPair, radius: int,
+                      cap: int = 2_000_000) -> CuspedGraph:
+    """Depth-zero window: the word-metric ball with generator edges."""
+    elems = enumerate_ball(pair.group, radius, cap=cap)
+    keys = [depth0_key(g) for g in elems]
+    index = {k: i for i, k in enumerate(keys)}
+    G = pair.group
+    edges = list(_cayley_edges(pair, enumerate(elems), index))
+    eu, ev, ek = [e[0] for e in edges], [e[1] for e in edges], ["cayley"] * len(edges)
+    labels = [format_word(G, g) for g in elems]
+    meta = {"radius": radius, "max_depth": 0,
+            "dist_from_id": np.array([G.word_length(g) for g in elems])}
+    return CuspedGraph("cayley", keys, [0] * len(keys), labels,
+                       ["-"] * len(keys), eu, ev, ek, pair, meta)
+
+
+def build_coned_off(pair: RelHypPair, radius: int,
+                    extra_elements: list[GroupElement] | None = None,
+                    cap: int = 2_000_000) -> CuspedGraph:
+    """Word ball plus one cone vertex per peripheral coset met by the ball.
+
+    The true coned-off ball of any radius >= 2 is infinite (it contains whole
+    cosets), so the window is a word ball; ``extra_elements`` lets callers
+    adjoin specific far elements, which attach to their cosets' cones.
+    """
+    elems = list(enumerate_ball(pair.group, radius, cap=cap))
+    seen = set(elems)
+    for g in extra_elements or []:
+        if g not in seen:
+            elems.append(g)
+            seen.add(g)
+    G = pair.group
+    keys = [depth0_key(g) for g in elems]
+    labels = [format_word(G, g) for g in elems]
+    depth = [0] * len(elems)
+    coset_labels = ["-"] * len(elems)
+    index = {k: i for i, k in enumerate(keys)}
+    edges = list(_cayley_edges(pair, enumerate(elems), index))
+    eu, ev, ek = [e[0] for e in edges], [e[1] for e in edges], ["cayley"] * len(edges)
+    cones: dict = {}
+    for i, g in enumerate(elems):
+        for pid, per in enumerate(pair.peripherals):
+            ck = per.coset_key(g)
+            cone_key = ("cone", pid, ck.word)
+            j = cones.get(cone_key)
+            if j is None:
+                j = len(keys)
+                cones[cone_key] = j
+                keys.append(cone_key)
+                labels.append(format_word(G, ck))
+                depth.append(0)
+                coset_labels.append(_coset_label(pair, pid, ck))
+            eu.append(i)
+            ev.append(j)
+            ek.append("cone")
+    meta = {"radius": radius, "max_depth": 0, "n_cones": len(cones)}
+    return CuspedGraph("coned", keys, depth, labels, coset_labels,
+                       eu, ev, ek, pair, meta)
+
+
+def _horoball_members(window: CuspedGraph) -> dict:
+    """Vertex indices of each horoball in the window, keyed by coset label.
+
+    A horoball consists of the interior vertices over one peripheral coset
+    together with the depth-zero points of that coset.
+    """
+    pair = window.pair
+    members: dict[str, list[int]] = {}
+    for i, key in enumerate(window.vertices):
+        if key[0] == "h":
+            members.setdefault(window.coset_labels[i], []).append(i)
+    for i in np.flatnonzero(window.depth == 0):
+        g = GroupElement(window.vertices[i][1])
+        for pid, per in enumerate(pair.peripherals):
+            members.setdefault(_coset_label(pair, pid, per.coset_key(g)),
+                               []).append(int(i))
+    return {k: np.array(sorted(v)) for k, v in members.items()}

@@ -14,8 +14,6 @@ from rhfill import (
     DisconnectedError,
     InvalidParameterError,
     WindowError,
-    build_cayley_ball,
-    build_coned_off,
     build_cusped_ball,
     build_horoball,
     coned_distance,
@@ -32,6 +30,7 @@ from rhfill import (
     standard_f2_pair,
 )
 from rhfill.cusped import ExactCuspedMetric, depth0_key, horo_key
+from reference_windows import build_cayley_ball, build_coned_off
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import rhfill
 from rhfill import (
     DisconnectedError,
     InvalidParameterError,
-    build_coned_off,
     build_cusped_ball,
     build_horoball,
     cycle_graph,
@@ -31,6 +30,7 @@ from rhfill import (
 from rhfill.cusped import BFS_BLOCK
 from rhfill.delta import (estimate_delta, four_point_delta_exhaustive,
                           four_point_delta_sampled)
+from reference_windows import build_coned_off
 
 TWO_COMPONENTS = """V 0 0 - a
 V 1 0 - b

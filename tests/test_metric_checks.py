@@ -8,12 +8,13 @@ import pytest
 from rhfill.errors import WindowError
 from rhfill.groups import (GroupElement, make_filling, make_oracle, make_pair,
                            standard_f2_pair)
-from rhfill.metric_checks import (_horoball_members, comparison_lemma_check,
+from rhfill.metric_checks import (comparison_lemma_check,
                                   deep_horoball_isometry_check,
                                   horoball_entry_check, quasidensity_check,
                                   truncation_monotonicity_check,
                                   verify_metric_lemmas)
 from rhfill.cusped import build_cusped_ball, coned_length, horo_pair
+from reference_windows import _horoball_members
 
 
 @pytest.fixture(scope="module")
