@@ -20,6 +20,7 @@ from rhfill.flags import (Flag, FlagCloud, ParabolicType, ProjectiveMatrix,
                           _dedup_angles, ball_images)
 from rhfill.flags import (_dedup_sorted, _free2_angles, _hausdorff_sorted,
                           _sorted_rp1)
+from rhfill import flags
 from rhfill.scenarios import bundled_scenario_path, load_scenario
 from rhfill.tolerances import DEFAULT_TOLS
 from rhfill.convergence import elliptic_generators
@@ -592,3 +593,12 @@ def test_cloud_hausdorff_refuses_unsorted_or_unreduced_angles(angles):
     for x, y in ((bad, good), (good, bad)):
         with pytest.raises(InvalidParameterError, match="sorted"):
             x.hausdorff(y)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 100])
+def test_free2_angles_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    # chunks split levels at and away from block boundaries
+    monkeypatch.setattr(flags, "CLOSED_FORM_CHUNK", chunk)
+    for mats in ([SANOV_A, SANOV_B], list(elliptic_generators(7).values()),
+                 [[[2.0, 1.0], [1.0, 1.0]]]):
+        _assert_same_cloud(_letters(mats), 5)

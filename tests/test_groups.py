@@ -255,3 +255,36 @@ def test_pair_from_free_oracle():
     pair = make_pair(free, {"cyclic-generators": ["a", "b"]})
     assert len(pair.peripherals) == 2
     assert len(enumerate_ball(pair.group, 3)) == 53
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "free", "rank": 1},
+    {"kind": "free", "rank": 2},
+    {"kind": "free", "rank": 3},
+    {"kind": "free-abelian", "rank": 1},
+    {"kind": "free-abelian", "rank": 3},
+    {"kind": "finite-cyclic", "order": 1},
+    {"kind": "finite-cyclic", "order": 2},
+    {"kind": "finite-cyclic", "order": 7},
+    {"kind": "free-product", "factors": [
+        {"kind": "finite-cyclic", "order": 5}, {"kind": "free-abelian", "rank": 2},
+        {"kind": "free-abelian", "rank": 1}]},
+], ids=lambda spec: str(spec))
+@pytest.mark.parametrize("radius", [0, 1, 4])
+def test_ball_tree_is_in_sort_key_order(spec, radius):
+    oracle = make_oracle(spec)
+    elements = ball_tree(oracle, radius).elements
+    assert elements == sorted(elements, key=oracle.sort_key)
+    assert len(set(elements)) == len(elements)
+
+
+@pytest.mark.parametrize("kernels", [
+    {0: [[3, 1]], 1: ["c^4"]},       # Z^2/<(3,1)> * Z/4, infinite factor
+    {0: [[2, 0], [0, 3]]},          # Z/2 x Z/3 * Z
+])
+def test_ball_tree_of_a_filled_quotient_is_in_sort_key_order(kernels):
+    pair = make_pair(make_oracle({"kind": "free-product", "factors": [
+        {"kind": "free-abelian", "rank": 2}, {"kind": "free-abelian", "rank": 1}]}))
+    oracle = make_filling(pair, kernels).quotient_group
+    elements = ball_tree(oracle, 5).elements
+    assert elements == sorted(elements, key=oracle.sort_key)

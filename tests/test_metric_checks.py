@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rhfill import metric_checks
 from rhfill.errors import WindowError
 from rhfill.groups import (GroupElement, make_filling, make_oracle, make_pair,
                            standard_f2_pair)
@@ -260,3 +262,43 @@ def test_deep_isometry_violations_match_pair_loop(pair):
     assert rep == _reference_deep(window, 1)
     assert rep["violation_count"] > 10 and not rep["pass"]
     json.dumps(rep)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+@pytest.mark.parametrize("radius,delta", [(3, -2.0), (4, 1.5)])
+def test_horoball_entry_blocks_match_column_loop(pair, monkeypatch, block,
+                                                 radius, delta):
+    # small blocks split the within-neighbourhood pairs of one horoball
+    # and of neighbouring ones between gathers
+    window = build_cusped_ball(pair, radius)
+    monkeypatch.setattr(metric_checks, "PAIR_BLOCK", block)
+    assert horoball_entry_check(window, delta) == _reference_entry(window, delta)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_cusped_ball(make_filling(standard_f2_pair(), {
+        0: ["a^3"], 1: ["b^3"]}).quotient_pair, 4),
+    lambda: build_cusped_ball(make_filling(make_pair(make_oracle({
+        "kind": "free-product", "factors": [
+            {"kind": "free-abelian", "rank": 2},
+            {"kind": "free-abelian", "rank": 1}]})), {
+        0: [[2, 0], [0, 3]], 1: ["c^3"]}).quotient_pair, 3),
+])
+def test_entry_and_deep_checks_on_filled_quotients(make):
+    window = make()
+    for delta in (-2.0, 1.5):
+        assert horoball_entry_check(window, delta) == \
+            _reference_entry(window, delta)
+    for depth_floor in (1, 2):
+        assert deep_horoball_isometry_check(window, depth_floor) == \
+            _reference_deep(window, depth_floor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-5, 5), max_size=40))
+def test_unique_inverse_is_np_unique(codes):
+    codes = np.array(codes, dtype=np.int64)
+    got, inv = metric_checks._unique_inverse(codes)
+    want, want_inv = np.unique(codes, return_inverse=True)
+    assert got.tolist() == want.tolist()
+    assert inv.tolist() == want_inv.ravel().tolist()

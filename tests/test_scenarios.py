@@ -13,7 +13,7 @@ from rhfill.convergence import elliptic_generators
 from rhfill.errors import BudgetExceededError, NoTabularDataError, SchemaError
 from rhfill.scenarios import (SCENARIO_SCHEMA, Scenario, bundled_scenario_path,
                               emit_plot_data, load_scenario, pair_from_spec,
-                              run_scenario)
+                              run_scenario, run_task)
 
 # frozen from the bundled scenario run (seed 7)
 CONTRACTION_MAX_RATE = 0.058372998207474325
@@ -359,3 +359,28 @@ def test_emit_rejects_reports_without_tables():
         emit_plot_data({"name": "gpath-tracking", "pass": True})
     with pytest.raises(NoTabularDataError):
         emit_plot_data("not a report")
+
+
+def test_one_bundled_automaton_per_scenario(monkeypatch):
+    built = []
+    build = rhfill.scenarios.bundled_sanov_automaton
+    monkeypatch.setattr(rhfill.scenarios, "bundled_sanov_automaton",
+                        lambda pair: built.append(pair) or build(pair))
+    sc = load_scenario(bundled_scenario_path())
+    for task in ({"check": "compatibility", "enumeration_depth": 4},
+                 {"check": "contraction", "path_length": 3, "count": 2},
+                 {"check": "fiber", "path_length": 2, "count": 1}):
+        assert run_task(sc, task)["pass"] is not None
+    assert built == [sc.pair]
+
+
+def test_automaton_compat_builds_one_automaton(monkeypatch, capsys):
+    import rhfill.cli
+    built = []
+    for module in (rhfill.cli, rhfill.scenarios):
+        build = module.bundled_sanov_automaton
+        monkeypatch.setattr(module, "bundled_sanov_automaton",
+                            lambda pair, build=build: built.append(pair)
+                            or build(pair))
+    assert main(["automaton", "--compat", "--depth", "4"]) == 0
+    assert len(built) == 1
