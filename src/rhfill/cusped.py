@@ -1,5 +1,5 @@
-"""Truncated Cayley, coned-off, horoball and cusped graphs, plus an exact
-cusped metric for free products of abelian peripherals.
+"""Horoball and cusped graphs, plus an exact cusped metric for free
+products of abelian peripherals.
 
 Horoball distance facts used throughout (for a horoball over a base space Y
 with metric d, vertices (y, k), horizontal edges at level k joining points
@@ -12,10 +12,11 @@ peripheral, each edge of the cusped space lives inside a single coset's
 horoball, and the coset adjacency structure is a tree; consequently the
 cusped distance between group elements is the sum of the per-syllable
 horoball distances of the normal form. Interior points enter and leave a
-horoball only through its depth-zero boundary, which reduces every distance
-query to small one-dimensional scans. The window builders below use this
-closed form both to enumerate exact metric balls and to certify that the
-truncation cannot have cut any geodesic.
+horoball only through its depth-zero boundary, and by the triangle
+inequality inside the horoball the best such point is the one where the
+normal form enters it, so every distance query is a closed form. The window
+builders below use it both to enumerate exact metric balls and to certify
+that the truncation cannot have cut any geodesic.
 """
 from __future__ import annotations
 
