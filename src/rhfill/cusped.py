@@ -270,7 +270,7 @@ class ExactCuspedMetric:
             [0] + [dip_reach(radius, k) for k in range(1, K + 1)])
         sylls, off = [], []
         for pid, per in enumerate(pers):
-            if K:
+            if K:  # interior keys need exact local distances
                 _exact_factor(per.factor)
             off.append(len(sylls))
             sylls += [(pid, p) for p in per.factor.p_within(span)]

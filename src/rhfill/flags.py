@@ -459,8 +459,10 @@ class FlagCloud:
 
 
 def _sorted_rp1(angles) -> np.ndarray:
-    """Line angles reduced mod pi and sorted."""
-    return np.sort(np.mod(np.asarray(angles, dtype=float).ravel(), math.pi))
+    """Line angles reduced mod pi into [0, pi) and sorted."""
+    a = np.mod(np.asarray(angles, dtype=float).ravel(), math.pi)
+    a[a == math.pi] = 0.0      # a tiny negative angle rounds up to pi
+    return np.sort(a)
 
 
 def _dedup_sorted(a: np.ndarray, resolution: float) -> np.ndarray:

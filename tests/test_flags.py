@@ -602,3 +602,13 @@ def test_free2_angles_do_not_depend_on_the_chunk(monkeypatch, chunk):
     for mats in ([SANOV_A, SANOV_B], list(elliptic_generators(7).values()),
                  [[[2.0, 1.0], [1.0, 1.0]]]):
         _assert_same_cloud(_letters(mats), 5)
+
+
+def test_sorted_rp1_sends_a_rounded_up_pi_to_zero():
+    # a tiny negative angle mod pi rounds up to pi; both Hausdorff paths
+    # must see it as 0.0
+    assert _sorted_rp1([-9.6e-208, 1.0]).tolist() == [0.0, 1.0]
+    a, b = _sorted_rp1([1e-09]), _sorted_rp1([-9.6e-208])
+    ca = FlagCloud(line_type(), a, None, 1, 0)
+    cb = FlagCloud(line_type(), b, None, 1, 0)
+    assert ca.hausdorff(cb) == hausdorff_rp1(a, b) == hausdorff_rp1([1e-09], [0.0])
