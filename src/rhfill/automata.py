@@ -360,34 +360,6 @@ def set_system_to_json(sys_: SetSystem) -> dict:
     }
 
 
-def set_system_from_json(obj) -> SetSystem:
-    if not isinstance(obj, dict):
-        raise SchemaError("set system: expected an object")
-    if "epsilon" not in obj:
-        raise SchemaError("set system: missing field 'epsilon'")
-    if "sets" not in obj or not isinstance(obj["sets"], dict):
-        raise SchemaError("set system: missing field 'sets'")
-    sets = {}
-    for key, balls in obj["sets"].items():
-        try:
-            v = int(key)
-        except ValueError as err:
-            raise SchemaError(f"sets.{key}: vertex ids are integers") from err
-        if not isinstance(balls, list):
-            raise SchemaError(f"sets.{key}: expected a list of balls")
-        parsed = []
-        for i, b in enumerate(balls):
-            if not isinstance(b, dict) or "angle" not in b or "radius" not in b:
-                raise SchemaError(
-                    f"sets.{key}[{i}]: a ball needs 'angle' and 'radius'")
-            parsed.append(Ball(float(b["angle"]), float(b["radius"])))
-        sets[v] = parsed
-    witnesses = None
-    if "witnesses" in obj:
-        witnesses = {int(k): float(w) for k, w in obj["witnesses"].items()}
-    return SetSystem(2, float(obj["epsilon"]), sets, witnesses)
-
-
 # ---------------------------------------------------------------------------
 # representation plumbing
 

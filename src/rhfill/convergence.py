@@ -25,7 +25,6 @@ from .cusped import (
     build_cusped_ball,
     depth0_key,
     key_base_element,
-    key_depth,
     shortest_path,
 )
 from .errors import InvalidParameterError, UnsupportedKindError, WindowError
@@ -49,7 +48,6 @@ __all__ = [
     "sanov_generators",
     "elliptic_generators",
     "elliptic_family",
-    "constant_family",
     "bundled_edf_queries",
     "edf_condition_check",
     "chabauty_check",
@@ -166,12 +164,6 @@ def elliptic_family(pair: RelHypPair,
     members = {n: elliptic_generators(n) for n in ns}
     kernels = {n: {0: [f"a^{n}"], 1: [f"b^{n}"]} for n in ns}
     return RepFamily(pair, sanov_generators(), members, kernels)
-
-
-def constant_family(pair: RelHypPair, rep: dict,
-                    ns: tuple[int, ...]) -> RepFamily:
-    """Every member equals the base; all comparisons must come out zero."""
-    return RepFamily(pair, rep, {n: rep for n in ns})
 
 
 # ---------------------------------------------------------------------------
@@ -689,14 +681,15 @@ def gpath_tracking_check(pair: RelHypPair, gpath, radius: int,
     window = build_cusped_ball(pair, radius, cap=cap)
     path = shortest_path(window, depth0_key(products[0]),
                          depth0_key(products[-1]))
-    keys = path.keys()
-    cayley = [key_base_element(pair, k) for k in keys if key_depth(k) == 0]
+    depth = window.depth[path.vertices]
+    cayley = [key_base_element(pair, k)
+              for k, d in zip(path.keys(), depth) if d == 0]
     h = 0.0
     for g in products:
         h = max(h, min(metric.elem_dist(g, c) for c in cayley))
     for c in cayley:
         h = max(h, min(metric.elem_dist(g, c) for g in products))
-    max_depth = max(key_depth(k) for k in keys)
+    max_depth = int(depth.max())
     bound = step_cost + 3.0 * h
     return {
         "name": "gpath-tracking",

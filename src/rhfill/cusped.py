@@ -1,5 +1,5 @@
-"""Horoball and cusped graphs, plus an exact cusped metric for free
-products of abelian peripherals.
+"""Cusped windows, plus an exact cusped metric for free products of
+abelian peripherals.
 
 Horoball distance facts used throughout (for a horoball over a base space Y
 with metric d, vertices (y, k), horizontal edges at level k joining points
@@ -15,7 +15,7 @@ horoball distances of the normal form. Interior points enter and leave a
 horoball only through its depth-zero boundary, and by the triangle
 inequality inside the horoball the best such point is the one where the
 normal form enters it, so every distance query is a closed form. The window
-builders below use it both to enumerate exact metric balls and to certify
+builder below uses it both to enumerate exact metric balls and to certify
 that the truncation cannot have cut any geodesic.
 """
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .errors import (
     BudgetExceededError,
     DisconnectedError,
     InvalidParameterError,
-    UnsupportedKindError,
-    WindowError,
 )
 from .groups import (
     FreeAbelianOracle,
@@ -105,18 +103,6 @@ def dip_reach(budget: int, k: int) -> int:
     return best
 
 
-def coned_length(pair: RelHypPair, g: GroupElement) -> int:
-    """Exact coned-off length: each syllable costs min(word length, 2)."""
-    total = 0
-    for fi, p in pair.syllables(g):
-        total += min(pair.peripherals[fi].factor.p_length(p), 2)
-    return total
-
-
-def coned_distance(pair: RelHypPair, g: GroupElement, h: GroupElement) -> int:
-    return coned_length(pair, pair.group.multiply(pair.group.inverse(g), h))
-
-
 def pair_word_costs(group: FreeProductOracle, elems: list[GroupElement],
                     i: np.ndarray, j: np.ndarray, cost) -> np.ndarray:
     """Cost of the reduced word g_i^-1 g_j for every pair (i[t], j[t]).
@@ -145,7 +131,6 @@ def pair_word_costs(group: FreeProductOracle, elems: list[GroupElement],
 #
 # depth zero:  ("c", word)
 # horoball:    ("h", pid, coset_word, local_payload, k)   with k >= 1
-# standalone horoball graphs: ("b", base_index, k)
 # generic loaded graphs: ("v", index)
 
 
@@ -155,16 +140,6 @@ def depth0_key(g: GroupElement):
 
 def horo_key(pid: int, coset: GroupElement, local, k: int):
     return ("h", pid, coset.word, local, k)
-
-
-def key_depth(key) -> int:
-    if key[0] == "c":
-        return 0
-    if key[0] == "h":
-        return key[4]
-    if key[0] == "b":
-        return key[2]
-    return 0
 
 
 def key_base_element(pair: RelHypPair, key) -> GroupElement:
@@ -229,7 +204,7 @@ class ExactCuspedMetric:
         # horo_flat(|s1 - p|) for the syllable s1 by which v's coset word
         # enters it (the identity if none) plus terms free of p; the
         # horoball's triangle inequality puts the minimum at p = s1
-        s1 = _exact_factor(per_u.factor).p_identity()
+        s1 = per_u.factor.p_identity()
         if cw_v and cw_v[0][0] == pid_u:
             s1 = cw_v[0][1]
         return (horo_pair(per_u.d_local(x, s1), k, 0)
@@ -250,8 +225,7 @@ class ExactCuspedMetric:
             t = y
         # entering at r costs horo_flat(|r|) + horo_dip(|t - r|, k), least
         # at r = 0 by the horoball's triangle inequality
-        return self.elem_cost(prefix) + horo_dip(
-            _exact_factor(per.factor).p_length(t), k)
+        return self.elem_cost(prefix) + horo_dip(per.factor.p_length(t), k)
 
     # -- exact metric balls
 
@@ -270,8 +244,6 @@ class ExactCuspedMetric:
             [0] + [dip_reach(radius, k) for k in range(1, K + 1)])
         sylls, off = [], []
         for pid, per in enumerate(pers):
-            if K:  # interior keys need exact local distances
-                _exact_factor(per.factor)
             off.append(len(sylls))
             sylls += [(pid, p) for p in per.factor.p_within(span)]
         off.append(len(sylls))
@@ -324,27 +296,6 @@ class ExactCuspedMetric:
         return _Ball(sylls, words, np.array(parent, dtype=np.int64), e, k, sid,
                      keys, np.concatenate([cost0, cost0[e] + dip[k, sid]]))
 
-    def ball(self, radius: int, max_depth: int | None = None,
-             cap: int = 2_000_000) -> dict:
-        """Exact cusped ball around the identity: {vertex key: d_X(id, key)}.
-
-        ``max_depth`` additionally restricts horoball depth (the ball is then
-        taken inside the depth-capped subgraph; distances stay exact for the
-        full space wherever the certificate of CuspedGraph says so).
-        """
-        b = self._ball_rows(radius, radius if max_depth is None else max_depth,
-                            cap)
-        return dict(zip(b.keys, b.cost.tolist()))
-
-
-def _exact_factor(factor):
-    """``factor`` if exact distances cover it: free abelian or finite."""
-    if not isinstance(factor, FreeAbelianOracle) and factor.p_order() is None:
-        raise UnsupportedKindError(
-            "exact cusped distances need free or finite abelian "
-            f"peripheral factors, got {factor.kind}")
-    return factor
-
 
 class _Ball(NamedTuple):
     """An exact cusped ball as rows: the depth-zero elements, then the
@@ -391,16 +342,8 @@ class GraphPath:
     def length(self) -> int:
         return len(self.vertices) - 1
 
-    def validate(self) -> bool:
-        g = self.graph
-        return all(g.has_edge(u, v) for u, v in zip(self.vertices, self.vertices[1:]))
-
     def keys(self):
         return [self.graph.vertices[i] for i in self.vertices]
-
-    def words(self):
-        return [self.graph.labels[i] for i in self.vertices]
-
 
 class CuspedGraph:
     """Finite truncated graph with depth-tagged vertices and typed edges."""
@@ -447,9 +390,6 @@ class CuspedGraph:
             indices, indptr = self._pattern(loops=False)
             self._neighbor_lists = np.split(indices, indptr[1:-1])
         return self._neighbor_lists[i]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.neighbors(i)
 
     def _bfs_rows(self, sources) -> np.ndarray:
         """Read-only int16 distance rows from ``sources``, -1 if unreachable.
@@ -578,127 +518,6 @@ def shortest_path(graph: CuspedGraph, u, v) -> GraphPath:
 
 # ---------------------------------------------------------------------------
 # builders
-
-
-def integer_interval_metric(radius: int) -> tuple[np.ndarray, list[str]]:
-    """Base metric for the window |u| <= radius of the Cayley graph of Z."""
-    coords = np.arange(-radius, radius + 1)
-    D = np.abs(coords[:, None] - coords[None, :])
-    return D, [str(c) for c in coords]
-
-
-def build_horoball(base_metric: np.ndarray, max_depth: int,
-                   base_labels: list[str] | None = None,
-                   cap: int = 2_000_000) -> CuspedGraph:
-    """Standalone combinatorial horoball over a finite base metric space.
-
-    Vertices ("b", i, k); horizontal edges at level k join base points at
-    distance 0 < d <= 2^k, vertical edges join consecutive levels.
-    """
-    D = np.asarray(base_metric)
-    n = D.shape[0]
-    if D.shape != (n, n):
-        raise InvalidParameterError("base metric must be square")
-    if (n * (max_depth + 1)) > cap:
-        raise BudgetExceededError("horoball vertices", cap)
-    if base_labels is None:
-        base_labels = [str(i) for i in range(n)]
-    keys, labels, depth = [], [], []
-    for k in range(max_depth + 1):
-        for i in range(n):
-            keys.append(("b", i, k))
-            labels.append(f"{base_labels[i]}")
-            depth.append(k)
-    idx = lambda i, k: k * n + i
-    eu, ev, ek = [], [], []
-    iu, iv = np.triu_indices(n, k=1)
-    dvals = D[iu, iv]
-    for k in range(max_depth + 1):
-        sel = (dvals > 0) & (dvals <= (1 << k))
-        for a, b in zip(iu[sel], iv[sel]):
-            eu.append(idx(a, k))
-            ev.append(idx(b, k))
-            ek.append("horizontal")
-    for k in range(max_depth):
-        for i in range(n):
-            eu.append(idx(i, k))
-            ev.append(idx(i, k + 1))
-            ek.append("vertical")
-    meta = {"radius": max_depth, "max_depth": max_depth, "base_metric": D,
-            "base_size": n}
-    return CuspedGraph("horoball", keys, depth, labels,
-                       ["-"] * len(keys), eu, ev, ek, None, meta)
-
-
-def regular_geodesic(horoball: CuspedGraph, u, v) -> GraphPath:
-    """Vertical / (<= 3 horizontal) / vertical path of minimal length.
-
-    The minimum over apex levels of (m-k)+(m-l)+ceil(d/2^m) is always
-    attained with at most three horizontal jumps (raising the apex once more
-    never hurts while four or more jumps remain), so the constructed path
-    realizes the horoball distance.
-    """
-    if horoball.kind != "horoball":
-        raise InvalidParameterError("regular_geodesic expects a horoball graph")
-    D = horoball.meta["base_metric"]
-    n = horoball.meta["base_size"]
-    max_depth = horoball.meta["max_depth"]
-    (_, i, k), (_, j, l) = u, v
-    d = int(D[i, j])
-    # Scan apex levels up to the first one where a single jump suffices;
-    # beyond that the cost strictly increases, so the true minimum is seen.
-    costs = []
-    m = max(k, l)
-    while True:
-        jumps = -(-d // (1 << m)) if d else 0
-        costs.append((m, (m - k) + (m - l) + jumps, jumps))
-        if jumps <= 1:
-            break
-        m += 1
-    best_cost = min(c for _, c, _ in costs)
-    usable = [m for m, c, jumps in costs
-              if c == best_cost and jumps <= 3 and m <= max_depth]
-    if not usable:
-        raise WindowError(
-            f"no apex of cost {best_cost} with <= 3 jumps at depth "
-            f"<= {max_depth}; deepen the window")
-    m = usable[0]
-    jumps = -(-d // (1 << m)) if d else 0
-    # base waypoints with consecutive distances <= 2^m
-    step = 1 << m
-    waypoints = [i]
-    if jumps >= 2:
-        if jumps == 2:
-            mids = [w for w in range(n) if D[i, w] <= step and D[w, j] <= step]
-            if not mids:
-                raise WindowError("no intermediate base point in window")
-            waypoints.append(mids[0])
-        else:
-            found = None
-            for w1 in range(n):
-                if D[i, w1] > step:
-                    continue
-                for w2 in range(n):
-                    if D[w1, w2] <= step and D[w2, j] <= step:
-                        found = (w1, w2)
-                        break
-                if found:
-                    break
-            if not found:
-                raise WindowError("no intermediate base points in window")
-            waypoints.extend(found)
-    if jumps >= 1:
-        waypoints.append(j)
-    verts = []
-    for lev in range(k, m + 1):
-        verts.append(horoball.index[("b", i, lev)])
-    for w in waypoints[1:]:
-        verts.append(horoball.index[("b", w, m)])
-    for lev in range(m - 1, l - 1, -1):
-        verts.append(horoball.index[("b", j, lev)])
-    path = GraphPath(horoball, verts)
-    assert path.length == best_cost
-    return path
 
 
 def build_cusped_ball(pair: RelHypPair, radius: int,
@@ -835,19 +654,6 @@ def _per_local_pair(sylls: list, s: np.ndarray, t: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # generic graphs, dump and load
-
-
-def generic_graph(n: int, edges: list[tuple[int, int]]) -> CuspedGraph:
-    keys = [("v", i) for i in range(n)]
-    labels = [str(i) for i in range(n)]
-    eu = [e[0] for e in edges]
-    ev = [e[1] for e in edges]
-    return CuspedGraph("generic", keys, [0] * n, labels, ["-"] * n,
-                       eu, ev, ["cayley"] * len(edges), None, {})
-
-
-def cycle_graph(n: int) -> CuspedGraph:
-    return generic_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def dump_graph(graph: CuspedGraph) -> str:

@@ -84,6 +84,9 @@ def four_point_delta_exhaustive(graph_or_matrix) -> HyperbolicityEstimate:
 def four_point_delta_sampled(graph_or_matrix, samples: int = 200_000,
                              seed: int = 0) -> HyperbolicityEstimate:
     """Lower bound for the four-point delta from sampled quadruples."""
+    if samples < 1:
+        raise InvalidParameterError(
+            f"sampled delta needs samples >= 1, got {samples}")
     D = _as_matrix(graph_or_matrix)
     n = D.shape[0]
     rng = np.random.default_rng(seed)

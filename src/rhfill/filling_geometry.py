@@ -172,6 +172,8 @@ def lift_roundtrip_report(fg: FillingGeometry, n_paths: int = 1000,
     BFS distance between its endpoints whenever that pair is certified
     (lifts of geodesics cannot be beaten: projection is 1-Lipschitz).
     """
+    if n_paths < 1:
+        raise InvalidParameterError(f"lift needs n_paths >= 1, got {n_paths}")
     tgt = fg.target
     Ds, cert = fg.source.certified_pairs_matrix()
     rng = np.random.default_rng(seed)
@@ -289,16 +291,6 @@ def check_local_isometry(fg: FillingGeometry, r: int, *,
         "missing_from_image": len(target_ball - image_set),
         "pass": not len(bad) and ball_image,
     }
-
-
-def local_isometry_failure_radius(fg: FillingGeometry, *,
-                                  include_interior: bool = False) -> int | None:
-    """Smallest r in the window where check_local_isometry fails, if any."""
-    for r in range(1, fg.source.meta["radius"] + 1):
-        if not check_local_isometry(
-                fg, r, include_interior=include_interior)["pass"]:
-            return r
-    return None
 
 
 def check_descent_quasigeodesic(fg: FillingGeometry, K: float,

@@ -61,11 +61,6 @@ class ParabolicType:
         s = set(self.indices)
         return all(self.d - i in s for i in self.indices)
 
-    def symmetrized(self) -> "ParabolicType":
-        s = set(self.indices) | {self.d - i for i in self.indices}
-        return ParabolicType(self.d, tuple(sorted(s)))
-
-
 def line_type() -> ParabolicType:
     """The single parabolic type of PGL(2, R); flags are points of RP^1."""
     return ParabolicType(2, (1,))
@@ -112,17 +107,8 @@ class ProjectiveMatrix:
     def inv(self) -> "ProjectiveMatrix":
         return ProjectiveMatrix(np.linalg.inv(self.entries))
 
-    def power(self, n: int) -> "ProjectiveMatrix":
-        if n == 0:
-            return ProjectiveMatrix(np.eye(self.d))
-        return ProjectiveMatrix(np.linalg.matrix_power(self.entries, n))
-
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.entries, compute_uv=False)
-
-    def same_class(self, other: "ProjectiveMatrix") -> bool:
-        return self.d == other.d and bool(
-            np.allclose(self.entries, other.entries, atol=1e-12, rtol=0.0))
 
     def __repr__(self):
         return f"ProjectiveMatrix(d={self.d})"
@@ -194,12 +180,6 @@ def flag_angle(flag: Flag) -> float:
         raise TypeMismatchError("flag_angle needs a d = 2 flag")
     v = flag.bases[1][:, 0]
     return float(np.mod(math.atan2(v[1], v[0]), math.pi))
-
-
-def random_flag(ptype: ParabolicType, rng: np.random.Generator) -> Flag:
-    """A flag of the given type drawn from the rotation-invariant measure."""
-    q, _ = np.linalg.qr(rng.standard_normal((ptype.d, ptype.d)))
-    return Flag(ptype, {i: q[:, :i] for i in ptype.indices})
 
 
 def _same_type(xi: Flag, eta: Flag):
@@ -441,23 +421,6 @@ class FlagCloud:
                 sup = max(sup, min(flag_distance(f, g) for g in b))
         return sup
 
-    def csv(self) -> str:
-        """Angle column for d = 2; flag, index, projector entries otherwise."""
-        if self.angles is not None:
-            lines = ["angle"]
-            lines += [f"{a:.17g}" for a in self.angles]
-            return "\n".join(lines) + "\n"
-        d = self.type.d
-        head = "flag,index," + ",".join(
-            f"p{r}{c}" for r in range(d) for c in range(d))
-        lines = [head]
-        for k, f in enumerate(self.flags):
-            for i in self.type.indices:
-                row = ",".join(f"{x:.17g}" for x in f.projector(i).ravel())
-                lines.append(f"{k},{i},{row}")
-        return "\n".join(lines) + "\n"
-
-
 def _sorted_rp1(angles) -> np.ndarray:
     """Line angles reduced mod pi into [0, pi) and sorted."""
     a = np.mod(np.asarray(angles, dtype=float).ravel(), math.pi)
@@ -496,15 +459,6 @@ def _hausdorff_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
         pos = np.searchsorted(pad, x)
         sups.append(float(np.max(np.minimum(x - pad[pos - 1], pad[pos] - x))))
     return math.sin(max(sups))
-
-
-def hausdorff_rp1(a, b) -> float:
-    """Hausdorff distance between two nonempty sets of lines in RP^1.
-
-    Arguments are angle arrays (radians, any reals); the underlying metric
-    is |sin(s - t)|, matching flag_distance on line flags.
-    """
-    return _hausdorff_sorted(_sorted_rp1(a), _sorted_rp1(b))
 
 
 def _free_rank(oracle: GroupOracle) -> int | None:

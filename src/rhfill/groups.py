@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (BudgetExceededError, InvalidParameterError, SchemaError,
                      UnsupportedKindError)
-from .lattices import elementary_divisors, lattice_contains, reduce_mod_rows, row_hermite
+from .lattices import elementary_divisors, reduce_mod_rows, row_hermite
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -593,10 +593,9 @@ class PeripheralSubgroup:
     where coset_key strips the maximal peripheral suffix of the normal form.
     """
 
-    def __init__(self, pid: int, factor: AbelianFactor, pair: "RelHypPair"):
+    def __init__(self, pid: int, factor: AbelianFactor):
         self.id = pid
         self.factor = factor
-        self._pair = pair
 
     def membership(self, g: GroupElement) -> bool:
         w = g.word
@@ -623,25 +622,6 @@ class PeripheralSubgroup:
     def d_local(self, p, q) -> int:
         return self.factor.p_length(self.factor.p_add(p, self.factor.p_neg(q)))
 
-    def generates_check(self, radius: int = 3) -> bool:
-        """BFS inside the peripheral using genset-intersection generators."""
-        gens = [g for g in self._pair.genset if self.membership(g)
-                and not self._pair.group.is_identity(g)]
-        locs = [self.local(g) for g in gens]
-        seen = {self.factor.p_identity()}
-        frontier = [self.factor.p_identity()]
-        for _ in range(radius):
-            nxt = []
-            for p in frontier:
-                for q in locs:
-                    s = self.factor.p_add(p, q)
-                    if s not in seen:
-                        seen.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        expected = {p for p in self.factor.p_within(radius)}
-        return expected <= seen
-
 
 class RelHypPair:
     """A group oracle together with its peripheral subgroups and a compatible
@@ -655,17 +635,6 @@ class RelHypPair:
     def syllables(self, g: GroupElement) -> list[tuple[int, Any]]:
         """(peripheral id, local payload) decomposition of the normal form."""
         return self.group.syllable_list(g)
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.group.kind,
-            "generators": list(self.group.gen_names),
-            "peripherals": [
-                {"id": p.id, "generators": list(p.factor.gen_names),
-                 "order": p.factor.p_order()}
-                for p in self.peripherals
-            ],
-        }
 
 
 def make_pair(oracle: GroupOracle, peripheral_spec=None) -> RelHypPair:
@@ -699,10 +668,8 @@ def make_pair(oracle: GroupOracle, peripheral_spec=None) -> RelHypPair:
             if sorted(idx) != list(range(len(oracle.factors))):
                 raise UnsupportedKindError(
                     "peripherals must cover every free-product factor")
-        pair = RelHypPair(oracle, [])
-        pair.peripherals = [PeripheralSubgroup(i, f, pair)
-                            for i, f in enumerate(oracle.factors)]
-        return pair
+        return RelHypPair(oracle, [PeripheralSubgroup(i, f)
+                                   for i, f in enumerate(oracle.factors)])
     raise UnsupportedKindError(
         f"cannot attach peripherals to oracle kind {oracle.kind!r}")
 
@@ -730,11 +697,9 @@ class FillingData:
         for per, kernels in zip(pair.peripherals, kernel_locals):
             qfactors.append(_quotient_factor(per.factor, kernels))
         self.quotient_group = FreeProductOracle(qfactors, kind="filled-quotient")
-        self.quotient_pair = RelHypPair(self.quotient_group, [])
-        self.quotient_pair.peripherals = [
-            PeripheralSubgroup(i, f, self.quotient_pair)
-            for i, f in enumerate(qfactors)
-        ]
+        self.quotient_pair = RelHypPair(
+            self.quotient_group,
+            [PeripheralSubgroup(i, f) for i, f in enumerate(qfactors)])
 
     def project_local(self, pid: int, p):
         src = self.pair.peripherals[pid].factor
@@ -750,16 +715,6 @@ class FillingData:
     def project(self, g: GroupElement) -> GroupElement:
         sylls = [(fi, self.project_local(fi, p)) for fi, p in g.word]
         return self.quotient_group.from_syllables(sylls)
-
-    def describe(self) -> dict:
-        return {
-            "kernels": [
-                [format_word(per.factor, GroupElement(p)) for p in kernels]
-                for per, kernels in zip(self.pair.peripherals, self.kernel_locals)
-            ],
-            "quotient": self.quotient_pair.describe(),
-        }
-
 
 def _quotient_factor(factor: AbelianFactor, kernels: list) -> AbelianFactor:
     if not kernels:

@@ -72,10 +72,6 @@ def reduce_mod_rows(vec: list[int], hermite: list[list[int]]) -> tuple[int, ...]
     return tuple(v)
 
 
-def lattice_contains(vec: list[int], hermite: list[list[int]]) -> bool:
-    return all(x == 0 for x in reduce_mod_rows(vec, hermite))
-
-
 def elementary_divisors(rows: list[list[int]], width: int | None = None) -> list[int]:
     """Elementary divisors d_1 | d_2 | ... of the integer matrix.
 

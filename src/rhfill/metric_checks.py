@@ -244,27 +244,6 @@ def deep_horoball_isometry_check(window: CuspedGraph, depth_floor: int) -> dict:
     }
 
 
-def truncation_monotonicity_check(pair: RelHypPair, radius: int) -> dict:
-    """Growing the window never changes a certified distance and never
-    increases any window distance."""
-    small = build_cusped_ball(pair, radius)
-    big = build_cusped_ball(pair, radius + 1)
-    Ds, cs = small.certified_pairs_matrix()
-    Db = big.distance_matrix()
-    into_big = np.array([big.index[k] for k in small.vertices])
-    Db_sub = Db[np.ix_(into_big, into_big)]
-    stable = (Db_sub[cs] == Ds[cs]).all()
-    monotone = (Db_sub <= Ds + 1e-9).all()
-    return {
-        "name": "truncation-monotonicity",
-        "radius": radius,
-        "certified_pairs": int(cs.sum()),
-        "certified_stable": bool(stable),
-        "distances_monotone": bool(monotone),
-        "pass": bool(stable and monotone),
-    }
-
-
 def verify_metric_lemmas(pair: RelHypPair, radius: int = 6,
                          delta_samples: int = 200_000, seed: int = 0,
                          quasidensity_radius: int = 5) -> dict:

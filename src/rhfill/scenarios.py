@@ -224,6 +224,7 @@ class Scenario:
                                          spec.get("filling_family"))
         self.tasks = [self._parse_queries(i, task)
                       for i, task in enumerate(spec["tasks"])]
+        _check_output_names(self.tasks)
 
     @cached_property
     def automaton(self) -> tuple[AutomatonGraph, SetSystem]:
@@ -278,6 +279,29 @@ class Scenario:
                             f"filling_family.kernels.{idx}.{pid}[{k}]: {e}"
                         ) from None
         return RepFamily(self.pair, base, members, kernels or None)
+
+
+def _task_name(i: int, task: dict) -> str:
+    return task.get("name", f"{i:02d}-{task['check']}")
+
+
+def _check_output_names(tasks: list[dict]) -> None:
+    """Each task writes ``<name>.json`` and its csv, if any, beside
+    ``summary.json``: refuse a name that is not a plain file name or whose
+    file another output of the run takes."""
+    taken = {"summary.json": "the summary"}
+    for i, task in enumerate(tasks):
+        files = [("name", _task_name(i, task) + ".json")]
+        if task.get("csv"):
+            files.append(("csv", task["csv"]))
+        for field, file in files:
+            where = f"tasks.{i}.{field}"
+            if Path(file).name != file or file == ".." or "\0" in file:
+                raise SchemaError(f"{where}: {file!r} is not a plain file name")
+            if file in taken:
+                raise SchemaError(
+                    f"{where}: {file} is also written by {taken[file]}")
+            taken[file] = where
 
 
 def _query_from_json(pair, obj: dict, where: str) -> EdfQuery:
@@ -547,27 +571,16 @@ def emit_plot_data(report: dict) -> str:
                             _csv_cell(r["full"]["b_side"])])
                   for r in report["table"]]
         return "\n".join(lines) + "\n"
-    if name in ("edf-condition-set", "edf-condition"):
-        if name == "edf-condition":
-            rows = [{"query": report["query"], "n": r["index"],
-                     "min_margin": r["min_margin"], "verdict": r["verdict"]}
-                    for r in report["edf"]]
-        else:
-            rows = report["table"]
+    if name == "edf-condition-set":
         lines = ["query,n,min_margin,verdict"]
         lines += [",".join([r["query"], str(r["n"]),
                             _csv_cell(r["min_margin"]), r["verdict"]])
-                  for r in rows]
+                  for r in report["table"]]
         return "\n".join(lines) + "\n"
     if name == "contraction":
         lines = ["path,rate,monotone"]
         lines += [f"{r['path']},{_csv_cell(r['rate'])},{r['monotone']}"
                   for r in report["table"]]
-        return "\n".join(lines) + "\n"
-    if name == "nested-diameters":
-        lines = ["step,diameter"]
-        lines += [f"{i},{_csv_cell(d)}"
-                  for i, d in enumerate(report["diameters"])]
         return "\n".join(lines) + "\n"
     raise NoTabularDataError(
         f"no-tabular-data: report {name!r} has no tabular section")
@@ -602,7 +615,7 @@ def run_scenario(path, output_dir=None) -> tuple[int, dict]:
         if budget_s is not None and time.monotonic() - started > budget_s:
             raise BudgetExceededError("seconds", budget_s)
         check = task["check"]
-        name = task.get("name", f"{i:02d}-{check}")
+        name = _task_name(i, task)
         entry = {"task": name, "check": check,
                  "asserted": bool(task.get("assert", True))}
         try:

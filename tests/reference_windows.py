@@ -1,12 +1,15 @@
-"""Reference window builders: the per-key loops that the array builders in
-``rhfill.cusped`` replace, plus the word-ball Cayley and coned-off windows,
-which only tests build. Tests compare the library against these, so they
-favour plainness over speed.
+"""Reference implementations that only tests use: the per-key loops that
+the array builders in ``rhfill.cusped`` replace, the word-ball Cayley and
+coned-off windows, a standalone horoball, small generic graphs, and the
+plain forms of a few library routines (coned lengths, the exact metric ball,
+RP^1 Hausdorff distances, random flags, constant families). Tests compare
+the library against these, so they favour plainness over speed.
 """
 import itertools
 
 import numpy as np
 
+from rhfill.convergence import RepFamily
 from rhfill.cusped import (
     CuspedGraph,
     ExactCuspedMetric,
@@ -17,8 +20,8 @@ from rhfill.cusped import (
     horo_key,
     horo_pair,
     key_base_element,
-    key_depth,
 )
+from rhfill.flags import Flag, ParabolicType, _hausdorff_sorted, _sorted_rp1
 from rhfill.groups import (
     FreeAbelianOracle,
     GroupElement,
@@ -159,7 +162,7 @@ def reference_build_cusped_ball(pair: RelHypPair, radius: int,
     keys = sorted(ball, key=order_key)
     index = {k: i for i, k in enumerate(keys)}
     G = pair.group
-    depth = [key_depth(k) for k in keys]
+    depth = [0 if k[0] == "c" else k[4] for k in keys]
     dist0 = np.array([ball[k] for k in keys], dtype=np.int64)
     labels, coset_labels = [], []
     by_coset_level: dict = {}
@@ -301,3 +304,81 @@ def _horoball_members(window: CuspedGraph) -> dict:
             members.setdefault(_coset_label(pair, pid, per.coset_key(g)),
                                []).append(int(i))
     return {k: np.array(sorted(v)) for k, v in members.items()}
+
+
+def exact_ball(metric: ExactCuspedMetric, radius: int,
+               max_depth: int | None = None) -> dict:
+    """Exact cusped ball around the identity as {vertex key: d_X(id, key)},
+    in the row order of the window builder."""
+    b = metric._ball_rows(radius, radius if max_depth is None else max_depth,
+                          2_000_000)
+    return dict(zip(b.keys, b.cost.tolist()))
+
+
+def coned_length(pair: RelHypPair, g: GroupElement) -> int:
+    """Exact coned-off length: each syllable costs min(word length, 2)."""
+    return sum(min(pair.peripherals[fi].factor.p_length(p), 2)
+               for fi, p in pair.syllables(g))
+
+
+def coned_distance(pair: RelHypPair, g: GroupElement, h: GroupElement) -> int:
+    return coned_length(pair, pair.group.multiply(pair.group.inverse(g), h))
+
+
+def integer_interval_metric(radius: int) -> tuple[np.ndarray, list[str]]:
+    """Base metric for the window |u| <= radius of the Cayley graph of Z."""
+    coords = np.arange(-radius, radius + 1)
+    return np.abs(coords[:, None] - coords[None, :]), [str(c) for c in coords]
+
+
+def build_horoball(base_metric: np.ndarray, max_depth: int,
+                   base_labels: list[str]) -> CuspedGraph:
+    """Combinatorial horoball over a finite base metric space: vertices
+    ("b", i, k) at index k * n + i; horizontal edges at level k join base
+    points at distance 0 < d <= 2^k, vertical edges consecutive levels."""
+    D = np.asarray(base_metric)
+    n = len(D)
+    keys = [("b", i, k) for k in range(max_depth + 1) for i in range(n)]
+    eu, ev, ek = [], [], []
+    iu, iv = np.triu_indices(n, k=1)
+    for k in range(max_depth + 1):
+        sel = (D[iu, iv] > 0) & (D[iu, iv] <= 1 << k)
+        eu += (iu[sel] + k * n).tolist()
+        ev += (iv[sel] + k * n).tolist()
+        ek += ["horizontal"] * int(sel.sum())
+    for k in range(max_depth):
+        eu += range(k * n, (k + 1) * n)
+        ev += range((k + 1) * n, (k + 2) * n)
+        ek += ["vertical"] * n
+    return CuspedGraph("horoball", keys, [k for _, _, k in keys],
+                       [base_labels[i] for _, i, _ in keys], ["-"] * len(keys),
+                       eu, ev, ek)
+
+
+def generic_graph(n: int, edges: list[tuple[int, int]]) -> CuspedGraph:
+    return CuspedGraph("generic", [("v", i) for i in range(n)], [0] * n,
+                       [str(i) for i in range(n)], ["-"] * n,
+                       [e[0] for e in edges], [e[1] for e in edges],
+                       ["cayley"] * len(edges))
+
+
+def cycle_graph(n: int) -> CuspedGraph:
+    return generic_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def hausdorff_rp1(a, b) -> float:
+    """Hausdorff distance between two nonempty sets of lines in RP^1, given
+    as angles (radians, any reals), in the metric |sin(s - t)|."""
+    return _hausdorff_sorted(_sorted_rp1(a), _sorted_rp1(b))
+
+
+def random_flag(ptype: ParabolicType, rng: np.random.Generator) -> Flag:
+    """A flag of the given type drawn from the rotation-invariant measure."""
+    q, _ = np.linalg.qr(rng.standard_normal((ptype.d, ptype.d)))
+    return Flag(ptype, {i: q[:, :i] for i in ptype.indices})
+
+
+def constant_family(pair: RelHypPair, rep: dict,
+                    ns: tuple[int, ...]) -> RepFamily:
+    """Every member equals the base; all comparisons must come out zero."""
+    return RepFamily(pair, rep, {n: rep for n in ns})

@@ -11,8 +11,8 @@ from rhfill.automata import (AutomatonGraph, Ball, CosetLabel, GPath,
                              SetSystem, SingletonLabel, automaton_from_json,
                              automaton_to_json, bundled_sanov_automaton,
                              check_compatibility, enumerate_gpaths,
-                             nested_diameters, set_system_from_json,
-                             set_system_to_json, validate_automaton,
+                             nested_diameters, set_system_to_json,
+                             validate_automaton,
                              _angle_diameter, _ball_arc, _mobius_arc)
 from rhfill.errors import (BudgetExceededError, InvalidParameterError,
                            SchemaError)
@@ -350,20 +350,15 @@ def test_automaton_json_schema_errors(pair):
 
 
 def test_set_system_json_roundtrip(bundled):
-    auto, sys_ = bundled
-    obj = set_system_to_json(sys_)
-    back = set_system_from_json(obj)
-    r1 = check_compatibility(SANOV, auto, sys_, enumeration_depth=8)
-    r2 = check_compatibility(SANOV, auto, back, enumeration_depth=8)
-    assert r1 == r2
-
-
-def test_set_system_schema_errors():
-    with pytest.raises(SchemaError, match="epsilon"):
-        set_system_from_json({"sets": {}})
-    with pytest.raises(SchemaError, match="radius"):
-        set_system_from_json({"epsilon": 0.02,
-                              "sets": {"0": [{"angle": 0.0}]}})
+    # the JSON form survives text and lists every ball and witness
+    _, sys_ = bundled
+    obj = json.loads(json.dumps(set_system_to_json(sys_)))
+    assert obj["epsilon"] == sys_.epsilon
+    assert {int(v): [(b["angle"], b["radius"]) for b in balls]
+            for v, balls in obj["sets"].items()} == {
+        v: [(float(b.center), b.radius) for b in balls]
+        for v, balls in sys_.sets.items()}
+    assert {int(v): w for v, w in obj["witnesses"].items()} == sys_.witnesses
 
 
 # ---------------------------------------------------------------------------

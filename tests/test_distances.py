@@ -19,10 +19,6 @@ from rhfill import (
     DisconnectedError,
     InvalidParameterError,
     build_cusped_ball,
-    build_horoball,
-    cycle_graph,
-    generic_graph,
-    integer_interval_metric,
     load_graph,
     shortest_path,
     standard_f2_pair,
@@ -30,7 +26,8 @@ from rhfill import (
 from rhfill.cusped import BFS_BLOCK
 from rhfill.delta import (estimate_delta, four_point_delta_exhaustive,
                           four_point_delta_sampled)
-from reference_windows import build_coned_off
+from reference_windows import (build_coned_off, build_horoball, cycle_graph,
+                               generic_graph, integer_interval_metric)
 
 TWO_COMPONENTS = """V 0 0 - a
 V 1 0 - b

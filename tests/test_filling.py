@@ -15,7 +15,6 @@ from rhfill.filling_geometry import (build_quotient_cusped,
                                      check_local_isometry, check_uniform_delta,
                                      filling_map_report, injectivity_report,
                                      lift_path, lift_roundtrip_report,
-                                     local_isometry_failure_radius,
                                      project_path, project_vertex_key)
 from rhfill.groups import make_filling, standard_f2_pair
 from rhfill.cusped import GraphPath, shortest_path
@@ -100,7 +99,8 @@ def test_project_path_drops_nothing_here(fg50):
     p = shortest_path(src, src.vertices[0], src.vertices[20])
     q = project_path(fg50, p)
     assert q.length == p.length  # no collapsed edges in this window
-    q.validate()
+    tgt = fg50.target
+    assert all(v in tgt.neighbors(u) for u, v in zip(q.vertices, q.vertices[1:]))
 
 
 def test_local_isometry_long_filling(fg50):
@@ -120,7 +120,8 @@ def test_local_isometry_short_filling(fg3):
     first = rep["violations"][0]
     # 1 and a^-2 collapse to distance 1 in the Z/3 horoball
     assert first == {"u": "1", "v": "a^-2", "source": 2, "target": 1}
-    assert local_isometry_failure_radius(fg3, include_interior=True) == 1
+    # with interior vertices it already fails at radius 1
+    assert not check_local_isometry(fg3, 1, include_interior=True)["pass"]
 
 
 def test_local_isometry_radius_gate(fg50):

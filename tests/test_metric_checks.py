@@ -13,10 +13,9 @@ from rhfill.groups import (GroupElement, make_filling, make_oracle, make_pair,
 from rhfill.metric_checks import (comparison_lemma_check,
                                   deep_horoball_isometry_check,
                                   horoball_entry_check, quasidensity_check,
-                                  truncation_monotonicity_check,
                                   verify_metric_lemmas)
-from rhfill.cusped import build_cusped_ball, coned_length, horo_pair
-from reference_windows import _horoball_members
+from rhfill.cusped import build_cusped_ball, horo_pair
+from reference_windows import _horoball_members, coned_length
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +80,15 @@ def test_radius_gate(pair):
 
 
 def test_truncation_monotonicity_small(pair):
-    rep = truncation_monotonicity_check(pair, radius=3)
-    assert rep["pass"]
-    assert rep["certified_stable"]
-    assert rep["distances_monotone"]
-    assert rep["certified_pairs"] > 0
+    # growing the window never changes a certified distance and never
+    # increases any window distance
+    small, big = build_cusped_ball(pair, 3), build_cusped_ball(pair, 4)
+    Ds, cs = small.certified_pairs_matrix()
+    into_big = np.array([big.index[k] for k in small.vertices])
+    Db = big.distance_matrix()[np.ix_(into_big, into_big)]
+    assert cs.sum() > 0
+    assert (Db[cs] == Ds[cs]).all()
+    assert (Db <= Ds).all()
 
 
 def test_quasidensity_ball_must_fit(pair):

@@ -202,7 +202,8 @@ def test_matrices_budget_is_gone(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("module", [rhfill, rhfill.scenarios])
+@pytest.mark.parametrize("module", [rhfill, rhfill.scenarios,
+                                    rhfill.convergence])
 def test_public_names_resolve(module):
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
@@ -213,9 +214,7 @@ def test_tolerances_are_not_a_parameter():
                  if callable(obj := getattr(rhfill, n))
                  and _has_param(obj, "tols")]
     assert with_tols == []
-    assert not _has_param(rhfill.ProjectiveMatrix.same_class, "tol")
     assert not _has_param(rhfill.injectivity_report, "peripheral_radius")
-    assert not _has_param(rhfill.generic_graph, "labels")
 
 
 def _has_param(obj, name: str) -> bool:
@@ -336,18 +335,6 @@ def test_emit_chabauty_rows():
     assert emit_plot_data(rep) == "n,distance,a_side,b_side\n10,2.0,2.0,1.5\n"
 
 
-def test_emit_single_edf_report():
-    rep = {"name": "edf-condition", "query": "a-side",
-           "edf": [{"index": 30, "min_margin": 0.04, "verdict": "pass"}]}
-    assert emit_plot_data(rep) == \
-        "query,n,min_margin,verdict\na-side,30,0.04,pass\n"
-
-
-def test_emit_nested_diameters():
-    rep = {"name": "nested-diameters", "diameters": [1.0, 0.5]}
-    assert emit_plot_data(rep) == "step,diameter\n0,1.0\n1,0.5\n"
-
-
 def test_emit_contraction_rows():
     rep = {"name": "contraction",
            "table": [{"path": 0, "rate": 0.1, "monotone": True}]}
@@ -357,6 +344,11 @@ def test_emit_contraction_rows():
 def test_emit_rejects_reports_without_tables():
     with pytest.raises(NoTabularDataError, match="no-tabular-data"):
         emit_plot_data({"name": "gpath-tracking", "pass": True})
+    # no task renders a single edf query or a nested-diameter list
+    with pytest.raises(NoTabularDataError):
+        emit_plot_data({"name": "edf-condition", "query": "a-side", "edf": []})
+    with pytest.raises(NoTabularDataError):
+        emit_plot_data({"name": "nested-diameters", "diameters": [1.0, 0.5]})
     with pytest.raises(NoTabularDataError):
         emit_plot_data("not a report")
 

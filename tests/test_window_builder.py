@@ -14,9 +14,9 @@ from rhfill.cusped import (ExactCuspedMetric, build_cusped_ball, dump_graph,
 from rhfill.groups import (make_filling, make_oracle, make_pair,
                            standard_f2_pair)
 from rhfill.metric_checks import _horoball_label
-from reference_windows import (_horoball_members, reference_approach,
-                               reference_ball, reference_build_cusped_ball,
-                               reference_dist)
+from reference_windows import (_horoball_members, exact_ball,
+                               reference_approach, reference_ball,
+                               reference_build_cusped_ball, reference_dist)
 
 Z = {"kind": "free-abelian", "rank": 1}
 
@@ -84,7 +84,7 @@ def assert_same_horoballs(window):
 @given(windows())
 def test_window_matches_the_reference_builder(case):
     pair, radius, max_depth = case
-    ball = ExactCuspedMetric(pair).ball(radius, max_depth)
+    ball = exact_ball(ExactCuspedMetric(pair), radius, max_depth)
     assert list(ball.items()) == list(reference_ball(pair, radius,
                                                      max_depth).items())
     got = build_cusped_ball(pair, radius, max_depth)
@@ -107,7 +107,7 @@ def test_interior_costs_match_the_approach_scan(name):
     # horo_dip(|y|, k)
     pair = pair_named(name)
     metric = ExactCuspedMetric(pair)
-    ball = metric.ball(4)
+    ball = exact_ball(metric, 4)
     for key, cost in ball.items():
         if key[0] == "h":
             _, pid, coset, y, k = key
@@ -120,10 +120,33 @@ def test_interior_costs_match_the_approach_scan(name):
 def test_dist_matches_the_exit_point_scan(name, data):
     pair = pair_named(name)
     metric = ExactCuspedMetric(pair)
-    keys = st.sampled_from(list(metric.ball(4)))
+    keys = st.sampled_from(list(exact_ball(metric, 4)))
     for _ in range(20):
         u, v = data.draw(keys), data.draw(keys)
         assert metric.dist(u, v) == reference_dist(metric, u, v)
+
+
+def test_window_over_an_infinite_quotient_peripheral():
+    # Z^2 filled by (3, 1) leaves Z^2 / <(3, 1)>, infinite with no finite
+    # order, which the reference scans cannot enumerate; the window is
+    # checked against BFS, a larger window and the exact metric instead
+    pair = make_filling(pair_named("Z^2 * Z"), {0: [[3, 1]]}).quotient_pair
+    assert pair.peripherals[0].factor.p_order() is None
+    small, big = build_cusped_ball(pair, 3), build_cusped_ball(pair, 5)
+    assert small.n_vertices == 265
+    for w in (small, big):
+        assert (w.bfs_distances(("c", ())) == w.meta["dist_from_id"]).all()
+    Ds, cs = small.certified_pairs_matrix()
+    into_big = np.array([big.index[k] for k in small.vertices])
+    assert cs.sum() == 13_507
+    assert (big.distance_matrix()[np.ix_(into_big, into_big)][cs]
+            == Ds[cs]).all()
+    Db, cb = big.certified_pairs_matrix()
+    u, v = np.nonzero(cb)
+    pick = np.random.default_rng(0).choice(len(u), 3000, replace=False)
+    metric = ExactCuspedMetric(pair)
+    assert all(metric.dist(big.vertices[u[t]], big.vertices[v[t]])
+               == Db[u[t], v[t]] for t in pick.tolist())
 
 
 @settings(max_examples=100, deadline=None)

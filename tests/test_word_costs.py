@@ -11,10 +11,10 @@ from functools import lru_cache
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from rhfill.cusped import (ExactCuspedMetric, coned_distance, horo_flat,
-                           pair_word_costs)
+from rhfill.cusped import ExactCuspedMetric, horo_flat, pair_word_costs
 from rhfill.groups import (enumerate_ball, make_filling, make_oracle,
                            make_pair, standard_f2_pair)
+from reference_windows import coned_distance
 
 F2 = standard_f2_pair()
 Z2_Z = make_pair(make_oracle({"kind": "free-product", "factors": [
