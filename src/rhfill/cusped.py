@@ -366,7 +366,6 @@ class CuspedGraph:
         self._neighbor_lists = None
         self._dist_matrix = None
         self._cert = None
-        self._kind_map = None
 
     @property
     def n_vertices(self) -> int:
@@ -391,6 +390,26 @@ class CuspedGraph:
             self._neighbor_lists = np.split(indices, indptr[1:-1])
         return self._neighbor_lists[i]
 
+    def _closed_pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_pattern(loops=True)``, cached."""
+        if self._closed is None:
+            self._closed = self._pattern(loops=True)
+        return self._closed
+
+    def first_neighbours(self, cur: np.ndarray, accept) -> np.ndarray:
+        """For each vertex cur[p], the smallest w among cur[p] and its
+        neighbours with ``accept(p, w)`` true, -1 if there is none.
+        ``accept`` gets the candidate pairs as two arrays, by p, then w."""
+        nbrs, indptr = self._closed_pattern()
+        degree = indptr[cur + 1] - indptr[cur]
+        p = np.repeat(np.arange(len(cur)), degree)
+        w = nbrs[_ranges(indptr[cur], degree)]
+        hit = np.flatnonzero(accept(p, w))
+        hit = hit[np.diff(p[hit], prepend=-1) != 0]
+        out = np.full(len(cur), -1, dtype=np.int64)
+        out[p[hit]] = w[hit]
+        return out
+
     def _bfs_rows(self, sources) -> np.ndarray:
         """Read-only int16 distance rows from ``sources``, -1 if unreachable.
 
@@ -402,10 +421,8 @@ class CuspedGraph:
         ORed into the binary planes of its level; planes and seen bits are
         unpacked into the int16 rows at the end."""
         n, k = self.n_vertices, len(sources)
-        if self._closed is None:
-            indices, indptr = self._pattern(loops=True)
-            self._closed = indices, indptr[:-1]
-        nbrs, starts = self._closed
+        nbrs, indptr = self._closed_pattern()
+        starts = indptr[:-1]
         col = np.arange(k)
         seen = np.zeros((n, -(-k // 64)), dtype="<u8")
         np.bitwise_or.at(seen, (sources, col // 64),
@@ -468,13 +485,6 @@ class CuspedGraph:
             self._dist_matrix = D
         return self._dist_matrix
 
-    def edge_kind_of(self, i: int, j: int) -> str | None:
-        if self._kind_map is None:
-            self._kind_map = {
-                (min(int(u), int(v)), max(int(u), int(v))): k
-                for u, v, k in zip(self.edges_u, self.edges_v, self.edge_kind)}
-        return self._kind_map.get((min(i, j), max(i, j)))
-
     # -- truncation certificate ------------------------------------------
 
     def certified_pairs_matrix(self) -> tuple[np.ndarray, np.ndarray]:
@@ -499,21 +509,43 @@ class CuspedGraph:
         return D, self._cert
 
 
+def geodesics(graph: CuspedGraph, u, v) -> np.ndarray:
+    """Canonical BFS geodesics from u[p] to v[p] for vertex index arrays.
+
+    Row p of the ``(k, L + 1)`` result, L the longest distance, holds the
+    d(u[p], v[p]) + 1 vertices of its geodesic from u[p], then -1. All paths
+    step back from v together; each step keeps the smallest neighbour one
+    level closer to u[p]. Distances come from the cached ``distance_matrix``
+    or, without it, from one BFS over the distinct sources. A step depends
+    only on u[p] and the current vertex, so the geodesic from u[p] to a
+    vertex on this one is its prefix."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    D, row = graph._dist_matrix, u
+    if D is None:
+        sources, row = np.unique(u, return_inverse=True)
+        D = graph._bfs_rows(sources)
+    d = D[row, v].astype(np.int64)
+    if (d < 0).any():
+        p = int(np.argmax(d < 0))
+        raise DisconnectedError(
+            f"vertices {u[p]} and {v[p]} not connected in window")
+    paths = np.full((len(u), d.max(initial=0) + 1), -1, dtype=np.int64)
+    act, cur = np.arange(len(u)), v.copy()
+    paths[act, d] = v
+    for t in range(1, paths.shape[1]):
+        act = act[d[act] >= t]
+        r, level = row[act], d[act] - t
+        cur[act] = graph.first_neighbours(
+            cur[act], lambda p, w: D[r[p], w] == level[p])
+        paths[act, level] = cur[act]
+    return paths
+
+
 def shortest_path(graph: CuspedGraph, u, v) -> GraphPath:
-    """BFS geodesic; ties broken toward the smallest vertex index."""
-    ui, vi = graph.vertex_index(u), graph.vertex_index(v)
-    dist = graph.bfs_distances(ui)
-    if dist[vi] < 0:
-        raise DisconnectedError(f"vertices {u!r} and {v!r} not connected in window")
-    path = [vi]
-    cur = vi
-    while cur != ui:
-        nbrs = graph.neighbors(cur)
-        below = nbrs[dist[nbrs] == dist[cur] - 1]
-        cur = int(below.min())
-        path.append(cur)
-    path.reverse()
-    return GraphPath(graph, path)
+    """BFS geodesic between two vertices (indices or keys), the one-pair
+    case of :func:`geodesics`; ties broken toward the smallest vertex index."""
+    row = geodesics(graph, [graph.vertex_index(u)], [graph.vertex_index(v)])
+    return GraphPath(graph, row[0].tolist())
 
 
 # ---------------------------------------------------------------------------

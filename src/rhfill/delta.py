@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (BudgetExceededError, DisconnectedError,
                      InvalidParameterError)
-from .cusped import CuspedGraph, shortest_path
+from .cusped import CuspedGraph, geodesics
 
 
 @dataclass(frozen=True)
@@ -140,20 +140,14 @@ def thin_triangle_delta(graph: CuspedGraph, triangles: int = 1000,
         raise InvalidParameterError("thin-triangles mode needs a graph, "
                                     "not a bare distance matrix")
     D = _as_matrix(graph)
-    n = graph.n_vertices
-    rng = np.random.default_rng(seed)
-    best = -1.0
-    wit = (0, 0, 0)
-    for _ in range(triangles):
-        x, y, z = (int(v) for v in rng.integers(0, n, 3))
-        sides = []
-        for u, v in ((x, y), (y, z), (z, x)):
-            sides.append(np.array(shortest_path(graph, u, v).vertices))
-        slim = 0.0
-        for t in range(3):
-            others = np.concatenate([sides[(t + 1) % 3], sides[(t + 2) % 3]])
-            slim = max(slim, float(D[np.ix_(sides[t], others)].min(axis=1).max()))
-        if slim > best:
-            best = slim
-            wit = (x, y, z)
-    return HyperbolicityEstimate(best, "thin-triangles", triangles, wit, False)
+    xyz = np.random.default_rng(seed).integers(0, graph.n_vertices,
+                                                size=(triangles, 3))
+    # sides x-y, y-z, z-x of each triangle, padded with their first vertex
+    sides = geodesics(graph, xyz.ravel(), np.roll(xyz, -1, axis=1).ravel())
+    sides = np.where(sides >= 0, sides, sides[:, :1]).reshape(triangles, 3, -1)
+    others = np.concatenate([np.roll(sides, -1, axis=1),
+                             np.roll(sides, -2, axis=1)], axis=2)
+    slim = D[sides[..., None], others[..., None, :]].min(axis=3).max(axis=(1, 2))
+    best = int(slim.argmax())
+    return HyperbolicityEstimate(float(slim[best]), "thin-triangles", triangles,
+                                 tuple(xyz[best].tolist()), False)

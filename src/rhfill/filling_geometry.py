@@ -6,6 +6,16 @@ vertex (coset, local, k) to the image coset with the image local coordinate
 at the same depth. Every source edge maps to a target edge of the same kind
 or collapses to a loop (never for vertical edges), which makes the map
 1-Lipschitz; both facts are checked, not assumed, by `filling_map_report`.
+
+The descent and lift checks work on batches of paths. `geodesics` walks all
+of them back from their ends at once, each step keeping the smallest
+neighbour one level closer to the start, and `lift_paths` lifts them in
+lockstep, each step keeping the smallest source neighbour over the next
+target vertex. Their random pairs are drawn in blocks, which give the same
+numbers and generator state as one draw at a time (numpy's
+`Generator.integers`, also with one high per draw). A skipped lift changes
+the near/anywhere parity of the draws after it, so the lift check restores
+the generator state and redraws the block up to the skip.
 """
 from __future__ import annotations
 
@@ -19,11 +29,11 @@ from .cusped import (
     GraphPath,
     build_cusped_ball,
     depth0_key,
+    geodesics,
     horo_flat,
     horo_key,
     key_base_element,
     pair_word_costs,
-    shortest_path,
 )
 from .delta import four_point_delta_sampled
 from .errors import (
@@ -32,6 +42,8 @@ from .errors import (
     WindowError,
 )
 from .groups import FillingData, GroupElement, RelHypPair, enumerate_ball
+
+DRAW_BLOCK = 8192  # most random pairs drawn, walked or lifted in one batch
 
 
 class FillingGeometry:
@@ -89,35 +101,33 @@ def filling_map_report(fg: FillingGeometry) -> dict:
     1-Lipschitz behavior on certified source pairs."""
     src, tgt = fg.source, fg.target
     vmap = fg.vertex_map
-    surjective = len(set(vmap.tolist())) == tgt.n_vertices
+    surjective = len(np.unique(vmap)) == tgt.n_vertices
     depth_ok = bool((src.depth == tgt.depth[vmap]).all())
-    vertical_loops = 0
-    kind_mismatches = 0
-    collapsed = 0
-    for u, v, kind in zip(src.edges_u, src.edges_v, src.edge_kind):
-        mu, mv = int(vmap[u]), int(vmap[v])
-        if mu == mv:
-            collapsed += 1
-            if kind == "vertical":
-                vertical_loops += 1
-            continue
-        if tgt.edge_kind_of(mu, mv) != kind:
-            kind_mismatches += 1
+    # target edge kinds by key min * n + max, the last of parallel edges
+    # winning; the key n * n, past every edge, has the kind ""
+    n = tgt.n_vertices
+    mu, mv = vmap[src.edges_u], vmap[src.edges_v]
+    src_kind = np.asarray(src.edge_kind, dtype=str)
+    tkey = np.minimum(tgt.edges_u, tgt.edges_v) * n + np.maximum(tgt.edges_u,
+                                                                 tgt.edges_v)
+    keys, last = np.unique(np.append(tkey, n * n)[::-1], return_index=True)
+    kinds = np.append(tgt.edge_kind, "")[::-1][last]
+    q = np.minimum(mu, mv) * n + np.maximum(mu, mv)
+    at = np.searchsorted(keys, q)
+    collapsed = mu == mv
+    vertical_loops = np.count_nonzero(collapsed & (src_kind == "vertical"))
+    kind_mismatches = np.count_nonzero(
+        ~collapsed & ((keys[at] != q) | (kinds[at] != src_kind)))
     Ds, cert = src.certified_pairs_matrix()
-    Dt = tgt.distance_matrix()
-    worst = 0.0
     iu, il = np.nonzero(cert)
-    vals_s = Ds[iu, il]
-    vals_t = Dt[vmap[iu], vmap[il]]
-    bad = vals_t > vals_s
-    lip_ok = not bad.any()
-    if len(vals_s):
-        worst = float((vals_t - vals_s).max())
+    stretch = tgt.distance_matrix()[vmap[iu], vmap[il]] - Ds[iu, il]
+    lip_ok = not (stretch > 0).any()
+    worst = float(stretch.max()) if len(stretch) else 0.0
     return {
         "name": "filling-map",
         "surjective": bool(surjective),
         "depth_preserved": depth_ok,
-        "collapsed_edges": int(collapsed),
+        "collapsed_edges": int(np.count_nonzero(collapsed)),
         "vertical_loops": int(vertical_loops),
         "kind_mismatches": int(kind_mismatches),
         "lipschitz_on_certified": bool(lip_ok),
@@ -137,30 +147,44 @@ def project_path(fg: FillingGeometry, path: GraphPath) -> GraphPath:
     return GraphPath(fg.target, out)
 
 
-def lift_path(fg: FillingGeometry, path: GraphPath, base_lift) -> GraphPath:
-    """Edge-by-edge lift of a target path starting at ``base_lift``.
+def lift_paths(fg: FillingGeometry, paths: np.ndarray,
+               bases: np.ndarray) -> np.ndarray:
+    """Lockstep lifts of target paths, rows of vertices padded with -1 as
+    :func:`geodesics` gives them, from source vertices ``bases`` that
+    project to their starts.
 
-    When several source edges project onto a target edge, take the endpoint
-    that comes first in the canonical window order (the windows sort their
-    vertices by canonical form). The result projects back to ``path``.
-    """
+    Each step keeps the smallest source neighbour whose image is the next
+    target vertex (the windows sort their vertices by canonical form), so
+    every lift projects back onto its path. A row with no such neighbour at
+    some step is -1 from that step on, and a row whose base is -1 is -1."""
+    lifts = np.full(paths.shape, -1, dtype=np.int64)
+    lifts[:, 0] = bases
+    act = np.flatnonzero(lifts[:, 0] >= 0)
+    for t in range(1, paths.shape[1]):
+        act = act[paths[act, t] >= 0]
+        image = paths[act, t]
+        step = fg.source.first_neighbours(
+            lifts[act, t - 1], lambda p, w: fg.vertex_map[w] == image[p])
+        act = act[step >= 0]
+        lifts[act, t] = step[step >= 0]
+    return lifts
+
+
+def lift_path(fg: FillingGeometry, path: GraphPath, base_lift) -> GraphPath:
+    """Edge-by-edge lift of a target path starting at ``base_lift`` (index
+    or key), the one-path case of :func:`lift_paths`."""
     src = fg.source
     start = src.index[base_lift] if not isinstance(base_lift, (int, np.integer)) \
         else int(base_lift)
     if int(fg.vertex_map[start]) != path.vertices[0]:
         raise InvalidParameterError("base lift does not project to path start")
-    out = [start]
-    cur = start
-    for tnext in path.vertices[1:]:
-        candidates = [int(u) for u in src.neighbors(cur)
-                      if int(fg.vertex_map[u]) == tnext]
-        if not candidates:
-            raise NoPreimageEdgeError(
-                f"no preimage edge toward {fg.target.labels[tnext]!r} "
-                f"from {src.labels[cur]!r} inside the window")
-        cur = min(candidates)
-        out.append(cur)
-    return GraphPath(src, out)
+    lift = lift_paths(fg, np.array([path.vertices]), [start])[0]
+    if lift[-1] < 0:
+        t = int(np.argmax(lift < 0))
+        raise NoPreimageEdgeError(
+            f"no preimage edge toward {fg.target.labels[path.vertices[t]]!r} "
+            f"from {src.labels[lift[t - 1]]!r} inside the window")
+    return GraphPath(src, lift.tolist())
 
 
 def lift_roundtrip_report(fg: FillingGeometry, n_paths: int = 1000,
@@ -171,51 +195,65 @@ def lift_roundtrip_report(fg: FillingGeometry, n_paths: int = 1000,
     exactly, and the lift, having the same length, must realize the source
     BFS distance between its endpoints whenever that pair is certified
     (lifts of geodesics cannot be beaten: projection is 1-Lipschitz).
+
+    Draw i picks (u, v): two near-centre vertices while the paths lifted so
+    far are even in number, two arbitrary ones otherwise. A draw is skipped
+    when u has no preimage or the lift gets stuck. Draws are taken in
+    blocks with per-draw highs for the parity they would have without a
+    skip, which gives the numbers of one draw at a time; at a skip the
+    generator state is restored and the block redrawn up to the skipped
+    draw, since later draws change parity. After ``20 * n_paths`` draws the
+    check stops, and fails if fewer than ``n_paths`` paths were lifted.
+    A block's geodesics come from :func:`geodesics` (each step back from v
+    keeps the smallest neighbour one level closer to u) and its lifts from
+    :func:`lift_paths` (each step keeps the smallest source neighbour over
+    the next target vertex).
     """
     if n_paths < 1:
         raise InvalidParameterError(f"lift needs n_paths >= 1, got {n_paths}")
-    tgt = fg.target
-    Ds, cert = fg.source.certified_pairs_matrix()
+    src, tgt = fg.source, fg.target
+    Ds, cert = src.certified_pairs_matrix()
     rng = np.random.default_rng(seed)
-    n = tgt.n_vertices
     # half the draws stay near the center, where endpoint pairs certify
     tdist0 = np.asarray(tgt.meta["dist_from_id"])
     near = np.flatnonzero(tdist0 <= max(1, tgt.meta["radius"] // 2))
+    # the first source vertex over each target vertex, -1 if none
+    preimage = np.full(tgt.n_vertices, -1, dtype=np.int64)
+    over, first = np.unique(fg.vertex_map, return_index=True)
+    preimage[over] = first
     roundtrip_failures = 0
     tightness_failures = []
-    lifted = 0
-    tight_checked = 0
-    no_preimage = 0
-    preimages: dict[int, int] = {}
-    for i, j in enumerate(fg.vertex_map):
-        preimages.setdefault(int(j), i)
-    while lifted < n_paths:
-        if lifted % 2 == 0:
-            u = int(near[rng.integers(0, len(near))])
-            v = int(near[rng.integers(0, len(near))])
-        else:
-            u = int(rng.integers(0, n))
-            v = int(rng.integers(0, n))
-        tpath = shortest_path(tgt, u, v)
-        base = preimages.get(u)
-        if base is None:
-            continue
-        try:
-            lift = lift_path(fg, tpath, base)
-        except NoPreimageEdgeError:
-            no_preimage += 1
-            continue
-        lifted += 1
-        back = project_path(fg, lift)
-        if back.vertices != tpath.vertices:
-            roundtrip_failures += 1
-        a, b = lift.vertices[0], lift.vertices[-1]
-        if cert[a, b]:
-            tight_checked += 1
-            if Ds[a, b] != lift.length:
-                tightness_failures.append({
-                    "start": fg.source.labels[a], "end": fg.source.labels[b],
-                    "lift_length": lift.length, "source_bfs": float(Ds[a, b])})
+    lifted = draws = tight_checked = no_preimage = 0
+    block = n_paths
+    while lifted < n_paths and draws < 20 * n_paths:
+        block = min(block, n_paths - lifted, 20 * n_paths - draws, DRAW_BLOCK)
+        state = rng.bit_generator.state
+        even = (lifted + np.arange(block)) % 2 == 0
+        high = np.repeat(np.where(even, len(near), tgt.n_vertices), 2)
+        uv = rng.integers(0, high).reshape(block, 2)
+        uv[even] = near[uv[even]]
+        paths = geodesics(tgt, uv[:, 0], uv[:, 1])
+        lifts = lift_paths(fg, paths, preimage[uv[:, 0]])
+        length = np.count_nonzero(paths >= 0, axis=1) - 1
+        a, b = lifts[:, 0], lifts[np.arange(block), length]
+        if (b < 0).any():
+            s = int(np.argmax(b < 0))
+            no_preimage += int(a[s] >= 0)
+            rng.bit_generator.state = state
+            rng.integers(0, high[:2 * s + 2])
+            paths, lifts, length, a, b = (x[:s] for x in (paths, lifts, length, a, b))
+            block = s + 1
+        draws += block
+        lifted += len(paths)
+        roundtrip_failures += int(np.count_nonzero(
+            ((fg.vertex_map[lifts] != paths) & (paths >= 0)).any(axis=1)))
+        tight_checked += int(np.count_nonzero(cert[a, b]))
+        for t in np.flatnonzero(cert[a, b] & (Ds[a, b] != length)):
+            tightness_failures.append({
+                "start": src.labels[a[t]], "end": src.labels[b[t]],
+                "lift_length": int(length[t]), "source_bfs": float(Ds[a[t], b[t]])})
+        # draws past a skip are made again, so blocks grow from the last one
+        block = max(32, 2 * block)
     return {
         "name": "lift-roundtrip",
         "paths": lifted,
@@ -224,7 +262,8 @@ def lift_roundtrip_report(fg: FillingGeometry, n_paths: int = 1000,
         "tightness_failures": tightness_failures[:10],
         "tightness_failure_count": len(tightness_failures),
         "no_preimage_skipped": no_preimage,
-        "pass": roundtrip_failures == 0 and not tightness_failures,
+        "pass": (lifted == n_paths and roundtrip_failures == 0
+                 and not tightness_failures),
     }
 
 
@@ -302,38 +341,49 @@ def check_descent_quasigeodesic(fg: FillingGeometry, K: float,
     len_between(i, j) <= K * d_target(p_i, p_j) + 2*delta for all certified
     target sub-pairs; geodesics that dive deeper than ``max_depth_used``
     are skipped (the statement is depth-filtered).
+
+    At most ``20 * samples`` pairs (u, v) are drawn, in blocks of up to
+    ``DRAW_BLOCK``, which give the numbers of one draw at a time; the
+    certified ones are taken in draw order, as many per batch of geodesics
+    as paths are still wanted. The geodesics are those of
+    :func:`geodesics`, whose steps keep the smallest neighbour one level
+    closer to u. Failures are listed in path order, then by sub-pair (i, j)
+    row-major.
     """
     if samples < 1:
         raise InvalidParameterError(f"descent needs samples >= 1, got {samples}")
-    Ds, cert_s = fg.source.certified_pairs_matrix()
+    src = fg.source
+    _, cert_s = src.certified_pairs_matrix()
     Dt, cert_t = fg.target.certified_pairs_matrix()
     delta = four_point_delta_sampled(Dt, samples=50_000, seed=seed).delta
     rng = np.random.default_rng(seed)
-    n = fg.source.n_vertices
-    checked_paths = 0
+    uv = np.empty((0, 2), dtype=np.int64)
+    drawn = checked_paths = 0
     failures = []
-    attempts = 0
-    while checked_paths < samples and attempts < samples * 20:
-        attempts += 1
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if not cert_s[u, v]:
+    while checked_paths < samples and (len(uv) or drawn < 20 * samples):
+        if not len(uv):
+            k = min(DRAW_BLOCK, 20 * samples - drawn)
+            uv, drawn = rng.integers(0, src.n_vertices, size=(k, 2)), drawn + k
+            uv = uv[cert_s[uv[:, 0], uv[:, 1]]]
             continue
-        spath = shortest_path(fg.source, u, v)
-        if max(int(fg.source.depth[i]) for i in spath.vertices) > max_depth_used:
-            continue
-        checked_paths += 1
-        tv = fg.vertex_map[spath.vertices]
-        # steps[k]: non-collapsed steps among the first k of the projection
-        steps = np.concatenate(([0], np.cumsum(tv[1:] != tv[:-1])))
-        i, j = np.triu_indices(len(tv), k=1)
-        gap, dist = steps[j] - steps[i], Dt[tv[i], tv[j]]
-        far = cert_t[tv[i], tv[j]] & (gap > K * dist + 2 * delta + 1e-9)
-        for t in np.flatnonzero(far):
+        take, uv = uv[:samples - checked_paths], uv[samples - checked_paths:]
+        paths = geodesics(src, take[:, 0], take[:, 1])
+        ok = np.where(paths >= 0, src.depth[paths], 0).max(axis=1) <= max_depth_used
+        take, paths = take[ok], paths[ok]
+        checked_paths += len(paths)
+        tv = np.where(paths >= 0, fg.vertex_map[paths], -1)
+        # steps[p, k]: non-collapsed steps among the first k of projection p
+        steps = np.zeros(tv.shape, dtype=np.int64)
+        np.cumsum(tv[:, 1:] != tv[:, :-1], axis=1, out=steps[:, 1:])
+        i, j = np.triu_indices(tv.shape[1], k=1)
+        gap, dist = steps[:, j] - steps[:, i], Dt[tv[:, i], tv[:, j]]
+        far = (tv[:, j] >= 0) & cert_t[tv[:, i], tv[:, j]] & (
+            gap > K * dist + 2 * delta + 1e-9)
+        for p, t in zip(*np.nonzero(far)):
             failures.append({
-                "start": fg.source.labels[u], "end": fg.source.labels[v],
-                "sub": (int(i[t]), int(j[t])), "steps": int(gap[t]),
-                "target_distance": float(dist[t])})
+                "start": src.labels[take[p, 0]], "end": src.labels[take[p, 1]],
+                "sub": (int(i[t]), int(j[t])), "steps": int(gap[p, t]),
+                "target_distance": float(dist[p, t])})
     return {
         "name": "descent-quasigeodesic",
         "K": K,

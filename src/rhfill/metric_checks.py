@@ -15,6 +15,7 @@ from .cusped import (
     CuspedGraph,
     _ranges,
     build_cusped_ball,
+    geodesics,
     horo_pair,
     pair_word_costs,
     run_pairs,
@@ -156,21 +157,10 @@ def horoball_entry_check(window: CuspedGraph, delta: float,
 
 def _canonical_ray_union(window: CuspedGraph, targets: np.ndarray) -> np.ndarray:
     """Vertices on the canonical (smallest-index tie-break) BFS geodesics
-    from the identity to each target."""
+    from the identity to each target, sorted."""
     i0 = window.index[("c", ())]
-    dist = window.bfs_distances(i0)
-    used = set()
-    for t in targets:
-        cur = int(t)
-        while cur != i0:
-            if cur in used:
-                break
-            used.add(cur)
-            nbrs = window.neighbors(cur)
-            below = nbrs[dist[nbrs] == dist[cur] - 1]
-            cur = int(below.min())
-    used.add(i0)
-    return np.array(sorted(used))
+    paths = geodesics(window, np.full(len(targets), i0), targets)
+    return np.union1d(paths[paths >= 0], [i0])
 
 
 def quasidensity_check(window: CuspedGraph, delta: float,

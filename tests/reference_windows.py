@@ -1,6 +1,8 @@
 """Reference implementations that only tests use: the per-key loops that
 the array builders in ``rhfill.cusped`` replace, the word-ball Cayley and
-coned-off windows, a standalone horoball, small generic graphs, and the
+coned-off windows, a standalone horoball, small generic graphs, the
+one-path-at-a-time geodesic walk, lift and filling checks that the batched
+ones in ``rhfill.cusped`` and ``rhfill.filling_geometry`` replace, and the
 plain forms of a few library routines (coned lengths, the exact metric ball,
 RP^1 Hausdorff distances, random flags, constant families). Tests compare
 the library against these, so they favour plainness over speed.
@@ -21,6 +23,8 @@ from rhfill.cusped import (
     horo_pair,
     key_base_element,
 )
+from rhfill.delta import HyperbolicityEstimate, four_point_delta_sampled
+from rhfill.filling_geometry import FillingGeometry
 from rhfill.flags import Flag, ParabolicType, _hausdorff_sorted, _sorted_rp1
 from rhfill.groups import (
     FreeAbelianOracle,
@@ -29,7 +33,8 @@ from rhfill.groups import (
     enumerate_ball,
     format_word,
 )
-from rhfill.errors import UnsupportedKindError
+from rhfill.errors import (DisconnectedError, NoPreimageEdgeError,
+                           UnsupportedKindError)
 
 
 def box_candidates(factor, a, b):
@@ -382,3 +387,158 @@ def constant_family(pair: RelHypPair, rep: dict,
                     ns: tuple[int, ...]) -> RepFamily:
     """Every member equals the base; all comparisons must come out zero."""
     return RepFamily(pair, rep, {n: rep for n in ns})
+
+
+# ---------------------------------------------------------------------------
+# geodesics, lifts and the filling checks one path at a time
+
+
+def reference_shortest_path(graph: CuspedGraph, u: int, v: int) -> list[int]:
+    """BFS geodesic from u to v: from v, step to the smallest neighbour one
+    level closer to u until u is reached."""
+    dist = graph.bfs_distances(u)
+    if dist[v] < 0:
+        raise DisconnectedError(f"vertices {u} and {v} not connected in window")
+    path = [v]
+    while path[-1] != u:
+        nbrs = graph.neighbors(path[-1])
+        path.append(int(nbrs[dist[nbrs] == dist[path[-1]] - 1].min()))
+    return path[::-1]
+
+
+def reference_lift_path(fg: FillingGeometry, path: list[int],
+                        start: int) -> list[int]:
+    """Edge-by-edge lift from ``start``: the smallest source neighbour over
+    the next target vertex each time."""
+    out = [start]
+    for tnext in path[1:]:
+        candidates = [int(u) for u in fg.source.neighbors(out[-1])
+                      if int(fg.vertex_map[u]) == tnext]
+        if not candidates:
+            raise NoPreimageEdgeError(f"no preimage edge toward {tnext}")
+        out.append(min(candidates))
+    return out
+
+
+def reference_descent(fg: FillingGeometry, K: float, max_depth_used: int,
+                      samples: int, seed: int) -> dict:
+    """Descent check drawing one pair and walking one geodesic at a time."""
+    _, cert_s = fg.source.certified_pairs_matrix()
+    Dt, cert_t = fg.target.certified_pairs_matrix()
+    delta = four_point_delta_sampled(Dt, samples=50_000, seed=seed).delta
+    rng = np.random.default_rng(seed)
+    n = fg.source.n_vertices
+    paths, attempts, failures = 0, 0, []
+    while paths < samples and attempts < samples * 20:
+        attempts += 1
+        u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+        if not cert_s[u, v]:
+            continue
+        spath = reference_shortest_path(fg.source, u, v)
+        if max(int(fg.source.depth[i]) for i in spath) > max_depth_used:
+            continue
+        paths += 1
+        tv = [int(fg.vertex_map[i]) for i in spath]
+        for i in range(len(tv)):
+            for j in range(i + 1, len(tv)):
+                steps = sum(tv[t] != tv[t + 1] for t in range(i, j))
+                if cert_t[tv[i], tv[j]] and \
+                        steps > K * Dt[tv[i], tv[j]] + 2 * delta + 1e-9:
+                    failures.append({
+                        "start": fg.source.labels[u],
+                        "end": fg.source.labels[v], "sub": (i, j),
+                        "steps": steps,
+                        "target_distance": float(Dt[tv[i], tv[j]])})
+    return {"name": "descent-quasigeodesic", "K": K, "delta": delta,
+            "max_depth_used": max_depth_used, "paths_checked": paths,
+            "failures": failures[:10], "failure_count": len(failures),
+            "pass": not failures}
+
+
+def reference_lift_roundtrip(fg: FillingGeometry, n_paths: int,
+                             seed: int) -> dict:
+    """Lift check drawing one pair and lifting one geodesic at a time, for
+    at most 20 * n_paths draws."""
+    src, tgt = fg.source, fg.target
+    Ds, cert = src.certified_pairs_matrix()
+    rng = np.random.default_rng(seed)
+    n = tgt.n_vertices
+    tdist0 = np.asarray(tgt.meta["dist_from_id"])
+    near = np.flatnonzero(tdist0 <= max(1, tgt.meta["radius"] // 2))
+    preimages: dict[int, int] = {}
+    for i, j in enumerate(fg.vertex_map):
+        preimages.setdefault(int(j), i)
+    lifted = draws = roundtrip = checked = skipped = 0
+    failures = []
+    while lifted < n_paths and draws < 20 * n_paths:
+        draws += 1
+        if lifted % 2 == 0:
+            u = int(near[rng.integers(0, len(near))])
+            v = int(near[rng.integers(0, len(near))])
+        else:
+            u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+        tpath = reference_shortest_path(tgt, u, v)
+        if u not in preimages:
+            continue
+        try:
+            lift = reference_lift_path(fg, tpath, preimages[u])
+        except NoPreimageEdgeError:
+            skipped += 1
+            continue
+        lifted += 1
+        back = [int(fg.vertex_map[i]) for i in lift]
+        back = [x for t, x in enumerate(back) if t == 0 or back[t - 1] != x]
+        roundtrip += back != tpath
+        a, b = lift[0], lift[-1]
+        if cert[a, b]:
+            checked += 1
+            if Ds[a, b] != len(lift) - 1:
+                failures.append({
+                    "start": src.labels[a], "end": src.labels[b],
+                    "lift_length": len(lift) - 1, "source_bfs": float(Ds[a, b])})
+    return {"name": "lift-roundtrip", "paths": lifted,
+            "roundtrip_failures": roundtrip, "tightness_checked": checked,
+            "tightness_failures": failures[:10],
+            "tightness_failure_count": len(failures),
+            "no_preimage_skipped": skipped,
+            "pass": lifted == n_paths and roundtrip == 0 and not failures}
+
+
+def reference_map_edges(fg: FillingGeometry) -> dict:
+    """Surjectivity and the edge counts of the filling map, one source edge
+    at a time against a dict of target edge kinds (of parallel edges the
+    last one's)."""
+    kind_of = {(min(u, v), max(u, v)): k for u, v, k in zip(
+        fg.target.edges_u.tolist(), fg.target.edges_v.tolist(),
+        fg.target.edge_kind)}
+    collapsed = loops = mismatches = 0
+    for u, v, kind in zip(fg.source.edges_u, fg.source.edges_v,
+                          fg.source.edge_kind):
+        mu, mv = int(fg.vertex_map[u]), int(fg.vertex_map[v])
+        if mu == mv:
+            collapsed += 1
+            loops += kind == "vertical"
+        elif kind_of.get((min(mu, mv), max(mu, mv))) != kind:
+            mismatches += 1
+    return {"surjective": len(set(fg.vertex_map.tolist())) == fg.target.n_vertices,
+            "collapsed_edges": collapsed, "vertical_loops": loops,
+            "kind_mismatches": mismatches}
+
+
+def reference_thin_triangles(graph: CuspedGraph, triangles: int,
+                             seed: int) -> HyperbolicityEstimate:
+    """Slimness of sampled geodesic triangles, one triangle at a time."""
+    D = graph.distance_matrix()
+    rng = np.random.default_rng(seed)
+    best, wit = -1.0, (0, 0, 0)
+    for _ in range(triangles):
+        x, y, z = (int(v) for v in rng.integers(0, graph.n_vertices, 3))
+        sides = [reference_shortest_path(graph, a, b)
+                 for a, b in ((x, y), (y, z), (z, x))]
+        slim = 0.0
+        for t in range(3):
+            others = sides[(t + 1) % 3] + sides[(t + 2) % 3]
+            slim = max(slim, float(D[np.ix_(sides[t], others)].min(axis=1).max()))
+        if slim > best:
+            best, wit = slim, (x, y, z)
+    return HyperbolicityEstimate(best, "thin-triangles", triangles, wit, False)

@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+from rhfill.cusped import build_cusped_ball
 from rhfill.delta import estimate_delta, thin_triangle_delta
 from rhfill.errors import DisconnectedError, InvalidParameterError
 from rhfill.groups import standard_f2_pair
-from reference_windows import build_cayley_ball, cycle_graph
+from reference_windows import (build_cayley_ball, cycle_graph,
+                               reference_thin_triangles)
 
 
 def quad_defect(D, q):
@@ -85,3 +87,13 @@ def test_thin_triangles_on_cycle():
     assert est.delta == 2.0
     assert est.mode == "thin-triangles"
     assert not est.exact
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: cycle_graph(8), lambda: build_cayley_ball(standard_f2_pair(), 3),
+    lambda: build_cusped_ball(standard_f2_pair(), 4)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_thin_triangles_match_one_triangle_at_a_time(graph, seed):
+    g = graph()
+    assert thin_triangle_delta(g, triangles=150, seed=seed) \
+        == reference_thin_triangles(g, 150, seed)

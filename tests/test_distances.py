@@ -23,11 +23,12 @@ from rhfill import (
     shortest_path,
     standard_f2_pair,
 )
-from rhfill.cusped import BFS_BLOCK
+from rhfill.cusped import BFS_BLOCK, geodesics
 from rhfill.delta import (estimate_delta, four_point_delta_exhaustive,
                           four_point_delta_sampled)
 from reference_windows import (build_coned_off, build_horoball, cycle_graph,
-                               generic_graph, integer_interval_metric)
+                               generic_graph, integer_interval_metric,
+                               reference_shortest_path)
 
 TWO_COMPONENTS = """V 0 0 - a
 V 1 0 - b
@@ -218,6 +219,29 @@ def test_bit_parallel_bfs_matches_reference_on_multigraphs(g, data):
     D = g.distance_matrix()
     assert D.shape == (n, n) and D.dtype == np.int16
     assert D.tolist() == [reference_rows(g, [s])[s] for s in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(), st.data())
+def test_geodesics_match_the_walk_on_multigraphs(g, data):
+    n = g.n_vertices
+    if not n:
+        return
+    vertex = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1,
+                               max_size=8))
+    if data.draw(st.booleans()):
+        g.distance_matrix()
+    D = reference_rows(g, range(n))
+    linked = [(u, v) for u, v in pairs if D[u][v] >= 0]
+    if len(linked) < len(pairs):
+        with pytest.raises(DisconnectedError):
+            geodesics(g, *zip(*pairs))
+    if linked:
+        refs = [reference_shortest_path(g, u, v) for u, v in linked]
+        width = max(map(len, refs))
+        assert geodesics(g, *zip(*linked)).tolist() == [
+            ref + [-1] * (width - len(ref)) for ref in refs]
 
 
 def test_long_path_needs_nine_planes():

@@ -4,20 +4,26 @@ The two standing examples are (F_2, Z*Z) filled along <a^50, b^50> (long:
 everything should look like the unfilled pair near the identity) and along
 <a^3, b^3> (short: local isometry and injectivity must fail visibly).
 """
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rhfill.errors import InvalidParameterError, WindowError
-from rhfill.filling_geometry import (build_quotient_cusped,
+from rhfill import filling_geometry
+from rhfill.errors import InvalidParameterError, NoPreimageEdgeError, WindowError
+from rhfill.filling_geometry import (FillingGeometry, build_quotient_cusped,
                                      check_descent_quasigeodesic,
                                      check_local_isometry, check_uniform_delta,
                                      filling_map_report, injectivity_report,
                                      lift_path, lift_roundtrip_report,
                                      project_path, project_vertex_key)
 from rhfill.groups import make_filling, standard_f2_pair
-from rhfill.cusped import GraphPath, shortest_path
+from rhfill.cusped import build_cusped_ball, geodesics, shortest_path
+from reference_windows import (reference_descent, reference_lift_path,
+                               reference_lift_roundtrip, reference_map_edges,
+                               reference_shortest_path)
 
 
 @pytest.fixture(scope="module")
@@ -207,33 +213,122 @@ def test_descent_matches_pair_loop(request, which, K):
     fg = request.getfixturevalue(which)
     rep = check_descent_quasigeodesic(fg, K=K, max_depth_used=4, samples=40,
                                       seed=1)
-    _, cert_t = fg.target.certified_pairs_matrix()
-    Dt = fg.target.distance_matrix()
-    rng = np.random.default_rng(1)
-    n, paths, failures = fg.source.n_vertices, 0, []
-    _, cert_s = fg.source.certified_pairs_matrix()
-    while paths < 40:
-        u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
-        if not cert_s[u, v]:
-            continue
-        paths += 1
-        tv = [int(fg.vertex_map[i])
-              for i in shortest_path(fg.source, u, v).vertices]
-        for i in range(len(tv)):
-            for j in range(i + 1, len(tv)):
-                steps = sum(tv[t] != tv[t + 1] for t in range(i, j))
-                if cert_t[tv[i], tv[j]] and \
-                        steps > K * Dt[tv[i], tv[j]] + 2 * rep["delta"] + 1e-9:
-                    failures.append({
-                        "start": fg.source.labels[u],
-                        "end": fg.source.labels[v], "sub": (i, j),
-                        "steps": steps,
-                        "target_distance": float(Dt[tv[i], tv[j]])})
+    assert rep == reference_descent(fg, K, 4, 40, 1)
     assert rep["paths_checked"] == 40
-    assert rep["failures"] == failures[:10]
-    assert rep["failure_count"] == len(failures)
-    assert rep["pass"] == (not failures)
     json.dumps(rep)
+
+
+def test_descent_failures_in_path_then_sub_pair_order(fg3):
+    rep = check_descent_quasigeodesic(fg3, K=0.5, max_depth_used=4,
+                                      samples=40, seed=1)
+    assert rep["failure_count"] == 20
+    # the fifth and sixth failures are two sub-pairs of one path
+    assert rep["failures"][:6] == [
+        {"start": "a^4", "end": "a^-2", "sub": (0, 3), "steps": 3,
+         "target_distance": 1.0},
+        {"start": "b^-1.a^1", "end": "b^-3", "sub": (0, 4), "steps": 4,
+         "target_distance": 3.0},
+        {"start": "a^-1.b^-1", "end": "1", "sub": (0, 5), "steps": 5,
+         "target_distance": 5.0},
+        {"start": "b^-1.a^-2", "end": "a^1", "sub": (0, 5), "steps": 5,
+         "target_distance": 5.0},
+        {"start": "a^2", "end": "b^-3", "sub": (0, 4), "steps": 4,
+         "target_distance": 3.0},
+        {"start": "a^2", "end": "b^-3", "sub": (0, 5), "steps": 4,
+         "target_distance": 3.0}]
+
+
+@functools.cache
+def _r5(n):
+    """The r = 5 windows of the a^n, b^n filling (n = 1: the unfilled
+    window twice), the first without a distance matrix, the second with."""
+    pair = standard_f2_pair()
+    if n > 1:
+        pair = make_filling(pair, {0: [f"a^{n}"], 1: [f"b^{n}"]}).quotient_pair
+    return [build_cusped_ball(pair, 5) for _ in range(2)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 3]), st.booleans(), st.data())
+def test_geodesics_match_the_walk_one_pair_at_a_time(n, cached, data):
+    window = _r5(n)[cached]
+    if cached:
+        window.distance_matrix()
+    assert (window._dist_matrix is not None) == cached
+    vertex = st.integers(0, window.n_vertices - 1)
+    u, v = zip(*data.draw(st.lists(st.tuples(vertex, vertex), min_size=1,
+                                   max_size=30)))
+    refs = [reference_shortest_path(window, a, b) for a, b in zip(u, v)]
+    width = max(map(len, refs))
+    assert geodesics(window, u, v).tolist() == [
+        ref + [-1] * (width - len(ref)) for ref in refs]
+    assert shortest_path(window, u[0], v[0]).vertices == refs[0]
+
+
+@functools.cache
+def _fg_r5(n):
+    pair = standard_f2_pair()
+    filling = make_filling(pair, {0: [f"a^{n}"], 1: [f"b^{n}"]})
+    return build_quotient_cusped(pair, filling, 5)
+
+
+@pytest.mark.parametrize("n", [3, 20, 60])
+def test_filling_reports_match_one_path_at_a_time(n):
+    # for n = 3 about one lift draw in ten is skipped, and each skip shifts
+    # the near/anywhere parity of the draws after it
+    fg = _fg_r5(n)
+    rep = filling_map_report(fg)
+    assert {k: rep[k] for k in reference_map_edges(fg)} == reference_map_edges(fg)
+    for seed in range(5):
+        for K, depth, samples in ((1.0, 2, 200), (0.5, 5, 50)):
+            assert check_descent_quasigeodesic(
+                fg, K=K, max_depth_used=depth, samples=samples, seed=seed) \
+                == reference_descent(fg, K, depth, samples, seed)
+        assert lift_roundtrip_report(fg, n_paths=1000, seed=seed) \
+            == reference_lift_roundtrip(fg, 1000, seed)
+
+
+def test_small_draw_blocks_give_the_same_reports(monkeypatch):
+    fg = _fg_r5(3)
+    monkeypatch.setattr(filling_geometry, "DRAW_BLOCK", 7)
+    assert check_descent_quasigeodesic(fg, K=0.5, max_depth_used=5,
+                                       samples=50, seed=0) \
+        == reference_descent(fg, 0.5, 5, 50, 0)
+    assert lift_roundtrip_report(fg, n_paths=300, seed=0) \
+        == reference_lift_roundtrip(fg, 300, 0)
+
+
+def test_lift_stops_after_twenty_draws_per_path(fg50):
+    # every source vertex over one far target vertex: no draw near the
+    # centre has a preimage, so no path ever lifts
+    tgt = fg50.target
+    far = int(np.argmax(tgt.meta["dist_from_id"]))
+    fg = FillingGeometry(fg50.source, tgt, fg50.filling,
+                         np.full(fg50.source.n_vertices, far))
+    rep = lift_roundtrip_report(fg, n_paths=5, seed=0)
+    assert rep == reference_lift_roundtrip(fg, 5, 0)
+    assert rep["paths"] == 0 and not rep["pass"]
+
+
+def test_lift_path_matches_the_edge_by_edge_lift(fg3):
+    tgt = fg3.target
+    lifted = stuck = 0
+    rng = np.random.default_rng(0)
+    for u, v in rng.integers(0, tgt.n_vertices, size=(200, 2)).tolist():
+        path = shortest_path(tgt, u, v)
+        start = int(np.flatnonzero(fg3.vertex_map == u)[0])
+        try:
+            ref = reference_lift_path(fg3, path.vertices, start)
+        except NoPreimageEdgeError:
+            with pytest.raises(NoPreimageEdgeError, match="no preimage edge"):
+                lift_path(fg3, path, start)
+            stuck += 1
+            continue
+        assert lift_path(fg3, path, start).vertices == ref
+        assert project_path(fg3, lift_path(fg3, path, start)).vertices \
+            == path.vertices
+        lifted += 1
+    assert lifted and stuck
 
 
 @pytest.mark.parametrize("r", [0, -1])

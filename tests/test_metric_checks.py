@@ -15,7 +15,8 @@ from rhfill.metric_checks import (comparison_lemma_check,
                                   horoball_entry_check, quasidensity_check,
                                   verify_metric_lemmas)
 from rhfill.cusped import build_cusped_ball, horo_pair
-from reference_windows import _horoball_members, coned_length
+from reference_windows import (_horoball_members, coned_length,
+                               reference_shortest_path)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,7 @@ def test_quasidensity(report):
     assert q["ball_radius"] == 5
     # canonical geodesic rays to the sphere sweep the whole window
     assert q["max_distance_to_rays"] == 0.0
+    assert q["ray_vertices"] == 4629
     assert q["violation_count"] == 0
 
 
@@ -89,6 +91,19 @@ def test_truncation_monotonicity_small(pair):
     assert cs.sum() > 0
     assert (Db[cs] == Ds[cs]).all()
     assert (Db <= Ds).all()
+
+
+@pytest.mark.parametrize("radius", [3, 5])
+def test_ray_union_is_the_union_of_canonical_geodesics(pair, radius):
+    window = build_cusped_ball(pair, radius)
+    dist0 = np.asarray(window.meta["dist_from_id"])
+    i0 = window.index[("c", ())]
+    for targets in (np.flatnonzero(dist0 == radius),
+                    np.flatnonzero(dist0 == radius - 2)[::3]):
+        union = {i0}.union(*(reference_shortest_path(window, i0, int(t))
+                             for t in targets))
+        assert metric_checks._canonical_ray_union(window, targets).tolist() \
+            == sorted(union)
 
 
 def test_quasidensity_ball_must_fit(pair):
