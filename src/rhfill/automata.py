@@ -17,6 +17,7 @@ as inconclusive rather than as a refutation.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -276,6 +277,17 @@ class Ball:
     radius: float
 
 
+@functools.cache
+def _witness_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The 720 angles a witness search tries, and their line bases as
+    ``line_flag`` gives them, shape (720, 2, 1)."""
+    angles = np.linspace(0.0, math.pi, 720, endpoint=False)
+    lines = np.stack([line_flag(float(t)).bases[1] for t in angles])
+    angles.setflags(write=False)
+    lines.setflags(write=False)
+    return angles, lines
+
+
 class SetSystem:
     """One finite union of balls per vertex, plus a shared safety margin.
 
@@ -326,15 +338,15 @@ class SetSystem:
             raise InvalidParameterError(
                 "automatic witness search works on the projective line only; "
                 "pass witnesses explicitly")
-        centers = [line_flag(float(b.center)) for b in balls]
-        best, best_score = None, -math.inf
-        for t in np.linspace(0.0, math.pi, 720, endpoint=False):
-            cand = line_flag(float(t))
-            score = min(is_transverse(cand, c)[1] - b.radius
-                        for c, b in zip(centers, balls))
-            if score > best_score:
-                best, best_score = float(t), score
-        return best
+        angles, lines = _witness_grid()
+        centers = np.stack([line_flag(float(b.center)).bases[1] for b in balls])
+        # [candidate | center] for every pair; the margin is the smaller
+        # singular value, as is_transverse takes it
+        stacked = np.concatenate(np.broadcast_arrays(
+            lines[:, None], centers[None]), axis=-1)
+        margins = np.linalg.svd(stacked, compute_uv=False)[..., -1]
+        score = (margins - np.array([b.radius for b in balls])).min(axis=1)
+        return float(angles[np.argmax(score)])
 
     def _check_witness(self, v, witness, balls):
         wflag = line_flag(float(witness)) if self.d == 2 else witness

@@ -390,13 +390,19 @@ def edf_condition_check(family: RepFamily, query: EdfQuery,
 
 def _sign_canonical(rows: np.ndarray) -> np.ndarray:
     """Dedup projectively: flip each row so its first sizable entry is
-    positive, then round and unique."""
+    positive, round, and keep the distinct rows in lexicographic order, as
+    ``np.unique(axis=0)`` does. Equal rows compare by value, so +0.0 and
+    -0.0 tie; the row kept is the first in input order."""
     sign = np.zeros(len(rows))
     for i in range(rows.shape[1]):
         m = (sign == 0) & (np.abs(rows[:, i]) > 1e-8)
         sign[m] = np.sign(rows[m, i])
     sign[sign == 0] = 1.0
-    return np.unique(np.round(rows * sign[:, None], 9), axis=0)
+    fixed = np.round(rows * sign[:, None], 9)
+    fixed = fixed[np.lexsort(fixed.T[::-1])]
+    keep = np.ones(len(fixed), dtype=bool)
+    keep[1:] = (fixed[1:] != fixed[:-1]).any(axis=1)
+    return fixed[keep]
 
 
 _CHUNK = 2048
@@ -440,12 +446,16 @@ def chabauty_check(family: RepFamily, ball_radius: float = 10.0,
         raise InvalidParameterError("ball_radius must be positive")
     pair = family.pair
     tree = ball_tree(pair.group, word_depth, cap)
-    # every peripheral element of length <= word_depth lies in the ball
-    per_rows = {p.id: [i for i, g in enumerate(tree.elements) if p.membership(g)]
+    # every peripheral element of length <= word_depth lies in the ball: the
+    # identity and the words of one syllable in that factor
+    pad = len(tree.syllables)
+    ids = np.column_stack([tree.rows, np.full(len(tree.rows), pad)])
+    first = np.array([fi for fi, _ in tree.syllables] + [-1])[ids[:, 0]]
+    per_rows = {p.id: np.flatnonzero((ids[:, 1] == pad) & np.isin(first, (-1, p.id)))
                 for p in pair.peripherals}
 
     def image_sets(rep):
-        rows = ball_images(rep, pair.group, tree).reshape(len(tree.elements), -1)
+        rows = ball_images(rep, pair.group, tree).reshape(len(tree.level), -1)
         return _sign_canonical(rows), {pid: _sign_canonical(rows[idx])
                                        for pid, idx in per_rows.items()}
 

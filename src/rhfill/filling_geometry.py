@@ -137,16 +137,6 @@ def filling_map_report(fg: FillingGeometry) -> dict:
     }
 
 
-def project_path(fg: FillingGeometry, path: GraphPath) -> GraphPath:
-    """Image path in the target window, with collapsed edges removed."""
-    out = []
-    for i in path.vertices:
-        j = int(fg.vertex_map[i])
-        if not out or out[-1] != j:
-            out.append(j)
-    return GraphPath(fg.target, out)
-
-
 def lift_paths(fg: FillingGeometry, paths: np.ndarray,
                bases: np.ndarray) -> np.ndarray:
     """Lockstep lifts of target paths, rows of vertices padded with -1 as

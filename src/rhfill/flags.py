@@ -359,11 +359,12 @@ def _unit_det(m: np.ndarray) -> np.ndarray:
 
 
 def ball_images(rep: dict, oracle: GroupOracle, tree: BallTree) -> np.ndarray:
-    """Unit-|det| images of the ball elements, shape (len(elements), d, d).
+    """Unit-|det| images of the ball elements, shape (len(tree.level), d, d).
 
     rep maps generator names to matrices.  Images are formed level by level
     along the BFS tree, one batched product per generator step, each
     rescaled to |det| = 1 so long words neither overflow nor underflow.
+    Only the tree's arrays are read, so its lazy ``elements`` stay unbuilt.
     """
     mats = {n: np.asarray(m, dtype=float) for n, m in rep.items()}
     d = next(iter(mats.values())).shape[0]
@@ -373,7 +374,7 @@ def ball_images(rep: dict, oracle: GroupOracle, tree: BallTree) -> np.ndarray:
         for name, e in oracle.syllables(g):
             m = m @ np.linalg.matrix_power(mats[name], e)
         steps.append(_unit_det(m))
-    images = np.empty((len(tree.elements), d, d))
+    images = np.empty((len(tree.level), d, d))
     images[0] = np.eye(d)
     for lvl in range(1, int(tree.level.max(initial=0)) + 1):
         at = np.flatnonzero(tree.level == lvl)
@@ -581,9 +582,9 @@ def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
     if d == 2:
         raw = np.array([flag_angle(f) for f in kept])
         return FlagCloud(ptype, _dedup_angles(raw, DEFAULT_TOLS.dedup), None,
-                         len(tree.elements), rejected)
+                         len(tree.level), rejected)
     unique: list[Flag] = []
     for f in kept:
         if all(flag_distance(f, u) >= DEFAULT_TOLS.dedup for u in unique):
             unique.append(f)
-    return FlagCloud(ptype, None, unique, len(tree.elements), rejected)
+    return FlagCloud(ptype, None, unique, len(tree.level), rejected)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple
+from functools import cached_property
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -783,53 +784,127 @@ def make_filling(pair: RelHypPair, kernel_spec) -> FillingData:
 # enumeration
 
 
-class BallTree(NamedTuple):
-    """A word ball with the BFS tree that built it.
+@dataclass(eq=False)
+class BallTree:
+    """A word ball with the BFS tree that built it, as arrays.
 
-    ``elements`` is ordered by (length, sort key).  For i > 0, element i is
+    Elements are ordered by (length, sort key). For i > 0, element i is
     ``multiply(elements[parent[i]], generators()[step[i]])`` and has word
     length ``level[i] = level[parent[i]] + 1``; the identity is element 0,
-    with parent and step -1.
+    with parent and step -1. Row i of ``rows`` holds the syllable ids of
+    element i's normal form, as :func:`intern_syllables` gives them:
+    indices into ``syllables`` (factor, payload), padded on the right with
+    ``len(syllables)``; an abelian oracle is its own one factor.
+
+    ``elements``, the ``GroupElement`` list, is built from the rows the
+    first time it is read; the arrays alone serve images and peripheral
+    rows.
     """
 
-    elements: list[GroupElement]
+    oracle: GroupOracle
+    syllables: list
+    rows: np.ndarray
     parent: np.ndarray
     step: np.ndarray
     level: np.ndarray
 
+    @cached_property
+    def elements(self) -> list[GroupElement]:
+        counts = np.count_nonzero(self.rows != len(self.syllables), axis=1)
+        words = [tuple(map(self.syllables.__getitem__, r[:c]))
+                 for r, c in zip(self.rows.tolist(), counts.tolist())]
+        if isinstance(self.oracle, FreeProductOracle):
+            return [GroupElement(w) for w in words]
+        one = self.oracle.p_identity()
+        return [GroupElement(w[0][1] if w else one) for w in words]
+
 
 def ball_tree(oracle: GroupOracle, radius: int, cap: int = BALL_CAP) -> BallTree:
-    """The ball of the given radius as a BFS tree; at most ``cap`` elements."""
+    """The ball of the given radius as a BFS tree; at most ``cap`` elements.
+
+    Each level is built from the syllable-id rows of the one before: a
+    generator merges into the last syllable when it lies in that syllable's
+    factor (through a table of the factor's ``p_add``, filled as pairs
+    occur) and is appended otherwise. The new elements of a level are the
+    first of its candidates, taken in (parent, generator) order, that occur
+    in neither of the two levels before it, which are the parent and step a
+    breadth-first search keeps."""
     if radius < 0:
         raise InvalidParameterError("radius must be >= 0")
     if cap < 1:
         raise BudgetExceededError("ball elements", cap)
-    gens = oracle.generators()
-    # element -> (level, parent element, generator step)
-    seen = {oracle.identity(): (0, None, -1)}
-    frontier = [oracle.identity()]
-    for layer in range(1, radius + 1):
-        nxt = []
-        for g in frontier:
-            for j, s in enumerate(gens):
-                h = oracle.multiply(g, s)
-                if h not in seen:
-                    if len(seen) >= cap:
-                        raise BudgetExceededError("ball elements", cap)
-                    seen[h] = (layer, g, j)
-                    nxt.append(h)
-        frontier = nxt
-    elems = list(seen)
     if isinstance(oracle, FreeProductOracle):
-        factors, words = oracle.factors, [g.word for g in elems]
-    else:  # an abelian oracle's payload is its only syllable
-        factors, words = [oracle], [((0, g.word),) for g in elems]
-    cols = sort_columns(factors, *intern_syllables(words))
-    out = [elems[i] for i in np.lexsort(cols.T[::-1])]
-    index = {g: i for i, g in enumerate(out)}
-    level, parent, step = zip(*(seen[g] for g in out))
-    return BallTree(out, np.array([index.get(p, -1) for p in parent]),
-                    np.array(step), np.array(level))
+        factors = oracle.factors
+        gens = [g.word[0] for g in oracle.generators()]
+    else:  # an abelian oracle is a product of one factor
+        factors = [oracle]
+        gens = [(0, p) for p in oracle.p_generators()]
+    ids: dict = {}
+    sylls: list = []
+
+    def intern(s) -> int:
+        if s not in ids:
+            ids[s] = len(sylls)
+            sylls.append(s)
+        return ids[s]
+
+    ng = len(gens)
+    gen_id = np.array([intern(s) for s in gens], dtype=np.int64)
+    gen_factor = np.array([fi for fi, _ in gens], dtype=np.int64)
+    # (syllable, generator) -> merged syllable, -1 identity, -2 not formed yet
+    merged = np.full((len(sylls) + 1, max(ng, 1)), -2, dtype=np.int64)
+    # per level: rows of syllable ids padded with -1 (a word of length k has
+    # at most k syllables), parents as insertion indices, generator steps
+    levels = [np.full((1, radius), -1, dtype=np.int64)]
+    parents, steps = [np.array([-1])], [np.array([-1])]
+    total, start = 1, 0
+    for _ in range(radius):
+        rows = levels[-1]
+        if not len(rows) or not ng:
+            break
+        n = len(rows)
+        par = np.repeat(np.arange(n), ng)
+        step = np.tile(np.arange(ng), n)
+        cand = rows[par]
+        cnt = np.count_nonzero(rows >= 0, axis=1)[par]
+        last = cand[np.arange(len(cand)), np.maximum(cnt - 1, 0)]
+        factor = np.array([fi for fi, _ in sylls] + [-1])[last]
+        merge = (cnt > 0) & (factor == gen_factor[step])
+        pairs = last[merge], step[merge]
+        todo = merged[pairs] == -2
+        for code in sorted(set((pairs[0][todo] * ng + pairs[1][todo]).tolist())):
+            s, j = divmod(code, ng)
+            fi, p = sylls[s]
+            q = factors[fi].p_add(p, gens[j][1])
+            if len(merged) < len(sylls) + 1:
+                merged = np.vstack([merged, np.full_like(merged, -2)])
+            merged[s, j] = -1 if q == factors[fi].p_identity() else intern((fi, q))
+        at = np.flatnonzero(merge)
+        cand[at, cnt[at] - 1] = merged[pairs]
+        app = np.flatnonzero(~merge)
+        cand[app, cnt[app]] = gen_id[step[app]]
+        keys = np.concatenate(levels[-2:] + [cand])
+        _, first = np.unique(keys.view(np.dtype((np.void, 8 * radius))).ravel(),
+                             return_index=True)
+        off = len(keys) - len(cand)
+        new = np.sort(first[first >= off] - off)
+        total += len(new)
+        if total > cap:
+            raise BudgetExceededError("ball elements", cap)
+        levels.append(cand[new])
+        parents.append(start + par[new])
+        steps.append(step[new])
+        start += n
+    rows = np.concatenate(levels)
+    rows[rows < 0] = len(sylls)
+    order = np.lexsort(sort_columns(factors, sylls, rows).T[::-1])
+    where = np.empty(len(order), dtype=np.int64)
+    where[order] = np.arange(len(order))
+    parent = np.concatenate(parents)[order]
+    level = np.concatenate([np.full(len(r), k) for k, r in enumerate(levels)])
+    return BallTree(oracle, sylls, rows[order],
+                    np.where(parent < 0, -1, where[parent]),
+                    np.concatenate(steps)[order], level[order])
 
 
 def enumerate_ball(oracle: GroupOracle, radius: int,

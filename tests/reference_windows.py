@@ -1,13 +1,16 @@
 """Reference implementations that only tests use: the per-key loops that
-the array builders in ``rhfill.cusped`` replace, the word-ball Cayley and
-coned-off windows, a standalone horoball, small generic graphs, the
-one-path-at-a-time geodesic walk, lift and filling checks that the batched
-ones in ``rhfill.cusped`` and ``rhfill.filling_geometry`` replace, and the
-plain forms of a few library routines (coned lengths, the exact metric ball,
+the array builders in ``rhfill.cusped`` replace, the dict breadth-first
+search that ``rhfill.groups.ball_tree`` replaces, the one-angle-at-a-time
+witness search, the word-ball Cayley and coned-off windows, a standalone
+horoball, small generic graphs, the one-path-at-a-time geodesic walk, lift,
+path projection and filling checks that the batched ones in
+``rhfill.cusped`` and ``rhfill.filling_geometry`` replace, and the plain
+forms of a few library routines (coned lengths, the exact metric ball,
 RP^1 Hausdorff distances, random flags, constant families). Tests compare
 the library against these, so they favour plainness over speed.
 """
 import itertools
+import math
 
 import numpy as np
 
@@ -15,6 +18,7 @@ from rhfill.convergence import RepFamily
 from rhfill.cusped import (
     CuspedGraph,
     ExactCuspedMetric,
+    GraphPath,
     depth0_key,
     dip_reach,
     flat_reach,
@@ -25,16 +29,66 @@ from rhfill.cusped import (
 )
 from rhfill.delta import HyperbolicityEstimate, four_point_delta_sampled
 from rhfill.filling_geometry import FillingGeometry
-from rhfill.flags import Flag, ParabolicType, _hausdorff_sorted, _sorted_rp1
+from rhfill.flags import (Flag, ParabolicType, _hausdorff_sorted, _sorted_rp1,
+                          is_transverse, line_flag)
 from rhfill.groups import (
     FreeAbelianOracle,
+    FreeProductOracle,
     GroupElement,
+    GroupOracle,
     RelHypPair,
     enumerate_ball,
     format_word,
+    intern_syllables,
+    sort_columns,
 )
 from rhfill.errors import (DisconnectedError, NoPreimageEdgeError,
                            UnsupportedKindError)
+
+
+def reference_ball_tree(oracle: GroupOracle, radius: int):
+    """The word ball as ``ball_tree`` orders it, from a breadth-first search
+    over a dict of elements: (elements, parent, step, level), where each
+    element keeps the parent and generator step that first reached it."""
+    gens = oracle.generators()
+    # element -> (level, parent element, generator step)
+    seen = {oracle.identity(): (0, None, -1)}
+    frontier = [oracle.identity()]
+    for layer in range(1, radius + 1):
+        nxt = []
+        for g in frontier:
+            for j, s in enumerate(gens):
+                h = oracle.multiply(g, s)
+                if h not in seen:
+                    seen[h] = (layer, g, j)
+                    nxt.append(h)
+        frontier = nxt
+    elems = list(seen)
+    if isinstance(oracle, FreeProductOracle):
+        factors, words = oracle.factors, [g.word for g in elems]
+    else:  # an abelian oracle's payload is its only syllable
+        factors, words = [oracle], [((0, g.word),) for g in elems]
+    cols = sort_columns(factors, *intern_syllables(words))
+    out = [elems[i] for i in np.lexsort(cols.T[::-1])]
+    index = {g: i for i, g in enumerate(out)}
+    level, parent, step = zip(*(seen[g] for g in out))
+    return (out, np.array([index.get(p, -1) for p in parent]), np.array(step),
+            np.array(level))
+
+
+def reference_search_witness(balls) -> float:
+    """The first of 720 grid angles whose line has the largest least
+    transversality margin over the ball centres, less their radii, one
+    ``is_transverse`` call at a time."""
+    centers = [line_flag(float(b.center)) for b in balls]
+    best, best_score = None, -math.inf
+    for t in np.linspace(0.0, math.pi, 720, endpoint=False):
+        cand = line_flag(float(t))
+        score = min(is_transverse(cand, c)[1] - b.radius
+                    for c, b in zip(centers, balls))
+        if score > best_score:
+            best, best_score = float(t), score
+    return best
 
 
 def box_candidates(factor, a, b):
@@ -404,6 +458,16 @@ def reference_shortest_path(graph: CuspedGraph, u: int, v: int) -> list[int]:
         nbrs = graph.neighbors(path[-1])
         path.append(int(nbrs[dist[nbrs] == dist[path[-1]] - 1].min()))
     return path[::-1]
+
+
+def project_path(fg: FillingGeometry, path: GraphPath) -> GraphPath:
+    """Image path in the target window, with collapsed edges removed."""
+    out = []
+    for i in path.vertices:
+        j = int(fg.vertex_map[i])
+        if not out or out[-1] != j:
+            out.append(j)
+    return GraphPath(fg.target, out)
 
 
 def reference_lift_path(fg: FillingGeometry, path: list[int],

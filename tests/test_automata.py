@@ -19,6 +19,7 @@ from rhfill.errors import (BudgetExceededError, InvalidParameterError,
 from rhfill.flags import Flag, ParabolicType, attracting_flag
 from rhfill.groups import format_word, standard_f2_pair
 from rhfill.tolerances import DEFAULT_TOLS
+from reference_windows import reference_search_witness
 
 SANOV = {"a": [[1.0, 2.0], [0.0, 1.0]], "b": [[1.0, 0.0], [2.0, 1.0]]}
 IDENT = {"a": [[1.0, 0.0], [0.0, 1.0]], "b": [[1.0, 0.0], [0.0, 1.0]]}
@@ -297,6 +298,21 @@ def test_witnesses_found_by_search(bundled):
     _, sys_ = bundled
     assert sys_.witnesses[0] == pytest.approx(0.5 * math.pi)
     assert sys_.witnesses[1] == pytest.approx(0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, math.pi), st.floats(0.01, 0.6)),
+                min_size=1, max_size=4))
+def test_batched_witness_search_matches_the_loop(bundled, arcs):
+    _, sys_ = bundled
+    balls = [Ball(c, r) for c, r in arcs]
+    assert sys_._search_witness(balls) == reference_search_witness(balls)
+
+
+def test_bundled_witnesses_match_the_loop(bundled):
+    _, sys_ = bundled
+    for v, balls in sys_.sets.items():
+        assert sys_.witnesses[v] == reference_search_witness(balls)
 
 
 def test_witness_margin_must_exceed_radius():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rhfill.automata import Ball, bundled_sanov_automaton, enumerate_gpaths
-from rhfill.convergence import (EdfQuery, RepFamily, bundled_edf_queries,
+from rhfill.convergence import (EdfQuery, RepFamily, _sign_canonical,
+                                bundled_edf_queries,
                                 chabauty_check, edf_condition_check,
                                 elliptic_family, elliptic_generators,
                                 fiber_consistency_check, gpath_tracking_check,
@@ -492,3 +493,33 @@ def test_tracking_deep_horoball_travel(pair):
     assert rep["hausdorff"] == 0.0
     assert rep["max_geodesic_depth"] == 2
     assert rep["pass"]
+
+
+def _unique_reference(rows):
+    sign = np.zeros(len(rows))
+    for i in range(rows.shape[1]):
+        m = (sign == 0) & (np.abs(rows[:, i]) > 1e-8)
+        sign[m] = np.sign(rows[m, i])
+    sign[sign == 0] = 1.0
+    return np.unique(np.round(rows * sign[:, None], 9), axis=0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sign_canonical_matches_unique(seed):
+    rng = np.random.default_rng(seed)
+    # few distinct values: many ties, +-m pairs, exact and rounded zeros
+    base = rng.choice([0.0, -0.0, 1e-12, -1e-12, 0.5, -0.5, 2.0], (60, 4))
+    rows = np.concatenate([base, -base, base[::3], rng.normal(size=(20, 4))])
+    got = _sign_canonical(rows[rng.permutation(len(rows))])
+    want = _unique_reference(rows)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.signbit(got[got == 0]).any()  # -0.0 entries do occur
+
+
+def test_sign_canonical_keeps_the_first_of_tied_zeros():
+    rows = np.array([[1.0, -0.0], [1.0, 0.0], [0.5, 2.0], [1.0, -0.0],
+                     [-0.5, -2.0]])
+    got = _sign_canonical(rows)
+    assert got.tolist() == [[0.5, 2.0], [1.0, 0.0]]
+    assert np.signbit(got[1, 1])  # the first [1, -0] row is kept
+    assert _sign_canonical(np.empty((0, 4))).shape == (0, 4)

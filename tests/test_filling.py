@@ -18,12 +18,12 @@ from rhfill.filling_geometry import (FillingGeometry, build_quotient_cusped,
                                      check_local_isometry, check_uniform_delta,
                                      filling_map_report, injectivity_report,
                                      lift_path, lift_roundtrip_report,
-                                     project_path, project_vertex_key)
+                                     project_vertex_key)
 from rhfill.groups import make_filling, standard_f2_pair
 from rhfill.cusped import build_cusped_ball, geodesics, shortest_path
-from reference_windows import (reference_descent, reference_lift_path,
-                               reference_lift_roundtrip, reference_map_edges,
-                               reference_shortest_path)
+from reference_windows import (project_path, reference_descent,
+                               reference_lift_path, reference_lift_roundtrip,
+                               reference_map_edges, reference_shortest_path)
 
 
 @pytest.fixture(scope="module")

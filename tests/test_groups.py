@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from rhfill.errors import BudgetExceededError, InvalidParameterError, Unsupporte
 from rhfill.groups import (
     FiniteCyclicOracle,
     FreeAbelianOracle,
+    FreeProductOracle,
     ball_tree,
     enumerate_ball,
     format_word,
@@ -15,6 +17,7 @@ from rhfill.groups import (
     parse_word,
     standard_f2_pair,
 )
+from reference_windows import reference_ball_tree
 
 F2 = standard_f2_pair()
 G = F2.group
@@ -294,3 +297,69 @@ def test_ball_tree_of_a_filled_quotient_is_in_sort_key_order(kernels):
     oracle = make_filling(pair, kernels).quotient_group
     elements = ball_tree(oracle, 5).elements
     assert elements == sorted(elements, key=oracle.sort_key)
+
+
+# --- array ball trees against the dict breadth-first search ------------------
+
+Z2_Z = make_pair(make_oracle({"kind": "free-product", "factors": [
+    {"kind": "free-abelian", "rank": 2}, {"kind": "free-abelian", "rank": 1}]}))
+
+BALL_ORACLES = {
+    "F1": make_oracle({"kind": "free", "rank": 1}),
+    "F2": G,
+    "F3": make_oracle({"kind": "free", "rank": 3}),
+    "Z": make_oracle({"kind": "free-abelian", "rank": 1}),
+    "Z^2": make_oracle({"kind": "free-abelian", "rank": 2}),
+    "Z^3": make_oracle({"kind": "free-abelian", "rank": 3}),
+    "Z/1": make_oracle({"kind": "finite-cyclic", "order": 1}),
+    "Z/2": make_oracle({"kind": "finite-cyclic", "order": 2}),
+    "Z/5": make_oracle({"kind": "finite-cyclic", "order": 5}),
+    "Z/2*Z/2": make_oracle({"kind": "free-product", "factors": [
+        {"kind": "finite-cyclic", "order": 2}, {"kind": "finite-cyclic", "order": 2}]}),
+    "Z/3*Z/3": make_oracle({"kind": "free-product", "factors": [
+        {"kind": "finite-cyclic", "order": 3}, {"kind": "finite-cyclic", "order": 3}]}),
+    "Z^2*Z": Z2_Z.group,
+    "Z/5*Z^2*Z": make_oracle({"kind": "free-product", "factors": [
+        {"kind": "finite-cyclic", "order": 5}, {"kind": "free-abelian", "rank": 2},
+        {"kind": "free-abelian", "rank": 1}]}),
+    "F2/<a^20,b^20>": make_filling(F2, {0: [[20]], 1: [[20]]}).quotient_group,
+    "F2/<a^3,b^2>": make_filling(F2, {0: ["a^3"], 1: ["b^2"]}).quotient_group,
+    "Z^2*Z/(3,1)": make_filling(Z2_Z, {0: [[3, 1]]}).quotient_group,
+    "Z^2*Z/(3,1),c^4": make_filling(Z2_Z, {0: [[3, 1]], 1: ["c^4"]}).quotient_group,
+    "Z^2*Z/(2,0),(0,3)": make_filling(Z2_Z, {0: [[2, 0], [0, 3]]}).quotient_group,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BALL_ORACLES)), st.integers(0, 4))
+def test_ball_tree_matches_the_dict_search(name, radius):
+    oracle = BALL_ORACLES[name]
+    tree = ball_tree(oracle, radius)
+    elements, parent, step, level = reference_ball_tree(oracle, radius)
+    assert tree.elements == elements
+    for got, want in [(tree.parent, parent), (tree.step, step),
+                      (tree.level, level)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the rows spell the normal forms in the tree's own syllable ids
+    pad = len(tree.syllables)
+    for g, row in zip(elements, tree.rows.tolist()):
+        word = tuple(tree.syllables[i] for i in row if i != pad)
+        if not isinstance(oracle, FreeProductOracle):  # one factor, id 0
+            word = word[0][1] if word else oracle.p_identity()
+        assert word == g.word
+
+
+@pytest.mark.parametrize("name", sorted(BALL_ORACLES))
+def test_ball_tree_cap_is_exact(name):
+    oracle = BALL_ORACLES[name]
+    size = len(ball_tree(oracle, 3).level)
+    assert len(ball_tree(oracle, 3, cap=size).level) == size
+    with pytest.raises(BudgetExceededError):
+        ball_tree(oracle, 3, cap=size - 1)
+
+
+def test_ball_tree_builds_elements_on_first_read():
+    tree = ball_tree(G, 4)
+    assert "elements" not in vars(tree)
+    assert tree.elements is tree.elements
+    assert len(tree.elements) == len(tree.level) == 161
