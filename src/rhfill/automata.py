@@ -388,15 +388,29 @@ def _rep_matrices(rep, pair: RelHypPair, d: int) -> dict[str, np.ndarray]:
 
 
 def _element_matrix(mats, oracle, g: GroupElement, cache: dict) -> np.ndarray:
-    got = cache.get(g)
+    """Image of g: a left fold over its syllables, rescaled at each step.
+
+    The cache holds the fold of each element asked for, keyed by its
+    syllable tuple, and each syllable's matrix power, keyed by the
+    syllable.  A new element extends the fold of its longest cached
+    syllable prefix; that is the same fold, so the bits do not depend on
+    which elements were asked for before.
+    """
+    sylls = tuple(oracle.syllables(g))
+    got = cache.get(sylls)
     if got is not None:
         return got
-    d = next(iter(mats.values())).shape[0]
-    m = np.eye(d)
-    for name, e in oracle.syllables(g):
-        m = m @ np.linalg.matrix_power(mats[name], e)
+    j = max(len(sylls) - 1, 0)
+    while j and sylls[:j] not in cache:
+        j -= 1
+    m = cache[sylls[:j]] if j else np.eye(next(iter(mats.values())).shape[0])
+    for s in sylls[j:]:
+        power = cache.get(s)
+        if power is None:
+            power = cache[s] = np.linalg.matrix_power(mats[s[0]], s[1])
+        m = m @ power
         m = m / np.linalg.norm(m)  # projectively free rescaling, avoids drift
-    cache[g] = m
+    cache[sylls] = m
     return m
 
 
@@ -505,7 +519,7 @@ def check_compatibility(rep, auto: AutomatonGraph, sys_: SetSystem,
         raise BudgetExceededError("compatibility containment checks",
                                   max_checks, planned)
     rng = np.random.default_rng(seed)
-    cache: dict[GroupElement, np.ndarray] = {}
+    cache: dict = {}
     truncated = False
     labels_checked = 0
     containments = 0
@@ -669,7 +683,7 @@ def nested_diameters(rep, gpath: GPath, sys_: SetSystem,
         if v not in sys_.sets:
             raise InvalidParameterError(f"set system does not cover vertex {v}")
     mats = _rep_matrices(rep, gpath.pair, sys_.d)
-    cache: dict[GroupElement, np.ndarray] = {}
+    cache: dict = {}
     prods = gpath.partial_products()
     rng = np.random.default_rng(seed)
     diameters = []

@@ -421,7 +421,7 @@ def _sup_min(sup_side: np.ndarray, inf_side: np.ndarray,
     for i in range(0, len(windowed), _CHUNK):
         gram = np.abs(windowed[i:i + _CHUNK] @ inf_side.T)
         d2 = nx[i:i + _CHUNK, None] + ny[None, :] - 2.0 * gram
-        worst = max(worst, float(np.sqrt(np.maximum(d2, 0.0)).min(axis=1).max()))
+        worst = max(worst, float(np.sqrt(np.maximum(d2.min(axis=1), 0.0)).max()))
     return {"distance": worst, "points": int(len(windowed))}
 
 
@@ -518,6 +518,11 @@ def limit_set_convergence(family: RepFamily, word_depth: int = 12,
                           screen_powers: int = 7,
                           cap: int = BALL_CAP) -> dict:
     """Hausdorff distance of each member's limit cloud from the base cloud.
+
+    ``d_hausdorff`` is the distance between the depth-``word_depth``
+    clouds, not between the limit sets.  A cloud is a finite subset of its
+    limit set that can leave whole arcs of it uncovered, so the cloud
+    distance bounds the limit-set distance in neither direction.
 
     Every representation, base included, must first pass the divergence
     screening on powers of the product of all generators; failing members

@@ -430,11 +430,32 @@ def _sorted_rp1(angles) -> np.ndarray:
 
 
 def _dedup_sorted(a: np.ndarray, resolution: float) -> np.ndarray:
-    """Greedy circular dedup of sorted line angles at a sin-metric resolution."""
+    """Greedy circular dedup of sorted line angles at a sin-metric resolution.
+
+    A gap d between neighbours is kept when sin(min(d, pi - d)) >=
+    resolution.  With x0 = asin(resolution), the sine is taken only for
+    gaps in the band [x0 (1 - 1e-9), x0 (1 + 1e-9)) and for gaps above
+    pi/2.  Below the band a gap is dropped, and from the band up to pi/2 it
+    is kept, without a sine: there the true sine differs from the
+    resolution by at least 1e-9 x0 cos x0, relatively 0.9e-9 or more for
+    resolution <= 1/2, so a sine error of a few ulp cannot flip the test.
+    The kept angles are therefore those of taking the sine of every gap.
+    Above pi/2 the test reads pi - d, whose rounding is not small against
+    the band for tiny resolutions, so those gaps always take the sine.
+    """
+    if not 0 < resolution <= 0.5:
+        raise InvalidParameterError("resolution must lie in (0, 1/2]")
     if a.size <= 1:
         return a
     d = np.diff(a)
-    keep = np.concatenate(([True], np.sin(np.minimum(d, math.pi - d)) >= resolution))
+    x0 = math.asin(resolution)
+    lo, hi = x0 * (1 - 1e-9), x0 * (1 + 1e-9)
+    keep = np.empty(a.size, dtype=bool)
+    keep[0] = True
+    np.greater_equal(d, hi, out=keep[1:])
+    near = np.flatnonzero(((d >= lo) & (d < hi)) | (d > math.pi / 2))
+    dn = d[near]
+    keep[1:][near] = np.sin(np.minimum(dn, math.pi - dn)) >= resolution
     out = a[keep]
     if out.size > 1:
         wrap = math.pi - (out[-1] - out[0])
@@ -449,7 +470,18 @@ def _dedup_angles(angles, resolution: float) -> np.ndarray:
 
 
 def _hausdorff_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Hausdorff distance between two sorted angle arrays in [0, pi]."""
+    """Hausdorff distance between two sorted angle arrays in [0, pi].
+
+    Per direction, an x in gap i of the padded y, pad[i] < x <= pad[i+1],
+    lies min(x - pad[i], pad[i+1] - x) from y.  The x in the widest gap
+    give a lower bound best on the sup; then only the x in gaps wider than
+    2 best (1 - 1e-12) are scanned, each with the same searchsorted
+    position and the same subtractions as a scan of every x.  That is
+    exact: a gap of rounded width at most that bound has an exact width
+    below 2 best, and rounding is monotone, so no x in it computes more
+    than best.  The x at pad[0] (x = 0 when y ends at pi) lie in no gap and
+    are always scanned.
+    """
     if xs.size == 0 or ys.size == 0:
         raise InvalidParameterError("hausdorff distance needs nonempty sets")
     if not all(np.all(np.diff(a, prepend=0.0, append=math.pi) >= 0) for a in (xs, ys)):
@@ -457,8 +489,20 @@ def _hausdorff_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
     sups = []
     for x, y in ((xs, ys), (ys, xs)):  # nearest neighbours on the period-pi circle
         pad = np.concatenate((y[-1:] - math.pi, y, y[:1] + math.pi))
-        pos = np.searchsorted(pad, x)
-        sups.append(float(np.max(np.minimum(x - pad[pos - 1], pad[pos] - x))))
+        gaps = np.diff(pad)
+        w = int(np.argmax(gaps))
+        inside = x[slice(*np.searchsorted(x, pad[w:w + 2], side="right"))]
+        best = float(np.max(np.minimum(inside - pad[w], pad[w + 1] - inside),
+                            initial=0.0))
+        wide = np.flatnonzero(gaps > 2 * best * (1 - 1e-12))
+        lo = np.searchsorted(x, pad[wide], side="right")
+        n = np.searchsorted(x, pad[wide + 1], side="right") - lo
+        # the index ranges [lo, lo + n) of the x in the wide gaps, joined
+        idx = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+        edge = int(np.searchsorted(x, pad[0], side="right"))
+        sx = np.concatenate((x[:edge], x[idx]))
+        pos = np.searchsorted(pad, sx)
+        sups.append(float(np.max(np.minimum(sx - pad[pos - 1], pad[pos] - sx))))
     return math.sin(max(sups))
 
 
@@ -495,10 +539,19 @@ def _free2_angles(letters: np.ndarray, depth: int, threshold: float
     (n, 2, 2) @ (2, 2), so the clouds keep their bits.  Per word the top
     singular direction and the gap come from closed 2x2 forms, no SVD,
     taken over chunks of a level so that their temporaries stay in cache.
+
+    Buffers: the output holds one angle per reduced word of length 1 to
+    depth and is filled in level and chunk order; seven float buffers of
+    one chunk take every closed form through out=, so each is the same
+    ufunc on the same operands as the plain expression, and the angles are
+    written by arctan2 straight into the output.  A chunk whose words all
+    clear the threshold skips the boolean gathers.
     """
     k = letters.shape[0]
-    parts: list[np.ndarray] = []
-    seen, rejected = 1, 1          # the identity never clears the threshold
+    angles = np.empty(_free_word_count(k // 2, depth) - 1)
+    bufs = np.empty((7, min(CLOSED_FORM_CHUNK, len(angles))))
+    mask = np.empty(bufs.shape[1], dtype=bool)
+    filled, seen = 0, 1
     prods = letters.copy()
     for level in range(1, depth + 1):
         if level > 1:
@@ -510,24 +563,43 @@ def _free2_angles(letters: np.ndarray, depth: int, threshold: float
                               out=nxt[pos:pos + hi - lo].reshape(-1, 2))
                     pos += hi - lo
             prods = nxt
-        for chunk in range(0, len(prods), CLOSED_FORM_CHUNK):
-            words = prods[chunk:chunk + CLOSED_FORM_CHUNK]
+        for start in range(0, len(prods), CLOSED_FORM_CHUNK):
+            words = prods[start:start + CLOSED_FORM_CHUNK]
             a, b = words[:, 0, 0], words[:, 0, 1]
             c, d = words[:, 1, 0], words[:, 1, 1]
-            top, mid, bot = a * a + b * b, a * c + b * d, c * c + d * d
-            det = np.abs(a * d - b * c)
-            lam1 = (top + bot) / 2 + np.sqrt((top - bot) ** 2 / 4 + mid * mid)
-            gap = lam1 / det       # sigma_1 / sigma_2, since sigma products = det
-            good = gap > threshold
-            theta = 0.5 * np.arctan2(2 * mid[good], (top - bot)[good])
+            top, mid, bot, det, diff, tmp, lam = (x[:len(words)] for x in bufs)
+            np.multiply(a, a, out=top)
+            top += np.multiply(b, b, out=tmp)
+            np.multiply(a, c, out=mid)
+            mid += np.multiply(b, d, out=tmp)
+            np.multiply(c, c, out=bot)
+            bot += np.multiply(d, d, out=tmp)
+            np.multiply(a, d, out=det)
+            det -= np.multiply(b, c, out=tmp)
+            np.abs(det, out=det)
+            np.subtract(top, bot, out=diff)
+            np.multiply(diff, diff, out=tmp)
+            tmp /= 4
+            tmp += np.multiply(mid, mid, out=lam)
+            np.sqrt(tmp, out=tmp)
+            np.add(top, bot, out=lam)
+            lam /= 2
+            lam += tmp             # lambda_1 of the Gram matrix
+            lam /= det             # sigma_1 / sigma_2, since sigma products = det
+            good = np.greater(lam, threshold, out=mask[:len(words)])
+            mid *= 2
+            if not good.all():
+                mid, diff = mid[good], diff[good]
+            theta = np.arctan2(mid, diff, out=angles[filled:filled + len(mid)])
+            theta *= 0.5
             # np.mod(theta, pi) on [-pi/2, pi/2], which also sends -0.0 to +0.0
-            parts.append(theta + np.where(theta < 0, math.pi, 0.0))
-            rejected += int(len(words) - good.sum())
+            theta += np.where(theta < 0, math.pi, 0.0)
+            filled += len(mid)
         seen += prods.shape[0]
-    angles = np.concatenate(parts) if parts else np.empty(0)
+    angles = angles[:filled]
     angles[angles == math.pi] = 0.0    # theta + pi rounded up: pi mod pi
     angles.sort()
-    return angles, seen, rejected
+    return angles, seen, seen - filled     # the identity is never kept
 
 
 def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,

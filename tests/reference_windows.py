@@ -4,9 +4,11 @@ search that ``rhfill.groups.ball_tree`` replaces, the one-angle-at-a-time
 witness search, the word-ball Cayley and coned-off windows, a standalone
 horoball, small generic graphs, the one-path-at-a-time geodesic walk, lift,
 path projection and filling checks that the batched ones in
-``rhfill.cusped`` and ``rhfill.filling_geometry`` replace, and the plain
-forms of a few library routines (coned lengths, the exact metric ball,
-RP^1 Hausdorff distances, random flags, constant families). Tests compare
+``rhfill.cusped`` and ``rhfill.filling_geometry`` replace, the full-scan
+RP^1 Hausdorff distance, the sine-of-every-gap dedup and the uncached
+element fold, and the plain forms of a few library routines (coned
+lengths, the exact metric ball, RP^1 Hausdorff distances, random flags,
+constant families). Tests compare
 the library against these, so they favour plainness over speed.
 """
 import itertools
@@ -423,6 +425,40 @@ def generic_graph(n: int, edges: list[tuple[int, int]]) -> CuspedGraph:
 
 def cycle_graph(n: int) -> CuspedGraph:
     return generic_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def reference_hausdorff_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
+    """``flags._hausdorff_sorted`` without the pruning: every x is looked up
+    among the padded y, and its distance to the nearer neighbour taken."""
+    sups = []
+    for x, y in ((xs, ys), (ys, xs)):
+        pad = np.concatenate((y[-1:] - math.pi, y, y[:1] + math.pi))
+        pos = np.searchsorted(pad, x)
+        sups.append(float(np.max(np.minimum(x - pad[pos - 1], pad[pos] - x))))
+    return math.sin(max(sups))
+
+
+def reference_dedup_sorted(a: np.ndarray, resolution: float) -> np.ndarray:
+    """``flags._dedup_sorted`` with the sine of every gap taken."""
+    if a.size <= 1:
+        return a
+    d = np.diff(a)
+    keep = np.concatenate(([True], np.sin(np.minimum(d, math.pi - d)) >= resolution))
+    out = a[keep]
+    if out.size > 1:
+        wrap = math.pi - (out[-1] - out[0])
+        if math.sin(min(wrap, math.pi - wrap)) < resolution:
+            out = out[:-1]
+    return out
+
+
+def reference_element_matrix(mats, oracle, g: GroupElement) -> np.ndarray:
+    """``automata._element_matrix`` folded from the identity, uncached."""
+    m = np.eye(next(iter(mats.values())).shape[0])
+    for name, e in oracle.syllables(g):
+        m = m @ np.linalg.matrix_power(mats[name], e)
+        m = m / np.linalg.norm(m)
+    return m
 
 
 def hausdorff_rp1(a, b) -> float:

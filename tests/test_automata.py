@@ -13,13 +13,14 @@ from rhfill.automata import (AutomatonGraph, Ball, CosetLabel, GPath,
                              check_compatibility, enumerate_gpaths,
                              nested_diameters, set_system_to_json,
                              validate_automaton,
-                             _angle_diameter, _ball_arc, _mobius_arc)
+                             _angle_diameter, _ball_arc, _element_matrix,
+                             _mobius_arc)
 from rhfill.errors import (BudgetExceededError, InvalidParameterError,
                            SchemaError)
 from rhfill.flags import Flag, ParabolicType, attracting_flag
-from rhfill.groups import format_word, standard_f2_pair
+from rhfill.groups import format_word, make_oracle, standard_f2_pair
 from rhfill.tolerances import DEFAULT_TOLS
-from reference_windows import reference_search_witness
+from reference_windows import reference_element_matrix, reference_search_witness
 
 SANOV = {"a": [[1.0, 2.0], [0.0, 1.0]], "b": [[1.0, 0.0], [2.0, 1.0]]}
 IDENT = {"a": [[1.0, 0.0], [0.0, 1.0]], "b": [[1.0, 0.0], [0.0, 1.0]]}
@@ -525,3 +526,35 @@ def test_arc_image_contains_pointwise_images(data):
         v = m @ (math.cos(t), math.sin(t))
         angle = math.atan2(v[1], v[0]) % math.pi
         assert (angle - image[0]) % math.pi <= image[1] + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# element matrices: prefix reuse against the fold from the identity
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]))
+def test_element_matrix_is_the_fold_from_the_identity(seed, d):
+    # random free-product words with all their prefixes, asked for in a
+    # random order and then in another, through one shared cache
+    oracle = make_oracle({"kind": "free-product",
+                          "factors": [{"kind": "free-abelian", "rank": 1},
+                                      {"kind": "finite-cyclic", "order": 5},
+                                      {"kind": "free-abelian", "rank": 1}]})
+    rng = np.random.default_rng(seed)
+    mats = {n: rng.standard_normal((d, d)) * np.exp(rng.uniform(-3, 3))
+            for n in oracle.gen_names}
+    gens = oracle.generators()
+    words = []
+    for _ in range(20):
+        g = oracle.identity()
+        words.append(g)
+        for _ in range(int(rng.integers(0, 15))):
+            g = oracle.multiply(g, gens[int(rng.integers(len(gens)))])
+            words.append(g)
+    cache: dict = {}
+    for order in (rng.permutation(len(words)), rng.permutation(len(words))):
+        for i in order:
+            got = _element_matrix(mats, oracle, words[i], cache)
+            want = reference_element_matrix(mats, oracle, words[i])
+            assert got.tobytes() == want.tobytes()

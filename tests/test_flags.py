@@ -25,7 +25,9 @@ from rhfill.tolerances import DEFAULT_TOLS
 from rhfill.convergence import elliptic_generators
 from rhfill.groups import (ball_tree, enumerate_ball, make_filling, make_oracle,
                            standard_f2_pair)
-from reference_windows import hausdorff_rp1, random_flag
+from reference_windows import (hausdorff_rp1, random_flag,
+                               reference_dedup_sorted,
+                               reference_hausdorff_sorted)
 
 SANOV_A = np.array([[1.0, 2.0], [0.0, 1.0]])
 SANOV_B = np.array([[1.0, 0.0], [2.0, 1.0]])
@@ -587,11 +589,17 @@ def test_cloud_hausdorff_refuses_unsorted_or_unreduced_angles(angles):
 
 @pytest.mark.parametrize("chunk", [1, 3, 7, 100])
 def test_free2_angles_do_not_depend_on_the_chunk(monkeypatch, chunk):
-    # chunks split levels at and away from block boundaries
+    # chunks split levels at and away from block boundaries; the rotation
+    # letters come first, so words 0 and 1 of level 1 (and more later) are
+    # rejected inside a chunk whose other words are kept
     monkeypatch.setattr(flags, "CLOSED_FORM_CHUNK", chunk)
+    rotation = _rotation(2 * math.pi / 5)
     for mats in ([SANOV_A, SANOV_B], list(elliptic_generators(7).values()),
-                 [[[2.0, 1.0], [1.0, 1.0]]]):
+                 [[[2.0, 1.0], [1.0, 1.0]]], [rotation, [[2.0, 1.0], [1.0, 1.0]]]):
         _assert_same_cloud(_letters(mats), 5)
+    _, seen, rejected = _free2_angles(_letters([rotation, [[2.0, 1.0], [1.0, 1.0]]]),
+                                      5, DEFAULT_TOLS.gap_threshold)
+    assert 1 < rejected < seen
 
 
 def test_sorted_rp1_sends_a_rounded_up_pi_to_zero():
@@ -602,3 +610,102 @@ def test_sorted_rp1_sends_a_rounded_up_pi_to_zero():
     ca = FlagCloud(line_type(), a, None, 1, 0)
     cb = FlagCloud(line_type(), b, None, 1, 0)
     assert ca.hausdorff(cb) == hausdorff_rp1(a, b) == hausdorff_rp1([1e-09], [0.0])
+
+
+# ---------------------------------------------------------------------------
+# the pruned Hausdorff distance and the banded dedup against full scans
+
+X0 = math.asin(DEFAULT_TOLS.dedup)
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved k ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.inf if k > 0 else -math.inf))
+    return x
+
+
+# gaps at asin(resolution) and at both edges of the dedup band, a few ulp off
+EDGE_GAPS = [_ulps(v, k) for v in (X0, X0 * (1 - 1e-9), X0 * (1 + 1e-9))
+             for k in range(-3, 4)]
+BELOW_PI = float(np.nextafter(math.pi, 0.0))
+
+
+@st.composite
+def sorted_clouds(draw, top=BELOW_PI):
+    """Sorted nonempty angle arrays in [0, top]: gaps at the dedup band's
+    edges, duplicate angles, one-point clouds, gaps above pi - x0 and pi/2,
+    angles at 0.0 and just below pi, and evenly spaced clouds."""
+    kind = draw(st.sampled_from(["gaps", "even", "wide"]))
+    if kind == "even":             # every gap equal: pruning scans all
+        n = draw(st.integers(1, 300))
+        a = draw(st.sampled_from([0.0, 1e-3])) + np.arange(n) * (math.pi / n)
+    elif kind == "wide":           # one gap above pi/2, near pi - x0
+        a = np.array([0.0, _ulps(math.pi - X0 * (1 + 1e-9), draw(st.integers(-3, 3))),
+                      _ulps(math.pi - X0, draw(st.integers(-3, 3)))])
+        a = a[:draw(st.integers(1, 3))]
+    else:
+        start = draw(st.sampled_from([0.0, 1e-300, 0.5, BELOW_PI - 1e-5])
+                     | st.floats(0.0, math.pi))
+        gaps = draw(st.lists(st.sampled_from(EDGE_GAPS + [0.0, 0.0])
+                             | st.floats(0.0, 0.4), max_size=40))
+        a = start + np.cumsum([0.0] + gaps)
+    if draw(st.booleans()):
+        a = np.append(a, draw(st.sampled_from([0.0, BELOW_PI, top])))
+    a = np.sort(a[a <= top])
+    return a if a.size else np.array([0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_clouds())
+def test_banded_dedup_equals_the_sine_of_every_gap(a):
+    got = _dedup_sorted(a, DEFAULT_TOLS.dedup)
+    assert got.tobytes() == reference_dedup_sorted(a, DEFAULT_TOLS.dedup).tobytes()
+
+
+@pytest.mark.parametrize("k", range(-3, 4))
+@pytest.mark.parametrize("base", [X0, X0 * (1 - 1e-9), X0 * (1 + 1e-9),
+                                  math.pi - X0])
+def test_banded_dedup_at_the_band_edges(base, k):
+    g = _ulps(base, k)
+    for a in (np.array([0.0, g]), np.array([0.0, g, 2 * g]),
+              np.array([0.5, 0.5 + g, 1.5])):
+        a = a[a < math.pi]
+        assert (_dedup_sorted(a, DEFAULT_TOLS.dedup).tobytes()
+                == reference_dedup_sorted(a, DEFAULT_TOLS.dedup).tobytes())
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1e-6, 0.75, 1.0, 2.0, math.nan])
+def test_banded_dedup_refuses_resolutions_outside_its_range(resolution):
+    with pytest.raises(InvalidParameterError, match="resolution"):
+        _dedup_sorted(np.array([0.0, 1.0]), resolution)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_clouds(top=math.pi), sorted_clouds(top=math.pi))
+def test_pruned_hausdorff_equals_the_full_scan(xs, ys):
+    assert _hausdorff_sorted(xs, ys) == reference_hausdorff_sorted(xs, ys)
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([0.0], [math.pi]), ([0.0, 0.0], [math.pi]), ([0.0], [0.0]),
+    ([0.0, 1.0], [1.0, math.pi]), ([math.pi], [0.0]), ([BELOW_PI], [0.0]),
+])
+def test_pruned_hausdorff_at_the_ends_of_the_range(xs, ys):
+    xs, ys = np.array(xs), np.array(ys)
+    assert _hausdorff_sorted(xs, ys) == reference_hausdorff_sorted(xs, ys)
+    assert _hausdorff_sorted(ys, xs) == reference_hausdorff_sorted(ys, xs)
+
+
+def test_pruned_kernels_match_the_full_scans_on_the_bundled_depth8_clouds():
+    fam = load_scenario(bundled_scenario_path()).family
+    clouds = []
+    for rep in [fam.base] + [fam.members[i] for i in fam.indices]:
+        raw, _, _ = _free2_angles(_letters([rep["a"], rep["b"]]), 8,
+                                  DEFAULT_TOLS.gap_threshold)
+        got = _dedup_sorted(raw, DEFAULT_TOLS.dedup)
+        assert got.tobytes() == reference_dedup_sorted(raw, DEFAULT_TOLS.dedup).tobytes()
+        clouds.append(got)
+    for x in clouds:
+        for y in clouds:
+            assert _hausdorff_sorted(x, y) == reference_hausdorff_sorted(x, y)
