@@ -8,17 +8,20 @@ minus a finite exclusion list.  Paths through the graph spell products
 representation pushes a chosen union-of-balls set system into itself along
 every edge, which is what makes those products contract.
 
-On the projective line a metric ball is a circular arc and the image of an
-arc under an invertible 2x2 matrix is again an arc, so containment is
-decided exactly from the endpoint images (plus a midpoint to pick the
-correct side).  In higher rank the image radius is bounded from sampled
-boundary flags with a safety factor, and a failed sampled test is reported
-as inconclusive rather than as a refutation.
+Set systems live on the projective line, where a metric ball is a
+circular arc and the image of an arc under an invertible 2x2 matrix is
+again an arc.  Containment is decided exactly from the endpoint images
+(plus a midpoint to pick the correct side), and the diameter of a union of
+image arcs from its endpoints plus an exact quarter-turn test.  Higher-rank
+examples, such as the paper's convex projective ones, need a certified
+containment method for balls in flag space; this module has none and
+refuses d != 2.
 """
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -26,8 +29,7 @@ import numpy as np
 
 from .errors import (BudgetExceededError, InvalidParameterError, SchemaError,
                      UnsupportedKindError)
-from .flags import (Flag, ProjectiveMatrix, flag_distance, generator_images,
-                    is_transverse, line_flag)
+from .flags import ProjectiveMatrix, generator_images, is_transverse, line_flag
 from .groups import GroupElement, RelHypPair, _json_int, format_word, parse_word
 from .tolerances import DEFAULT_TOLS
 
@@ -270,10 +272,10 @@ def _arc_union_slack(arc: tuple[float, float], merged) -> float | None:
 
 @dataclass(frozen=True)
 class Ball:
-    """Metric ball in the flag space: ``center`` is an angle when d = 2 and
-    a Flag in higher rank; ``radius`` is in the flag metric, inside (0, 1)."""
+    """Metric ball on the projective line: ``center`` is the angle of a
+    line, read mod pi; ``radius`` is in the sine metric, inside (0, 1)."""
 
-    center: object
+    center: float
     radius: float
 
 
@@ -289,18 +291,21 @@ def _witness_grid() -> tuple[np.ndarray, np.ndarray]:
 
 
 class SetSystem:
-    """One finite union of balls per vertex, plus a shared safety margin.
+    """One finite union of balls per vertex, plus a shared safety margin,
+    on the projective line: ``d`` must be 2, any other dimension raises
+    UnsupportedKindError.
 
-    Invariant, checked on construction: every vertex stores a witness flag
-    whose transversality margin against each of its ball centers strictly
-    exceeds that ball's radius.  On the projective line a witness is found
-    by grid search when none is supplied; in higher rank it must be given.
+    Invariant, checked on construction: every vertex stores a witness
+    angle, found by grid search, whose line's transversality margin against
+    each of its ball centers strictly exceeds that ball's radius.
     """
 
-    def __init__(self, d: int, epsilon: float, sets, witnesses=None):
+    def __init__(self, d: int, epsilon: float, sets):
+        if d != 2:
+            raise UnsupportedKindError(
+                f"set systems live on the projective line (d = 2), got d = {d}")
         if epsilon <= 0:
             raise InvalidParameterError("set system margin must be positive")
-        self.d = int(d)
         self.epsilon = float(epsilon)
         self.sets: dict[int, tuple[Ball, ...]] = {}
         for v, balls in sets.items():
@@ -312,32 +317,17 @@ class SetSystem:
                     raise InvalidParameterError(
                         f"vertex {v}: ball radius must lie in (0, 1), "
                         f"got {b.radius}")
-                if self.d == 2:
-                    if isinstance(b.center, Flag):
-                        raise InvalidParameterError(
-                            "d = 2 ball centers are angles, not flags")
-                    float(b.center)
-                else:
-                    if not isinstance(b.center, Flag) or b.center.type.d != self.d:
-                        raise InvalidParameterError(
-                            f"vertex {v}: ball center must be a Flag in R^{self.d}")
+                if not isinstance(b.center, numbers.Real):
+                    raise InvalidParameterError(
+                        f"vertex {v}: ball centers are angles, got {b.center!r}")
             self.sets[int(v)] = balls
-        self.witnesses: dict[int, object] = {}
+        self.witnesses: dict[int, float] = {}
         for v, balls in self.sets.items():
-            w = None if witnesses is None else witnesses.get(v)
-            if w is None:
-                w = self._search_witness(balls)
+            w = self._search_witness(balls)
             self._check_witness(v, w, balls)
             self.witnesses[v] = w
 
-    def center_flag(self, ball: Ball) -> Flag:
-        return line_flag(float(ball.center)) if self.d == 2 else ball.center
-
     def _search_witness(self, balls):
-        if self.d != 2:
-            raise InvalidParameterError(
-                "automatic witness search works on the projective line only; "
-                "pass witnesses explicitly")
         angles, lines = _witness_grid()
         centers = np.stack([line_flag(float(b.center)).bases[1] for b in balls])
         # [candidate | center] for every pair; the margin is the smaller
@@ -349,9 +339,9 @@ class SetSystem:
         return float(angles[np.argmax(score)])
 
     def _check_witness(self, v, witness, balls):
-        wflag = line_flag(float(witness)) if self.d == 2 else witness
+        wflag = line_flag(witness)
         for b in balls:
-            _, margin = is_transverse(wflag, self.center_flag(b))
+            _, margin = is_transverse(wflag, line_flag(float(b.center)))
             if not margin > b.radius:
                 raise InvalidParameterError(
                     f"set at vertex {v}: witness transversality margin "
@@ -359,9 +349,6 @@ class SetSystem:
 
 
 def set_system_to_json(sys_: SetSystem) -> dict:
-    if sys_.d != 2:
-        raise UnsupportedKindError(
-            "only projective-line set systems have a JSON form")
     return {
         "epsilon": sys_.epsilon,
         "sets": {str(v): [{"angle": float(b.center), "radius": b.radius}
@@ -376,14 +363,14 @@ def set_system_to_json(sys_: SetSystem) -> dict:
 # representation plumbing
 
 
-def _rep_matrices(rep, pair: RelHypPair, d: int) -> dict[str, np.ndarray]:
-    """Generator images as ProjectiveMatrix entries; they must act on R^d."""
+def _rep_matrices(rep, pair: RelHypPair) -> dict[str, np.ndarray]:
+    """Generator images as ProjectiveMatrix entries; they must act on R^2."""
     mats = {n: ProjectiveMatrix(m).entries
             for n, m in generator_images(rep, pair.group.gen_names).items()}
     got = len(next(iter(mats.values())))
-    if got != d:
+    if got != 2:
         raise UnsupportedKindError(
-            f"generators act on R^{got}, this check works in R^{d}")
+            f"generators act on R^{got}, this check works in R^2")
     return mats
 
 
@@ -418,41 +405,6 @@ def _element_matrix(mats, oracle, g: GroupElement, cache: dict) -> np.ndarray:
 # compatibility certificates
 
 
-def _sample_flag_sphere(center: Flag, radius: float, count: int,
-                        rng: np.random.Generator) -> list[Flag]:
-    """Best-effort sample of flags at the given distance from the center.
-
-    Rotates the center in random 2-planes, bisecting the angle until the
-    flag distance lands on the radius.  Used only by the sampled
-    higher-rank route, whose verdicts are inconclusive on failure anyway.
-    """
-    d = center.type.d
-    out = []
-    eye = np.eye(d)
-    for _ in range(count):
-        q, _r = np.linalg.qr(rng.standard_normal((d, 2)))
-        u, w = q[:, 0:1], q[:, 1:2]
-        plane = u @ u.T + w @ w.T
-        spin = w @ u.T - u @ w.T
-
-        def rotate(t):
-            r = eye + (math.cos(t) - 1.0) * plane + math.sin(t) * spin
-            return Flag(center.type, {i: r @ b for i, b in center.bases.items()})
-
-        lo, hi = 0.0, 0.5 * math.pi
-        if flag_distance(rotate(hi), center) <= radius:
-            out.append(rotate(hi))
-            continue
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if flag_distance(rotate(mid), center) < radius:
-                lo = mid
-            else:
-                hi = mid
-        out.append(rotate(hi))
-    return out
-
-
 def _contain_exact(m: np.ndarray, ball: Ball, inflated: float,
                    targets) -> tuple[bool, float]:
     """Exact d = 2 test: does m map the inflated ball inside the union?
@@ -475,42 +427,24 @@ def _contain_exact(m: np.ndarray, ball: Ball, inflated: float,
     return False, margin
 
 
-def _contain_sampled(m: np.ndarray, ball: Ball, inflated: float, targets,
-                     samples: int, rng) -> tuple[bool, float]:
-    center = ball.center
-    image_center = center.apply(m)
-    bound = 0.0
-    for s in _sample_flag_sphere(center, inflated, samples, rng):
-        bound = max(bound, flag_distance(s.apply(m), image_center))
-    bound *= DEFAULT_TOLS.sampled_inflation
-    margin = -math.inf
-    for tb in targets:
-        margin = max(margin,
-                     tb.radius - flag_distance(image_center, tb.center) - bound)
-    return margin > 0.0, margin
-
-
 def check_compatibility(rep, auto: AutomatonGraph, sys_: SetSystem,
                         enumeration_depth: int = 8,
-                        max_checks: int = 200_000,
-                        samples: int = 64, seed: int = 0) -> dict:
+                        max_checks: int = 200_000) -> dict:
     """Certify that the representation respects the set system edge-wise.
 
     For every edge v -> w and every alpha in the transition set of v,
     enumerated to peripheral word length ``enumeration_depth``, the image
     under alpha of each ball at w inflated by the system margin must land
-    inside the set at v.  On the projective line the test is exact and a
-    failure is a refutation; in higher rank the image radius is bounded
-    from sampled boundary flags times a safety factor and a failure is
-    only inconclusive.  A margin within the transversality tolerance of
-    zero is inconclusive in either case: its sign may be a rounding artifact.
+    inside the set at v.  The arc test is exact, so a negative margin is a
+    refutation; a margin within the transversality tolerance of zero is
+    inconclusive, since its sign may be a rounding artifact.
     """
     for u, w in auto.edges:
         for v in (u, w):
             if v not in sys_.sets:
                 raise InvalidParameterError(
                     f"set system does not cover vertex {v}")
-    mats = _rep_matrices(rep, auto.pair, sys_.d)
+    mats = _rep_matrices(rep, auto.pair)
     per_vertex = {v: auto.label_elements(v, enumeration_depth)
                   for v in range(auto.n)}
     planned = sum(len(per_vertex[u][0]) * len(sys_.sets[w])
@@ -518,7 +452,6 @@ def check_compatibility(rep, auto: AutomatonGraph, sys_: SetSystem,
     if planned > max_checks:
         raise BudgetExceededError("compatibility containment checks",
                                   max_checks, planned)
-    rng = np.random.default_rng(seed)
     cache: dict = {}
     truncated = False
     labels_checked = 0
@@ -539,11 +472,7 @@ def check_compatibility(rep, auto: AutomatonGraph, sys_: SetSystem,
                     raise InvalidParameterError(
                         "inflated ball covers the whole flag space; shrink "
                         "the radius or the margin")
-                if sys_.d == 2:
-                    ok, margin = _contain_exact(m, ball, inflated, targets)
-                else:
-                    ok, margin = _contain_sampled(
-                        m, ball, inflated, targets, samples, rng)
+                ok, margin = _contain_exact(m, ball, inflated, targets)
                 containments += 1
                 min_margin = min(min_margin, margin)
                 if not ok:
@@ -557,14 +486,14 @@ def check_compatibility(rep, auto: AutomatonGraph, sys_: SetSystem,
                         })
     if min_margin > DEFAULT_TOLS.transversality:  # inf when none checked
         verdict = "pass"
-    elif sys_.d == 2 and min_margin < -DEFAULT_TOLS.transversality:
+    elif min_margin < -DEFAULT_TOLS.transversality:
         verdict = "fail"
     else:
         verdict = "inconclusive"
     return {
         "name": "compatibility",
-        "method": "exact-arc" if sys_.d == 2 else "sampled-boundary",
-        "dimension": sys_.d,
+        "method": "exact-arc",
+        "dimension": 2,
         "epsilon": sys_.epsilon,
         "enumeration_depth": enumeration_depth,
         "edges_checked": len(auto.edges),
@@ -649,15 +578,6 @@ def enumerate_gpaths(auto: AutomatonGraph, max_len: int, label_cutoff: int):
 # nested images along a path
 
 
-def _set_sample_angles(balls, samples: int) -> np.ndarray:
-    per = max(2, samples // len(balls))
-    chunks = []
-    for b in balls:
-        s, w = _ball_arc(float(b.center), b.radius)
-        chunks.append(np.linspace(s, s + w, per))
-    return np.concatenate(chunks)
-
-
 def _angle_diameter(angles: np.ndarray) -> float:
     diff = np.abs(angles[:, None] - angles[None, :])
     for _ in range(2):  # diff % pi on [0, 3pi), where each x - pi is exact
@@ -667,52 +587,52 @@ def _angle_diameter(angles: np.ndarray) -> float:
     return float(np.sin(circ.max()))
 
 
-def nested_diameters(rep, gpath: GPath, sys_: SetSystem,
-                     samples: int = 128, seed: int = 0) -> dict:
+def _has_quarter_turn(arcs) -> bool:
+    """Does the union of arcs (start, width) hold two lines a quarter turn
+    apart?  The differences x - y, x in arc i and y in arc j, fill the arc
+    from s_i - s_j - w_j of width w_i + w_j; test whether it reaches pi/2."""
+    return any((0.5 * math.pi - (si - sj - wj)) % math.pi <= wi + wj
+               for si, wi in arcs for sj, wj in arcs)
+
+
+def _image_diameter(m: np.ndarray, arcs) -> float:
+    """Sine-metric diameter of the image under m of a union of arcs.
+
+    m maps each arc onto the arc between its endpoint images.  The sine
+    of the circular distance peaks at a quarter turn and has no
+    other local maximum, so over each pair of arcs it is 1 when their
+    differences reach pi/2 and otherwise largest at a pair of endpoints.
+    """
+    if _has_quarter_turn([_mobius_arc(m, arc) for arc in arcs]):
+        return 1.0
+    ends = np.array([t for s, w in arcs for t in (s, s + w)])
+    vecs = m @ np.vstack([np.cos(ends), np.sin(ends)])
+    return _angle_diameter(np.arctan2(vecs[1], vecs[0]))
+
+
+def nested_diameters(rep, gpath: GPath, sys_: SetSystem) -> dict:
     """Diameters of the nested images sigma(alpha_1 ... alpha_n) U_{v_{n+1}}.
 
-    Each set is sampled (on the projective line: evenly across every ball
-    arc, endpoints included, so arc diameters are exact); the fitted
-    per-step rate comes from a least-squares line through the log
-    diameters.  Partial products are counted in exact normal form, so the
-    reported repetition bound is not itself sampled.
+    Each image is a union of arcs, one per ball, and its diameter comes
+    from the arc endpoints and a quarter-turn test, exact up to rounding
+    (``_image_diameter``).  The fitted per-step rate comes from a
+    least-squares line through the log diameters.  Partial products are
+    counted in exact normal form, so the repetition bound is exact too.
     """
     if not gpath.steps:
         raise InvalidParameterError("empty path has no nested images")
     for v in gpath.vertices:
         if v not in sys_.sets:
             raise InvalidParameterError(f"set system does not cover vertex {v}")
-    mats = _rep_matrices(rep, gpath.pair, sys_.d)
+    mats = _rep_matrices(rep, gpath.pair)
     cache: dict = {}
     prods = gpath.partial_products()
-    rng = np.random.default_rng(seed)
-    diameters = []
-    if sys_.d == 2:
-        point_sets = {v: _set_sample_angles(sys_.sets[v], samples)
-                      for v in set(gpath.vertices)}
-        for n, g in enumerate(prods):
-            m = _element_matrix(mats, gpath.pair.group, g, cache)
-            ang = point_sets[gpath.vertices[n]]
-            vecs = m @ np.vstack([np.cos(ang), np.sin(ang)])
-            diameters.append(_angle_diameter(np.arctan2(vecs[1], vecs[0])))
-    else:
-        flag_sets = {}
-        for v in set(gpath.vertices):
-            pts = []
-            for b in sys_.sets[v]:
-                pts.append(b.center)
-                pts.extend(_sample_flag_sphere(
-                    b.center, b.radius, max(2, samples // (2 * len(sys_.sets[v]))),
-                    rng))
-            flag_sets[v] = pts
-        for n, g in enumerate(prods):
-            m = _element_matrix(mats, gpath.pair.group, g, cache)
-            imgs = [f.apply(m) for f in flag_sets[gpath.vertices[n]]]
-            best = 0.0
-            for i in range(len(imgs)):
-                for j in range(i + 1, len(imgs)):
-                    best = max(best, flag_distance(imgs[i], imgs[j]))
-            diameters.append(best)
+    arcs = {v: [_ball_arc(float(b.center), b.radius) for b in sys_.sets[v]]
+            for v in set(gpath.vertices)}
+    diameters = [
+        _image_diameter(_element_matrix(mats, gpath.pair.group, g, cache),
+                        arcs[gpath.vertices[n]])
+        for n, g in enumerate(prods)]
     logs = np.log(np.maximum(diameters, 1e-300))
     slope = float(np.polyfit(np.arange(len(diameters)), logs, 1)[0])
     rate = float(math.exp(slope))
@@ -728,8 +648,6 @@ def nested_diameters(rep, gpath: GPath, sys_: SetSystem,
         "max_repetition": int(max_rep),
         "vertex_count": gpath.n_vertices,
         "backtracking_ok": max_rep <= gpath.n_vertices,
-        "samples": samples,
-        "seed": seed,
     }
 
 

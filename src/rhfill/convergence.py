@@ -287,7 +287,7 @@ def edf_condition_check(family: RepFamily, query: EdfQuery,
     if enumeration_depth < 1:
         raise InvalidParameterError("enumeration_depth must be >= 1")
 
-    base_mats = _rep_matrices(family.base, pair, 2)
+    base_mats = _rep_matrices(family.base, pair)
     excluded_locals = {per.local(g) for g in query.excluded}
 
     def truncated_run(mats):
@@ -315,7 +315,7 @@ def edf_condition_check(family: RepFamily, query: EdfQuery,
     edf_rows = []
     stability_rows = []
     for idx in family.indices:
-        mats = _rep_matrices(family.members[idx], pair, 2)
+        mats = _rep_matrices(family.members[idx], pair)
         filling = family.filling(idx)
         order = None
         if filling is not None:
@@ -604,7 +604,7 @@ def fiber_consistency_check(rep: dict, pair: RelHypPair, sequences,
     """
     if not sequences:
         raise InvalidParameterError("need at least one sequence")
-    mats = _rep_matrices(rep, pair, 2)  # fiber limits are implemented for d = 2
+    mats = _rep_matrices(rep, pair)  # fiber limits are implemented for d = 2
     ptype = line_type()
     metric = ExactCuspedMetric(pair)
     cache: dict = {}

@@ -160,11 +160,6 @@ class Flag:
         b = self.bases[i]
         return b @ b.T
 
-    def apply(self, g) -> "Flag":
-        """Image flag under g: matrix times basis, then reorthonormalize."""
-        m = g.entries if isinstance(g, ProjectiveMatrix) else np.asarray(g, float)
-        return Flag(self.type, {i: m @ b for i, b in self.bases.items()})
-
     def __repr__(self):
         return f"Flag(d={self.type.d}, indices={self.type.indices})"
 

@@ -96,8 +96,7 @@ TASK_PARAMS = {
     "compatibility": {"enumeration_depth": _int(1)},
     "contraction": {"path_length": _int(1), "count": _int(1),
                     "label_cutoff": _int(0), "rate_bound": _NUMBER,
-                    "max_repetition": _int(0), "samples": _int(1),
-                    "csv": _STRING},
+                    "max_repetition": _int(0), "csv": _STRING},
     "edf": {"enumeration_depth": _int(1),
             "expect_stability_failures": {"type": "boolean"}, "csv": _STRING,
             "queries": {"type": "array", "items": {
@@ -359,8 +358,7 @@ def _task_compatibility(sc: Scenario, params: dict) -> dict:
     auto, sys_ = sc.automaton
     return check_compatibility(
         sc.family.base, auto, sys_,
-        enumeration_depth=int(params.get("enumeration_depth", 12)),
-        seed=sc.seed)
+        enumeration_depth=int(params.get("enumeration_depth", 12)))
 
 
 def _task_metric_lemmas(sc: Scenario, params: dict) -> dict:
@@ -452,11 +450,9 @@ def _task_contraction(sc: Scenario, params: dict) -> dict:
     rate_bound = float(params.get("rate_bound", 0.9))
     rep_bound = int(params.get("max_repetition", 2))
     sys_, paths = _paths_of_length(sc, length, cutoff, count)
-    samples = int(params.get("samples", 128))
     table = []
     for i, p in enumerate(paths):
-        rep = nested_diameters(sc.family.base, p, sys_,
-                               samples=samples, seed=sc.seed)
+        rep = nested_diameters(sc.family.base, p, sys_)
         table.append({"path": i, "words": p.words(), "rate": rep["rate"],
                       "monotone": rep["monotone_nonincreasing"],
                       "max_repetition": rep["max_repetition"]})

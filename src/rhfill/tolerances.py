@@ -25,8 +25,6 @@ class Tolerances:
     fiber: float = 1e-3
     # matrix invertibility: reject when sigma_min/sigma_max is below this
     condition: float = 1e-12
-    # safety inflation factor for sampled-boundary image radius bounds
-    sampled_inflation: float = 1.10
 
 
 DEFAULT_TOLS = Tolerances()

@@ -14,10 +14,10 @@ from rhfill.automata import (AutomatonGraph, Ball, CosetLabel, GPath,
                              nested_diameters, set_system_to_json,
                              validate_automaton,
                              _angle_diameter, _ball_arc, _element_matrix,
-                             _mobius_arc)
+                             _has_quarter_turn, _image_diameter, _mobius_arc)
 from rhfill.errors import (BudgetExceededError, InvalidParameterError,
-                           SchemaError)
-from rhfill.flags import Flag, ParabolicType, attracting_flag
+                           SchemaError, UnsupportedKindError)
+from rhfill.flags import line_flag
 from rhfill.groups import format_word, make_oracle, standard_f2_pair
 from rhfill.tolerances import DEFAULT_TOLS
 from reference_windows import reference_element_matrix, reference_search_witness
@@ -255,43 +255,6 @@ def test_bad_image_rejected_by_name(bundled, ping_pong_path, image, message):
 
 
 # ---------------------------------------------------------------------------
-# higher rank goes through the sampled route
-
-
-@pytest.fixture(scope="module")
-def rank3(pair):
-    contraction = np.diag([10.0, 1.0, 0.1])
-    ptype = ParabolicType(3, (1, 2))
-    attr, _ = attracting_flag(contraction, ptype)
-    witness = Flag(ptype, {1: [[0.0], [0.0], [1.0]],
-                           2: [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]})
-    auto = AutomatonGraph(pair, [SingletonLabel(pair.group.generator("a", 1))],
-                          [(0, 0)])
-    sys_ = SetSystem(3, 0.05, {0: [Ball(attr, 0.3)]}, witnesses={0: witness})
-    return contraction, auto, sys_
-
-
-def test_higher_rank_contraction_passes(rank3):
-    contraction, auto, sys_ = rank3
-    rep = {"a": contraction, "b": contraction}
-    report = check_compatibility(rep, auto, sys_, enumeration_depth=2,
-                                 samples=16)
-    assert report["method"] == "sampled-boundary"
-    assert report["verdict"] == "pass"
-    assert report["min_margin"] == pytest.approx(0.25937844061605353, abs=1e-9)
-
-
-def test_higher_rank_failure_is_inconclusive(rank3):
-    _, auto, sys_ = rank3
-    c, s = math.cos(0.3), math.sin(0.3)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    report = check_compatibility({"a": rot, "b": rot}, auto, sys_,
-                                 enumeration_depth=2, samples=16)
-    assert report["verdict"] == "inconclusive"
-    assert not report["pass"] and report["min_margin"] < 0
-
-
-# ---------------------------------------------------------------------------
 # set systems
 
 
@@ -322,6 +285,11 @@ def test_witness_margin_must_exceed_radius():
         SetSystem(2, 0.02, {0: [Ball(0.0, 0.7), Ball(0.5 * math.pi, 0.7)]})
 
 
+def test_set_system_refuses_higher_rank():
+    with pytest.raises(UnsupportedKindError, match="d = 3"):
+        SetSystem(3, 0.05, {0: [Ball(0.0, 0.3)]})
+
+
 def test_set_system_validation():
     with pytest.raises(InvalidParameterError):
         SetSystem(2, 0.0, {0: [Ball(0.0, 0.4)]})
@@ -329,6 +297,8 @@ def test_set_system_validation():
         SetSystem(2, 0.02, {0: [Ball(0.0, 1.2)]})
     with pytest.raises(InvalidParameterError):
         SetSystem(2, 0.02, {0: []})
+    with pytest.raises(InvalidParameterError, match="angles"):
+        SetSystem(2, 0.02, {0: [Ball(line_flag(0.0), 0.3)]})
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +445,51 @@ def test_nested_requires_coverage(pair, ping_pong_path):
     lonely = SetSystem(2, 0.02, {0: [Ball(0.0, 0.48)]})
     with pytest.raises(InvalidParameterError):
         nested_diameters(SANOV, ping_pong_path, lonely)
+
+
+@pytest.mark.parametrize("balls", [
+    [Ball(0.0, 0.9)],
+    [Ball(0.0, 0.05), Ball(0.5 * math.pi + 0.013, 0.05)],
+], ids=["one-arc-wider-than-a-quarter-turn", "two-arcs-a-quarter-turn-apart"])
+def test_quarter_turn_diameter_is_exact(ping_pong_path, balls):
+    # 128 sampled angles per ball give 0.9999990811890499 and
+    # 0.999999956106019 here
+    sys_ = SetSystem(2, 0.02, {0: balls, 1: balls})
+    report = nested_diameters(IDENT, ping_pong_path, sys_)
+    assert report["diameters"] == [1.0] * 11
+
+
+def _sl2(theta1: float, stretch: float, theta2: float) -> np.ndarray:
+    def rot(t):
+        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    return rot(theta1) @ np.diag([math.exp(stretch), math.exp(-stretch)]) \
+        @ rot(theta2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 1.5),
+                 st.floats(0.0, math.pi)),
+       st.lists(st.tuples(st.floats(0.0, math.pi, exclude_max=True),
+                          st.floats(0.01, 0.99)), min_size=1, max_size=3))
+def test_image_diameter_against_dense_sampling(kak, balls):
+    # single arcs and unions of up to three under random SL2 images; radii
+    # above 1/sqrt(2) and spread centers give quarter-turn unions
+    m = _sl2(*kak)
+    arcs = [_ball_arc(c, r) for c, r in balls]
+    exact = _image_diameter(m, arcs)
+    images, step = [], 0.0
+    for s, w in arcs:
+        ts = np.linspace(s, s + w, 400)
+        vecs = m @ np.vstack([np.cos(ts), np.sin(ts)])
+        ang = np.arctan2(vecs[1], vecs[0])
+        gaps = np.abs(np.diff(ang)) % math.pi
+        step = max(step, float(np.minimum(gaps, math.pi - gaps).max()))
+        images.append(ang)
+    reference = _pairwise_sine_diameter(np.concatenate(images))
+    # a sampled supremum errs low, by at most the image sampling step
+    assert reference - 1e-12 <= exact <= reference + step + 1e-12
+    if _has_quarter_turn([_mobius_arc(m, arc) for arc in arcs]):
+        assert exact == 1.0
 
 
 def _pairwise_sine_diameter(angles):

@@ -238,7 +238,9 @@ def test_divergent_sequence_attracts_transverse_flags():
             if not ok or margin < 0.05:
                 continue
             used += 1
-            sup = max(sup, flag_distance(eta.apply(gn), cert.limit_flag))
+            image = Flag(eta.type, {i: gn.entries @ b
+                                    for i, b in eta.bases.items()})
+            sup = max(sup, flag_distance(image, cert.limit_flag))
         sups.append(sup)
     assert sups[0] > sups[1] > sups[2]
     assert sups[2] < 1e-5

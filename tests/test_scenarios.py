@@ -1,5 +1,6 @@
 """Scenario files: schema gates, the task pipeline, deterministic artifacts,
 and CSV emission."""
+import hashlib
 import inspect
 import json
 
@@ -18,6 +19,14 @@ from rhfill.scenarios import (SCENARIO_SCHEMA, Scenario, bundled_scenario_path,
 # frozen from the bundled scenario run (seed 7)
 CONTRACTION_MAX_RATE = 0.058372998207474325
 COMPAT_MIN_MARGIN = 0.19955362909943897
+# sha256 of the bundled reports that the exact arc engine writes; a change
+# that moves them on purpose updates these pins and says why
+PINNED_REPORTS = {
+    "00-compatibility.json":
+        "9b1c1fd74672ae98698342b0684ef4bfd8d26fee4db95ae6107e872915ee4e7e",
+    "05-contraction.json":
+        "dc6333282ea9b7167f3986fd1780fea4b8b7c021ead2e81f3edcacb0c4e6bb45",
+}
 
 
 def scenario_file(tmp_path, spec, name="sc.json"):
@@ -116,6 +125,13 @@ def test_bundled_compatibility_margin(bundled_run):
     assert rep["min_margin"] == pytest.approx(COMPAT_MIN_MARGIN, abs=1e-12)
 
 
+def test_bundled_arc_reports_are_pinned(bundled_run):
+    _, _, out = bundled_run
+    for name, digest in PINNED_REPORTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, \
+            name
+
+
 def test_bundled_stability_rows_all_fail(bundled_run):
     _, _, out = bundled_run
     rep = json.loads((out / "02-edf.json").read_text())
@@ -197,6 +213,16 @@ def test_matrices_budget_is_gone(tmp_path):
                                  "budgets": {"matrices": 200_000},
                                  "tasks": []})
     with pytest.raises(SchemaError, match="matrices"):
+        load_scenario(p)
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_contraction_samples_key_is_gone(tmp_path):
+    p = scenario_file(tmp_path, {"pair": {"builtin": "f2"},
+                                 "tasks": [{"check": "contraction",
+                                            "samples": 128}]})
+    with pytest.raises(SchemaError, match="samples"):
         load_scenario(p)
     assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
