@@ -353,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a scenario file")
     p.add_argument("scenario", metavar="SCENARIO.json")
     p.add_argument("--out", metavar="DIR",
-                   help="output directory; defaults to the scenario's")
+                   help="output directory; defaults to the scenario's "
+                        "output_dir, relative to the current directory")
     p.set_defaults(func=cmd_run)
 
     return parser

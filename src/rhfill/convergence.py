@@ -405,23 +405,51 @@ def _sign_canonical(rows: np.ndarray) -> np.ndarray:
     return fixed[keep]
 
 
-_CHUNK = 2048
+_CHUNK = 1 << 16  # entries of one distance block in _sup_min, 512 KiB
+
+
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y.T as one gemm with at least 2 rows and a multiple of 8 columns,
+    zero-padded.  OpenBLAS forms every such entry by one FMA chain in
+    column order; one-row products (gemv) and column tails of other widths
+    take other kernels, chosen by shape and thread count."""
+    xp = np.zeros((max(len(x), 2), x.shape[1]))
+    yp = np.zeros((-(-len(y) // 8) * 8, y.shape[1]))
+    xp[:len(x)], yp[:len(y)] = x, y
+    return (xp @ yp.T)[:len(x), :len(y)]
 
 
 def _sup_min(sup_side: np.ndarray, inf_side: np.ndarray,
              radius: float) -> dict:
     """One-sided deviation: sup over windowed rows of the distance to the
-    other full set, sign-insensitive so +-m are the same point."""
+    other full set, sign-insensitive so +-m are the same point.
+
+    The squared distances (|x|^2 + |y|^2) - 2 |x . y| are taken in blocks
+    of at most max(_CHUNK, 8) entries: row blocks of the windowed set
+    against column blocks of the other, a multiple of 8 wide, with abs and
+    the doubling in place on the gram block and a running minimum per row.
+    Each gram entry comes from :func:`_gram`, so its bits depend on neither
+    the blocking nor the BLAS threads, and a minimum is exact; the clamp
+    at 0 and the square root are taken once per row, after it.  Only a
+    one-row block's gram is larger, padded to two rows.
+    """
     windowed = sup_side[np.linalg.norm(sup_side, axis=1) <= radius]
     if len(windowed) == 0 or len(inf_side) == 0:
         return {"distance": 0.0, "points": int(len(windowed))}
     nx = (windowed * windowed).sum(axis=1)
     ny = (inf_side * inf_side).sum(axis=1)
+    rows = max(1, min(len(windowed), _CHUNK // 8))
+    cols = max(8, _CHUNK // rows // 8 * 8)
     worst = 0.0
-    for i in range(0, len(windowed), _CHUNK):
-        gram = np.abs(windowed[i:i + _CHUNK] @ inf_side.T)
-        d2 = nx[i:i + _CHUNK, None] + ny[None, :] - 2.0 * gram
-        worst = max(worst, float(np.sqrt(np.maximum(d2.min(axis=1), 0.0)).max()))
+    for i in range(0, len(windowed), rows):
+        best = np.full(min(rows, len(nx) - i), np.inf)
+        for j in range(0, len(inf_side), cols):
+            gram = _gram(windowed[i:i + rows], inf_side[j:j + cols])
+            np.abs(gram, out=gram)
+            gram *= 2.0
+            d2 = nx[i:i + rows, None] + ny[None, j:j + cols] - gram
+            np.minimum(best, d2.min(axis=1), out=best)
+        worst = max(worst, float(np.sqrt(np.maximum(best, 0.0)).max()))
     return {"distance": worst, "points": int(len(windowed))}
 
 

@@ -27,7 +27,7 @@ from .groups import (BALL_CAP, BallTree, FreeAbelianOracle, FreeProductOracle,
                      GroupOracle, ball_tree)
 from .tolerances import DEFAULT_TOLS
 
-CLOSED_FORM_CHUNK = 8192  # words per pass of the free d = 2 closed forms
+CLOSED_FORM_CHUNK = 8192  # words or gaps per slice of the d = 2 cloud kernels
 
 
 # ---------------------------------------------------------------------------
@@ -437,20 +437,26 @@ def _dedup_sorted(a: np.ndarray, resolution: float) -> np.ndarray:
     The kept angles are therefore those of taking the sine of every gap.
     Above pi/2 the test reads pi - d, whose rounding is not small against
     the band for tiny resolutions, so those gaps always take the sine.
+
+    The gaps are taken in slices of CLOSED_FORM_CHUNK into one buffer, as
+    the same subtraction np.diff makes, and the rule is applied per slice.
     """
     if not 0 < resolution <= 0.5:
         raise InvalidParameterError("resolution must lie in (0, 1/2]")
     if a.size <= 1:
         return a
-    d = np.diff(a)
     x0 = math.asin(resolution)
     lo, hi = x0 * (1 - 1e-9), x0 * (1 + 1e-9)
     keep = np.empty(a.size, dtype=bool)
     keep[0] = True
-    np.greater_equal(d, hi, out=keep[1:])
-    near = np.flatnonzero(((d >= lo) & (d < hi)) | (d > math.pi / 2))
-    dn = d[near]
-    keep[1:][near] = np.sin(np.minimum(dn, math.pi - dn)) >= resolution
+    buf = np.empty(min(CLOSED_FORM_CHUNK, a.size - 1))
+    for s in range(0, a.size - 1, len(buf)):
+        e = min(s + len(buf), a.size - 1)     # gaps s..e-1
+        d = np.subtract(a[s + 1:e + 1], a[s:e], out=buf[:e - s])
+        np.greater_equal(d, hi, out=keep[s + 1:e + 1])
+        near = np.flatnonzero(((d >= lo) & (d < hi)) | (d > math.pi / 2))
+        dn = d[near]
+        keep[s + 1 + near] = np.sin(np.minimum(dn, math.pi - dn)) >= resolution
     out = a[keep]
     if out.size > 1:
         wrap = math.pi - (out[-1] - out[0])
@@ -529,72 +535,95 @@ def _free2_angles(letters: np.ndarray, depth: int, threshold: float
     letters has shape (2r, 2, 2) with letter 2i+1 inverse to letter 2i.  A
     level is laid out in 2r equal blocks by last letter, in letter order, so
     block j of the next level is letter j appended to every block but j^1:
-    two contiguous slices, each one flat (2n, 2) @ (2, 2) dgemm.  That forms
-    every entry by the same FMA chain, fma(b, g, a*e), as numpy's stacked
-    (n, 2, 2) @ (2, 2), so the clouds keep their bits.  Per word the top
-    singular direction and the gap come from closed 2x2 forms, no SVD,
-    taken over chunks of a level so that their temporaries stay in cache.
+    two contiguous ranges of the level before.  Each range is formed in
+    slices of at most CLOSED_FORM_CHUNK words, each slice one flat
+    (2n, 2) @ (2, 2) dgemm.  That forms every entry by the same FMA chain,
+    fma(b, g, a*e), as numpy's stacked (n, 2, 2) @ (2, 2), so the clouds
+    keep their bits; a product this small also runs on one OpenBLAS
+    thread.  Per word the top singular direction and the gap
+    come from closed 2x2 forms, no SVD, taken on each slice right after
+    its product, while it is in cache.
 
     Buffers: the output holds one angle per reduced word of length 1 to
-    depth and is filled in level and chunk order; seven float buffers of
-    one chunk take every closed form through out=, so each is the same
-    ufunc on the same operands as the plain expression, and the angles are
-    written by arctan2 straight into the output.  A chunk whose words all
-    clear the threshold skips the boolean gathers.
+    depth and is filled in level and word order.  Only the levels below
+    depth are stored, each while the next one is formed from it; the words
+    of the last level go through one buffer of a slice and are never kept.
+    The peak is thus the output plus the level at depth - 1 and the one
+    before it.  Seven float buffers of a slice take every closed form
+    through out=, so each is the same ufunc on the same operands as the
+    plain expression, and the angles are written by arctan2 straight into
+    the output.  A slice whose words all clear the threshold skips the
+    boolean gathers.
     """
-    k = letters.shape[0]
+    k, chunk = letters.shape[0], CLOSED_FORM_CHUNK
     angles = np.empty(_free_word_count(k // 2, depth) - 1)
-    bufs = np.empty((7, min(CLOSED_FORM_CHUNK, len(angles))))
+    bufs = np.empty((7, min(chunk, len(angles))))
     mask = np.empty(bufs.shape[1], dtype=bool)
-    filled, seen = 0, 1
-    prods = letters.copy()
+    stream = np.empty((bufs.shape[1], 2, 2))     # words of the last level
+    filled, seen, prev = 0, 1, letters
     for level in range(1, depth + 1):
-        if level > 1:
-            n, m = len(prods), len(prods) // k    # k blocks of m words
-            nxt, pos = np.empty(((k - 1) * n, 2, 2)), 0
-            for j in range(k):     # appending j must not cancel a last j^1
-                for lo, hi in ((0, (j ^ 1) * m), ((j ^ 1) * m + m, n)):
-                    np.matmul(prods[lo:hi].reshape(-1, 2), letters[j],
-                              out=nxt[pos:pos + hi - lo].reshape(-1, 2))
-                    pos += hi - lo
-            prods = nxt
-        for start in range(0, len(prods), CLOSED_FORM_CHUNK):
-            words = prods[start:start + CLOSED_FORM_CHUNK]
-            a, b = words[:, 0, 0], words[:, 0, 1]
-            c, d = words[:, 1, 0], words[:, 1, 1]
-            top, mid, bot, det, diff, tmp, lam = (x[:len(words)] for x in bufs)
-            np.multiply(a, a, out=top)
-            top += np.multiply(b, b, out=tmp)
-            np.multiply(a, c, out=mid)
-            mid += np.multiply(b, d, out=tmp)
-            np.multiply(c, c, out=bot)
-            bot += np.multiply(d, d, out=tmp)
-            np.multiply(a, d, out=det)
-            det -= np.multiply(b, c, out=tmp)
-            np.abs(det, out=det)
-            np.subtract(top, bot, out=diff)
-            np.multiply(diff, diff, out=tmp)
-            tmp /= 4
-            tmp += np.multiply(mid, mid, out=lam)
-            np.sqrt(tmp, out=tmp)
-            np.add(top, bot, out=lam)
-            lam /= 2
-            lam += tmp             # lambda_1 of the Gram matrix
-            lam /= det             # sigma_1 / sigma_2, since sigma products = det
-            good = np.greater(lam, threshold, out=mask[:len(words)])
-            mid *= 2
-            if not good.all():
-                mid, diff = mid[good], diff[good]
-            theta = np.arctan2(mid, diff, out=angles[filled:filled + len(mid)])
-            theta *= 0.5
-            # np.mod(theta, pi) on [-pi/2, pi/2], which also sends -0.0 to +0.0
-            theta += np.where(theta < 0, math.pi, 0.0)
-            filled += len(mid)
-        seen += prods.shape[0]
+        n, m = len(prev), len(prev) // k        # k blocks of m words
+        # (first, end, letter): letter appended to words first..end-1 of prev
+        spans = [(0, k, None)] if level == 1 else [
+            (lo, hi, j) for j in range(k)       # j must not cancel a last j^1
+            for lo, hi in ((0, (j ^ 1) * m), ((j ^ 1) * m + m, n))]
+        size = sum(hi - lo for lo, hi, _ in spans)
+        nxt = np.empty((size, 2, 2)) if 1 < level < depth else None
+        pos = 0
+        for lo, hi, j in spans:
+            for start in range(lo, hi, chunk):
+                part = prev[start:min(start + chunk, hi)]
+                if j is None:
+                    words = part
+                else:
+                    words = (nxt[pos:pos + len(part)] if nxt is not None
+                             else stream[:len(part)])
+                    np.matmul(part.reshape(-1, 2), letters[j],
+                              out=words.reshape(-1, 2))
+                pos += len(part)
+                filled = _closed_forms(words, threshold, bufs, mask, angles, filled)
+        prev = letters if level == 1 else nxt
+        seen += size
     angles = angles[:filled]
     angles[angles == math.pi] = 0.0    # theta + pi rounded up: pi mod pi
     angles.sort()
     return angles, seen, seen - filled     # the identity is never kept
+
+
+def _closed_forms(words: np.ndarray, threshold: float, bufs: np.ndarray,
+                  mask: np.ndarray, angles: np.ndarray, filled: int) -> int:
+    """Write the attracting-line angles of the words whose gap clears the
+    threshold into angles[filled:], in word order; returns the new fill."""
+    a, b = words[:, 0, 0], words[:, 0, 1]
+    c, d = words[:, 1, 0], words[:, 1, 1]
+    top, mid, bot, det, diff, tmp, lam = (x[:len(words)] for x in bufs)
+    np.multiply(a, a, out=top)
+    top += np.multiply(b, b, out=tmp)
+    np.multiply(a, c, out=mid)
+    mid += np.multiply(b, d, out=tmp)
+    np.multiply(c, c, out=bot)
+    bot += np.multiply(d, d, out=tmp)
+    np.multiply(a, d, out=det)
+    det -= np.multiply(b, c, out=tmp)
+    np.abs(det, out=det)
+    np.subtract(top, bot, out=diff)
+    np.multiply(diff, diff, out=tmp)
+    tmp /= 4
+    tmp += np.multiply(mid, mid, out=lam)
+    np.sqrt(tmp, out=tmp)
+    np.add(top, bot, out=lam)
+    lam /= 2
+    lam += tmp             # lambda_1 of the Gram matrix
+    lam /= det             # sigma_1 / sigma_2, since sigma products = det
+    good = np.greater(lam, threshold, out=mask[:len(words)])
+    mid *= 2
+    if not good.all():
+        mid, diff = mid[good], diff[good]
+    theta = np.arctan2(mid, diff, out=angles[filled:filled + len(mid)])
+    theta *= 0.5
+    # np.mod(theta, pi) on [-pi/2, pi/2], which also sends -0.0 to +0.0
+    theta += np.where(theta < 0, math.pi, 0.0)
+    return filled + len(mid)
 
 
 def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,

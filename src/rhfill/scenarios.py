@@ -207,13 +207,12 @@ class Scenario:
     and checked against the pair here, before any task runs.
     """
 
-    def __init__(self, spec: dict, base_dir: Path | None = None):
+    def __init__(self, spec: dict):
         e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(spec))
         if e is not None:
             path = ".".join(str(p) for p in e.absolute_path) or "<root>"
             raise SchemaError(f"{path}: {e.message}")
         self.spec = spec
-        self.base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
         self.seed = int(spec.get("seed", 0))
         self.budgets = dict(DEFAULT_BUDGETS)
         self.budgets.update(spec.get("budgets", {}))
@@ -343,7 +342,7 @@ def _load_json(text: str, where: str):
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    return Scenario(_load_json(path.read_text(), path.name), base_dir=path.parent)
+    return Scenario(_load_json(path.read_text(), path.name))
 
 
 def bundled_scenario_path() -> Path:
@@ -595,12 +594,12 @@ def run_scenario(path, output_dir=None) -> tuple[int, dict]:
     Exit codes follow the CLI convention: 0 all asserted verdicts pass,
     1 a property failed or a task errored, 2 schema problems (raised as
     SchemaError before any task runs), 3 a budget was exceeded (raised).
-    Reports land in the scenario's output directory, one JSON per task,
-    plus a ``summary.json``.
+    Reports land in ``output_dir``, else in the scenario's ``output_dir``,
+    one JSON per task, plus a ``summary.json``; a relative directory is
+    taken from the current one, never from the scenario file's.
     """
     sc = load_scenario(path)
-    out_dir = Path(output_dir) if output_dir is not None \
-        else sc.base_dir / sc.output_dir
+    out_dir = Path(output_dir if output_dir is not None else sc.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.monotonic()

@@ -5,18 +5,20 @@ witness search, the word-ball Cayley and coned-off windows, a standalone
 horoball, small generic graphs, the one-path-at-a-time geodesic walk, lift,
 path projection and filling checks that the batched ones in
 ``rhfill.cusped`` and ``rhfill.filling_geometry`` replace, the full-scan
-RP^1 Hausdorff distance, the sine-of-every-gap dedup and the uncached
-element fold, and the plain forms of a few library routines (coned
+RP^1 Hausdorff distance, the sine-of-every-gap dedup, the whole-level
+free limit clouds, the row-block window deviation and the uncached
+element fold, a tracemalloc peak, and the plain forms of a few library routines (coned
 lengths, the exact metric ball, RP^1 Hausdorff distances, random flags,
 constant families). Tests compare
 the library against these, so they favour plainness over speed.
 """
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
-from rhfill.convergence import RepFamily
+from rhfill.convergence import RepFamily, _gram
 from rhfill.cusped import (
     CuspedGraph,
     ExactCuspedMetric,
@@ -450,6 +452,66 @@ def reference_dedup_sorted(a: np.ndarray, resolution: float) -> np.ndarray:
         if math.sin(min(wrap, math.pi - wrap)) < resolution:
             out = out[:-1]
     return out
+
+
+def reference_free2_angles(letters: np.ndarray, depth: int, threshold: float
+                           ) -> tuple[np.ndarray, int, int]:
+    """``flags._free2_angles`` one whole level at a time: each level is
+    stored in full, formed by two flat dgemm products per letter over the
+    level before, and its closed forms are plain expressions over it."""
+    k = letters.shape[0]
+    parts, seen, prods = [], 1, letters.copy()
+    for level in range(1, depth + 1):
+        if level > 1:
+            n, m = len(prods), len(prods) // k
+            nxt, pos = np.empty(((k - 1) * n, 2, 2)), 0
+            for j in range(k):
+                for lo, hi in ((0, (j ^ 1) * m), ((j ^ 1) * m + m, n)):
+                    np.matmul(prods[lo:hi].reshape(-1, 2), letters[j],
+                              out=nxt[pos:pos + hi - lo].reshape(-1, 2))
+                    pos += hi - lo
+            prods = nxt
+        a, b = prods[:, 0, 0], prods[:, 0, 1]
+        c, d = prods[:, 1, 0], prods[:, 1, 1]
+        top, mid, bot = a * a + b * b, a * c + b * d, c * c + d * d
+        det = np.abs(a * d - b * c)
+        lam = (top + bot) / 2 + np.sqrt((top - bot) * (top - bot) / 4 + mid * mid)
+        good = lam / det > threshold
+        theta = np.arctan2(2 * mid[good], (top - bot)[good]) * 0.5
+        parts.append(theta + np.where(theta < 0, math.pi, 0.0))
+        seen += len(prods)
+    angles = np.concatenate(parts) if parts else np.empty(0)
+    angles[angles == math.pi] = 0.0
+    angles.sort()
+    return angles, seen, seen - len(angles)
+
+
+def reference_sup_min(sup_side: np.ndarray, inf_side: np.ndarray,
+                      radius: float) -> dict:
+    """``convergence._sup_min`` in row blocks of 2,048 windowed rows, each
+    against the whole other set in one gram product."""
+    windowed = sup_side[np.linalg.norm(sup_side, axis=1) <= radius]
+    if len(windowed) == 0 or len(inf_side) == 0:
+        return {"distance": 0.0, "points": int(len(windowed))}
+    nx = (windowed * windowed).sum(axis=1)
+    ny = (inf_side * inf_side).sum(axis=1)
+    worst = 0.0
+    for i in range(0, len(windowed), 2048):
+        gram = np.abs(_gram(windowed[i:i + 2048], inf_side))
+        d2 = nx[i:i + 2048, None] + ny[None, :] - 2.0 * gram
+        worst = max(worst, float(np.sqrt(np.maximum(d2.min(axis=1), 0.0)).max()))
+    return {"distance": worst, "points": int(len(windowed))}
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn() runs."""
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_element_matrix(mats, oracle, g: GroupElement) -> np.ndarray:

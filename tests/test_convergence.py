@@ -1,12 +1,16 @@
 """Filling families: EDF queries, Chabauty windows, limit sets, fibers,
 and geodesic tracking of automaton paths."""
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from rhfill.automata import Ball, bundled_sanov_automaton, enumerate_gpaths
-from rhfill.convergence import (EdfQuery, RepFamily, _sign_canonical,
+from rhfill import convergence
+from rhfill.convergence import (EdfQuery, RepFamily, _gram, _sign_canonical,
+                                _sup_min,
                                 bundled_edf_queries,
                                 chabauty_check, edf_condition_check,
                                 elliptic_family, elliptic_generators,
@@ -16,7 +20,8 @@ from rhfill.convergence import (EdfQuery, RepFamily, _sign_canonical,
 from rhfill.errors import (InvalidParameterError, UnsupportedKindError,
                            WindowError)
 from rhfill.groups import standard_f2_pair
-from reference_windows import constant_family
+from rhfill.scenarios import bundled_scenario_path, load_scenario
+from reference_windows import constant_family, reference_sup_min, traced_peak
 
 # frozen from the exact-arc enumeration at depth 8 (worst element a^2)
 BASE_MARGIN = 0.03813569600225242
@@ -321,6 +326,90 @@ def test_chabauty_parameter_validation(family):
         chabauty_check(family, word_depth=0)
     with pytest.raises(InvalidParameterError):
         chabauty_check(family, ball_radius=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# the blocked window deviation against one gram product per row block
+
+
+def _fma_chain(x, y) -> float:
+    """sum_k x[k] y[k] as fused multiply-adds in k order, each rounded once."""
+    acc = 0.0
+    for a, b in zip(x.tolist(), y.tolist()):
+        acc = float(Fraction(a) * Fraction(b) + Fraction(acc))
+    return acc
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 200), (2, 3), (12, 199),
+                                  (41, 1110), (41, 12851), (59, 13121)])
+def test_gram_entries_are_one_fma_chain(m, n):
+    # one-row products and column tails of widths other than 8k take
+    # other BLAS kernels; _gram pads both away
+    rng = np.random.default_rng(m * n)
+    x = rng.standard_normal((m, 4)) * np.exp(rng.uniform(-5, 5, (m, 1)))
+    y = rng.standard_normal((n, 4)) * np.exp(rng.uniform(-5, 5, (n, 1)))
+    g = _gram(x, y)
+    cols = np.union1d(rng.integers(0, n, 40), np.arange(max(0, n - 8), n))
+    for i in range(m):
+        for j in cols:
+            assert g[i, j] == _fma_chain(x[i], y[j])
+
+
+def _random_sets(rng):
+    """Windowed and other sets of 2x2 rows at mixed scales, with sign
+    flips and exact copies of windowed rows among the others."""
+    x = rng.standard_normal((int(rng.integers(0, 40)), 4)) * np.exp(
+        rng.uniform(-3, 3, (1, 1)))
+    y = rng.standard_normal((int(rng.integers(0, 300)), 4))
+    if len(x) and len(y):
+        k = int(rng.integers(0, min(len(x), len(y)) + 1))
+        y[:k] = x[:k] * rng.choice([-1.0, 1.0], (k, 1))
+        rng.shuffle(y)
+    return x, y, float(rng.uniform(0.5, 8.0))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_sup_min_does_not_depend_on_the_block(monkeypatch, chunk):
+    monkeypatch.setattr(convergence, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for _ in range(100):
+        x, y, radius = _random_sets(rng)
+        assert _sup_min(x, y, radius) == reference_sup_min(x, y, radius)
+
+
+@pytest.fixture(scope="module")
+def bundled_window_sets():
+    """The (sup side, inf side) arguments of every _sup_min call that
+    chabauty_check makes on the bundled family at word depth 8: per member
+    the two full sets, then the two peripheral sets of each subgroup."""
+    calls, real = [], convergence._sup_min
+
+    def record(a, b, radius):
+        calls.append((a, b))
+        return real(a, b, radius)
+
+    with mock.patch.object(convergence, "_sup_min", record):
+        chabauty_check(load_scenario(bundled_scenario_path()).family, 10.0, 8)
+    return calls
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64, convergence._CHUNK])
+def test_sup_min_does_not_depend_on_the_block_on_the_bundled_sets(
+        monkeypatch, bundled_window_sets, chunk):
+    monkeypatch.setattr(convergence, "_CHUNK", chunk)
+    peripheral = [c for i, c in enumerate(bundled_window_sets) if i % 6 >= 2]
+    # the first member's full sets; at chunks 1 and 5 each such call takes
+    # 1.3-1.5 s, so there only the peripheral sets are compared
+    full = bundled_window_sets[:2] if chunk >= 64 else []
+    for a, b in peripheral + full:
+        assert _sup_min(a, b, 10.0) == reference_sup_min(a, b, 10.0)
+
+
+def test_chabauty_peak_memory():
+    # two blocks of 2^16 entries; row blocks against a whole 13k set held
+    # three arrays of 59 x 13,121 floats and peaked at 20.7 MiB
+    fam = load_scenario(bundled_scenario_path()).family
+    assert traced_peak(lambda: chabauty_check(fam, 10.0, 8)) <= 12 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

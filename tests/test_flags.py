@@ -5,6 +5,7 @@ here compares it element by element against attracting_flag on the same
 ball.
 """
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from rhfill.convergence import elliptic_generators
 from rhfill.groups import (ball_tree, enumerate_ball, make_filling, make_oracle,
                            standard_f2_pair)
 from reference_windows import (hausdorff_rp1, random_flag,
-                               reference_dedup_sorted,
-                               reference_hausdorff_sorted)
+                               reference_dedup_sorted, reference_free2_angles,
+                               reference_hausdorff_sorted, traced_peak)
 
 SANOV_A = np.array([[1.0, 2.0], [0.0, 1.0]])
 SANOV_B = np.array([[1.0, 0.0], [2.0, 1.0]])
@@ -591,17 +592,37 @@ def test_cloud_hausdorff_refuses_unsorted_or_unreduced_angles(angles):
 
 @pytest.mark.parametrize("chunk", [1, 3, 7, 100])
 def test_free2_angles_do_not_depend_on_the_chunk(monkeypatch, chunk):
-    # chunks split levels at and away from block boundaries; the rotation
-    # letters come first, so words 0 and 1 of level 1 (and more later) are
-    # rejected inside a chunk whose other words are kept
+    # slices split levels inside blocks and at block ends, and below 2r
+    # words they split level 1 too; the rotation letters come first, so
+    # words 0 and 1 of level 1 (and more later) are rejected inside a slice
+    # whose other words are kept
     monkeypatch.setattr(flags, "CLOSED_FORM_CHUNK", chunk)
     rotation = _rotation(2 * math.pi / 5)
-    for mats in ([SANOV_A, SANOV_B], list(elliptic_generators(7).values()),
-                 [[[2.0, 1.0], [1.0, 1.0]]], [rotation, [[2.0, 1.0], [1.0, 1.0]]]):
-        _assert_same_cloud(_letters(mats), 5)
-    _, seen, rejected = _free2_angles(_letters([rotation, [[2.0, 1.0], [1.0, 1.0]]]),
-                                      5, DEFAULT_TOLS.gap_threshold)
+    hyperbolic = [[2.0, 1.0], [1.0, 1.0]]
+    for mats in ([hyperbolic], [rotation], [SANOV_A, SANOV_B],
+                 list(elliptic_generators(7).values()), [rotation, hyperbolic],
+                 [rotation, SANOV_A, SANOV_B]):
+        letters = _letters(mats)
+        # rank 3 at depth 7 is 117k one-word slices at chunk 1 (8 s); its
+        # slices fall on blocks as at depth 5
+        for depth in range(8 if len(mats) < 3 or chunk > 3 else 6):
+            got, seen, rejected = _free2_angles(letters, depth,
+                                                DEFAULT_TOLS.gap_threshold)
+            ref, ref_seen, ref_rejected = reference_free2_angles(
+                letters, depth, DEFAULT_TOLS.gap_threshold)
+            assert got.tobytes() == ref.tobytes()
+            assert (seen, rejected) == (ref_seen, ref_rejected)
+    _, seen, rejected = _free2_angles(_letters([rotation, hyperbolic]), 5,
+                                      DEFAULT_TOLS.gap_threshold)
     assert 1 < rejected < seen
+
+
+def test_q_limit_set_peak_memory_at_depth_12():
+    # the output (8.1 MiB at 1,062,880 words) plus levels 10 and 11 (2.4
+    # and 7.2 MiB); storing level 12 and a full np.diff took 37.4 MiB
+    fam = load_scenario(bundled_scenario_path()).family
+    peak = traced_peak(lambda: q_limit_set(fam.base, fam.pair.group, 12))
+    assert peak <= 24 * 2 ** 20
 
 
 def test_sorted_rp1_sends_a_rounded_up_pi_to_zero():
@@ -663,6 +684,15 @@ def sorted_clouds(draw, top=BELOW_PI):
 def test_banded_dedup_equals_the_sine_of_every_gap(a):
     got = _dedup_sorted(a, DEFAULT_TOLS.dedup)
     assert got.tobytes() == reference_dedup_sorted(a, DEFAULT_TOLS.dedup).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sorted_clouds())
+def test_banded_dedup_does_not_depend_on_the_chunk(a):
+    want = reference_dedup_sorted(a, DEFAULT_TOLS.dedup).tobytes()
+    for chunk in (1, 3, 7):
+        with mock.patch.object(flags, "CLOSED_FORM_CHUNK", chunk):
+            assert _dedup_sorted(a, DEFAULT_TOLS.dedup).tobytes() == want
 
 
 @pytest.mark.parametrize("k", range(-3, 4))

@@ -3,6 +3,7 @@ and CSV emission."""
 import hashlib
 import inspect
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -74,6 +75,28 @@ def test_bundled_rerun_is_byte_identical(bundled_run, tmp_path):
     assert names == sorted(p.name for p in tmp_path.iterdir())
     for n in names:
         assert (out / n).read_bytes() == (tmp_path / n).read_bytes(), n
+
+
+def test_run_without_out_writes_under_the_current_directory(
+        bundled_run, tmp_path, monkeypatch, capsys):
+    # a relative output_dir is taken from the current directory, as --out
+    # is, and never from the scenario file's: for the bundled scenario that
+    # would be inside the installed package
+    _, _, out = bundled_run
+    package = Path(rhfill.__file__).parent
+
+    def listing():
+        return sorted(p for p in package.rglob("*") if "__pycache__" not in p.parts)
+
+    before = listing()
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(bundled_scenario_path())]) == 0
+    capsys.readouterr()
+    assert listing() == before
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "reports").iterdir())
+    for n in names:
+        assert (out / n).read_bytes() == (tmp_path / "reports" / n).read_bytes(), n
 
 
 def test_bundled_delta_csv(bundled_run):
