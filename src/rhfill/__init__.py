@@ -1,5 +1,6 @@
-"""rhfill: cusped-space geometry, Dehn filling comparisons, and flag-manifold
-dynamics for relatively hyperbolic groups, at desk scale.
+"""rhfill: cusped-space geometry, Dehn filling comparisons, and dynamics on
+the projective line (the flag manifold of PGL(2, R)) for relatively
+hyperbolic groups, at desk scale.
 
 The package is organized bottom-up:
 
@@ -9,7 +10,7 @@ The package is organized bottom-up:
 * :mod:`rhfill.delta` hyperbolicity estimation
 * :mod:`rhfill.metric_checks` window checks of the coarse-geometry inequalities
 * :mod:`rhfill.filling_geometry` quotient cusped spaces, lifts, filling checks
-* :mod:`rhfill.flags` flags, transversality, divergence, limit sets
+* :mod:`rhfill.flags` lines in RP^1, divergence, limit clouds
 * :mod:`rhfill.automata` relative automata and compatible set systems
 * :mod:`rhfill.convergence` representation families and convergence checkers
 * :mod:`rhfill.scenarios` batch runner and report emission
@@ -20,12 +21,10 @@ __version__ = "0.1.0"
 from .errors import (
     BudgetExceededError,
     DisconnectedError,
-    GapTooSmallError,
     InvalidParameterError,
     NoTabularDataError,
     RhfillError,
     SchemaError,
-    TypeMismatchError,
     UnsupportedKindError,
     WindowError,
 )
@@ -69,17 +68,10 @@ from .filling_geometry import (
 )
 from .flags import (
     DivergenceCertificate,
-    Flag,
     FlagCloud,
-    ParabolicType,
     ProjectiveMatrix,
-    attracting_flag,
-    flag_angle,
-    flag_distance,
     generator_images,
-    is_transverse,
-    line_flag,
-    line_type,
+    line_distance,
     q_divergence,
     q_limit_set,
 )
@@ -125,12 +117,10 @@ from .scenarios import (
 __all__ = [
     "BudgetExceededError",
     "DisconnectedError",
-    "GapTooSmallError",
     "InvalidParameterError",
     "NoTabularDataError",
     "RhfillError",
     "SchemaError",
-    "TypeMismatchError",
     "UnsupportedKindError",
     "WindowError",
     "FillingData",
@@ -168,17 +158,10 @@ __all__ = [
     "lift_path",
     "lift_roundtrip_report",
     "DivergenceCertificate",
-    "Flag",
     "FlagCloud",
-    "ParabolicType",
     "ProjectiveMatrix",
-    "attracting_flag",
-    "flag_angle",
-    "flag_distance",
     "generator_images",
-    "is_transverse",
-    "line_flag",
-    "line_type",
+    "line_distance",
     "q_divergence",
     "q_limit_set",
     "AutomatonGraph",

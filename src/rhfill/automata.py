@@ -19,7 +19,6 @@ refuses d != 2.
 """
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from collections import Counter
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import (BudgetExceededError, InvalidParameterError, SchemaError,
                      UnsupportedKindError)
-from .flags import ProjectiveMatrix, generator_images, is_transverse, line_flag
+from .flags import ProjectiveMatrix, generator_images
 from .groups import GroupElement, RelHypPair, _json_int, format_word, parse_word
 from .tolerances import DEFAULT_TOLS
 
@@ -279,15 +278,13 @@ class Ball:
     radius: float
 
 
-@functools.cache
-def _witness_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The 720 angles a witness search tries, and their line bases as
-    ``line_flag`` gives them, shape (720, 2, 1)."""
-    angles = np.linspace(0.0, math.pi, 720, endpoint=False)
-    lines = np.stack([line_flag(float(t)).bases[1] for t in angles])
-    angles.setflags(write=False)
-    lines.setflags(write=False)
-    return angles, lines
+def _witness_margin(s, t):
+    """Transversality margin of the lines at angles s and t (arrays or
+    floats): the smaller singular value of [v | w] for their unit vectors,
+    sqrt(1 - |cos psi|) = sqrt(2) sin(psi / 2), where psi in [0, pi/2] is
+    the angle between the lines.  It is not the sine metric |sin psi|."""
+    psi = np.mod(np.subtract(s, t), math.pi)
+    return math.sqrt(2.0) * np.sin(np.minimum(psi, math.pi - psi) / 2)
 
 
 class SetSystem:
@@ -296,8 +293,11 @@ class SetSystem:
     UnsupportedKindError.
 
     Invariant, checked on construction: every vertex stores a witness
-    angle, found by grid search, whose line's transversality margin against
-    each of its ball centers strictly exceeds that ball's radius.
+    angle, the first of 720 grid angles in [0, pi) that maximizes the least
+    transversality margin against its ball centers less their radii; that
+    margin must strictly exceed each radius.  The margin of two lines at
+    angle psi in [0, pi/2] apart is sqrt(2) sin(psi / 2), the smaller
+    singular value of the matrix of their unit vectors.
     """
 
     def __init__(self, d: int, epsilon: float, sets):
@@ -328,20 +328,15 @@ class SetSystem:
             self.witnesses[v] = w
 
     def _search_witness(self, balls):
-        angles, lines = _witness_grid()
-        centers = np.stack([line_flag(float(b.center)).bases[1] for b in balls])
-        # [candidate | center] for every pair; the margin is the smaller
-        # singular value, as is_transverse takes it
-        stacked = np.concatenate(np.broadcast_arrays(
-            lines[:, None], centers[None]), axis=-1)
-        margins = np.linalg.svd(stacked, compute_uv=False)[..., -1]
+        angles = np.linspace(0.0, math.pi, 720, endpoint=False)
+        centers = np.array([float(b.center) for b in balls])
+        margins = _witness_margin(angles[:, None], centers[None])
         score = (margins - np.array([b.radius for b in balls])).min(axis=1)
         return float(angles[np.argmax(score)])
 
     def _check_witness(self, v, witness, balls):
-        wflag = line_flag(witness)
         for b in balls:
-            _, margin = is_transverse(wflag, line_flag(float(b.center)))
+            margin = float(_witness_margin(witness, float(b.center)))
             if not margin > b.radius:
                 raise InvalidParameterError(
                     f"set at vertex {v}: witness transversality margin "

@@ -28,7 +28,6 @@ from .errors import (
     InvalidParameterError,
     RhfillError,
     SchemaError,
-    TypeMismatchError,
     UnsupportedKindError,
     WindowError,
 )
@@ -374,8 +373,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (SchemaError, InvalidParameterError, TypeMismatchError,
-            UnsupportedKindError, WindowError, OSError) as e:
+    except (SchemaError, InvalidParameterError, UnsupportedKindError,
+            WindowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RhfillError as e:

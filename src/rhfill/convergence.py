@@ -28,8 +28,8 @@ from .cusped import (
     shortest_path,
 )
 from .errors import InvalidParameterError, UnsupportedKindError, WindowError
-from .flags import (_unit_det, ball_images, flag_distance, generator_images,
-                    line_type, q_divergence, q_limit_set)
+from .flags import (_unit_det, ball_images, generator_images, line_distance,
+                    q_divergence, q_limit_set)
 from .groups import (
     BALL_CAP,
     FillingData,
@@ -565,7 +565,6 @@ def limit_set_convergence(family: RepFamily, word_depth: int = 12,
     pair = family.pair
     if family.dimension != 2:
         raise UnsupportedKindError("limit clouds are implemented for d = 2")
-    ptype = line_type()
 
     def screened(rep) -> bool:
         w = np.eye(2)
@@ -574,7 +573,7 @@ def limit_set_convergence(family: RepFamily, word_depth: int = 12,
         w = w / math.sqrt(abs(np.linalg.det(w)))
         seq = [np.linalg.matrix_power(w, k) for k in range(1, screen_powers + 1)]
         try:
-            return q_divergence(seq, ptype).verdict == "divergent"
+            return q_divergence(seq).verdict == "divergent"
         except InvalidParameterError:
             # a power too ill-conditioned to certify cannot pass screening
             return False
@@ -582,8 +581,7 @@ def limit_set_convergence(family: RepFamily, word_depth: int = 12,
     if not screened(family.base):
         raise InvalidParameterError(
             "base representation fails divergence screening")
-    base_cloud = q_limit_set(family.base, pair.group, word_depth, ptype,
-                             cap=cap)
+    base_cloud = q_limit_set(family.base, pair.group, word_depth, cap=cap)
     table = []
     flagged = []
     for idx in family.indices:
@@ -592,7 +590,7 @@ def limit_set_convergence(family: RepFamily, word_depth: int = 12,
             flagged.append({"index": idx,
                             "reason": "divergence-screening-failed"})
             continue
-        cloud = q_limit_set(rep, pair.group, word_depth, ptype, cap=cap)
+        cloud = q_limit_set(rep, pair.group, word_depth, cap=cap)
         table.append({
             "index": idx,
             "d_hausdorff": cloud.hausdorff(base_cloud),
@@ -624,16 +622,15 @@ def fiber_consistency_check(rep: dict, pair: RelHypPair, sequences,
     """Sequences that stay close in the cusped metric share a limit flag.
 
     Each sequence gets a divergence certificate and, when divergent, the
-    attracting flag of its last element.  For every pair of divergent
+    attracting line of its last element.  For every pair of divergent
     sequences whose element sets are within ``distance_bound`` of each
-    other in Hausdorff cusped distance, the limit flags must agree to the
-    fiber tolerance; distant pairs carry no constraint and are only
-    reported.
+    other in Hausdorff cusped distance, the limit lines must agree to the
+    fiber tolerance in the sine metric (``flag_distance`` in the report);
+    distant pairs carry no constraint and are only reported.
     """
     if not sequences:
         raise InvalidParameterError("need at least one sequence")
     mats = _rep_matrices(rep, pair)  # fiber limits are implemented for d = 2
-    ptype = line_type()
     metric = ExactCuspedMetric(pair)
     cache: dict = {}
 
@@ -643,13 +640,13 @@ def fiber_consistency_check(rep: dict, pair: RelHypPair, sequences,
         if not seq:
             raise InvalidParameterError(f"sequence {si} is empty")
         ms = [_element_matrix(mats, pair.group, g, cache) for g in seq]
-        cert = q_divergence(ms, ptype)
+        cert = q_divergence(ms)
         entries.append({
             "index": si,
             "length": len(seq),
             "verdict": cert.verdict,
             "elements": seq,
-            "flag": cert.limit_flag,
+            "angle": cert.limit_angle,
         })
 
     rows = []
@@ -670,7 +667,7 @@ def fiber_consistency_check(rep: dict, pair: RelHypPair, sequences,
                 row["verified"] = False
                 row["ok"] = True
             else:
-                fd = flag_distance(ei["flag"], ej["flag"])
+                fd = line_distance(ei["angle"], ej["angle"])
                 row["flag_distance"] = fd
                 row["verified"] = True
                 row["ok"] = (not paired) or fd <= DEFAULT_TOLS.fiber

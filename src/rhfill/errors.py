@@ -38,14 +38,6 @@ class DisconnectedError(RhfillError):
     """Two vertices are not connected inside the truncation window."""
 
 
-class GapTooSmallError(RhfillError):
-    """Singular-value gaps below threshold; the requested flag is ill-defined."""
-
-
-class TypeMismatchError(RhfillError):
-    """Flags of different parabolic types were combined."""
-
-
 class SchemaError(RhfillError):
     """Scenario or descriptor JSON violates the schema. Maps to CLI exit 2."""
 

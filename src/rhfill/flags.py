@@ -1,18 +1,19 @@
-"""Flags, transversality, and Q-divergence for PGL(d, R).
+"""Lines, Q-divergence, and limit sets for PGL(2, R).
 
-A flag assigns to each index i of a parabolic type an i-dimensional
-subspace of R^d, nested along the type.  Flags are stored as orthonormal
-bases and compared through orthogonal projectors, which removes the
-representative ambiguity.  The attracting flag of a matrix is read off
-its singular value decomposition and is well defined exactly when the
-type-relevant singular gaps are open; verdicts about sequences are
+The flag manifold of PGL(2, R) is the projective line.  A point of it, a
+line through the origin of R^2, is stored as its angle mod pi, and the
+projector metric between the lines at angles s and t is |sin(s - t)|
+(:func:`line_distance`).  The attracting line of a matrix is its top
+left-singular direction, well defined exactly when the singular gap
+sigma_1/sigma_2 is open.  Every such angle comes from the closed 2x2 forms
+of ``_closed_forms``, with no SVD; verdicts about sequences are
 finite-data judgments with "inconclusive" as an honest third answer.
 
-For d = 2 the flag manifold is the projective line: lines are angles mod
-pi, and the projector metric between lines at angles s and t is
-|sin(s - t)|.  Limit sets of free groups in this case are enumerated as
-reduced words with batched 2x2 arithmetic instead of per-element SVDs,
-which keeps million-word clouds cheap.
+Limit sets of free groups are enumerated as reduced words with batched
+2x2 arithmetic, which keeps million-word clouds cheap; other groups take
+their word balls from :func:`ball_images`, which works in any d because
+the Chabauty check reads it.  The paper's higher-rank flag manifolds would
+need certified flag-space methods, which this module does not have.
 """
 from __future__ import annotations
 
@@ -21,49 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetExceededError, GapTooSmallError,
-                     InvalidParameterError, TypeMismatchError)
+from .errors import (BudgetExceededError, InvalidParameterError,
+                     UnsupportedKindError)
 from .groups import (BALL_CAP, BallTree, FreeAbelianOracle, FreeProductOracle,
                      GroupOracle, ball_tree)
 from .tolerances import DEFAULT_TOLS
 
 CLOSED_FORM_CHUNK = 8192  # words or gaps per slice of the d = 2 cloud kernels
-
-
-# ---------------------------------------------------------------------------
-# types
-
-
-@dataclass(frozen=True)
-class ParabolicType:
-    """A parabolic type for PGL(d, R): the subspace dimensions its flags carry.
-
-    indices is a nonempty subset of {1, ..., d-1}; a symmetric type contains
-    d - i whenever it contains i.
-    """
-
-    d: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise InvalidParameterError("parabolic types need d >= 2")
-        idx = tuple(sorted({int(i) for i in self.indices}))
-        if not idx:
-            raise InvalidParameterError("parabolic type needs at least one index")
-        if idx[0] < 1 or idx[-1] > self.d - 1:
-            raise InvalidParameterError(
-                f"type indices must lie in 1..{self.d - 1}, got {idx}")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def symmetric(self) -> bool:
-        s = set(self.indices)
-        return all(self.d - i in s for i in self.indices)
-
-def line_type() -> ParabolicType:
-    """The single parabolic type of PGL(2, R); flags are points of RP^1."""
-    return ParabolicType(2, (1,))
 
 
 class ProjectiveMatrix:
@@ -101,147 +66,14 @@ class ProjectiveMatrix:
         self.entries = m
         self.d = int(m.shape[0])
 
-    def __matmul__(self, other: "ProjectiveMatrix") -> "ProjectiveMatrix":
-        return ProjectiveMatrix(self.entries @ other.entries)
-
-    def inv(self) -> "ProjectiveMatrix":
-        return ProjectiveMatrix(np.linalg.inv(self.entries))
-
-    def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.entries, compute_uv=False)
-
     def __repr__(self):
         return f"ProjectiveMatrix(d={self.d})"
 
 
-def as_projective(m) -> ProjectiveMatrix:
-    return m if isinstance(m, ProjectiveMatrix) else ProjectiveMatrix(m)
-
-
-def _orthonormal_span(b: np.ndarray) -> np.ndarray:
-    # SVD rather than QR: deterministic orthonormal basis of the column span
-    u, s, _ = np.linalg.svd(b, full_matrices=False)
-    if not s[-1] > DEFAULT_TOLS.condition * max(s[0], 1.0):
-        raise InvalidParameterError("degenerate spanning set for a flag subspace")
-    return u
-
-
-class Flag:
-    """Nested subspaces of R^d, one per type index, as orthonormal bases.
-
-    Input bases are reorthonormalized on construction (the subspace, not
-    the basis, is the datum); nesting is verified through projectors.
-    """
-
-    __slots__ = ("type", "bases")
-
-    def __init__(self, ptype: ParabolicType, bases: dict):
-        fixed: dict[int, np.ndarray] = {}
-        for i in ptype.indices:
-            if i not in bases:
-                raise InvalidParameterError(f"flag is missing a basis for index {i}")
-            b = np.asarray(bases[i], dtype=float)
-            if b.shape != (ptype.d, i):
-                raise InvalidParameterError(
-                    f"basis for index {i} must be {ptype.d}x{i}, got {b.shape}")
-            q = _orthonormal_span(b)
-            q.setflags(write=False)
-            fixed[i] = q
-        for a, b in zip(ptype.indices, ptype.indices[1:]):
-            # V_a inside V_b iff projecting V_a onto V_b loses nothing
-            defect = fixed[a] - fixed[b] @ (fixed[b].T @ fixed[a])
-            if np.linalg.norm(defect, 2) > DEFAULT_TOLS.nesting:
-                raise InvalidParameterError(
-                    f"flag bases are not nested: V_{a} is not inside V_{b}")
-        self.type = ptype
-        self.bases = fixed
-
-    def projector(self, i: int) -> np.ndarray:
-        b = self.bases[i]
-        return b @ b.T
-
-    def __repr__(self):
-        return f"Flag(d={self.type.d}, indices={self.type.indices})"
-
-
-def line_flag(angle: float) -> Flag:
-    """The RP^1 flag spanned by (cos angle, sin angle)."""
-    return Flag(line_type(), {1: [[math.cos(angle)], [math.sin(angle)]]})
-
-
-def flag_angle(flag: Flag) -> float:
-    """Angle in [0, pi) of a d = 2 flag's line."""
-    if flag.type.d != 2:
-        raise TypeMismatchError("flag_angle needs a d = 2 flag")
-    v = flag.bases[1][:, 0]
-    return float(np.mod(math.atan2(v[1], v[0]), math.pi))
-
-
-def _same_type(xi: Flag, eta: Flag):
-    if xi.type != eta.type:
-        raise TypeMismatchError(
-            f"flags have different types: {xi.type} vs {eta.type}")
-
-
-# ---------------------------------------------------------------------------
-# pointwise operations
-
-
-def flag_distance(xi: Flag, eta: Flag) -> float:
-    """Max over type indices of the spectral norm of the projector difference.
-
-    A genuine metric on flags of a fixed type, invariant under simultaneous
-    orthogonal change of basis; for lines in RP^1 it is the sine of the
-    angle between them.
-    """
-    _same_type(xi, eta)
-    best = 0.0
-    for i in xi.type.indices:
-        gap = np.linalg.norm(xi.projector(i) - eta.projector(i), 2)
-        best = max(best, float(gap))
-    return best
-
-
-def attracting_flag(g, ptype: ParabolicType) -> tuple[Flag, dict[int, float]]:
-    """Flag of leading left-singular subspaces of g, plus the gap report.
-
-    Returns (flag, gaps) with gaps[i] = sigma_i / sigma_{i+1} (1-based).
-    Raises GapTooSmallError unless every type-relevant gap clears the
-    threshold; at ratio 1 the span of the top i directions is arbitrary.
-    Scale-invariant: g and any nonzero multiple give the same flag.
-    """
-    g = as_projective(g)
-    if ptype.d != g.d:
-        raise TypeMismatchError(f"type is for d={ptype.d}, matrix has d={g.d}")
-    u, s, _ = np.linalg.svd(g.entries)
-    gaps = {i: float(s[i - 1] / s[i]) for i in ptype.indices}
-    bad = [i for i in ptype.indices if not gaps[i] > DEFAULT_TOLS.gap_threshold]
-    if bad:
-        raise GapTooSmallError(
-            f"singular gap {gaps[bad[0]]:.9g} at index {bad[0]} does not clear "
-            f"{DEFAULT_TOLS.gap_threshold}; the flag is ill-defined")
-    return Flag(ptype, {i: u[:, :i] for i in ptype.indices}), gaps
-
-
-def is_transverse(xi: Flag, eta: Flag) -> tuple[bool, float]:
-    """Whether V_i of xi and W_{d-i} of eta together span R^d, with margin.
-
-    The margin is the smallest singular value of the stacked basis
-    [V_i | W_{d-i}] over all indices i whose complement d - i is also in
-    the type; transverse iff the margin clears the tolerance.
-    """
-    _same_type(xi, eta)
-    d = xi.type.d
-    paired = [i for i in xi.type.indices if (d - i) in xi.type.indices]
-    if not paired:
-        raise InvalidParameterError(
-            "no index i with d - i in the type; transversality is undefined")
-    margin = math.inf
-    for i in paired:
-        stacked = np.hstack([xi.bases[i], eta.bases[d - i]])
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        margin = min(margin, float(sv[-1]))
-    return margin > DEFAULT_TOLS.transversality, margin
+def line_distance(s: float, t: float) -> float:
+    """Distance |sin(s - t)| between the lines at angles s and t: the
+    spectral norm of the difference of their orthogonal projectors."""
+    return abs(math.sin(s - t))
 
 
 # ---------------------------------------------------------------------------
@@ -252,59 +84,50 @@ def is_transverse(xi: Flag, eta: Flag) -> tuple[bool, float]:
 class DivergenceCertificate:
     """Finite-data verdict on a matrix sequence from its singular gaps.
 
-    gaps[i] is the trajectory sigma_i/sigma_{i+1} along the sequence.  A
-    divergent certificate carries the flag of the last entry and, when the
-    type is symmetric, of its inverse.
+    gaps is the trajectory sigma_1/sigma_2 along the sequence.  A divergent
+    certificate carries the attracting-line angle of the last entry.
     """
 
     verdict: str                     # "divergent" | "bounded" | "inconclusive"
-    gaps: dict[int, tuple[float, ...]]
+    gaps: tuple[float, ...]
     reason: str
-    limit_flag: Flag | None = None
-    limit_flag_inverse: Flag | None = None
+    limit_angle: float | None = None
 
 
-def q_divergence(seq, ptype: ParabolicType) -> DivergenceCertificate:
-    """Judge a matrix sequence by its singular-gap trajectories.
+def q_divergence(seq) -> DivergenceCertificate:
+    """Judge a sequence of 2x2 matrices by its singular-gap trajectory.
 
-    divergent: over the last tail_window entries every type-relevant gap
-    strictly increases and clears the flag threshold.  bounded: every
-    type-relevant gap stays at or below the threshold over that tail, so
-    the sequence never separates directions.  Everything else, including
-    sequences shorter than the tail window, is inconclusive; a constant
-    hyperbolic sequence, say, is bounded as a set but indistinguishable in
-    this data from one about to grow.
+    divergent: over the last tail_window entries the gap strictly increases
+    and clears the flag threshold.  bounded: the gap stays at or below the
+    threshold over that tail, so the sequence never separates directions.
+    Everything else, including sequences shorter than the tail window, is
+    inconclusive; a constant hyperbolic sequence, say, is bounded as a set
+    but indistinguishable in this data from one about to grow.  A matrix
+    that is not 2x2 raises UnsupportedKindError, a numerically singular one
+    InvalidParameterError.
     """
-    mats = [as_projective(m) for m in seq]
+    mats = [ProjectiveMatrix(m).entries for m in seq]
     if not mats:
         raise InvalidParameterError("q_divergence needs a nonempty sequence")
-    d = mats[0].d
-    if any(m.d != d for m in mats):
-        raise TypeMismatchError("mixed dimensions in sequence")
-    if ptype.d != d:
-        raise TypeMismatchError(f"type is for d={ptype.d}, matrices have d={d}")
-    sv = np.array([m.singular_values() for m in mats])
-    gaps = {i: tuple(float(x) for x in sv[:, i - 1] / sv[:, i])
-            for i in ptype.indices}
+    if any(m.shape != (2, 2) for m in mats):
+        raise UnsupportedKindError("q_divergence works on 2x2 matrices")
+    sv = np.array([np.linalg.svd(m, compute_uv=False) for m in mats])
+    gaps = tuple(float(x) for x in sv[:, 0] / sv[:, 1])
     w = DEFAULT_TOLS.tail_window
     if len(mats) < w:
         return DivergenceCertificate(
             "inconclusive", gaps,
             f"sequence shorter than the tail window ({len(mats)} < {w})")
-    tails = {i: np.asarray(g[-w:]) for i, g in gaps.items()}
-    if all(t.max() <= DEFAULT_TOLS.gap_threshold for t in tails.values()):
+    tail = np.asarray(gaps[-w:])
+    if tail.max() <= DEFAULT_TOLS.gap_threshold:
         return DivergenceCertificate(
             "bounded", gaps, "tail gaps never clear the flag threshold")
-    if all((np.diff(t) > 0).all() and (t > DEFAULT_TOLS.gap_threshold).all()
-           for t in tails.values()):
-        flag, _ = attracting_flag(mats[-1], ptype)
-        inv_flag = None
-        if ptype.symmetric:
-            inv_flag, _ = attracting_flag(mats[-1].inv(), ptype)
+    if (np.diff(tail) > 0).all() and (tail > DEFAULT_TOLS.gap_threshold).all():
+        # threshold 0 keeps the angle: the gap cleared it by the SVD already
+        angle = float(_line_angles(mats[-1][None], 0.0)[0])
         return DivergenceCertificate(
             "divergent", gaps,
-            "tail gaps increase strictly above the flag threshold",
-            flag, inv_flag)
+            "tail gaps increase strictly above the flag threshold", angle)
     return DivergenceCertificate(
         "inconclusive", gaps,
         "tail gaps neither stay at the threshold nor increase throughout")
@@ -386,36 +209,24 @@ def ball_images(rep: dict, oracle: GroupOracle, tree: BallTree) -> np.ndarray:
 
 @dataclass
 class FlagCloud:
-    """Deduplicated attracting flags over a word ball of a representation.
+    """Deduplicated attracting lines over a word ball of a representation.
 
-    For d = 2 the cloud is an array of line angles sorted in [0, pi], as
-    hausdorff requires; for d >= 3 it is a list of Flag objects.  words_seen
-    counts ball elements inspected (identity included); gap_rejections
-    counts those whose gaps did not clear the threshold.
+    angles are line angles sorted in [0, pi], as hausdorff requires.
+    words_seen counts ball elements inspected (identity included);
+    gap_rejections counts those whose gaps did not clear the threshold.
     """
 
-    type: ParabolicType
-    angles: np.ndarray | None
-    flags: list[Flag] | None
+    angles: np.ndarray
     words_seen: int
     gap_rejections: int
 
     @property
     def size(self) -> int:
-        return int(self.angles.size) if self.angles is not None else len(self.flags)
+        return int(self.angles.size)
 
     def hausdorff(self, other: "FlagCloud") -> float:
-        if self.type != other.type:
-            raise TypeMismatchError("clouds have different flag types")
-        if self.angles is not None and other.angles is not None:
-            return _hausdorff_sorted(self.angles, other.angles)
-        if self.size == 0 or other.size == 0:
-            raise InvalidParameterError("hausdorff distance needs nonempty clouds")
-        sup = 0.0
-        for a, b in ((self.flags, other.flags), (other.flags, self.flags)):
-            for f in a:
-                sup = max(sup, min(flag_distance(f, g) for g in b))
-        return sup
+        return _hausdorff_sorted(self.angles, other.angles)
+
 
 def _sorted_rp1(angles) -> np.ndarray:
     """Line angles reduced mod pi into [0, pi) and sorted."""
@@ -463,11 +274,6 @@ def _dedup_sorted(a: np.ndarray, resolution: float) -> np.ndarray:
         if math.sin(min(wrap, math.pi - wrap)) < resolution:
             out = out[:-1]
     return out
-
-
-def _dedup_angles(angles, resolution: float) -> np.ndarray:
-    """Greedy circular dedup of line angles at the given sin-metric resolution."""
-    return _dedup_sorted(_sorted_rp1(angles), resolution)
 
 
 def _hausdorff_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -626,33 +432,47 @@ def _closed_forms(words: np.ndarray, threshold: float, bufs: np.ndarray,
     return filled + len(mid)
 
 
-def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
-                ptype: ParabolicType | None = None,
-                cap: int = BALL_CAP) -> FlagCloud:
-    """Attracting flags of every ball element whose gaps clear the threshold.
+def _line_angles(words: np.ndarray, threshold: float) -> np.ndarray:
+    """Attracting-line angles in [0, pi) of the 2x2 matrices of a stack
+    whose gap clears the threshold, in stack order, from _closed_forms on
+    slices of CLOSED_FORM_CHUNK matrices."""
+    chunk = CLOSED_FORM_CHUNK
+    angles = np.empty(len(words))
+    bufs = np.empty((7, min(chunk, len(words))))
+    mask = np.empty(bufs.shape[1], dtype=bool)
+    filled = 0
+    for start in range(0, len(words), chunk):
+        filled = _closed_forms(words[start:start + chunk], threshold, bufs,
+                               mask, angles, filled)
+    angles = angles[:filled]
+    angles[angles == math.pi] = 0.0    # theta + pi rounded up: pi mod pi
+    return angles
 
-    rep maps the oracle's generator names to matrices.  The ball of radius
-    word_depth is enumerated through the oracle as a BFS tree, its images
-    come from :func:`ball_images`, and each element's flag is kept when
-    well defined; the cloud is then deduplicated at the dedup resolution
-    in flag distance.  Free groups in d = 2 take a batched reduced-word
-    route with closed 2x2 forms instead.  Depth 0 gives the empty cloud:
-    the identity has no attracting flag.
+
+def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
+                cap: int = BALL_CAP) -> FlagCloud:
+    """Attracting lines of every ball element whose gap clears the threshold.
+
+    rep maps the oracle's generator names to 2x2 matrices; any other size
+    raises UnsupportedKindError.  Free groups take a batched reduced-word
+    route; for any other group the ball of radius word_depth is enumerated
+    through the oracle as a BFS tree and its images come from
+    :func:`ball_images`.  Either way each angle comes from the closed 2x2
+    forms, and the cloud is deduplicated at the dedup resolution in the
+    sine metric.  Depth 0 gives the empty cloud: the identity has no
+    attracting line.
     """
     if word_depth < 0:
         raise InvalidParameterError("word_depth must be >= 0")
     mats = {n: ProjectiveMatrix(m).entries
             for n, m in generator_images(rep, oracle.gen_names).items()}
     d = len(mats[oracle.gen_names[0]])
-    if ptype is None:
-        if d != 2:
-            raise InvalidParameterError("ptype may only be omitted when d = 2")
-        ptype = line_type()
-    if ptype.d != d:
-        raise TypeMismatchError(f"type is for d={ptype.d}, matrices have d={d}")
+    if d != 2:
+        raise UnsupportedKindError(
+            f"limit clouds live on the projective line (d = 2), got d = {d}")
 
     rank = _free_rank(oracle)
-    if d == 2 and rank is not None:
+    if rank is not None:
         total = _free_word_count(rank, word_depth)
         if total > cap:
             raise BudgetExceededError("reduced words", cap, total)
@@ -662,25 +482,10 @@ def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
             letters[2 * i + 1] = np.linalg.inv(mats[name])
         raw, seen, rejected = _free2_angles(letters, word_depth,
                                             DEFAULT_TOLS.gap_threshold)
-        angles = _dedup_sorted(raw, DEFAULT_TOLS.dedup)
-        return FlagCloud(ptype, angles, None, seen, rejected)
+        return FlagCloud(_dedup_sorted(raw, DEFAULT_TOLS.dedup), seen, rejected)
 
     tree = ball_tree(oracle, word_depth, cap)
-    kept: list[Flag] = []
-    rejected = 0
-    for m in ball_images(mats, oracle, tree):
-        try:
-            flag, _ = attracting_flag(ProjectiveMatrix(m), ptype)
-        except (GapTooSmallError, InvalidParameterError):
-            rejected += 1
-            continue
-        kept.append(flag)
-    if d == 2:
-        raw = np.array([flag_angle(f) for f in kept])
-        return FlagCloud(ptype, _dedup_angles(raw, DEFAULT_TOLS.dedup), None,
-                         len(tree.level), rejected)
-    unique: list[Flag] = []
-    for f in kept:
-        if all(flag_distance(f, u) >= DEFAULT_TOLS.dedup for u in unique):
-            unique.append(f)
-    return FlagCloud(ptype, None, unique, len(tree.level), rejected)
+    raw = _line_angles(ball_images(mats, oracle, tree), DEFAULT_TOLS.gap_threshold)
+    raw.sort()
+    return FlagCloud(_dedup_sorted(raw, DEFAULT_TOLS.dedup), len(tree.level),
+                     len(tree.level) - len(raw))

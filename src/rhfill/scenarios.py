@@ -424,7 +424,8 @@ def _task_limitset(sc: Scenario, params: dict) -> dict:
         screen_powers=int(params.get("screen_powers", 7)),
         cap=sc.budgets["elements"])
     limit = params.get("max_final_distance")
-    rep["pass"] = bool(rep["decreasing"] and
+    # a table with no member measured shows nothing, whatever it decreases
+    rep["pass"] = bool(rep["table"] and rep["decreasing"] and
                        (limit is None or
                         (rep["final_distance"] is not None
                          and rep["final_distance"] <= float(limit))))

@@ -1,6 +1,6 @@
 """Central numeric tolerances.
 
-The floating-point thresholds behind the flag, automaton and convergence
+The floating-point thresholds behind the line, automaton and convergence
 verdicts live in one fixed record, ``DEFAULT_TOLS``, which those modules
 read directly; there is no per-call override.
 """
@@ -9,19 +9,18 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # flag nesting V_i inside V_j checked via projector defect
-    nesting: float = 1e-9
-    # transversality margin below which flags count as non-transverse
+    # containment margin of a set-system edge within which the exact arc
+    # test is inconclusive
     transversality: float = 1e-9
-    # dedup resolution for limit-set point clouds (flag metric)
+    # dedup resolution for limit-set clouds (sine metric on lines)
     dedup: float = 1e-6
-    # singular-value gap ratio must exceed this for a well-defined flag
+    # sigma_1/sigma_2 must exceed this for a well-defined attracting line
     gap_threshold: float = 1.0 + 1e-6
     # sliding window length for divergence verdicts on a sequence tail
     tail_window: int = 5
     # declared filling kernels must map this close to the identity
     kernel: float = 1e-10
-    # limit flags of sequences tracked by one automaton path must agree to this
+    # limit lines of sequences tracked by one automaton path must agree to this
     fiber: float = 1e-3
     # matrix invertibility: reject when sigma_min/sigma_max is below this
     condition: float = 1e-12

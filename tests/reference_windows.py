@@ -1,15 +1,16 @@
 """Reference implementations that only tests use: the per-key loops that
 the array builders in ``rhfill.cusped`` replace, the dict breadth-first
 search that ``rhfill.groups.ball_tree`` replaces, the one-angle-at-a-time
-witness search, the word-ball Cayley and coned-off windows, a standalone
+witness search with one SVD per margin, the per-element SVD limit clouds
+that the closed 2x2 forms replace, the word-ball Cayley and coned-off windows, a standalone
 horoball, small generic graphs, the one-path-at-a-time geodesic walk, lift,
 path projection and filling checks that the batched ones in
 ``rhfill.cusped`` and ``rhfill.filling_geometry`` replace, the full-scan
 RP^1 Hausdorff distance, the sine-of-every-gap dedup, the whole-level
 free limit clouds, the row-block window deviation and the uncached
 element fold, a tracemalloc peak, and the plain forms of a few library routines (coned
-lengths, the exact metric ball, RP^1 Hausdorff distances, random flags,
-constant families). Tests compare
+lengths, the exact metric ball, RP^1 Hausdorff distances, constant
+families). Tests compare
 the library against these, so they favour plainness over speed.
 """
 import itertools
@@ -33,8 +34,8 @@ from rhfill.cusped import (
 )
 from rhfill.delta import HyperbolicityEstimate, four_point_delta_sampled
 from rhfill.filling_geometry import FillingGeometry
-from rhfill.flags import (Flag, ParabolicType, _hausdorff_sorted, _sorted_rp1,
-                          is_transverse, line_flag)
+from rhfill.flags import (_dedup_sorted, _hausdorff_sorted, _sorted_rp1,
+                          _unit_det)
 from rhfill.groups import (
     FreeAbelianOracle,
     FreeProductOracle,
@@ -80,16 +81,26 @@ def reference_ball_tree(oracle: GroupOracle, radius: int):
             np.array(level))
 
 
+def unit_vector(angle: float) -> np.ndarray:
+    """The unit vector (cos angle, sin angle) spanning the line at angle."""
+    return np.array([math.cos(angle), math.sin(angle)])
+
+
+def svd_margin(s: float, t: float) -> float:
+    """Transversality margin of the lines at angles s and t: the smaller
+    singular value of the 2x2 matrix [v | w] of their unit vectors."""
+    stacked = np.column_stack([unit_vector(s), unit_vector(t)])
+    return float(np.linalg.svd(stacked, compute_uv=False)[-1])
+
+
 def reference_search_witness(balls) -> float:
     """The first of 720 grid angles whose line has the largest least
     transversality margin over the ball centres, less their radii, one
-    ``is_transverse`` call at a time."""
-    centers = [line_flag(float(b.center)) for b in balls]
+    SVD of [v | w] at a time."""
     best, best_score = None, -math.inf
     for t in np.linspace(0.0, math.pi, 720, endpoint=False):
-        cand = line_flag(float(t))
-        score = min(is_transverse(cand, c)[1] - b.radius
-                    for c, b in zip(centers, balls))
+        score = min(svd_margin(float(t), float(b.center)) - b.radius
+                    for b in balls)
         if score > best_score:
             best, best_score = float(t), score
     return best
@@ -529,10 +540,30 @@ def hausdorff_rp1(a, b) -> float:
     return _hausdorff_sorted(_sorted_rp1(a), _sorted_rp1(b))
 
 
-def random_flag(ptype: ParabolicType, rng: np.random.Generator) -> Flag:
-    """A flag of the given type drawn from the rotation-invariant measure."""
-    q, _ = np.linalg.qr(rng.standard_normal((ptype.d, ptype.d)))
-    return Flag(ptype, {i: q[:, :i] for i in ptype.indices})
+def svd_line_angle(m: np.ndarray, threshold: float) -> float | None:
+    """Angle in [0, pi) of the top left-singular direction of a 2x2 matrix,
+    or None when sigma_1/sigma_2 does not exceed the threshold."""
+    u, s, _ = np.linalg.svd(m)
+    if not s[0] / s[1] > threshold:
+        return None
+    return float(np.mod(math.atan2(u[1, 0], u[0, 0]), math.pi))
+
+
+def reference_svd_cloud(rep: dict, oracle: GroupOracle, depth: int,
+                        threshold: float, resolution: float):
+    """A limit cloud one ball element at a time: the product of syllable
+    powers, rescaled to unit |det|, and one SVD per element.  Returns the
+    deduplicated sorted angles, the words seen and the gap rejections."""
+    raw, ball = [], enumerate_ball(oracle, depth)
+    for g in ball:
+        m = np.eye(2)
+        for name, power in oracle.syllables(g):
+            m = m @ np.linalg.matrix_power(np.asarray(rep[name], float), power)
+        angle = svd_line_angle(_unit_det(m), threshold)
+        if angle is not None:
+            raw.append(angle)
+    return (_dedup_sorted(_sorted_rp1(raw), resolution), len(ball),
+            len(ball) - len(raw))
 
 
 def constant_family(pair: RelHypPair, rep: dict,

@@ -17,7 +17,6 @@ from rhfill.automata import (AutomatonGraph, Ball, CosetLabel, GPath,
                              _has_quarter_turn, _image_diameter, _mobius_arc)
 from rhfill.errors import (BudgetExceededError, InvalidParameterError,
                            SchemaError, UnsupportedKindError)
-from rhfill.flags import line_flag
 from rhfill.groups import format_word, make_oracle, standard_f2_pair
 from rhfill.tolerances import DEFAULT_TOLS
 from reference_windows import reference_element_matrix, reference_search_witness
@@ -265,9 +264,11 @@ def test_witnesses_found_by_search(bundled):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.floats(0.0, math.pi), st.floats(0.01, 0.6)),
+@given(st.lists(st.tuples(st.floats(0.0, math.pi) | st.floats(-10.0, 10.0),
+                          st.floats(0.01, 0.6)),
                 min_size=1, max_size=4))
 def test_batched_witness_search_matches_the_loop(bundled, arcs):
+    # centres outside [0, pi) name the same lines as their values mod pi
     _, sys_ = bundled
     balls = [Ball(c, r) for c, r in arcs]
     assert sys_._search_witness(balls) == reference_search_witness(balls)
@@ -298,7 +299,7 @@ def test_set_system_validation():
     with pytest.raises(InvalidParameterError):
         SetSystem(2, 0.02, {0: []})
     with pytest.raises(InvalidParameterError, match="angles"):
-        SetSystem(2, 0.02, {0: [Ball(line_flag(0.0), 0.3)]})
+        SetSystem(2, 0.02, {0: [Ball((1.0, 0.0), 0.3)]})
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Flags, divergence, and RP^1 limit sets, checked against closed forms.
+"""Lines, divergence, and RP^1 limit sets, checked against closed forms.
 
-The 2x2 batch route inside q_limit_set never calls an SVD, so the key test
-here compares it element by element against attracting_flag on the same
-ball.
+Every attracting-line angle comes from the closed 2x2 forms, never an SVD,
+so the key tests here compare the clouds element by element against one
+SVD per ball element on the same ball.
 """
 import math
 from unittest import mock
@@ -12,23 +12,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis import assume
 
-from rhfill.errors import (BudgetExceededError, GapTooSmallError,
-                           InvalidParameterError, TypeMismatchError)
-from rhfill.flags import (Flag, FlagCloud, ParabolicType, ProjectiveMatrix,
-                          attracting_flag, flag_angle, flag_distance,
-                          is_transverse, line_flag, line_type, q_divergence,
-                          q_limit_set, _dedup_angles, ball_images)
+from rhfill.automata import _witness_margin
+from rhfill.errors import (BudgetExceededError, InvalidParameterError,
+                           UnsupportedKindError)
+from rhfill.flags import (FlagCloud, ProjectiveMatrix, line_distance,
+                          q_divergence, q_limit_set, ball_images)
 from rhfill.flags import (_dedup_sorted, _free2_angles, _hausdorff_sorted,
-                          _sorted_rp1)
+                          _line_angles, _sorted_rp1)
 from rhfill import flags
 from rhfill.scenarios import bundled_scenario_path, load_scenario
 from rhfill.tolerances import DEFAULT_TOLS
 from rhfill.convergence import elliptic_generators
 from rhfill.groups import (ball_tree, enumerate_ball, make_filling, make_oracle,
                            standard_f2_pair)
-from reference_windows import (hausdorff_rp1, random_flag,
-                               reference_dedup_sorted, reference_free2_angles,
-                               reference_hausdorff_sorted, traced_peak)
+from reference_windows import (hausdorff_rp1, reference_dedup_sorted,
+                               reference_free2_angles,
+                               reference_hausdorff_sorted, reference_svd_cloud,
+                               svd_line_angle, svd_margin, traced_peak,
+                               unit_vector)
 
 SANOV_A = np.array([[1.0, 2.0], [0.0, 1.0]])
 SANOV_B = np.array([[1.0, 0.0], [2.0, 1.0]])
@@ -41,8 +42,16 @@ def f2():
                                     {"kind": "free-abelian", "rank": 1}]})
 
 
+def _attracting(m):
+    """The attracting-line angle of one matrix from the closed forms (None
+    when its gap does not clear the threshold), and its singular gap."""
+    m = np.asarray(m, dtype=float)
+    angles = _line_angles(m[None], DEFAULT_TOLS.gap_threshold)
+    return (float(angles[0]) if angles.size else None), q_divergence([m]).gaps[0]
+
+
 # ---------------------------------------------------------------------------
-# matrices, types, flags
+# matrices and lines
 
 
 def test_projective_normalization():
@@ -60,85 +69,93 @@ def test_projective_rejects_singular():
         ProjectiveMatrix([[1.0, 2.0, 3.0]])
 
 
-def test_parabolic_type_validation():
-    t = ParabolicType(4, (3, 1))
-    assert t.indices == (1, 3)
-    assert t.symmetric
-    assert not ParabolicType(4, (1,)).symmetric
-    with pytest.raises(InvalidParameterError):
-        ParabolicType(3, ())
-    with pytest.raises(InvalidParameterError):
-        ParabolicType(3, (3,))
-
-
-def test_flag_reorthonormalizes_and_checks_nesting():
-    t = ParabolicType(3, (1, 2))
-    # skewed spanning sets, same subspaces
-    f = Flag(t, {1: [[2.0], [0.0], [0.0]],
-                 2: [[1.0, 3.0], [1.0, 3.0001], [0.0, 0.0]]})
-    assert np.allclose(f.projector(1), np.diag([1.0, 0.0, 0.0]))
-    with pytest.raises(InvalidParameterError):
-        Flag(t, {1: [[0.0], [0.0], [1.0]],   # e3 is not inside the e1e2-plane
-                 2: [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]})
-    with pytest.raises(InvalidParameterError):
-        Flag(t, {1: [[1.0], [0.0], [0.0]],
-                 2: [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]})  # rank deficient
-
-
 def test_flag_distance_is_sine_of_angle():
     for theta in (0.1, 0.7, 1.3):
-        assert flag_distance(line_flag(0.0), line_flag(theta)) == \
-            pytest.approx(math.sin(theta), abs=1e-12)
-    assert flag_distance(line_flag(0.3), line_flag(0.3)) == 0.0
-    with pytest.raises(TypeMismatchError):
-        flag_distance(line_flag(0.0),
-                      Flag(ParabolicType(3, (1,)), {1: [[1.], [0.], [0.]]}))
+        assert line_distance(0.0, theta) == pytest.approx(math.sin(theta),
+                                                          abs=1e-12)
+    assert line_distance(0.3, 0.3) == 0.0
+    assert line_distance(0.3, 0.3 + math.pi) == pytest.approx(0.0, abs=1e-15)
+
+
+def _projector(angle: float) -> np.ndarray:
+    v = unit_vector(angle)
+    return np.outer(v, v)
+
+
+@st.composite
+def line_pairs(draw):
+    """Two line angles anywhere in [-10, 10] + k pi: equal, a few ulp or a
+    tiny angle apart, a multiple of pi apart, or unrelated."""
+    s = draw(st.floats(-10.0, 10.0))
+    offset = draw(st.sampled_from([0.0, 5e-324, 1e-300, 1e-15, -1e-15, 1e-9,
+                                   -1e-9, math.pi / 2])
+                  | st.floats(-math.pi, math.pi))
+    k = draw(st.integers(-2, 2))
+    return s, s + offset + k * math.pi
+
+
+@settings(max_examples=400, deadline=None)
+@given(line_pairs())
+def test_line_distance_and_margin_match_the_matrix_forms(pair):
+    s, t = pair
+    dist = line_distance(s, t)
+    margin = float(_witness_margin(s, t))
+    # the projector metric, and the sine of the angle psi between the lines
+    # from the margin sqrt(2) sin(psi / 2): sin psi = m sqrt(2 - m^2)
+    assert dist == pytest.approx(
+        np.linalg.norm(_projector(s) - _projector(t), 2), abs=1e-13)
+    assert dist == pytest.approx(margin * math.sqrt(2.0 - margin ** 2),
+                                 abs=1e-13)
+    # the smaller singular value of [v | w], which the margin replaces
+    assert margin == pytest.approx(svd_margin(s, t), abs=1e-13)
+    assert 0.0 <= margin <= 1.0 + 1e-15
+    # symmetric up to the rounding of a tiny negative difference mod pi
+    assert margin == pytest.approx(float(_witness_margin(t, s)), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
-# attracting flags
+# attracting lines
 
 
 def test_attracting_flag_diagonal():
-    flag, gaps = attracting_flag(np.diag([3.0, 1 / 3]), line_type())
-    assert flag_angle(flag) == 0.0
-    assert gaps[1] == pytest.approx(9.0)
+    angle, gap = _attracting(np.diag([3.0, 1 / 3]))
+    assert angle == 0.0
+    assert gap == pytest.approx(9.0)
 
 
 def test_attracting_flag_rotation_has_no_gap():
     c, s = math.cos(0.3), math.sin(0.3)
-    with pytest.raises(GapTooSmallError):
-        attracting_flag([[c, -s], [s, c]], line_type())
+    angle, gap = _attracting([[c, -s], [s, c]])
+    assert angle is None and gap <= DEFAULT_TOLS.gap_threshold
 
 
 @pytest.mark.parametrize("n", [5, 10, 20])
 def test_attracting_flag_parabolic_powers(n):
     # a^n = [[1, 2n], [0, 1]]; the top singular value squared solves
     # x^2 - (2 + 4n^2) x + 1 = 0 and the gap equals it (det = 1)
-    flag, gaps = attracting_flag(np.linalg.matrix_power(SANOV_A, n), line_type())
+    angle, gap = _attracting(np.linalg.matrix_power(SANOV_A, n))
     T = 2 + 4 * n * n
-    assert gaps[1] == pytest.approx((T + math.sqrt(T * T - 4)) / 2, rel=1e-12)
-    angle = flag_angle(flag)
-    assert flag_distance(flag, line_flag(0.0)) == pytest.approx(math.sin(angle))
+    assert gap == pytest.approx((T + math.sqrt(T * T - 4)) / 2, rel=1e-12)
+    assert line_distance(angle, 0.0) == pytest.approx(math.sin(angle))
     # approaches span(e1) like 1/(2n), an order short of the 1e-2 mark at n=5
     assert angle == pytest.approx(1 / (2 * n), rel=0.03)
+    assert line_distance(angle, svd_line_angle(
+        np.linalg.matrix_power(SANOV_A, n), 1.0)) < 1e-15
 
 
 def test_attracting_flag_scale_invariant():
     g = np.array([[2.0, 1.0], [1.0, 1.0]])
-    base, _ = attracting_flag(g, line_type())
+    base, _ = _attracting(g)
     for lam in (2.5, -0.3, 7.0):
-        scaled, _ = attracting_flag(lam * g, line_type())
-        assert flag_distance(base, scaled) < 1e-12
+        scaled, _ = _attracting(lam * g)
+        assert line_distance(base, scaled) < 1e-12
 
 
 def test_attracting_flag_powers_converge():
     # non-normal, so the singular direction genuinely moves with n
     g = np.array([[2.0, 1.0], [0.0, 0.5]])
-    lt = line_type()
-    flags = [attracting_flag(np.linalg.matrix_power(g, n), lt)[0]
-             for n in range(1, 8)]
-    steps = [flag_distance(a, b) for a, b in zip(flags, flags[1:])]
+    angles = [_attracting(np.linalg.matrix_power(g, n))[0] for n in range(1, 8)]
+    steps = [line_distance(a, b) for a, b in zip(angles, angles[1:])]
     assert all(a > b for a, b in zip(steps, steps[1:]))
     # contraction tracks the eigenvalue ratio (1/4 per step)
     assert steps[-1] / steps[-2] == pytest.approx(0.25, rel=0.01)
@@ -150,101 +167,119 @@ def test_attracting_flag_powers_converge():
 
 
 def test_transverse_lines():
-    assert is_transverse(line_flag(0.0), line_flag(math.pi / 2)) == (True, 1.0)
-    ok, margin = is_transverse(line_flag(0.3), line_flag(0.3))
-    assert not ok and margin == pytest.approx(0.0, abs=1e-12)
-
-
-def test_transverse_d3():
-    t = ParabolicType(3, (1, 2))
-    e = np.eye(3)
-    xi = Flag(t, {1: e[:, :1], 2: e[:, :2]})
-    eta = Flag(t, {1: e[:, 2:3], 2: e[:, 1:3]})
-    ok, margin = is_transverse(xi, eta)
-    assert ok and margin == pytest.approx(1.0)
-    ok, margin = is_transverse(xi, xi)
-    assert not ok and margin == pytest.approx(0.0, abs=1e-12)
-
-
-def test_transverse_symmetric_in_arguments():
-    rng = np.random.default_rng(11)
-    t = ParabolicType(4, (1, 3))
-    for _ in range(20):
-        xi, eta = random_flag(t, rng), random_flag(t, rng)
-        ok1, m1 = is_transverse(xi, eta)
-        ok2, m2 = is_transverse(eta, xi)
-        assert ok1 == ok2
-        assert m1 == pytest.approx(m2, abs=1e-9)
-
-
-def test_transverse_needs_paired_index():
-    t = ParabolicType(3, (1,))
-    rng = np.random.default_rng(0)
-    with pytest.raises(InvalidParameterError):
-        is_transverse(random_flag(t, rng), random_flag(t, rng))
+    margin = float(_witness_margin(0.0, math.pi / 2))
+    assert margin == pytest.approx(1.0, abs=1e-15)
+    assert margin > DEFAULT_TOLS.transversality
+    assert float(_witness_margin(0.3, 0.3)) == 0.0
+    assert svd_margin(0.3, 0.3) == pytest.approx(0.0, abs=1e-12)
+    # between those the margin sqrt(2) sin(psi / 2) is below the sine
+    # metric, so a radius between the two passes only the sine metric
+    psi = math.pi / 6
+    margin = float(_witness_margin(0.0, psi))
+    assert margin == pytest.approx(math.sqrt(2.0) * math.sin(psi / 2))
+    assert margin < line_distance(0.0, psi)
 
 
 # ---------------------------------------------------------------------------
 # divergence
 
 
+def _powers(g, n):
+    return [np.linalg.matrix_power(g, k) for k in range(1, n + 1)]
+
+
 def test_divergent_hyperbolic_powers():
     g = np.diag([2.0, 0.5])
-    cert = q_divergence([np.linalg.matrix_power(g, n) for n in range(1, 9)],
-                        line_type())
+    cert = q_divergence(_powers(g, 8))
     assert cert.verdict == "divergent"
-    assert flag_angle(cert.limit_flag) == 0.0
-    assert flag_angle(cert.limit_flag_inverse) == pytest.approx(math.pi / 2)
-    assert cert.gaps[1][-1] == pytest.approx(4.0 ** 8)
+    assert cert.limit_angle == 0.0
+    assert q_divergence(_powers(np.linalg.inv(g), 8)).limit_angle == \
+        pytest.approx(math.pi / 2)
+    assert cert.gaps[-1] == pytest.approx(4.0 ** 8)
 
 
 def test_bounded_rotations():
     rots = [np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
             for t in np.linspace(0.1, 1.5, 8)]
-    assert q_divergence(rots, line_type()).verdict == "bounded"
+    cert = q_divergence(rots)
+    assert cert.verdict == "bounded" and cert.limit_angle is None
 
 
 def test_inconclusive_cases():
     g = np.diag([2.0, 0.5])
     # constant sequence: gaps above threshold but not growing
-    assert q_divergence([g] * 8, line_type()).verdict == "inconclusive"
+    assert q_divergence([g] * 8).verdict == "inconclusive"
     # shorter than the tail window
-    assert q_divergence([g] * 3, line_type()).verdict == "inconclusive"
+    assert q_divergence([g] * 3).verdict == "inconclusive"
 
 
 def test_divergent_parabolic_powers():
-    seq = [np.linalg.matrix_power(SANOV_A, n) for n in range(1, 9)]
-    cert = q_divergence(seq, line_type())
+    cert = q_divergence(_powers(SANOV_A, 8))
     assert cert.verdict == "divergent"
     # both limits sit near span(e1), from opposite sides
-    assert flag_distance(cert.limit_flag, line_flag(0.0)) < math.sin(0.07)
-    assert flag_distance(cert.limit_flag_inverse, line_flag(0.0)) < math.sin(0.07)
+    inverse = q_divergence(_powers(np.linalg.inv(SANOV_A), 8))
+    assert line_distance(cert.limit_angle, 0.0) < math.sin(0.07)
+    assert line_distance(inverse.limit_angle, 0.0) < math.sin(0.07)
+    assert cert.limit_angle < math.pi / 2 < inverse.limit_angle
+
+
+def test_divergence_refuses_other_sizes():
+    with pytest.raises(UnsupportedKindError):
+        q_divergence([np.eye(3)] * 6)
+    with pytest.raises(UnsupportedKindError):
+        q_divergence([np.eye(2)] * 5 + [np.eye(3)])
+    with pytest.raises(InvalidParameterError):
+        q_divergence([])
 
 
 def test_divergent_sequence_attracts_transverse_flags():
-    # for eta transverse to the repelling flag, g^n eta -> attracting flag
-    g = ProjectiveMatrix(np.array([[2.0, 1.0], [1.0, 1.0]]))
-    powers = {n: ProjectiveMatrix(np.linalg.matrix_power(g.entries, n))
-              for n in range(1, 13)}
-    cert = q_divergence(list(powers.values()), line_type())
+    # for eta transverse to the repelling line, g^n eta -> attracting line
+    g = ProjectiveMatrix(np.array([[2.0, 1.0], [1.0, 1.0]])).entries
+    powers = _powers(g, 12)
+    cert = q_divergence(powers)
     assert cert.verdict == "divergent"
+    repelling = q_divergence(_powers(np.linalg.inv(g), 12)).limit_angle
     rng = np.random.default_rng(7)
     sups = []
     for n in (4, 8, 12):
-        gn = powers[n]
         sup, used = 0.0, 0
         while used < 100:
-            eta = random_flag(line_type(), rng)
-            ok, margin = is_transverse(eta, cert.limit_flag_inverse)
-            if not ok or margin < 0.05:
+            eta = float(rng.uniform(0.0, math.pi))
+            if float(_witness_margin(eta, repelling)) < 0.05:
                 continue
             used += 1
-            image = Flag(eta.type, {i: gn.entries @ b
-                                    for i, b in eta.bases.items()})
-            sup = max(sup, flag_distance(image, cert.limit_flag))
+            x, y = powers[n - 1] @ unit_vector(eta)
+            sup = max(sup, line_distance(math.atan2(y, x), cert.limit_angle))
         sups.append(sup)
     assert sups[0] > sups[1] > sups[2]
     assert sups[2] < 1e-5
+
+
+@st.composite
+def divergent_powers(draw):
+    """Powers 1..8 of R(alpha) [[lam, shear], [0, 1/lam]] R(-alpha): a
+    hyperbolic (lam > 1) or parabolic (lam = 1) matrix in any position,
+    scaled and possibly negated."""
+    alpha = draw(st.floats(-math.pi, math.pi))
+    lam = draw(st.sampled_from([1.0]) | st.floats(1.05, 3.0))  # gaps < 1e12
+    shear = draw(st.floats(-3.0, 3.0).filter(lambda x: lam > 1 or abs(x) > 0.1))
+    r = np.array(_rotation(alpha))
+    m = r @ np.array([[lam, shear], [0.0, 1 / lam]]) @ r.T
+    scale = draw(st.sampled_from([1.0, -1.0, 1e-3, -7.5]))
+    return [scale * p for p in _powers(m, 8)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(divergent_powers())
+def test_divergence_limit_angle_matches_the_svd(seq):
+    cert = q_divergence(seq)
+    assume(cert.verdict == "divergent")
+    ref = svd_line_angle(ProjectiveMatrix(seq[-1]).entries, 1.0)
+    assert line_distance(cert.limit_angle, ref) < 1e-12
+    assert 0.0 <= cert.limit_angle < math.pi
+    sv = [np.linalg.svd(ProjectiveMatrix(m).entries, compute_uv=False)
+          for m in seq]
+    assert cert.gaps == tuple(float(s[0] / s[1]) for s in sv)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +306,11 @@ def test_limit_set_refuses_bad_images_naming_the_generator(f2, rep, message):
         q_limit_set(rep, f2, 2)
 
 
+def test_limit_set_refuses_d3(f2):
+    with pytest.raises(UnsupportedKindError, match="d = 3"):
+        q_limit_set(D3_REP, f2, 2)
+
+
 def test_limit_set_depth_zero_empty(f2):
     cloud = q_limit_set({"a": SANOV_A, "b": SANOV_B}, f2, 0)
     assert cloud.size == 0
@@ -283,25 +323,21 @@ def test_limit_set_commuting_diagonals():
     assert np.allclose(cloud.angles, [0.0, math.pi / 2])
 
 
+def _assert_matches_svd_cloud(cloud, rep, oracle, depth):
+    ref, seen, rejected = reference_svd_cloud(
+        rep, oracle, depth, DEFAULT_TOLS.gap_threshold, DEFAULT_TOLS.dedup)
+    assert (cloud.words_seen, cloud.gap_rejections) == (seen, rejected)
+    assert ref.size == cloud.size
+    assert np.max(np.abs(ref - cloud.angles), initial=0.0) < 1e-12
+
+
 def test_batch_route_matches_per_element_svd(f2):
     rep = {"a": SANOV_A, "b": SANOV_B}
     cloud = q_limit_set(rep, f2, 4)
     assert cloud.words_seen == 161
     assert cloud.gap_rejections == 1
     assert cloud.size == 140
-    ref = []
-    for g in enumerate_ball(f2, 4):
-        m = np.eye(2)
-        for name, power in f2.syllables(g):
-            m = m @ np.linalg.matrix_power(rep[name], power)
-        try:
-            flag, _ = attracting_flag(m, line_type())
-        except GapTooSmallError:
-            continue
-        ref.append(flag_angle(flag))
-    ref_angles = _dedup_angles(np.array(ref), 1e-6)
-    assert ref_angles.size == cloud.size
-    assert np.max(np.abs(ref_angles - cloud.angles)) < 1e-12
+    _assert_matches_svd_cloud(cloud, rep, f2, 4)
 
 
 def _syllable_image(rep, oracle, g):
@@ -341,29 +377,69 @@ def test_ball_images_on_a_filled_quotient():
             <= 1e-9 * np.linalg.norm(ref)
 
 
+def _filled_quotient():
+    return make_filling(standard_f2_pair(), {0: ["a^10"], 1: ["b^10"]}
+                        ).quotient_group
+
+
+# groups off the free route: the filled quotient with its elliptic images,
+# Z^2 with commuting hyperbolic images (a^2 b^-1 maps to the identity), and
+# Z * Z/5 with a rotation of order 5 in PGL(2, R)
+GENERIC_CASES = {
+    "filled-quotient": (_filled_quotient, elliptic_generators(10)),
+    "z2": (lambda: make_oracle({"kind": "free-abelian", "rank": 2}),
+           {"a": np.array([[2.0, 1.0], [1.0, 1.0]]),
+            "b": np.array([[5.0, 3.0], [3.0, 2.0]])}),
+    "z-z5": (lambda: make_oracle({
+        "kind": "free-product",
+        "factors": [{"kind": "free-abelian", "rank": 1},
+                    {"kind": "finite-cyclic", "order": 5}]}),
+        {"a": np.array([[2.0, 1.0], [1.0, 1.0]]),
+         "b": np.array([[math.cos(math.pi / 5), -math.sin(math.pi / 5)],
+                        [math.sin(math.pi / 5), math.cos(math.pi / 5)]])}),
+}
+
+
 def test_generic_limit_set_route_on_a_filled_quotient():
-    quotient = make_filling(standard_f2_pair(), {0: ["a^10"], 1: ["b^10"]}
-                            ).quotient_group
+    quotient = _filled_quotient()
     rep = elliptic_generators(10)
-    cloud = q_limit_set(rep, quotient, 5)
-    assert cloud.words_seen == len(enumerate_ball(quotient, 5))
-    ref = []
-    for g in enumerate_ball(quotient, 5):
-        try:
-            flag, _ = attracting_flag(_syllable_image(rep, quotient, g), line_type())
-        except GapTooSmallError:
-            continue
-        ref.append(flag_angle(flag))
-    assert cloud.words_seen - cloud.gap_rejections == len(ref)
-    assert np.allclose(cloud.angles, _dedup_angles(np.array(ref), 1e-6),
-                       atol=1e-9)
+    for depth in (3, 5, 6):
+        cloud = q_limit_set(rep, quotient, depth)
+        assert cloud.words_seen == len(enumerate_ball(quotient, depth))
+        assert 0 < cloud.gap_rejections < cloud.words_seen
+        _assert_matches_svd_cloud(cloud, rep, quotient, depth)
+
+
+@pytest.mark.parametrize("case", ["z2", "z-z5"])
+def test_generic_limit_set_route_matches_per_element_svd(case):
+    make, rep = GENERIC_CASES[case]
+    oracle = make()
+    for depth in (1, 4, 6):
+        cloud = q_limit_set(rep, oracle, depth)
+        assert 0 < cloud.gap_rejections < cloud.words_seen
+        _assert_matches_svd_cloud(cloud, rep, oracle, depth)
+
+
+@pytest.mark.parametrize("case", sorted(GENERIC_CASES))
+def test_generic_limit_set_route_does_not_depend_on_the_chunk(monkeypatch, case):
+    # slices of 1, 3 and 7 images split every level of the tree, and with
+    # rejected words inside a slice the kept angles are gathered per slice
+    make, rep = GENERIC_CASES[case]
+    oracle = make()
+    want = {depth: q_limit_set(rep, oracle, depth) for depth in (0, 2, 5)}
+    for chunk in (1, 3, 7):
+        monkeypatch.setattr(flags, "CLOSED_FORM_CHUNK", chunk)
+        for depth, ref in want.items():
+            got = q_limit_set(rep, oracle, depth)
+            assert got.angles.tobytes() == ref.angles.tobytes()
+            assert (got.words_seen, got.gap_rejections) == \
+                (ref.words_seen, ref.gap_rejections)
 
 
 def test_sanov_cloud_respects_ping_pong(f2):
     # reduced words leading with a-letters attract inside |slope| <= 1,
     # words leading with b-letters inside |slope| >= 1
     rep = {"a": SANOV_A, "b": SANOV_B}
-    lt = line_type()
     for g in enumerate_ball(f2, 6):
         syl = f2.syllables(g)
         if not syl:
@@ -371,7 +447,7 @@ def test_sanov_cloud_respects_ping_pong(f2):
         m = np.eye(2)
         for name, power in syl:
             m = m @ np.linalg.matrix_power(rep[name], power)
-        theta = flag_angle(attracting_flag(m, lt)[0])
+        theta, _ = _attracting(m)
         slope = abs(math.tan(theta)) if abs(theta - math.pi / 2) > 1e-12 \
             else math.inf
         if syl[0][0] == "a":
@@ -411,13 +487,13 @@ def test_hausdorff_rp1_wraparound():
        st.lists(st.floats(min_value=0.0, max_value=math.pi, exclude_max=True),
                 min_size=1, max_size=8))
 def test_hausdorff_rp1_matches_flag_metric(xs, ys):
-    # brute-force sup-min in the flag metric must agree with the sweep
-    fx = [line_flag(t) for t in xs]
-    fy = [line_flag(t) for t in ys]
+    # brute-force sup-min in the projector metric must agree with the sweep
+    def projector_distance(s, t):
+        return np.linalg.norm(_projector(s) - _projector(t), 2)
     sup = 0.0
-    for a, b in ((fx, fy), (fy, fx)):
-        for f in a:
-            sup = max(sup, min(flag_distance(f, g) for g in b))
+    for a, b in ((xs, ys), (ys, xs)):
+        for s in a:
+            sup = max(sup, min(projector_distance(s, t) for t in b))
     assert hausdorff_rp1(xs, ys) == pytest.approx(sup, abs=1e-9)
 
 
@@ -566,15 +642,15 @@ def test_conditional_add_is_mod_pi_on_half_angles():
 def test_cloud_hausdorff_is_hausdorff_rp1(xs, ys):
     a = _dedup_sorted(_sorted_rp1(xs), DEFAULT_TOLS.dedup)
     b = _dedup_sorted(_sorted_rp1(ys), DEFAULT_TOLS.dedup)
-    ca = FlagCloud(line_type(), a, None, len(xs), 0)
-    cb = FlagCloud(line_type(), b, None, len(ys), 0)
+    ca = FlagCloud(a, len(xs), 0)
+    cb = FlagCloud(b, len(ys), 0)
     assert ca.hausdorff(cb) == hausdorff_rp1(a, b) == _hausdorff_sorted(a, b)
     assert cb.hausdorff(ca) == hausdorff_rp1(b, a)
 
 
 def test_cloud_hausdorff_refuses_empty_clouds():
-    full = FlagCloud(line_type(), np.array([0.1, 1.0]), None, 3, 1)
-    empty = FlagCloud(line_type(), np.empty(0), None, 1, 1)
+    full = FlagCloud(np.array([0.1, 1.0]), 3, 1)
+    empty = FlagCloud(np.empty(0), 1, 1)
     for x, y in ((full, empty), (empty, full), (empty, empty)):
         with pytest.raises(InvalidParameterError):
             x.hausdorff(y)
@@ -583,8 +659,8 @@ def test_cloud_hausdorff_refuses_empty_clouds():
 @pytest.mark.parametrize("angles", [[1.0, 0.5], [-0.1, 0.5], [0.5, 3.5],
                                     [0.5, math.nan]])
 def test_cloud_hausdorff_refuses_unsorted_or_unreduced_angles(angles):
-    bad = FlagCloud(line_type(), np.array(angles), None, 3, 1)
-    good = FlagCloud(line_type(), np.array([0.1, 1.0]), None, 3, 1)
+    bad = FlagCloud(np.array(angles), 3, 1)
+    good = FlagCloud(np.array([0.1, 1.0]), 3, 1)
     for x, y in ((bad, good), (good, bad)):
         with pytest.raises(InvalidParameterError, match="sorted"):
             x.hausdorff(y)
@@ -630,8 +706,8 @@ def test_sorted_rp1_sends_a_rounded_up_pi_to_zero():
     # must see it as 0.0
     assert _sorted_rp1([-9.6e-208, 1.0]).tolist() == [0.0, 1.0]
     a, b = _sorted_rp1([1e-09]), _sorted_rp1([-9.6e-208])
-    ca = FlagCloud(line_type(), a, None, 1, 0)
-    cb = FlagCloud(line_type(), b, None, 1, 0)
+    ca = FlagCloud(a, 1, 0)
+    cb = FlagCloud(b, 1, 0)
     assert ca.hausdorff(cb) == hausdorff_rp1(a, b) == hausdorff_rp1([1e-09], [0.0])
 
 

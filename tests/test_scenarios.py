@@ -346,6 +346,26 @@ def test_unasserted_failure_keeps_exit_zero(tmp_path):
     assert not summary["tasks"][0]["pass"]
 
 
+ROTATION_IMAGES = {"a": [[0.0, -1.0], [1.0, 0.0]],
+                   "b": [[0.8, -0.6], [0.6, 0.8]]}
+
+
+@pytest.mark.parametrize("members", [{}, {"5": ROTATION_IMAGES}],
+                         ids=["no-members", "members-failing-screening"])
+def test_limitset_with_no_member_measured_fails(tmp_path, members):
+    p = scenario_file(tmp_path, {
+        "pair": {"builtin": "f2"},
+        "filling_family": {"members": members},
+        "tasks": [{"check": "limitset", "word_depth": 4}]})
+    code, summary = run_scenario(p, output_dir=tmp_path / "out")
+    assert code == 1
+    entry = summary["tasks"][0]
+    assert not entry["pass"]
+    report = json.loads((tmp_path / "out" / entry["report_file"]).read_text())
+    assert report["table"] == [] and not report["pass"]
+    assert len(report["flagged"]) == len(members)
+
+
 def test_seconds_budget_is_enforced(tmp_path):
     p = scenario_file(tmp_path, {
         "pair": {"builtin": "f2"},
