@@ -3,6 +3,8 @@
 Verbs mirror the library layers: window builders (``cusped``, ``delta``),
 filling checks (``fill``, ``lift``), flag-side checkers (``automaton``,
 ``edf``, ``chabauty``, ``limitset``), and the scenario runner (``run``).
+Every check verb runs one scenario task through the runner that ``run``
+uses; ``fill`` and ``lift`` run a ``filling`` task.
 
 Exit codes: 0 all asserted checks pass, 1 a property failed, 2 usage or
 input problems, 3 a budget was exceeded.
@@ -31,21 +33,8 @@ from .errors import (
     UnsupportedKindError,
     WindowError,
 )
-from .filling_geometry import (
-    build_quotient_cusped,
-    check_descent_quasigeodesic,
-    check_local_isometry,
-    check_uniform_delta,
-    filling_map_report,
-    injectivity_report,
-    lift_roundtrip_report,
-)
-from .groups import make_filling
-from .scenarios import (Scenario, _dump_json, _load_json, pair_from_spec,
-                        run_scenario, run_task)
-
-FILL_CHECKS = ("local-isometry", "descent", "uniform-delta", "map",
-               "injectivity")
+from .scenarios import (FILLING_CHECKS, Scenario, _dump_json, _load_json,
+                        pair_from_spec, run_scenario, run_task)
 
 
 def _pair_spec(path: str | None) -> dict:
@@ -55,11 +44,16 @@ def _pair_spec(path: str | None) -> dict:
     return _load_json(p.read_text(), p.name)
 
 
-def _kernels(text: str) -> dict:
-    spec = _load_json(text, "--kernels")
-    if not isinstance(spec, dict):
-        raise SchemaError("--kernels: expected an object keyed by peripheral")
-    return spec
+def _one_task(args, task: dict, **spec) -> dict:
+    """The report of ``task``, the one task of a scenario over ``--pair``."""
+    sc = Scenario({"pair": _pair_spec(args.pair), "tasks": [task], **spec})
+    return run_task(sc, sc.tasks[0])
+
+
+def _filling_task(args, checks: list[str]) -> dict:
+    return _one_task(args, {"check": "filling", "radius": args.radius,
+                            "kernels": _load_json(args.kernels, "--kernels"),
+                            "checks": checks}, seed=args.seed)
 
 
 def _family_task(args, task: dict) -> int:
@@ -72,14 +66,12 @@ def _family_task(args, task: dict) -> int:
             f"{args.indices!r}") from None
     if not ns:
         raise InvalidParameterError("--indices must name at least one index")
-    sc = Scenario({"pair": _pair_spec(args.pair), "tasks": [task],
-                   "filling_family": {"builtin": "elliptic", "indices": ns}})
-    report = run_task(sc, task)
-    _emit(report, args.out)
-    return _passfail(report)
+    return _emit(_one_task(args, task, filling_family={
+        "builtin": "elliptic", "indices": ns}), args.out)
 
 
-def _emit(report: dict, out: str | None) -> None:
+def _emit(report: dict, out: str | None) -> int:
+    """Write the report; the exit code of its verdict."""
     text = _dump_json(report)
     if out:
         Path(out).write_text(text)
@@ -88,9 +80,6 @@ def _emit(report: dict, out: str | None) -> None:
         print(f"wrote {out}{tail}")
     else:
         sys.stdout.write(text)
-
-
-def _passfail(report: dict) -> int:
     return 0 if report.get("pass", False) else 1
 
 
@@ -112,8 +101,7 @@ def cmd_cusped(args) -> int:
         "dump": args.dump,
         "pass": True,
     }
-    _emit(report, args.out)
-    return 0
+    return _emit(report, args.out)
 
 
 def cmd_delta(args) -> int:
@@ -129,60 +117,16 @@ def cmd_delta(args) -> int:
         "exact": est.exact,
         "pass": True,
     }
-    _emit(report, args.out)
-    return 0
+    return _emit(report, args.out)
 
 
 def cmd_fill(args) -> int:
-    pair = pair_from_spec(_pair_spec(args.pair))
-    kernels = _kernels(args.kernels)
-    filling = make_filling(pair, kernels)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    for c in checks:
-        if c not in FILL_CHECKS:
-            raise InvalidParameterError(
-                f"unknown check {c!r}; expected one of {', '.join(FILL_CHECKS)}")
-    fg = None
-    if set(checks) - {"injectivity"}:
-        fg = build_quotient_cusped(pair, filling, args.radius)
-    sub = {}
-    for c in checks:
-        if c == "local-isometry":
-            sub[c] = check_local_isometry(fg, args.isometry_radius)
-        elif c == "descent":
-            sub[c] = check_descent_quasigeodesic(
-                fg, K=args.descent_k, max_depth_used=args.descent_depth,
-                samples=args.samples, seed=args.seed)
-        elif c == "uniform-delta":
-            orders = [p.factor.p_order()
-                      for p in filling.quotient_pair.peripherals]
-            n = max((o for o in orders if o), default=0)
-            sub[c] = check_uniform_delta(pair, {n: filling},
-                                         radius=args.delta_radius,
-                                         samples=args.delta_samples,
-                                         seed=args.seed)
-        elif c == "map":
-            sub[c] = filling_map_report(fg)
-        elif c == "injectivity":
-            sub[c] = injectivity_report(filling, args.radius)
-    report = {
-        "name": "filling-checks",
-        "radius": args.radius,
-        "kernels": kernels,
-        "checks": sub,
-        "pass": all(r.get("pass", False) for r in sub.values()),
-    }
-    _emit(report, args.out)
-    return _passfail(report)
+    return _emit(_filling_task(args, checks), args.out)
 
 
 def cmd_lift(args) -> int:
-    pair = pair_from_spec(_pair_spec(args.pair))
-    filling = make_filling(pair, _kernels(args.kernels))
-    fg = build_quotient_cusped(pair, filling, args.radius)
-    report = lift_roundtrip_report(fg, n_paths=args.paths, seed=args.seed)
-    _emit(report, args.out)
-    return _passfail(report)
+    return _emit(_filling_task(args, ["lift"])["checks"]["lift"], args.out)
 
 
 def cmd_automaton(args) -> int:
@@ -218,8 +162,7 @@ def cmd_automaton(args) -> int:
             raise InvalidParameterError(
                 "--dump-sets needs the bundled set system; drop --auto")
         Path(args.dump_sets).write_text(_dump_json(set_system_to_json(sys_)))
-    _emit(report, args.out)
-    return _passfail(report)
+    return _emit(report, args.out)
 
 
 def cmd_edf(args) -> int:
@@ -283,30 +226,25 @@ def build_parser() -> argparse.ArgumentParser:
     out_arg(p)
     p.set_defaults(func=cmd_delta)
 
-    p = sub.add_parser("fill", help="filling checks on a quotient window")
-    pair_arg(p)
-    p.add_argument("--kernels", required=True,
-                   help='JSON object, e.g. \'{"0":["a^50"],"1":["b^50"]}\'')
-    p.add_argument("--radius", type=int, required=True)
+    def filling_args(p):
+        pair_arg(p)
+        p.add_argument("--kernels", required=True,
+                       help='JSON object, e.g. \'{"0":["a^50"],"1":["b^50"]}\'')
+        p.add_argument("--radius", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        out_arg(p)
+
+    p = sub.add_parser("fill", help="the filling checks on a quotient window: "
+                                    "a one-task scenario of check 'filling'")
+    filling_args(p)
     p.add_argument("--checks", default="local-isometry,descent,uniform-delta",
-                   help=f"comma list from: {', '.join(FILL_CHECKS)}")
-    p.add_argument("--isometry-radius", type=int, default=None)
-    p.add_argument("--descent-k", type=float, default=1.0)
-    p.add_argument("--descent-depth", type=int, default=2)
-    p.add_argument("--delta-radius", type=int, default=4)
-    p.add_argument("--delta-samples", type=int, default=50_000)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    out_arg(p)
+                   help=f"comma list from: {', '.join(FILLING_CHECKS)}")
     p.set_defaults(func=cmd_fill)
 
-    p = sub.add_parser("lift", help="lift quotient geodesics and check them")
-    pair_arg(p)
-    p.add_argument("--kernels", required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--paths", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    out_arg(p)
+    p = sub.add_parser("lift", help="lift 1,000 quotient geodesics and check "
+                                    "them: the 'lift' check of a one-task "
+                                    "scenario of check 'filling'")
+    filling_args(p)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("automaton", help="validate an automaton, optionally "
@@ -327,18 +265,17 @@ def build_parser() -> argparse.ArgumentParser:
         pair_arg(p)
         p.add_argument("--indices", default="10,20,30,40,60",
                        help="comma list of filling orders")
+        out_arg(p)
 
     p = sub.add_parser("edf", help="extended filling condition per index")
     family_args(p)
     p.add_argument("--depth", type=int, default=8)
-    out_arg(p)
     p.set_defaults(func=cmd_edf)
 
     p = sub.add_parser("chabauty", help="windowed group convergence table")
     family_args(p)
     p.add_argument("--radius", type=float, default=10.0)
     p.add_argument("--depth", type=int, default=8)
-    out_arg(p)
     p.set_defaults(func=cmd_chabauty)
 
     p = sub.add_parser("limitset", help="limit set convergence table")
@@ -346,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--screen-powers", type=int, default=7)
     p.add_argument("--max-final", type=float, default=None)
-    out_arg(p)
     p.set_defaults(func=cmd_limitset)
 
     p = sub.add_parser("run", help="run a scenario file")
@@ -365,9 +301,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else int(e.code)
-    if getattr(args, "isometry_radius", None) is None \
-            and getattr(args, "func", None) is cmd_fill:
-        args.isometry_radius = max(1, args.radius - 1)
     try:
         return args.func(args)
     except BudgetExceededError as e:

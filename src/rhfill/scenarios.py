@@ -1,6 +1,7 @@
 """Scenario runner: one JSON file describing a pair, a representation
 family, and a task list; one JSON report per task, optional CSVs, and a
-summary with a machine-checkable verdict per task.
+summary with a machine-checkable verdict per task. Each CLI check verb runs
+one task; ``filling`` checks the quotient window of one filling.
 
 Reports are deterministic: a scenario with a fixed seed serializes to the
 same bytes on every run (sorted keys, no timestamps, no absolute paths).
@@ -47,9 +48,13 @@ from .errors import (
     RhfillError,
     SchemaError,
 )
-from .filling_geometry import check_uniform_delta
+from .filling_geometry import (
+    build_quotient_cusped, check_descent_quasigeodesic, check_local_isometry,
+    check_uniform_delta, filling_map_report, injectivity_report,
+    lift_roundtrip_report)
 from .flags import generator_images
-from .groups import RelHypPair, make_oracle, make_pair, parse_word, standard_f2_pair
+from .groups import (RelHypPair, make_filling, make_oracle, make_pair,
+                     parse_word, standard_f2_pair)
 from .metric_checks import verify_metric_lemmas
 
 __all__ = [
@@ -87,8 +92,15 @@ _MATRICES = {"type": "object", "additionalProperties": {
 _BALLS = {"type": "array", "items": {"type": "object", "properties": {
     "angle": _NUMBER, "radius": _NUMBER}}}
 
-# the parameters each task runner reads, beside the keys every task takes
+FILLING_CHECKS = ("local-isometry", "descent", "uniform-delta", "map",
+                  "injectivity", "lift")
+
+# the parameters each task runner reads, beside the keys every task takes;
+# a filling task must give all three of its own
 TASK_PARAMS = {
+    "filling": {"kernels": {"type": "object"}, "radius": _int(0),
+                "checks": {"type": "array", "minItems": 1,
+                           "items": {"enum": list(FILLING_CHECKS)}}},
     "metric-lemmas": {"radius": _int(0), "samples": _int(1),
                       "quasidensity_radius": _int(0)},
     "uniform-delta": {"radius": _int(0), "slack": _NUMBER, "samples": _int(1),
@@ -99,7 +111,7 @@ TASK_PARAMS = {
                     "max_repetition": _int(0), "csv": _STRING},
     "edf": {"enumeration_depth": _int(1),
             "expect_stability_failures": {"type": "boolean"}, "csv": _STRING,
-            "queries": {"type": "array", "items": {
+            "queries": {"type": "array", "minItems": 1, "items": {
                 "type": "object", "additionalProperties": False,
                 "properties": {"peripheral": _int(0), "name": _STRING,
                                "excluded": {"type": "array", "items": _STRING},
@@ -172,7 +184,9 @@ SCENARIO_SCHEMA = {
                     {"if": {"required": ["check"],
                             "properties": {"check": {"const": check}}},
                      "then": {"properties": {**_TASK_COMMON, **params},
-                              "additionalProperties": False}}
+                              "additionalProperties": False,
+                              "required": (list(params) if check == "filling"
+                                           else [])}}
                     for check, params in TASK_PARAMS.items()],
             },
         },
@@ -203,8 +217,9 @@ def pair_from_spec(pspec: dict) -> RelHypPair:
 class Scenario:
     """Validated scenario: pair, representation family, budgets, tasks.
 
-    Each edf task's ``queries`` are parsed into :class:`EdfQuery` objects
-    and checked against the pair here, before any task runs.
+    Each edf task's ``queries`` are parsed into :class:`EdfQuery` objects,
+    and each filling task's ``kernels`` into its ``filling``, and checked
+    against the pair here, before any task runs.
     """
 
     def __init__(self, spec: dict):
@@ -214,13 +229,17 @@ class Scenario:
             raise SchemaError(f"{path}: {e.message}")
         self.spec = spec
         self.seed = int(spec.get("seed", 0))
-        self.budgets = dict(DEFAULT_BUDGETS)
-        self.budgets.update(spec.get("budgets", {}))
+        self.budgets = {**DEFAULT_BUDGETS, **spec.get("budgets", {})}
         self.output_dir = spec.get("output_dir", "reports")
         self.pair = pair_from_spec(spec["pair"])
-        self.family = self._build_family(spec.get("representation", {}),
-                                         spec.get("filling_family"))
-        self.tasks = [self._parse_queries(i, task)
+        # filling tasks read no family, and the Sanov base fits two-generator
+        # pairs only; a bad image fails here, before any task runs
+        self.family = None
+        if {"representation", "filling_family"} & set(spec) or any(
+                task["check"] != "filling" for task in spec["tasks"]):
+            self.family = self._build_family(spec.get("representation", {}),
+                                             spec.get("filling_family"))
+        self.tasks = [self._parse_task(i, task)
                       for i, task in enumerate(spec["tasks"])]
         _check_output_names(self.tasks)
 
@@ -229,7 +248,13 @@ class Scenario:
         """The bundled automaton and set system, built on first use."""
         return bundled_sanov_automaton(self.pair)
 
-    def _parse_queries(self, i: int, task: dict) -> dict:
+    def _parse_task(self, i: int, task: dict) -> dict:
+        if task["check"] == "filling":
+            try:
+                return {**task, "filling": make_filling(self.pair,
+                                                        task["kernels"])}
+            except RhfillError as e:
+                raise SchemaError(f"tasks.{i}.kernels: {e}") from None
         if task["check"] != "edf" or "queries" not in task:
             return task
         return {**task, "queries": [
@@ -381,18 +406,46 @@ def _task_uniform_delta(sc: Scenario, params: dict) -> dict:
         seed=sc.seed)
 
 
+def _task_filling(sc: Scenario, params: dict) -> dict:
+    """The checks at fixed parameters: local isometry at radius - 1,
+    descent with K = 1 at depth 2 over 200 pairs, 1,000 lift paths, and the
+    delta of radius-4 windows over 50,000 quadruples, indexed by the
+    largest finite peripheral order."""
+    filling, radius, checks = (params["filling"], int(params["radius"]),
+                               params["checks"])
+    fg = (build_quotient_cusped(sc.pair, filling, radius)
+          if set(checks) - {"injectivity", "uniform-delta"} else None)
+    orders = [p.factor.p_order() for p in filling.quotient_pair.peripherals]
+    runners = {
+        "local-isometry": lambda: check_local_isometry(fg, max(1, radius - 1)),
+        "descent": lambda: check_descent_quasigeodesic(
+            fg, K=1.0, max_depth_used=2, samples=200, seed=sc.seed),
+        "uniform-delta": lambda: check_uniform_delta(
+            sc.pair, {max((o for o in orders if o), default=0): filling},
+            radius=4, samples=50_000, seed=sc.seed),
+        "map": lambda: filling_map_report(fg),
+        "injectivity": lambda: injectivity_report(filling, radius),
+        "lift": lambda: lift_roundtrip_report(fg, n_paths=1000, seed=sc.seed),
+    }
+    sub = {c: runners[c]() for c in checks}
+    return {
+        "name": "filling-checks",
+        "radius": radius,
+        "kernels": params["kernels"],
+        "checks": sub,
+        "pass": all(r.get("pass", False) for r in sub.values()),
+    }
+
+
 def _task_edf(sc: Scenario, params: dict) -> dict:
     queries = (params["queries"] if "queries" in params
                else bundled_edf_queries(sc.pair))
     depth = int(params.get("enumeration_depth", 8))
     reports = [edf_condition_check(sc.family, q, enumeration_depth=depth)
                for q in queries]
-    table = []
-    for rep in reports:
-        for row in rep["edf"]:
-            table.append({"query": rep["query"], "n": row["index"],
-                          "min_margin": row["min_margin"],
-                          "verdict": row["verdict"]})
+    table = [{"query": rep["query"], "n": row["index"],
+              "min_margin": row["min_margin"], "verdict": row["verdict"]}
+             for rep in reports for row in rep["edf"]]
     ok = all(r["pass"] for r in reports)
     if params.get("expect_stability_failures"):
         ok = ok and all(row["verdict"] == "fail"
@@ -498,6 +551,7 @@ def _task_tracking(sc: Scenario, params: dict) -> dict:
 
 _TASK_RUNNERS = {
     "compatibility": _task_compatibility,
+    "filling": _task_filling,
     "metric-lemmas": _task_metric_lemmas,
     "uniform-delta": _task_uniform_delta,
     "edf": _task_edf,

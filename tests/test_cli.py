@@ -68,7 +68,7 @@ def test_fill_long_filling_passes(tmp_path, pair_file, capsys):
     out = tmp_path / "report.json"
     code = main(["fill", "--pair", pair_file,
                  "--kernels", '{"0":["a^50"],"1":["b^50"]}',
-                 "--radius", "4", "--isometry-radius", "2",
+                 "--radius", "4",
                  "--checks", "local-isometry,injectivity,map",
                  "--out", str(out)])
     assert code == 0
@@ -82,8 +82,7 @@ def test_fill_long_filling_passes(tmp_path, pair_file, capsys):
 def test_fill_short_filling_fails(pair_file, capsys):
     code = main(["fill", "--pair", pair_file,
                  "--kernels", '{"0":["a^3"],"1":["b^3"]}',
-                 "--radius", "4", "--isometry-radius", "2",
-                 "--checks", "local-isometry"])
+                 "--radius", "4", "--checks", "local-isometry"])
     assert code == 1
     report = json.loads(capsys.readouterr().out)
     assert report["checks"]["local-isometry"]["violation_count"] > 0
@@ -92,7 +91,8 @@ def test_fill_short_filling_fails(pair_file, capsys):
 def test_fill_rejects_unknown_check(pair_file, capsys):
     assert main(["fill", "--pair", pair_file, "--kernels", "{}",
                  "--radius", "3", "--checks", "frobnicate"]) == 2
-    assert "unknown check" in capsys.readouterr().err
+    assert "tasks.0.checks.0: 'frobnicate' is not one of" \
+        in capsys.readouterr().err
 
 
 def test_fill_rejects_bad_kernel_json(pair_file, capsys):
@@ -101,14 +101,44 @@ def test_fill_rejects_bad_kernel_json(pair_file, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_fill_without_checks_is_usage(pair_file, capsys):
+    assert main(["fill", "--pair", pair_file, "--kernels", '{"0":["a^5"]}',
+                 "--radius", "2", "--checks", ","]) == 2
+    assert "tasks.0.checks: []" in capsys.readouterr().err
+
+
+def test_fill_on_a_three_generator_pair(tmp_path, capsys):
+    # a filling task reads no representation, so the Sanov base, which
+    # has images for a and b only, is not built
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"group": {"kind": "free", "rank": 3}}))
+    assert main(["fill", "--pair", str(pair), "--kernels", '{"2":["c^5"]}',
+                 "--radius", "2", "--checks", "injectivity,map"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+
+
+def test_fill_and_lift_are_the_filling_task(pair_file, capsys):
+    kernels = {"0": ["a^20"], "1": ["b^20"]}
+    args = ["--pair", pair_file, "--kernels", json.dumps(kernels),
+            "--radius", "3", "--seed", "5"]
+    task = {"check": "filling", "kernels": kernels, "radius": 3,
+            "checks": ["descent", "map", "lift"]}
+    sc = Scenario({"pair": {"builtin": "f2"}, "seed": 5, "tasks": [task]})
+    expected = run_task(sc, sc.tasks[0])
+    assert main(["fill", *args, "--checks", "descent,map,lift"]) == 0
+    assert capsys.readouterr().out == _dump_json(expected)
+    assert main(["lift", *args]) == 0
+    assert capsys.readouterr().out == _dump_json(expected["checks"]["lift"])
+
+
 def test_lift_roundtrip(pair_file, capsys):
     code = main(["lift", "--pair", pair_file,
                  "--kernels", '{"0":["a^50"],"1":["b^50"]}',
-                 "--radius", "4", "--paths", "50"])
+                 "--radius", "4"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["pass"]
-    assert report["paths"] == 50
+    assert report["paths"] == 1000
     assert report["roundtrip_failures"] == 0
 
 
@@ -183,6 +213,42 @@ def test_run_bad_task_parameter_is_usage(tmp_path, capsys, task):
                               "tasks": [{"check": "tracking"}, task]}))
     assert main(["run", str(sc), "--out", str(tmp_path / "out")]) == 2
     assert "tasks.1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_edf_without_queries_is_usage(tmp_path, capsys):
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps({"pair": {"builtin": "f2"},
+                              "tasks": [{"check": "edf", "queries": []}]}))
+    assert main(["run", str(sc), "--out", str(tmp_path / "out")]) == 2
+    assert "tasks.0.queries: []" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+FILLING_TASK = {"check": "filling", "kernels": {"0": ["a^5"]}, "radius": 2,
+                "checks": ["map"]}
+
+
+@pytest.mark.parametrize("edit,where", [
+    ({"kernels": {"x": ["a^5"]}},
+     "tasks.1.kernels: peripheral id 'x' is not a non-negative integer"),
+    ({"kernels": {"0": "a^5"}},
+     "tasks.1.kernels: peripheral 0: expected a list of kernels"),
+    ({"kernels": {"0": ["c^5"]}}, "tasks.1.kernels: "),
+    ({"kernels": ["a^5"]}, "tasks.1.kernels: "),
+    ({"checks": ["frobnicate"]}, "tasks.1.checks.0: 'frobnicate' is not one of"),
+    ({"checks": []}, "tasks.1.checks: []"),
+    ({"radius": -1}, "tasks.1.radius"),
+    ({"kernels": None}, "tasks.1: 'kernels' is a required property"),
+    ({"checks": None}, "tasks.1: 'checks' is a required property"),
+])
+def test_run_malformed_filling_task_is_usage(tmp_path, capsys, edit, where):
+    task = {k: v for k, v in {**FILLING_TASK, **edit}.items() if v is not None}
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps({"pair": {"builtin": "f2"},
+                              "tasks": [{"check": "tracking"}, task]}))
+    assert main(["run", str(sc), "--out", str(tmp_path / "out")]) == 2
+    assert where in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -410,21 +476,6 @@ def test_run_elements_budget_exits_three(tmp_path, capsys):
     assert "ball elements" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args,message", [
-    (["--checks", "local-isometry", "--isometry-radius", "0"], "r >= 1"),
-    (["--checks", "local-isometry", "--isometry-radius", "-1"], "r >= 1"),
-    (["--checks", "descent", "--samples", "0"], "samples >= 1"),
-    (["--checks", "uniform-delta", "--delta-radius", "2",
-      "--delta-samples", "0"], "samples >= 1"),
-])
-def test_fill_vacuous_check_is_usage(pair_file, capsys, args, message):
-    code = main(["fill", "--pair", pair_file,
-                 "--kernels", '{"0":["a^3"],"1":["b^3"]}', "--radius", "3",
-                 *args])
-    assert code == 2
-    assert message in capsys.readouterr().err
-
-
 def test_run_elliptic_family_with_own_base_is_usage(tmp_path, capsys):
     code = _run_scenario(tmp_path, {
         "pair": {"builtin": "f2"},
@@ -440,13 +491,6 @@ def test_sampled_delta_without_samples_is_usage(small_graph, capsys):
     assert main(["delta", "--graph", small_graph, "--mode", "sampled",
                  "--samples", "0"]) == 2
     assert "samples >= 1" in capsys.readouterr().err
-
-
-def test_lift_without_paths_is_usage(pair_file, capsys):
-    assert main(["lift", "--pair", pair_file,
-                 "--kernels", '{"0":["a^50"],"1":["b^50"]}',
-                 "--radius", "3", "--paths", "0"]) == 2
-    assert "n_paths >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tasks,where", [

@@ -340,3 +340,8 @@ def test_local_isometry_needs_a_positive_radius(fg50, r):
 def test_descent_needs_a_sample(fg50):
     with pytest.raises(InvalidParameterError, match="samples >= 1"):
         check_descent_quasigeodesic(fg50, K=1.0, max_depth_used=2, samples=0)
+
+
+def test_lift_needs_a_path(fg50):
+    with pytest.raises(InvalidParameterError, match="n_paths >= 1"):
+        lift_roundtrip_report(fg50, n_paths=0)

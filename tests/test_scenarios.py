@@ -13,9 +13,15 @@ import rhfill.scenarios
 from rhfill.cli import main
 from rhfill.convergence import elliptic_generators
 from rhfill.errors import BudgetExceededError, NoTabularDataError, SchemaError
-from rhfill.scenarios import (SCENARIO_SCHEMA, Scenario, bundled_scenario_path,
-                              emit_plot_data, load_scenario, pair_from_spec,
-                              run_scenario, run_task)
+from rhfill.filling_geometry import (build_quotient_cusped,
+                                     check_descent_quasigeodesic,
+                                     check_local_isometry, filling_map_report,
+                                     injectivity_report, lift_roundtrip_report)
+from rhfill.groups import make_filling, standard_f2_pair
+from rhfill.scenarios import (SCENARIO_SCHEMA, Scenario, _dump_json,
+                              bundled_scenario_path, emit_plot_data,
+                              load_scenario, pair_from_spec, run_scenario,
+                              run_task)
 
 # frozen from the bundled scenario run (seed 7)
 CONTRACTION_MAX_RATE = 0.058372998207474325
@@ -28,6 +34,32 @@ PINNED_REPORTS = {
     "05-contraction.json":
         "dc6333282ea9b7167f3986fd1780fea4b8b7c021ead2e81f3edcacb0c4e6bb45",
 }
+# exit code and sha256 of the stdout of `rhfill fill` (the default checks,
+# and every check but lift) and `rhfill lift` at --radius 4 for kernels
+# a^n, b^n; a change that moves them on purpose updates these pins
+PINNED_FILL_STDOUT = {
+    ("fill", 3):
+        (1, "9ea68c4e38c1fdcf9d2cf7e5ce119f6313025147b025868e943c7fab4f064bff"),
+    ("fill-all", 3):
+        (1, "81d8415e19747fcd2034709e30f0558eb394a0fd10d8f5720bbbe299d1513fb7"),
+    ("lift", 3):
+        (0, "00f4424db410044c00ec305249c75e69047ad958d978396d6a90ee767b539551"),
+    ("fill", 20):
+        (0, "ed510a47e65a364452950aeebd0d431bf83516aaea29c2415955d21c81c1eed3"),
+    ("fill-all", 20):
+        (0, "2745a47e26c43bf602324a85ee7d66b653c9e365fc7a19001e8a1021c2e49631"),
+    ("lift", 20):
+        (0, "77269a34c78ec0a0d23cbaf9e1e2edeb533d19b52548b04f19fa8b965006922d"),
+    ("fill", 50):
+        (0, "4c036f67c7497af1b5520356be98f08bf332b4565642d026e8aba86dd62cac11"),
+    ("fill-all", 50):
+        (0, "79e15ba9812999a570803473fe69f76ff21ad47a7ea38df6c740fb8a306c017f"),
+    ("lift", 50):
+        (0, "4a275af6374a68ef322e021f3f0662517ab09264e0871fcf7a46919f03e330d5"),
+}
+FILL_ARGV = {"fill": ["fill"], "lift": ["lift"],
+             "fill-all": ["fill", "--checks", "local-isometry,descent,"
+                          "uniform-delta,map,injectivity"]}
 
 
 def scenario_file(tmp_path, spec, name="sc.json"):
@@ -153,6 +185,40 @@ def test_bundled_arc_reports_are_pinned(bundled_run):
     for name, digest in PINNED_REPORTS.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, \
             name
+
+
+@pytest.mark.parametrize("verb,n", sorted(PINNED_FILL_STDOUT))
+def test_fill_and_lift_stdout_is_pinned(capsys, verb, n):
+    kernels = json.dumps({"0": [f"a^{n}"], "1": [f"b^{n}"]})
+    code = main([*FILL_ARGV[verb], "--kernels", kernels, "--radius", "4"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == PINNED_FILL_STDOUT[verb, n]
+
+
+def test_filling_tasks_write_the_library_reports(tmp_path):
+    """The make-up of the fillings-r5 benchmark workload, as scenario tasks."""
+    checks = ["local-isometry", "descent", "map", "lift", "injectivity"]
+    kernels = {n: {"0": [f"a^{n}"], "1": [f"b^{n}"]} for n in (20, 40, 60)}
+    p = scenario_file(tmp_path, {"pair": {"builtin": "f2"}, "seed": 0,
+                                 "tasks": [{"check": "filling", "name": f"n{n}",
+                                            "kernels": k, "radius": 5,
+                                            "checks": checks}
+                                           for n, k in kernels.items()]})
+    assert run_scenario(p, output_dir=tmp_path / "out")[0] == 0
+    pair = standard_f2_pair()
+    for n, k in kernels.items():
+        filling = make_filling(pair, k)
+        fg = build_quotient_cusped(pair, filling, 5)
+        sub = {"local-isometry": check_local_isometry(fg, 4),
+               "descent": check_descent_quasigeodesic(
+                   fg, K=1.0, max_depth_used=2, samples=200, seed=0),
+               "map": filling_map_report(fg),
+               "lift": lift_roundtrip_report(fg, n_paths=1000, seed=0),
+               "injectivity": injectivity_report(filling, 5)}
+        expected = {"name": "filling-checks", "radius": 5, "kernels": k,
+                    "checks": sub, "pass": True}
+        assert (tmp_path / "out" / f"n{n}.json").read_text() \
+            == _dump_json(expected)
 
 
 def test_bundled_stability_rows_all_fail(bundled_run):
