@@ -105,6 +105,8 @@ def cmd_cusped(args) -> int:
 
 
 def cmd_delta(args) -> int:
+    if args.seed < 0:
+        raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
     graph = load_graph(Path(args.graph).read_text())
     est = estimate_delta(graph, mode=args.mode, budget=args.budget,
                          samples=args.samples, seed=args.seed)

@@ -16,7 +16,9 @@ horoball only through its depth-zero boundary, and by the triangle
 inequality inside the horoball the best such point is the one where the
 normal form enters it, so every distance query is a closed form. The window
 builder below uses it both to enumerate exact metric balls and to certify
-that the truncation cannot have cut any geodesic.
+that the truncation cannot have cut any geodesic. That certificate is a
+closed formula over two O(n) vectors per window, so a window keeps no n x n
+array but its distance matrix.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ from .groups import (
 )
 
 MATRIX_CAP = 6000  # largest window for dense all-pairs work
-BFS_BLOCK = 256  # rows per block of the all-pairs BFS and of the certificate
+BFS_BLOCK = 256  # rows per block of the all-pairs BFS and of certificate scans
 
 
 # ---------------------------------------------------------------------------
@@ -487,26 +489,59 @@ class CuspedGraph:
 
     # -- truncation certificate ------------------------------------------
 
-    def certified_pairs_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(int16 ``distance_matrix()``, -1 if unreachable; boolean
+    def certified_pairs_matrix(self) -> tuple[np.ndarray, Certificate]:
+        """(int16 ``distance_matrix()``, -1 if unreachable; the truncation
         certificate), both cached and read-only. A pair is certified at
         window distance d >= 0 with d <= (R+1 - |i|) + (R+1 - |j|) and
         d <= (md+1 - depth i) + (md+1 - depth j), |i| = d(id, i): a shorter
-        geodesic would stay inside the ball and the depth cap (module doc)."""
+        geodesic would stay inside the ball and the depth cap (module doc).
+        The certificate is that formula over two O(n) vectors, evaluated
+        on demand; it stores no n x n array (:class:`Certificate`)."""
         D = self.distance_matrix()
         if self._cert is None:
             R = self.meta["radius"]
             md = self.meta.get("max_depth", R)
-            ball = R + 1 - np.asarray(self.meta["dist_from_id"], np.int16)
-            cap = (md + 1 - self.depth).astype(np.int16)
-            cert = np.empty(D.shape, dtype=bool)
-            for s in range(0, len(D), BFS_BLOCK):
-                rows = slice(s, s + BFS_BLOCK)
-                lim = np.minimum(ball[rows, None] + ball, cap[rows, None] + cap)
-                cert[rows] = (D[rows] >= 0) & (D[rows] <= lim)
-            cert.flags.writeable = False
-            self._cert = cert
+            self._cert = Certificate(
+                D, R + 1 - np.asarray(self.meta["dist_from_id"], np.int16),
+                (md + 1 - self.depth).astype(np.int16))
         return D, self._cert
+
+
+class Certificate:
+    """The truncation certificate of a window: pair (i, j) is certified iff
+    d = D[i, j] satisfies 0 <= d <= min(ball[i] + ball[j], cap[i] + cap[j])
+    in int16, with the limbs ball = R+1 - d(id, .) and cap = md+1 - depth.
+
+    ``cert[i, j]`` evaluates it on integers or integer index arrays,
+    broadcast as ``D[i, j]`` broadcasts them (``np.ix_`` blocks included);
+    it takes no item assignment. :meth:`pairs` scans a block of pairs in
+    slices of ``BFS_BLOCK`` rows, so no scan forms an n x n temporary."""
+
+    def __init__(self, D: np.ndarray, ball: np.ndarray, cap: np.ndarray):
+        self.D, self.ball, self.cap = D, ball, cap
+
+    def __getitem__(self, ij) -> np.ndarray:
+        i, j = (np.asarray(x) for x in ij)
+        return self._holds(self.D[i, j], i, j)
+
+    def _holds(self, d: np.ndarray, i, j) -> np.ndarray:
+        """The formula at the window distances d = D[i, j]."""
+        ball, cap = self.ball, self.cap
+        return (d >= 0) & (d <= np.minimum(ball[i] + ball[j], cap[i] + cap[j]))
+
+    def pairs(self, rows: np.ndarray, cols: np.ndarray | None = None,
+              upper: bool = False):
+        """The certified pairs (rows[a], cols[b]) as position arrays (a, b),
+        yielded per ``BFS_BLOCK`` rows, row-major; ``cols`` defaults to
+        every vertex, and ``upper`` keeps only the pairs with b > a."""
+        for s in range(0, len(rows), BFS_BLOCK):
+            r = rows[s:s + BFS_BLOCK]
+            if cols is None:  # whole rows of D: a row gather, no 2-d index
+                block = self._holds(self.D[r], r[:, None], slice(None))
+            else:
+                block = self[r[:, None], cols]
+            a, b = np.nonzero(np.triu(block, k=1 + s) if upper else block)
+            yield a + s, b
 
 
 def geodesics(graph: CuspedGraph, u, v) -> np.ndarray:

@@ -7,7 +7,10 @@ quartic time); sampled mode draws quadruples with a seeded generator and
 yields a lower bound for delta, which is the safe direction whenever delta
 appears on the right-hand side of a bound being verified. Graph distances
 are the cached, read-only n x n int16 matrix, -1 where unreachable; integer
-matrices are used without a float copy.
+matrices are used without a float copy and checked by their minimum, so no
+n x n temporary is formed. That matrix is the only n x n array a window
+keeps: its truncation certificate is a formula over two O(n) vectors
+(`cusped.Certificate`).
 """
 from __future__ import annotations
 
@@ -50,7 +53,7 @@ def _as_matrix(graph_or_matrix) -> np.ndarray:
         raise InvalidParameterError("need a square distance matrix or graph")
     if D.shape[0] == 0:
         raise InvalidParameterError("the graph has no vertices")
-    if not (np.isfinite(D) if D.dtype.kind == "f" else D >= 0).all():
+    if not (np.isfinite(D).all() if D.dtype.kind == "f" else D.min() >= 0):
         raise DisconnectedError("distance matrix has unreachable pairs")
     return D
 

@@ -119,10 +119,11 @@ def filling_map_report(fg: FillingGeometry) -> dict:
     kind_mismatches = np.count_nonzero(
         ~collapsed & ((keys[at] != q) | (kinds[at] != src_kind)))
     Ds, cert = src.certified_pairs_matrix()
-    iu, il = np.nonzero(cert)
-    stretch = tgt.distance_matrix()[vmap[iu], vmap[il]] - Ds[iu, il]
-    lip_ok = not (stretch > 0).any()
-    worst = float(stretch.max()) if len(stretch) else 0.0
+    Dt = tgt.distance_matrix()
+    stretch = [int((Dt[vmap[a], vmap[b]] - Ds[a, b]).max())
+               for a, b in cert.pairs(np.arange(src.n_vertices)) if len(a)]
+    worst = float(max(stretch, default=0))
+    lip_ok = worst <= 0
     return {
         "name": "filling-map",
         "surjective": bool(surjective),

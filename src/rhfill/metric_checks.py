@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .cusped import (
+    BFS_BLOCK,
     CuspedGraph,
     _ranges,
     build_cusped_ball,
@@ -53,7 +54,7 @@ def comparison_lemma_check(window: CuspedGraph) -> dict:
     D, cert = window.certified_pairs_matrix()
     d0 = _depth0_indices(window)
     elems = [GroupElement(window.vertices[i][1]) for i in d0]
-    a, b = np.nonzero(np.triu(cert[np.ix_(d0, d0)], k=1))
+    a, b = map(np.concatenate, zip(*cert.pairs(d0, d0, upper=True)))
     dx = D[d0[a], d0[b]]
     dg, dh = (pair_word_costs(window.pair.group, elems, a, b, cost)
               for cost in (int, lambda n: min(n, 2)))
@@ -177,7 +178,9 @@ def quasidensity_check(window: CuspedGraph, delta: float,
         raise WindowError("window has no sphere vertices at its own radius")
     rays = _canonical_ray_union(window, sphere)
     ball = np.flatnonzero(dist0 <= ball_radius)
-    dmin = D[np.ix_(ball, rays)].min(axis=1)
+    dmin = np.empty(len(ball), dtype=D.dtype)
+    for s in range(0, len(ball), BFS_BLOCK):
+        dmin[s:s + BFS_BLOCK] = D[np.ix_(ball[s:s + BFS_BLOCK], rays)].min(axis=1)
     bound = 8 + 21 * delta
     bad = np.flatnonzero(dmin > bound)
     return {

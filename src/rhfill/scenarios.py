@@ -232,11 +232,13 @@ class Scenario:
         self.budgets = {**DEFAULT_BUDGETS, **spec.get("budgets", {})}
         self.output_dir = spec.get("output_dir", "reports")
         self.pair = pair_from_spec(spec["pair"])
-        # filling tasks read no family, and the Sanov base fits two-generator
-        # pairs only; a bad image fails here, before any task runs
+        # filling and metric-lemmas tasks read no family, and the Sanov base
+        # fits two-generator pairs only; a bad image fails here, before any
+        # task runs
         self.family = None
         if {"representation", "filling_family"} & set(spec) or any(
-                task["check"] != "filling" for task in spec["tasks"]):
+                task["check"] not in ("filling", "metric-lemmas")
+                for task in spec["tasks"]):
             self.family = self._build_family(spec.get("representation", {}),
                                              spec.get("filling_family"))
         self.tasks = [self._parse_task(i, task)

@@ -327,6 +327,26 @@ def test_run_malformed_matrix_is_usage(tmp_path, capsys, matrices, where):
     assert where in capsys.readouterr().err
 
 
+def test_run_metric_lemmas_reads_no_family(tmp_path, capsys):
+    # the Sanov base has no image for c, and the task reads none: it runs
+    # and fails on its own radius
+    code = _run_scenario(tmp_path, {
+        "pair": {"group": {"kind": "free", "rank": 3}},
+        "tasks": [{"check": "metric-lemmas", "radius": 2}]})
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "lemma verification needs radius >= 6" in out + err
+    assert "no image given" not in out + err
+    # an image given in the scenario is still checked before any task runs
+    code = _run_scenario(tmp_path, {
+        "pair": {"builtin": "f2"},
+        "representation": {"matrices": {"a": IDENTITY}},
+        "tasks": [{"check": "metric-lemmas", "radius": 6}]})
+    assert code == 2
+    assert "representation.matrices.b: no image given" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text,where", [
     ("V 0 0\n", "line 1"),
     ("V 0 0 - 1\nV 1 0 - a\nE 0\n", "line 3"),
@@ -491,6 +511,12 @@ def test_sampled_delta_without_samples_is_usage(small_graph, capsys):
     assert main(["delta", "--graph", small_graph, "--mode", "sampled",
                  "--samples", "0"]) == 2
     assert "samples >= 1" in capsys.readouterr().err
+
+
+def test_delta_negative_seed_is_usage(small_graph, capsys):
+    assert main(["delta", "--graph", small_graph, "--mode", "sampled",
+                 "--seed", "-1"]) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tasks,where", [

@@ -202,11 +202,11 @@ def test_window_bfs_matches_exact_metric_on_certified_pairs(f2):
     metric = g4.meta["metric"]
     dist0 = g4.meta["dist_from_id"]
     i0 = g4.index[depth0_key(f2.group.identity())]
+    n = g4.n_vertices
     # every from-identity distance is certified and exact
-    assert cert[i0].all()
+    assert cert[np.ix_([i0], np.arange(n))].all()
     assert (D[i0] == dist0).all()
     rng = np.random.default_rng(7)
-    n = g4.n_vertices
     checked = 0
     for i, j in zip(rng.integers(0, n, 400), rng.integers(0, n, 400)):
         if cert[i, j]:

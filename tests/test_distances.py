@@ -133,9 +133,11 @@ def test_returned_distances_are_read_only():
     with pytest.raises(ValueError):
         row[0] = 7
     D, cert = g.certified_pairs_matrix()
-    for arr in (D, D[3], g.bfs_distances(3), cert):
+    for arr in (D, D[3], g.bfs_distances(3)):
         with pytest.raises(ValueError):
             arr[0] = arr[1]
+    with pytest.raises(TypeError):
+        cert[0, 1] = True
     assert row[0] == D[3, 0]
 
 
@@ -153,10 +155,59 @@ def test_certificate_is_the_pair_formula_and_cached():
             lim = min((R + 1 - dist0[i]) + (R + 1 - dist0[j]),
                       (md + 1 - depth[i]) + (md + 1 - depth[j]))
             expected[i, j] = 0 <= int(D[i, j]) <= lim
-    assert cert.dtype == bool
-    assert (cert == expected).all()
+    every = np.arange(n)
+    mask = cert[np.ix_(every, every)]
+    assert mask.dtype == bool
+    assert (mask == expected).all()
     D2, cert2 = g.certified_pairs_matrix()
     assert cert2 is cert and D2 is D and D is g.distance_matrix()
+    # the block scans (n = 441, two blocks of rows) list the same pairs,
+    # with the columns given or by default
+    assert n > BFS_BLOCK
+    for cols in (every, None):
+        for upper, want in ((False, expected), (True, np.triu(expected, 1))):
+            a, b = map(np.concatenate, zip(*cert.pairs(every, cols, upper)))
+            assert (a.tolist(), b.tolist()) == tuple(
+                x.tolist() for x in np.nonzero(want))
+
+
+@pytest.fixture(scope="module")
+def capped_certificate():
+    """The certificate of the depth-capped window and the pair formula
+    evaluated one pair at a time in Python integers."""
+    g = BUILDERS["cusped-r6-depth1"]()
+    D, cert = g.certified_pairs_matrix()
+    R, md = g.meta["radius"], g.meta["max_depth"]
+    dist0, depth = g.meta["dist_from_id"].tolist(), g.depth.tolist()
+
+    def formula(i, j):
+        lim = min((R + 1 - dist0[i]) + (R + 1 - dist0[j]),
+                  (md + 1 - depth[i]) + (md + 1 - depth[j]))
+        return 0 <= int(D[i, j]) <= lim
+    return g.n_vertices, cert, formula
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_certificate_indexing_is_the_pair_formula(capped_certificate, data):
+    n, cert, formula = capped_certificate
+    index = st.integers(0, n - 1)
+    rows = data.draw(st.lists(index, min_size=1, max_size=12))
+    cols = data.draw(st.lists(index, min_size=1, max_size=12))
+    i, j = data.draw(index), data.draw(index)
+    assert bool(cert[i, j]) == formula(i, j)
+    block = cert[np.ix_(rows, cols)]
+    assert block.shape == (len(rows), len(cols))
+    assert block.tolist() == [[formula(r, c) for c in cols] for r in rows]
+    paired = data.draw(st.lists(index, min_size=len(rows),
+                                max_size=len(rows)))
+    assert cert[np.array(rows), np.array(paired)].tolist() == [
+        formula(r, c) for r, c in zip(rows, paired)]
+    a, b = map(np.concatenate, zip(*cert.pairs(np.array(rows),
+                                              np.array(cols))))
+    assert list(zip(a.tolist(), b.tolist())) == [
+        (p, q) for p, r in enumerate(rows) for q, c in enumerate(cols)
+        if formula(r, c)]
 
 
 def test_certified_pairs_exact_on_depth_capped_window():

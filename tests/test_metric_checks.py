@@ -1,6 +1,7 @@
 """Window verification of the coarse-geometry inequalities for (F_2, Z*Z)."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rhfill.metric_checks import (comparison_lemma_check,
                                   horoball_entry_check, quasidensity_check,
                                   verify_metric_lemmas)
 from rhfill.cusped import build_cusped_ball, horo_pair
+from rhfill.delta import four_point_delta_sampled
 from reference_windows import (_horoball_members, coned_length,
                                reference_shortest_path)
 
@@ -81,11 +83,34 @@ def test_radius_gate(pair):
         verify_metric_lemmas(pair, radius=4)
 
 
+def test_lemma_checks_form_no_window_sized_array(pair):
+    # with D formed, the certificate is O(n), and the sampled delta and the
+    # four lemma checks, run in turn, peak below a third of D
+    window = build_cusped_ball(pair, 6)
+    D = window.distance_matrix()
+    tracemalloc.start()
+    try:
+        window.certified_pairs_matrix()
+        cert_bytes = tracemalloc.get_traced_memory()[0]
+        delta = four_point_delta_sampled(D, samples=200_000, seed=0).delta
+        comparison_lemma_check(window)
+        horoball_entry_check(window, delta, C=2)
+        quasidensity_check(window, delta, ball_radius=5)
+        deep_horoball_isometry_check(window, max(1, math.ceil(delta)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert_bytes < 64 * window.n_vertices
+    assert peak < D.nbytes / 3
+
+
 def test_truncation_monotonicity_small(pair):
     # growing the window never changes a certified distance and never
     # increases any window distance
     small, big = build_cusped_ball(pair, 3), build_cusped_ball(pair, 4)
-    Ds, cs = small.certified_pairs_matrix()
+    Ds, cert = small.certified_pairs_matrix()
+    every = np.arange(small.n_vertices)
+    cs = cert[np.ix_(every, every)]
     into_big = np.array([big.index[k] for k in small.vertices])
     Db = big.distance_matrix()[np.ix_(into_big, into_big)]
     assert cs.sum() > 0

@@ -18,6 +18,7 @@ from rhfill.filling_geometry import (build_quotient_cusped,
                                      check_local_isometry, filling_map_report,
                                      injectivity_report, lift_roundtrip_report)
 from rhfill.groups import make_filling, standard_f2_pair
+from rhfill.metric_checks import verify_metric_lemmas
 from rhfill.scenarios import (SCENARIO_SCHEMA, Scenario, _dump_json,
                               bundled_scenario_path, emit_plot_data,
                               load_scenario, pair_from_spec, run_scenario,
@@ -33,6 +34,38 @@ PINNED_REPORTS = {
         "9b1c1fd74672ae98698342b0684ef4bfd8d26fee4db95ae6107e872915ee4e7e",
     "05-contraction.json":
         "dc6333282ea9b7167f3986fd1780fea4b8b7c021ead2e81f3edcacb0c4e6bb45",
+}
+# sha256 of `_dump_json` of verify_metric_lemmas(standard_f2_pair(), radius=6)
+# and of the library filling reports of the fillings-r5 benchmark make-up
+# (kernels a^n, b^n at radius 5, seed 0); a change that moves them on purpose
+# updates these pins
+PINNED_LEMMAS_R6 = \
+    "38107fa3e1ad5d9a14013872d322eac97c32db9b9fe7bcb5fc1f93f1e38c1484"
+PINNED_FILLINGS_R5 = {
+    (20, "local-isometry"):
+        "89c2ee9ebd52425297b8881a040f5157d3f45cec7da0843e618e5364ec5ab51a",
+    (20, "descent"):
+        "98ca48d7b2eedd235b444dd9049d51c95d2ad5d55503ac5bee8be964b7ce255e",
+    (20, "map"):
+        "a60f97bac087b5335d0015bd353e462212f158b3a62d832fe5d4caabc1388c66",
+    (20, "lift"):
+        "c528750d9cff9e66b54fb1101c810808cdfea2fa4b39359ad5d07a3a9d3f5dea",
+    (40, "local-isometry"):
+        "89c2ee9ebd52425297b8881a040f5157d3f45cec7da0843e618e5364ec5ab51a",
+    (40, "descent"):
+        "98ca48d7b2eedd235b444dd9049d51c95d2ad5d55503ac5bee8be964b7ce255e",
+    (40, "map"):
+        "a60f97bac087b5335d0015bd353e462212f158b3a62d832fe5d4caabc1388c66",
+    (40, "lift"):
+        "ed593d7a0bfa8f18f38789cd5baef4bb69b04eff373c69ca311db5af08593dd6",
+    (60, "local-isometry"):
+        "89c2ee9ebd52425297b8881a040f5157d3f45cec7da0843e618e5364ec5ab51a",
+    (60, "descent"):
+        "98ca48d7b2eedd235b444dd9049d51c95d2ad5d55503ac5bee8be964b7ce255e",
+    (60, "map"):
+        "a60f97bac087b5335d0015bd353e462212f158b3a62d832fe5d4caabc1388c66",
+    (60, "lift"):
+        "ed593d7a0bfa8f18f38789cd5baef4bb69b04eff373c69ca311db5af08593dd6",
 }
 # exit code and sha256 of the stdout of `rhfill fill` (the default checks,
 # and every check but lift) and `rhfill lift` at --radius 4 for kernels
@@ -180,6 +213,10 @@ def test_bundled_compatibility_margin(bundled_run):
     assert rep["min_margin"] == pytest.approx(COMPAT_MIN_MARGIN, abs=1e-12)
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_bundled_arc_reports_are_pinned(bundled_run):
     _, _, out = bundled_run
     for name, digest in PINNED_REPORTS.items():
@@ -219,6 +256,15 @@ def test_filling_tasks_write_the_library_reports(tmp_path):
                     "checks": sub, "pass": True}
         assert (tmp_path / "out" / f"n{n}.json").read_text() \
             == _dump_json(expected)
+        for check in ("local-isometry", "descent", "map", "lift"):
+            assert _digest(_dump_json(sub[check])) \
+                == PINNED_FILLINGS_R5[n, check], (n, check)
+
+
+def test_lemma_report_r6_is_pinned():
+    report = verify_metric_lemmas(standard_f2_pair(), radius=6)
+    assert report["pass"]
+    assert _digest(_dump_json(report)) == PINNED_LEMMAS_R6
 
 
 def test_bundled_stability_rows_all_fail(bundled_run):
