@@ -27,13 +27,31 @@ from rhfill.scenarios import (SCENARIO_SCHEMA, Scenario, _dump_json,
 # frozen from the bundled scenario run (seed 7)
 CONTRACTION_MAX_RATE = 0.058372998207474325
 COMPAT_MIN_MARGIN = 0.19955362909943897
-# sha256 of the bundled reports that the exact arc engine writes; a change
-# that moves them on purpose updates these pins and says why
+# sha256 of every file the bundled scenario run writes; a change that moves
+# one on purpose updates its pin and says why
 PINNED_REPORTS = {
     "00-compatibility.json":
         "9b1c1fd74672ae98698342b0684ef4bfd8d26fee4db95ae6107e872915ee4e7e",
+    "01-uniform-delta.json":
+        "4f6f224be0623bd0080b7e87f7bc8109a9b21524cac7c831ddef6a6068f8c92a",
+    "02-edf.json":
+        "99175570655b1ffd1c0dcdf1503a6bf0301646f79453b8fbc6985f50adc0f326",
+    "03-limitset.json":
+        "920302d04484b5856c4fc428c4e9e6f87ba0212db9172ceafce2911a8b290cbd",
+    "04-chabauty.json":
+        "b1b16a45591cbdb67f9398f2c9edaef6473d905ab8a0fbb438cbf458c69bf0c1",
     "05-contraction.json":
         "dc6333282ea9b7167f3986fd1780fea4b8b7c021ead2e81f3edcacb0c4e6bb45",
+    "chabauty.csv":
+        "b5208f25b14cfcb62150a198748d416074b57b5177ab2254d593124e5f5918a1",
+    "delta.csv":
+        "f8ab042e10c2f06d92353c10ea8c98e7ac66fa596e560d3c4a0392a677a4f1e4",
+    "edf.csv":
+        "9a951ac82f090d86071d2cdb76c92b112e687dffaedb5ec8a57fc2e18f57cb44",
+    "hausdorff.csv":
+        "a8839e9ba96a9153a813e23f5747c4a53693813aa90b44562ab0507c986ec00d",
+    "summary.json":
+        "a8c150bc36f65d3e2d3715a5365e5f57bda13689633244ab6dd2a98823038e9f",
 }
 # sha256 of `_dump_json` of verify_metric_lemmas(standard_f2_pair(), radius=6)
 # and of the library filling reports of the fillings-r5 benchmark make-up
