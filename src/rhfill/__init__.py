@@ -69,7 +69,7 @@ from .filling_geometry import (
 from .flags import (
     DivergenceCertificate,
     FlagCloud,
-    ProjectiveMatrix,
+    classify,
     generator_images,
     line_distance,
     q_divergence,
@@ -159,7 +159,7 @@ __all__ = [
     "lift_roundtrip_report",
     "DivergenceCertificate",
     "FlagCloud",
-    "ProjectiveMatrix",
+    "classify",
     "generator_images",
     "line_distance",
     "q_divergence",

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BudgetExceededError, InvalidParameterError, SchemaError,
-                     UnsupportedKindError)
-from .flags import ProjectiveMatrix, generator_images
+from .errors import BudgetExceededError, InvalidParameterError, SchemaError
+from .flags import _projective, generator_images
 from .groups import GroupElement, RelHypPair, _json_int, format_word, parse_word
 from .tolerances import DEFAULT_TOLS
 
@@ -289,8 +288,7 @@ def _witness_margin(s, t):
 
 class SetSystem:
     """One finite union of balls per vertex, plus a shared safety margin,
-    on the projective line: ``d`` must be 2, any other dimension raises
-    UnsupportedKindError.
+    on the projective line.
 
     Invariant, checked on construction: every vertex stores a witness
     angle, the first of 720 grid angles in [0, pi) that maximizes the least
@@ -300,10 +298,7 @@ class SetSystem:
     singular value of the matrix of their unit vectors.
     """
 
-    def __init__(self, d: int, epsilon: float, sets):
-        if d != 2:
-            raise UnsupportedKindError(
-                f"set systems live on the projective line (d = 2), got d = {d}")
+    def __init__(self, epsilon: float, sets):
         if epsilon <= 0:
             raise InvalidParameterError("set system margin must be positive")
         self.epsilon = float(epsilon)
@@ -359,14 +354,9 @@ def set_system_to_json(sys_: SetSystem) -> dict:
 
 
 def _rep_matrices(rep, pair: RelHypPair) -> dict[str, np.ndarray]:
-    """Generator images as ProjectiveMatrix entries; they must act on R^2."""
-    mats = {n: ProjectiveMatrix(m).entries
+    """Generator images scaled by ``flags._projective``."""
+    return {n: _projective(m)
             for n, m in generator_images(rep, pair.group.gen_names).items()}
-    got = len(next(iter(mats.values())))
-    if got != 2:
-        raise UnsupportedKindError(
-            f"generators act on R^{got}, this check works in R^2")
-    return mats
 
 
 def _element_matrix(mats, oracle, g: GroupElement, cache: dict) -> np.ndarray:
@@ -385,7 +375,7 @@ def _element_matrix(mats, oracle, g: GroupElement, cache: dict) -> np.ndarray:
     j = max(len(sylls) - 1, 0)
     while j and sylls[:j] not in cache:
         j -= 1
-    m = cache[sylls[:j]] if j else np.eye(next(iter(mats.values())).shape[0])
+    m = cache[sylls[:j]] if j else np.eye(2)
     for s in sylls[j:]:
         power = cache.get(s)
         if power is None:
@@ -676,7 +666,7 @@ def bundled_sanov_automaton(pair: RelHypPair) -> tuple[AutomatonGraph, SetSystem
         CosetLabel(one, 1, (one, gen("b", 1), gen("b", -1))),
     ]
     auto = AutomatonGraph(pair, labels, [(0, 1), (1, 0)])
-    sys_ = SetSystem(2, SANOV_EPSILON, {
+    sys_ = SetSystem(SANOV_EPSILON, {
         0: [Ball(0.0, SANOV_BALL_RADIUS)],
         1: [Ball(0.5 * math.pi, SANOV_BALL_RADIUS)],
     })

@@ -178,7 +178,6 @@ def cmd_chabauty(args) -> int:
 
 def cmd_limitset(args) -> int:
     return _family_task(args, {"check": "limitset", "word_depth": args.depth,
-                               "screen_powers": args.screen_powers,
                                "max_final_distance": args.max_final})
 
 
@@ -283,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limitset", help="limit set convergence table")
     family_args(p)
     p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--screen-powers", type=int, default=7)
     p.add_argument("--max-final", type=float, default=None)
     p.set_defaults(func=cmd_limitset)
 

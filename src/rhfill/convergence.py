@@ -28,8 +28,8 @@ from .cusped import (
     shortest_path,
 )
 from .errors import InvalidParameterError, UnsupportedKindError, WindowError
-from .flags import (_unit_det, ball_images, generator_images, line_distance,
-                    q_divergence, q_limit_set)
+from .flags import (_projective, _unit_det, ball_images, classify,
+                    generator_images, line_distance, q_divergence, q_limit_set)
 from .groups import (
     BALL_CAP,
     FillingData,
@@ -91,10 +91,8 @@ def _kernel_deviation(mats: dict[str, np.ndarray], pair: RelHypPair,
                       word: str) -> float:
     """Projective distance of the word's image from the identity."""
     m = _element_matrix(mats, pair.group, parse_word(pair.group, word), {})
-    d = m.shape[0]
-    m = m * math.sqrt(d) / np.linalg.norm(m)
-    eye = np.eye(d)
-    return min(float(np.linalg.norm(m - eye)), float(np.linalg.norm(m + eye)))
+    m = m * math.sqrt(2) / np.linalg.norm(m)
+    return min(float(np.linalg.norm(m - s * np.eye(2))) for s in (1.0, -1.0))
 
 
 class RepFamily:
@@ -116,18 +114,13 @@ class RepFamily:
         def images(rep, which):
             try:
                 return generator_images(rep, pair.group.gen_names)
-            except InvalidParameterError as e:
-                raise InvalidParameterError(f"{which}, generator {e}") from None
+            except (InvalidParameterError, UnsupportedKindError) as e:
+                raise type(e)(f"{which}, generator {e}") from None
 
         self.pair = pair
         self.base = images(base, "base")
-        self.dimension = d = len(next(iter(self.base.values())))
-        self.members: dict[int, dict[str, np.ndarray]] = {}
-        for idx, rep in members.items():
-            rep = images(rep, f"member {idx}")
-            if len(next(iter(rep.values()))) != d:
-                raise InvalidParameterError(f"member {idx} has images of the wrong size")
-            self.members[int(idx)] = rep
+        self.members = {int(idx): images(rep, f"member {idx}")
+                        for idx, rep in members.items()}
         self.fillings: dict[int, FillingData] = {}
         for idx, spec in (kernels or {}).items():
             idx = int(idx)
@@ -279,9 +272,6 @@ def edf_condition_check(family: RepFamily, query: EdfQuery,
     word always lands on the identity residue and violates it.
     """
     pair = family.pair
-    if family.dimension != 2:
-        raise UnsupportedKindError(
-            "the filling-condition check is exact-arc only (d = 2)")
     _check_query(pair, query)
     per = pair.peripherals[query.peripheral]
     if enumeration_depth < 1:
@@ -543,7 +533,6 @@ def chabauty_check(family: RepFamily, ball_radius: float = 10.0,
 
 
 def limit_set_convergence(family: RepFamily, word_depth: int = 12,
-                          screen_powers: int = 7,
                           cap: int = BALL_CAP) -> dict:
     """Hausdorff distance of each member's limit cloud from the base cloud.
 
@@ -552,31 +541,21 @@ def limit_set_convergence(family: RepFamily, word_depth: int = 12,
     limit set that can leave whole arcs of it uncovered, so the cloud
     distance bounds the limit-set distance in neither direction.
 
-    Every representation, base included, must first pass the divergence
-    screening on powers of the product of all generators; failing members
-    are flagged and excluded from the distance table rather than producing
-    meaningless clouds.
+    Every representation, base included, is first screened by the
+    :func:`classify` kind of the product of all generators: its powers
+    diverge exactly when it is neither the identity nor elliptic.  Failing
+    members are flagged and excluded from the distance table rather than
+    producing meaningless clouds.
     """
     if word_depth < 1:
         raise InvalidParameterError("word_depth must be >= 1")
-    if screen_powers < DEFAULT_TOLS.tail_window:
-        raise InvalidParameterError(f"screen_powers must cover the tail "
-                                    f"window ({DEFAULT_TOLS.tail_window})")
     pair = family.pair
-    if family.dimension != 2:
-        raise UnsupportedKindError("limit clouds are implemented for d = 2")
 
     def screened(rep) -> bool:
         w = np.eye(2)
         for name in pair.group.gen_names:
-            w = w @ rep[name]
-        w = w / math.sqrt(abs(np.linalg.det(w)))
-        seq = [np.linalg.matrix_power(w, k) for k in range(1, screen_powers + 1)]
-        try:
-            return q_divergence(seq).verdict == "divergent"
-        except InvalidParameterError:
-            # a power too ill-conditioned to certify cannot pass screening
-            return False
+            w = w @ _projective(rep[name])
+        return classify(w) not in ("identity", "elliptic")
 
     if not screened(family.base):
         raise InvalidParameterError(
@@ -630,7 +609,7 @@ def fiber_consistency_check(rep: dict, pair: RelHypPair, sequences,
     """
     if not sequences:
         raise InvalidParameterError("need at least one sequence")
-    mats = _rep_matrices(rep, pair)  # fiber limits are implemented for d = 2
+    mats = _rep_matrices(rep, pair)
     metric = ExactCuspedMetric(pair)
     cache: dict = {}
 

@@ -1,24 +1,28 @@
 """Lines, Q-divergence, and limit sets for PGL(2, R).
 
+Every image acts on R^2.  :func:`generator_images`, the one check of an
+image, decides invertibility exactly, and :func:`classify` the elliptic,
+parabolic or loxodromic kind: float entries are dyadic rationals.
+
 The flag manifold of PGL(2, R) is the projective line.  A point of it, a
 line through the origin of R^2, is stored as its angle mod pi, and the
 projector metric between the lines at angles s and t is |sin(s - t)|
 (:func:`line_distance`).  The attracting line of a matrix is its top
 left-singular direction, well defined exactly when the singular gap
-sigma_1/sigma_2 is open.  Every such angle comes from the closed 2x2 forms
-of ``_closed_forms``, with no SVD; verdicts about sequences are
-finite-data judgments with "inconclusive" as an honest third answer.
+sigma_1/sigma_2 is open.  Every gap and every such angle comes from the
+closed 2x2 forms of ``_closed_forms``, with no SVD; verdicts about
+sequences are finite-data judgments with "inconclusive" as an honest
+third answer.
 
 Limit sets of free groups are enumerated as reduced words with batched
 2x2 arithmetic, which keeps million-word clouds cheap; other groups take
-their word balls from :func:`ball_images`, which works in any d because
-the Chabauty check reads it.  The paper's higher-rank flag manifolds would
-need certified flag-space methods, which this module does not have.
+their word balls from :func:`ball_images`, as the Chabauty check does.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,43 +35,36 @@ from .tolerances import DEFAULT_TOLS
 CLOSED_FORM_CHUNK = 8192  # words or gaps per slice of the d = 2 cloud kernels
 
 
-class ProjectiveMatrix:
-    """An invertible d x d real matrix up to nonzero scale.
+def _projective(m) -> np.ndarray:
+    """m as a float array scaled to unit Frobenius norm, then negated if
+    its first nonzero entry is negative: one entry array per projective
+    class.  m must be an image that :func:`generator_images` accepts."""
+    m = np.array(m, dtype=float)
+    m /= np.linalg.norm(m)
+    return -m if m.flat[np.flatnonzero(m)[0]] < 0 else m
 
-    Entries are normalized to unit Frobenius norm with the first nonzero
-    entry positive, so equal projective classes get equal entry arrays.
-    Rejected when numerically singular (smallest singular value at or below
-    the condition tolerance times the largest).
+
+def classify(m) -> str:
+    """The kind of an invertible 2x2 matrix in PGL(2, R), decided exactly.
+
+    Float entries are dyadic rationals: scaled by their largest
+    denominator they are integers a, b, c, d; let t = a + d, D = ad - bc.
+    A multiple of I is "identity".  For D > 0 the sign of t^2 - 4D gives
+    "elliptic", "parabolic" or "loxodromic" (Beardon, The Geometry of
+    Discrete Groups, 4.3).  For D < 0 the eigenvalues are real, of equal
+    modulus only when t = 0: an involution, "elliptic".  The singular gaps
+    of the powers diverge exactly for the parabolic and loxodromic kinds.
     """
-
-    __slots__ = ("entries", "d")
-
-    def __init__(self, entries):
-        try:
-            m = np.array(entries, dtype=float)
-        except (TypeError, ValueError):  # ragged rows or non-numeric entries
-            raise InvalidParameterError("need a square matrix of numbers") from None
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-            raise InvalidParameterError(
-                f"need a square matrix with d >= 2, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidParameterError("matrix entries must be finite")
-        norm = float(np.linalg.norm(m))
-        if norm == 0.0:
-            raise InvalidParameterError("zero matrix is not projective")
-        m /= norm
-        flat = m.ravel()
-        if flat[np.flatnonzero(flat)[0]] < 0:
-            m = -m
-        sv = np.linalg.svd(m, compute_uv=False)
-        if not sv[-1] > DEFAULT_TOLS.condition * sv[0]:
-            raise InvalidParameterError("matrix is numerically singular")
-        m.setflags(write=False)
-        self.entries = m
-        self.d = int(m.shape[0])
-
-    def __repr__(self):
-        return f"ProjectiveMatrix(d={self.d})"
+    ratios = [float(x).as_integer_ratio() for x in np.ravel(m)]
+    den = max(q for _, q in ratios)
+    a, b, c, d = (p * (den // q) for p, q in ratios)
+    if b == c == 0 and a == d:
+        return "identity"
+    t, det = a + d, a * d - b * c
+    if det < 0:
+        return "elliptic" if t == 0 else "loxodromic"
+    disc = t * t - 4 * det
+    return "elliptic" if disc < 0 else "parabolic" if disc == 0 else "loxodromic"
 
 
 def line_distance(s: float, t: float) -> float:
@@ -102,17 +99,21 @@ def q_divergence(seq) -> DivergenceCertificate:
     threshold over that tail, so the sequence never separates directions.
     Everything else, including sequences shorter than the tail window, is
     inconclusive; a constant hyperbolic sequence, say, is bounded as a set
-    but indistinguishable in this data from one about to grow.  A matrix
-    that is not 2x2 raises UnsupportedKindError, a numerically singular one
-    InvalidParameterError.
+    but indistinguishable in this data from one about to grow.  Each
+    matrix is scaled by its largest entry, and one ``_closed_forms`` call
+    over the stack gives every gap and the last angle.  A matrix that is
+    not 2x2 raises UnsupportedKindError.
     """
-    mats = [ProjectiveMatrix(m).entries for m in seq]
+    mats = [np.asarray(m, dtype=float) for m in seq]
     if not mats:
         raise InvalidParameterError("q_divergence needs a nonempty sequence")
     if any(m.shape != (2, 2) for m in mats):
         raise UnsupportedKindError("q_divergence works on 2x2 matrices")
-    sv = np.array([np.linalg.svd(m, compute_uv=False) for m in mats])
-    gaps = tuple(float(x) for x in sv[:, 0] / sv[:, 1])
+    mats = np.array(mats) / np.abs(mats).max(axis=(1, 2), keepdims=True)
+    bufs, angles = np.empty((7, len(mats))), np.empty(len(mats))
+    filled = _closed_forms(mats, -math.inf, bufs, np.empty(len(mats), bool),
+                           angles, 0)
+    gaps = tuple(float(x) for x in bufs[6])     # the lam buffer
     w = DEFAULT_TOLS.tail_window
     if len(mats) < w:
         return DivergenceCertificate(
@@ -123,8 +124,8 @@ def q_divergence(seq) -> DivergenceCertificate:
         return DivergenceCertificate(
             "bounded", gaps, "tail gaps never clear the flag threshold")
     if (np.diff(tail) > 0).all() and (tail > DEFAULT_TOLS.gap_threshold).all():
-        # threshold 0 keeps the angle: the gap cleared it by the SVD already
-        angle = float(_line_angles(mats[-1][None], 0.0)[0])
+        # the last gap is a number, so its angle is the last one written
+        angle = float(angles[filled - 1]) % math.pi     # pi mod pi is 0
         return DivergenceCertificate(
             "divergent", gaps,
             "tail gaps increase strictly above the flag threshold", angle)
@@ -140,11 +141,12 @@ def q_divergence(seq) -> DivergenceCertificate:
 def generator_images(rep: dict, names) -> dict[str, np.ndarray]:
     """The one rule for a representation given by its generator images.
 
-    ``rep`` must map exactly the generator ``names`` to square matrices of
-    one size d >= 2 with finite entries, each invertible by the
-    :class:`ProjectiveMatrix` rule.  Returns unscaled float copies in the
-    order of ``names``.  A violation raises InvalidParameterError whose
-    message starts with the offending generator's name.
+    ``rep`` must map exactly the generator ``names`` to 2x2 matrices with
+    finite entries, a nonzero determinant (exact on those entries) and a
+    Frobenius norm in the float range, which :func:`_projective` divides
+    by.  Returns unscaled float copies in the order of ``names``.  A
+    violation raises InvalidParameterError (UnsupportedKindError for
+    another size d) whose message starts with the generator's name.
     """
     for name in rep:
         if name not in names:
@@ -154,14 +156,27 @@ def generator_images(rep: dict, names) -> dict[str, np.ndarray]:
         if name not in rep:
             raise InvalidParameterError(f"{name}: no image given")
         try:
-            ProjectiveMatrix(rep[name])
-        except InvalidParameterError as e:
-            raise InvalidParameterError(f"{name}: {e}") from None
-        m = np.array(rep[name], dtype=float)
-        d, first = len(m), len(next(iter(out.values()), m))
-        if d != first:
+            m = np.array(rep[name], dtype=float)
+        except (TypeError, ValueError):  # ragged rows or non-numeric entries
             raise InvalidParameterError(
-                f"{name}: {d}x{d} matrix, the other images are {first}x{first}")
+                f"{name}: need a square matrix of numbers") from None
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise InvalidParameterError(
+                f"{name}: need a square matrix, got shape {m.shape}")
+        if m.shape != (2, 2):
+            raise UnsupportedKindError(
+                f"{name}: images act on R^2 (d = 2), got d = {len(m)}")
+        if not np.all(np.isfinite(m)):
+            raise InvalidParameterError(f"{name}: matrix entries must be finite")
+        (a, b), (c, d) = ((Fraction(float(x)) for x in row) for row in m)
+        if a * d == b * c:
+            raise InvalidParameterError(f"{name}: matrix is singular")
+        with np.errstate(over="ignore", under="ignore"):
+            norm = float(np.linalg.norm(m))     # as _projective takes it
+        if not 0.0 < norm < math.inf:
+            raise InvalidParameterError(
+                f"{name}: matrix norm {'overflows' if norm else 'underflows'}"
+                " in floating point; scale the matrix")
         out[name] = m
     return out
 
@@ -171,35 +186,33 @@ def generator_images(rep: dict, names) -> dict[str, np.ndarray]:
 
 
 def _unit_det(m: np.ndarray) -> np.ndarray:
-    """Rescale each matrix of a stack to |det| = 1."""
-    d = m.shape[-1]
-    return m / (np.abs(np.linalg.det(m)) ** (1.0 / d))[..., None, None]
+    """Rescale each 2x2 matrix of a stack to |det| = 1."""
+    return m / (np.abs(np.linalg.det(m)) ** 0.5)[..., None, None]
 
 
 def ball_images(rep: dict, oracle: GroupOracle, tree: BallTree) -> np.ndarray:
-    """Unit-|det| images of the ball elements, shape (len(tree.level), d, d).
+    """Images of the ball elements, shape (len(tree.level), 2, 2).
 
-    rep maps generator names to matrices.  Images are formed level by level
-    along the BFS tree, one batched product per generator step, each
-    rescaled to |det| = 1 so long words neither overflow nor underflow.
-    Only the tree's arrays are read, so its lazy ``elements`` stay unbuilt.
+    rep maps generator names to 2x2 matrices.  Each generator's word is
+    rescaled to |det| = 1 once; images are then formed level by level along
+    the BFS tree, one batched product per generator step, and grow only as
+    their top singular value.  Only the tree's arrays are read, so its lazy
+    ``elements`` stay unbuilt.
     """
     mats = {n: np.asarray(m, dtype=float) for n, m in rep.items()}
-    d = next(iter(mats.values())).shape[0]
     steps = []
     for g in oracle.generators():
-        m = np.eye(d)
+        m = np.eye(2)
         for name, e in oracle.syllables(g):
             m = m @ np.linalg.matrix_power(mats[name], e)
         steps.append(_unit_det(m))
-    images = np.empty((len(tree.level), d, d))
-    images[0] = np.eye(d)
+    images = np.empty((len(tree.level), 2, 2))
+    images[0] = np.eye(2)
     for lvl in range(1, int(tree.level.max(initial=0)) + 1):
         at = np.flatnonzero(tree.level == lvl)
         for j, m in enumerate(steps):
             sel = at[tree.step[at] == j]
             images[sel] = images[tree.parent[sel]] @ m
-        images[at] = _unit_det(images[at])
     return images
 
 
@@ -464,12 +477,8 @@ def q_limit_set(rep: dict, oracle: GroupOracle, word_depth: int,
     """
     if word_depth < 0:
         raise InvalidParameterError("word_depth must be >= 0")
-    mats = {n: ProjectiveMatrix(m).entries
+    mats = {n: _projective(m)
             for n, m in generator_images(rep, oracle.gen_names).items()}
-    d = len(mats[oracle.gen_names[0]])
-    if d != 2:
-        raise UnsupportedKindError(
-            f"limit clouds live on the projective line (d = 2), got d = {d}")
 
     rank = _free_rank(oracle)
     if rank is not None:

@@ -118,7 +118,7 @@ TASK_PARAMS = {
                                "attracting": _BALLS, "repelling": _BALLS}}}},
     "chabauty": {"ball_radius": {"type": "number", "exclusiveMinimum": 0},
                  "word_depth": _int(1), "csv": _STRING},
-    "limitset": {"word_depth": _int(1), "screen_powers": _int(1),
+    "limitset": {"word_depth": _int(1),
                  "max_final_distance": {"type": ["number", "null"], "minimum": 0},
                  "csv": _STRING},
     "fiber": {"path_length": _int(1), "count": _int(1), "label_cutoff": _int(0),
@@ -267,7 +267,7 @@ class Scenario:
         """RepFamily checks the images too; this call names the bad field."""
         try:
             return generator_images(rep, self.pair.group.gen_names)
-        except InvalidParameterError as e:
+        except RhfillError as e:
             raise SchemaError(f"{where}.{e}") from None
 
     def _build_family(self, rspec: dict, fspec: dict | None) -> RepFamily:
@@ -476,7 +476,6 @@ def _task_limitset(sc: Scenario, params: dict) -> dict:
     rep = limit_set_convergence(
         sc.family,
         word_depth=int(params.get("word_depth", 12)),
-        screen_powers=int(params.get("screen_powers", 7)),
         cap=sc.budgets["elements"])
     limit = params.get("max_final_distance")
     # a table with no member measured shows nothing, whatever it decreases

@@ -2,7 +2,8 @@
 
 The floating-point thresholds behind the line, automaton and convergence
 verdicts live in one fixed record, ``DEFAULT_TOLS``, which those modules
-read directly; there is no per-call override.
+read directly; there is no per-call override.  None decides whether a
+matrix is invertible or what kind it is: ``flags`` decides both exactly.
 """
 from dataclasses import dataclass
 
@@ -22,8 +23,6 @@ class Tolerances:
     kernel: float = 1e-10
     # limit lines of sequences tracked by one automaton path must agree to this
     fiber: float = 1e-3
-    # matrix invertibility: reject when sigma_min/sigma_max is below this
-    condition: float = 1e-12
 
 
 DEFAULT_TOLS = Tolerances()

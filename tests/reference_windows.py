@@ -8,7 +8,8 @@ path projection and filling checks that the batched ones in
 ``rhfill.cusped`` and ``rhfill.filling_geometry`` replace, the full-scan
 RP^1 Hausdorff distance, the sine-of-every-gap dedup, the whole-level
 free limit clouds, the row-block window deviation and the uncached
-element fold, a tracemalloc peak, and the plain forms of a few library routines (coned
+element fold, per-matrix SVD gaps, a rational classification of 2x2
+matrices, a tracemalloc peak, and the plain forms of a few library routines (coned
 lengths, the exact metric ball, RP^1 Hausdorff distances, constant
 families). Tests compare
 the library against these, so they favour plainness over speed.
@@ -16,6 +17,7 @@ the library against these, so they favour plainness over speed.
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 
@@ -538,6 +540,28 @@ def hausdorff_rp1(a, b) -> float:
     """Hausdorff distance between two nonempty sets of lines in RP^1, given
     as angles (radians, any reals), in the metric |sin(s - t)|."""
     return _hausdorff_sorted(_sorted_rp1(a), _sorted_rp1(b))
+
+
+def svd_gaps(seq) -> list[float]:
+    """sigma_1/sigma_2 of each 2x2 matrix of a sequence, one SVD each."""
+    return [float(s[0] / s[1]) for s in
+            (np.linalg.svd(np.asarray(m, float), compute_uv=False) for m in seq)]
+
+
+def reference_classify(m) -> str:
+    """The kind of an invertible 2x2 matrix in PGL(2, R) from its
+    eigenvalues, in rationals: complex (elliptic), one repeated
+    (parabolic, or identity when the matrix is scalar), or real; real ones
+    of equal modulus (t = 0 with det < 0) give an involution (elliptic),
+    of distinct moduli a loxodromic."""
+    (a, b), (c, d) = ((Fraction(float(x)) for x in row) for row in m)
+    t, det = a + d, a * d - b * c
+    disc = t * t - 4 * det               # of the characteristic polynomial
+    if disc < 0:
+        return "elliptic"
+    if disc == 0:
+        return "identity" if (b, c, a - d) == (0, 0, 0) else "parabolic"
+    return "elliptic" if t == 0 else "loxodromic"
 
 
 def svd_line_angle(m: np.ndarray, threshold: float) -> float | None:

@@ -15,8 +15,7 @@ from rhfill.automata import (AutomatonGraph, Ball, CosetLabel, GPath,
                              validate_automaton,
                              _angle_diameter, _ball_arc, _element_matrix,
                              _has_quarter_turn, _image_diameter, _mobius_arc)
-from rhfill.errors import (BudgetExceededError, InvalidParameterError,
-                           SchemaError, UnsupportedKindError)
+from rhfill.errors import BudgetExceededError, InvalidParameterError, SchemaError
 from rhfill.groups import format_word, make_oracle, standard_f2_pair
 from rhfill.tolerances import DEFAULT_TOLS
 from reference_windows import reference_element_matrix, reference_search_witness
@@ -175,7 +174,7 @@ def test_self_loop_cannot_certify(pair):
     gen = pair.group.generator
     auto = AutomatonGraph(pair, [CosetLabel(one, 0, (one, gen("a", 1),
                                                      gen("a", -1)))], [(0, 0)])
-    sys_ = SetSystem(2, 0.02, {0: [Ball(0.0, 0.48)]})
+    sys_ = SetSystem(0.02, {0: [Ball(0.0, 0.48)]})
     report = check_compatibility(SANOV, auto, sys_, enumeration_depth=6)
     assert report["verdict"] == "fail"
     assert report["min_margin"] == pytest.approx(-0.52, abs=1e-12)
@@ -187,13 +186,13 @@ def test_zero_margin_is_inconclusive(pair):
     one = pair.group.identity()
     auto = AutomatonGraph(pair, [SingletonLabel(one), SingletonLabel(one)],
                           [(0, 1)])
-    sys_ = SetSystem(2, 0.02, {0: [Ball(0.3, 0.3)], 1: [Ball(0.3, 0.28)]})
+    sys_ = SetSystem(0.02, {0: [Ball(0.3, 0.3)], 1: [Ball(0.3, 0.28)]})
     report = check_compatibility(IDENT, auto, sys_, enumeration_depth=2)
     assert abs(report["min_margin"]) <= DEFAULT_TOLS.transversality
     assert report["verdict"] == "inconclusive" and not report["pass"]
     # the same ball, one rounding band away on either side, decides
     for radius, verdict in ((0.28 - 2e-9, "pass"), (0.28 + 2e-9, "fail")):
-        moved = SetSystem(2, 0.02, {0: [Ball(0.3, 0.3)],
+        moved = SetSystem(0.02, {0: [Ball(0.3, 0.3)],
                                     1: [Ball(0.3, radius)]})
         assert check_compatibility(IDENT, auto, moved, enumeration_depth=2)[
             "verdict"] == verdict
@@ -204,7 +203,7 @@ def test_margin_grows_as_epsilon_shrinks(bundled):
     base = check_compatibility(SANOV, auto, sys_, enumeration_depth=12)
     margins = []
     for eps in (0.001, 0.005, 0.01, 0.015):
-        shrunk = SetSystem(2, eps, {0: [Ball(0.0, 0.48)],
+        shrunk = SetSystem(eps, {0: [Ball(0.0, 0.48)],
                                     1: [Ball(0.5 * math.pi, 0.48)]})
         margins.append(check_compatibility(SANOV, auto, shrunk,
                                            enumeration_depth=12)["min_margin"])
@@ -221,14 +220,14 @@ def test_compatibility_budget(bundled):
 
 def test_system_must_cover_all_vertices(pair, bundled):
     auto, _ = bundled
-    half = SetSystem(2, 0.02, {0: [Ball(0.0, 0.48)]})
+    half = SetSystem(0.02, {0: [Ball(0.0, 0.48)]})
     with pytest.raises(InvalidParameterError):
         check_compatibility(SANOV, auto, half, enumeration_depth=4)
 
 
 def test_overfull_inflation_rejected(pair, bundled):
     auto, _ = bundled
-    fat = SetSystem(2, 0.02, {0: [Ball(0.0, 0.99)],
+    fat = SetSystem(0.02, {0: [Ball(0.0, 0.99)],
                               1: [Ball(0.5 * math.pi, 0.99)]})
     with pytest.raises(InvalidParameterError):
         check_compatibility(SANOV, auto, fat, enumeration_depth=4)
@@ -241,7 +240,7 @@ def test_missing_generator_rejected(bundled):
 
 
 @pytest.mark.parametrize("image,message", [
-    ({"b": [[1.0, 2.0], [2.0, 4.0]]}, "b: matrix is numerically singular"),
+    ({"b": [[1.0, 2.0], [2.0, 4.0]]}, "b: matrix is singular"),
     ({"c": [[1.0, 0.0], [0.0, 1.0]]}, "c: not a generator"),
 ])
 def test_bad_image_rejected_by_name(bundled, ping_pong_path, image, message):
@@ -283,23 +282,18 @@ def test_bundled_witnesses_match_the_loop(bundled):
 def test_witness_margin_must_exceed_radius():
     # no line is transverse to both centers with margin above 0.7
     with pytest.raises(InvalidParameterError):
-        SetSystem(2, 0.02, {0: [Ball(0.0, 0.7), Ball(0.5 * math.pi, 0.7)]})
-
-
-def test_set_system_refuses_higher_rank():
-    with pytest.raises(UnsupportedKindError, match="d = 3"):
-        SetSystem(3, 0.05, {0: [Ball(0.0, 0.3)]})
+        SetSystem(0.02, {0: [Ball(0.0, 0.7), Ball(0.5 * math.pi, 0.7)]})
 
 
 def test_set_system_validation():
     with pytest.raises(InvalidParameterError):
-        SetSystem(2, 0.0, {0: [Ball(0.0, 0.4)]})
+        SetSystem(0.0, {0: [Ball(0.0, 0.4)]})
     with pytest.raises(InvalidParameterError):
-        SetSystem(2, 0.02, {0: [Ball(0.0, 1.2)]})
+        SetSystem(0.02, {0: [Ball(0.0, 1.2)]})
     with pytest.raises(InvalidParameterError):
-        SetSystem(2, 0.02, {0: []})
+        SetSystem(0.02, {0: []})
     with pytest.raises(InvalidParameterError, match="angles"):
-        SetSystem(2, 0.02, {0: [Ball((1.0, 0.0), 0.3)]})
+        SetSystem(0.02, {0: [Ball((1.0, 0.0), 0.3)]})
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +437,7 @@ def test_empty_path_rejected(pair, bundled):
 
 
 def test_nested_requires_coverage(pair, ping_pong_path):
-    lonely = SetSystem(2, 0.02, {0: [Ball(0.0, 0.48)]})
+    lonely = SetSystem(0.02, {0: [Ball(0.0, 0.48)]})
     with pytest.raises(InvalidParameterError):
         nested_diameters(SANOV, ping_pong_path, lonely)
 
@@ -455,7 +449,7 @@ def test_nested_requires_coverage(pair, ping_pong_path):
 def test_quarter_turn_diameter_is_exact(ping_pong_path, balls):
     # 128 sampled angles per ball give 0.9999990811890499 and
     # 0.999999956106019 here
-    sys_ = SetSystem(2, 0.02, {0: balls, 1: balls})
+    sys_ = SetSystem(0.02, {0: balls, 1: balls})
     report = nested_diameters(IDENT, ping_pong_path, sys_)
     assert report["diameters"] == [1.0] * 11
 
@@ -549,8 +543,8 @@ def test_arc_image_contains_pointwise_images(data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]))
-def test_element_matrix_is_the_fold_from_the_identity(seed, d):
+@given(st.integers(0, 2 ** 32 - 1))
+def test_element_matrix_is_the_fold_from_the_identity(seed):
     # random free-product words with all their prefixes, asked for in a
     # random order and then in another, through one shared cache
     oracle = make_oracle({"kind": "free-product",
@@ -558,7 +552,7 @@ def test_element_matrix_is_the_fold_from_the_identity(seed, d):
                                       {"kind": "finite-cyclic", "order": 5},
                                       {"kind": "free-abelian", "rank": 1}]})
     rng = np.random.default_rng(seed)
-    mats = {n: rng.standard_normal((d, d)) * np.exp(rng.uniform(-3, 3))
+    mats = {n: rng.standard_normal((2, 2)) * np.exp(rng.uniform(-3, 3))
             for n in oracle.gen_names}
     gens = oracle.generators()
     words = []

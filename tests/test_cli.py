@@ -299,7 +299,7 @@ ELLIPTIC_10 = {n: m.tolist() for n, m in elliptic_generators(10).items()}
     ({"members": {"10": {"a": [[1.0, 0.0], [0.0]], "b": IDENTITY}}},
      "filling_family.members.10.a"),
     ({"members": {"10": {"a": [[1.0, 2.0], [2.0, 4.0]], "b": IDENTITY}}},
-     "filling_family.members.10.a: matrix is numerically singular"),
+     "filling_family.members.10.a: matrix is singular"),
     ({"members": {"10": {"a": IDENTITY, "c": IDENTITY}}},
      "filling_family.members.10.c: not a generator"),
 ])
@@ -316,8 +316,15 @@ def test_run_malformed_family_is_usage(tmp_path, capsys, family, where):
     ({"a": [[1.0, 2.0], [0.0]], "b": IDENTITY}, "representation.matrices.a"),
     ({"a": [[1.0, 2.0]], "b": IDENTITY}, "representation.matrices.a"),
     ({"a": [[1.0, 2.0], [2.0, 4.0]], "b": IDENTITY},
-     "representation.matrices.a: matrix is numerically singular"),
+     "representation.matrices.a: matrix is singular"),
     ({"a": IDENTITY}, "representation.matrices.b: no image given"),
+    # exactly invertible, but out of the range that scaling needs
+    ({"a": [[1e300, 1e300], [0.0, 1e300]], "b": IDENTITY},
+     "representation.matrices.a: matrix norm overflows"),
+    ({"a": [[1e-300, 0.0], [0.0, 1e-300]], "b": IDENTITY},
+     "representation.matrices.a: matrix norm underflows"),
+    ({"a": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "b": IDENTITY},
+     "representation.matrices.a: images act on R^2 (d = 2), got d = 3"),
 ])
 def test_run_malformed_matrix_is_usage(tmp_path, capsys, matrices, where):
     code = _run_scenario(tmp_path, {"pair": {"builtin": "f2"},

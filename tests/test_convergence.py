@@ -121,17 +121,17 @@ def test_family_member_name_mismatch(pair):
 
 
 @pytest.mark.parametrize("image,a", [
-    ({"a": [[1.0, 2.0], [2.0, 4.0]]}, "numerically singular"),
+    ({"a": [[1.0, 2.0], [2.0, 4.0]]}, "matrix is singular"),
     ({"a": [[1.0, 2.0], [0.0, math.nan]]}, "finite"),
     ({"a": [[1.0, 2.0], [0.0]]}, "square"),
-    ({"b": np.eye(3)}, "3x3 matrix, the other images are 2x2"),
+    ({"b": np.eye(3)}, "got d = 3"),
     ({"c": np.eye(2)}, "not a generator"),
 ])
 def test_family_names_the_member_and_generator_of_a_bad_image(pair, image, a):
     rep = {**sanov_generators(), **image}
     name = next(iter(image))
-    with pytest.raises(InvalidParameterError,
-                       match=f"^member 10, generator {name}: .*{a}"):
+    error = UnsupportedKindError if "d = 3" in a else InvalidParameterError
+    with pytest.raises(error, match=f"^member 10, generator {name}: .*{a}"):
         RepFamily(pair, sanov_generators(), {10: rep})
 
 
@@ -261,10 +261,10 @@ def test_edf_rejects_bad_peripheral_and_depth(pair, family, queries):
 
 
 def test_edf_exact_arc_only(pair, queries):
+    # a family of other-size images no longer loads, so no check sees one
     d3 = {"a": np.diag([2.0, 1.0, 0.5]), "b": np.diag([0.5, 1.0, 2.0])}
-    fam = RepFamily(pair, d3, {})
-    with pytest.raises(UnsupportedKindError):
-        edf_condition_check(fam, queries[0])
+    with pytest.raises(UnsupportedKindError, match="^base, generator a: .*d = 3"):
+        RepFamily(pair, d3, {})
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +449,17 @@ def test_limit_set_flags_nondivergent_member(pair):
     assert rep["table"] == []
 
 
+def test_limit_set_measures_a_fast_schottky_member(pair):
+    # tr(ab) = 18, so every power of ab diverges; its 7th power has a gap
+    # past 1e12, which a conditioning test on powers took for singular
+    schottky = {"a": [[1.0, 4.0], [0.0, 1.0]], "b": [[1.0, 0.0], [4.0, 1.0]]}
+    rep = limit_set_convergence(
+        RepFamily(pair, sanov_generators(), {4: schottky}), word_depth=4)
+    assert rep["flagged"] == []
+    assert [r["index"] for r in rep["table"]] == [4]
+    assert rep["table"][0]["d_hausdorff"] > 0.0
+
+
 def test_limit_set_base_must_pass_screening(pair):
     fam = constant_family(pair, ROTATIONS, (5,))
     with pytest.raises(InvalidParameterError, match="screening"):
@@ -458,8 +469,6 @@ def test_limit_set_base_must_pass_screening(pair):
 def test_limit_set_parameter_validation(family):
     with pytest.raises(InvalidParameterError):
         limit_set_convergence(family, word_depth=0)
-    with pytest.raises(InvalidParameterError):
-        limit_set_convergence(family, screen_powers=2)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +543,7 @@ def test_fiber_validation(pair):
 
 def test_fiber_refuses_a_singular_image(pair):
     rep = {"a": [[1.0, 2.0], [2.0, 4.0]], "b": np.eye(2)}
-    with pytest.raises(InvalidParameterError, match="^a: matrix is numerically"):
+    with pytest.raises(InvalidParameterError, match="^a: matrix is singular"):
         fiber_consistency_check(rep, pair, [[pair.group.generator("a", 1)]])
 
 

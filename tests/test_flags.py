@@ -15,21 +15,21 @@ from hypothesis import assume
 from rhfill.automata import _witness_margin
 from rhfill.errors import (BudgetExceededError, InvalidParameterError,
                            UnsupportedKindError)
-from rhfill.flags import (FlagCloud, ProjectiveMatrix, line_distance,
-                          q_divergence, q_limit_set, ball_images)
+from rhfill.flags import (FlagCloud, ball_images, classify, generator_images,
+                          line_distance, q_divergence, q_limit_set)
 from rhfill.flags import (_dedup_sorted, _free2_angles, _hausdorff_sorted,
-                          _line_angles, _sorted_rp1)
+                          _line_angles, _projective, _sorted_rp1)
 from rhfill import flags
 from rhfill.scenarios import bundled_scenario_path, load_scenario
 from rhfill.tolerances import DEFAULT_TOLS
 from rhfill.convergence import elliptic_generators
 from rhfill.groups import (ball_tree, enumerate_ball, make_filling, make_oracle,
                            standard_f2_pair)
-from reference_windows import (hausdorff_rp1, reference_dedup_sorted,
-                               reference_free2_angles,
+from reference_windows import (hausdorff_rp1, reference_classify,
+                               reference_dedup_sorted, reference_free2_angles,
                                reference_hausdorff_sorted, reference_svd_cloud,
-                               svd_line_angle, svd_margin, traced_peak,
-                               unit_vector)
+                               svd_gaps, svd_line_angle, svd_margin,
+                               traced_peak, unit_vector)
 
 SANOV_A = np.array([[1.0, 2.0], [0.0, 1.0]])
 SANOV_B = np.array([[1.0, 0.0], [2.0, 1.0]])
@@ -55,18 +55,26 @@ def _attracting(m):
 
 
 def test_projective_normalization():
-    m = ProjectiveMatrix([[-3.0, 0.0], [0.0, -1.0]])
-    assert np.isclose(np.linalg.norm(m.entries), 1.0)
-    assert m.entries[0, 0] > 0  # sign fixed by first nonzero entry
-    same = ProjectiveMatrix([[6.0, 0.0], [0.0, 2.0]]).entries
-    np.testing.assert_allclose(m.entries, same, atol=1e-12, rtol=0.0)
+    m = _projective([[-3.0, 0.0], [0.0, -1.0]])
+    assert np.isclose(np.linalg.norm(m), 1.0)
+    assert m[0, 0] > 0  # sign fixed by first nonzero entry
+    same = _projective([[6.0, 0.0], [0.0, 2.0]])
+    np.testing.assert_allclose(m, same, atol=1e-12, rtol=0.0)
+    # the first nonzero entry decides the sign, not the first entry
+    np.testing.assert_array_equal(_projective([[0.0, -3.0], [4.0, 0.0]]),
+                                  [[0.0, 0.6], [-0.8, 0.0]])
 
 
 def test_projective_rejects_singular():
-    with pytest.raises(InvalidParameterError):
-        ProjectiveMatrix([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(InvalidParameterError):
-        ProjectiveMatrix([[1.0, 2.0, 3.0]])
+    # invertibility is exact: determinants of 2^-52 and 2^-1074 (the least
+    # subnormal) make invertible images, however ill-conditioned
+    for image in ([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]],
+                  [[1.0, 0.0], [0.0, 5e-324]]):
+        assert generator_images({"a": image}, ["a"])["a"].tolist() == image
+    with pytest.raises(InvalidParameterError, match="^a: matrix is singular"):
+        generator_images({"a": [[1.0, 2.0], [2.0, 4.0]]}, ["a"])
+    with pytest.raises(InvalidParameterError, match="^a: need a square"):
+        generator_images({"a": [[1.0, 2.0, 3.0]]}, ["a"])
 
 
 def test_flag_distance_is_sine_of_angle():
@@ -234,7 +242,7 @@ def test_divergence_refuses_other_sizes():
 
 def test_divergent_sequence_attracts_transverse_flags():
     # for eta transverse to the repelling line, g^n eta -> attracting line
-    g = ProjectiveMatrix(np.array([[2.0, 1.0], [1.0, 1.0]])).entries
+    g = _projective([[2.0, 1.0], [1.0, 1.0]])
     powers = _powers(g, 12)
     cert = q_divergence(powers)
     assert cert.verdict == "divergent"
@@ -274,12 +282,92 @@ def divergent_powers(draw):
 def test_divergence_limit_angle_matches_the_svd(seq):
     cert = q_divergence(seq)
     assume(cert.verdict == "divergent")
-    ref = svd_line_angle(ProjectiveMatrix(seq[-1]).entries, 1.0)
+    ref = svd_line_angle(seq[-1], 1.0)
     assert line_distance(cert.limit_angle, ref) < 1e-12
     assert 0.0 <= cert.limit_angle < math.pi
-    sv = [np.linalg.svd(ProjectiveMatrix(m).entries, compute_uv=False)
-          for m in seq]
-    assert cert.gaps == tuple(float(s[0] / s[1]) for s in sv)
+    # both forms lose the small singular value to an absolute error of a
+    # few ulp of the large one, so they agree to a few ulp times the gap
+    for gap, want in zip(cert.gaps, svd_gaps(seq)):
+        assert gap == pytest.approx(want, rel=1e-12 + 1e-14 * want)
+
+
+@st.composite
+def dyadic_matrices(draw):
+    """Invertible 2x2 matrices of integers in [-10, 10] times one power of
+    two.  The gap is at most 400, so the SVD's relative error, a few ulp
+    times the gap, stays far below 1e-12."""
+    m = np.array(draw(st.lists(st.integers(-10, 10), min_size=4, max_size=4)),
+                 float).reshape(2, 2)
+    assume(m[0, 0] * m[1, 1] != m[0, 1] * m[1, 0])
+    return m * 2.0 ** draw(st.integers(-40, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(dyadic_matrices(), min_size=1, max_size=8))
+def test_divergence_gaps_match_the_svd(seq):
+    assert q_divergence(seq).gaps == pytest.approx(svd_gaps(seq), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exact classification
+
+
+def _dyadic(draw):
+    return draw(st.integers(-2 ** 20, 2 ** 20)) * 2.0 ** draw(st.integers(-60, 60))
+
+
+@st.composite
+def classifiable(draw):
+    """Integer matrices, matrices of unrelated dyadic entries, multiples of
+    I, and matrices of trace +-2 and det 1 (b a power of two, so that c is
+    exact) or a dyadic rescaling of one."""
+    kind = draw(st.sampled_from(["integer", "dyadic", "scalar", "trace-2"]))
+    if kind == "integer":
+        m = np.array(draw(st.lists(st.integers(-6, 6), min_size=4,
+                                   max_size=4)), float).reshape(2, 2)
+    elif kind == "dyadic":
+        m = np.array([_dyadic(draw) for _ in range(4)]).reshape(2, 2)
+    elif kind == "scalar":
+        m = _dyadic(draw) * np.eye(2)
+    else:
+        t = draw(st.sampled_from([2.0, -2.0]))
+        a = draw(st.integers(-2 ** 10, 2 ** 10)) * 2.0 ** draw(st.integers(-10, 0))
+        b = draw(st.sampled_from([1.0, -1.0])) * 2.0 ** draw(st.integers(-8, 8))
+        m = np.array([[a, b], [(a * (t - a) - 1) / b, t - a]])
+        m *= 2.0 ** draw(st.integers(-30, 30)) * draw(st.sampled_from([1, 3, -5]))
+    assume(m[0, 0] * m[1, 1] != m[0, 1] * m[1, 0])
+    return m
+
+
+@settings(max_examples=500, deadline=None)
+@given(classifiable())
+def test_classify_matches_the_rational_reference(m):
+    assert classify(m) == reference_classify(m)
+
+
+@pytest.mark.parametrize("m,kind", [
+    (np.eye(2), "identity"), (-np.eye(2), "identity"),
+    (5e-300 * np.eye(2), "identity"), ([[0.0, 1.0], [-1.0, 0.0]], "elliptic"),
+    ([[1.0, 0.0], [0.0, -1.0]], "elliptic"),      # an involution, det -1
+    ([[1.0, 1.0], [1.0, -1.0]], "elliptic"),
+    (SANOV_A, "parabolic"), (-SANOV_B, "parabolic"),
+    ([[3.0, -4.0], [1.0, -1.0]], "parabolic"),    # trace 2, det 1
+    (np.diag([2.0, 0.5]), "loxodromic"), ([[2.0, 1.0], [1.0, -1.0]], "loxodromic"),
+])
+def test_classify_on_named_kinds(m, kind):
+    assert classify(np.asarray(m, float)) == kind
+
+
+def test_classify_is_exact_where_floats_round_the_discriminant_to_zero():
+    # with a = 1 + x, b = d = 1 and c = z the discriminant is x^2 + 4z:
+    # here 2^-78 > 0, a loxodromic, but tr^2 - 4 det in floats rounds to 0
+    x, z = 2.0 ** -30, -2.0 ** -62 + 2.0 ** -80
+    m = np.array([[1.0 + x, 1.0], [z, 1.0]])
+    t, det = m[0, 0] + m[1, 1], m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    assert t * t - 4 * det == 0.0
+    assert classify(m) == reference_classify(m) == "loxodromic"
+    m[1, 0] = -2.0 ** -62                      # now exactly parabolic
+    assert classify(m) == reference_classify(m) == "parabolic"
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +383,15 @@ def test_limit_set_of_one_hyperbolic():
 
 
 @pytest.mark.parametrize("rep,message", [
-    ({"a": SANOV_A, "b": [[1.0, 2.0], [2.0, 4.0]]},
-     "b: matrix is numerically singular"),
+    ({"a": SANOV_A, "b": [[1.0, 2.0], [2.0, 4.0]]}, "b: matrix is singular"),
     ({"a": SANOV_A}, "b: no image given"),
     ({"a": SANOV_A, "b": SANOV_B, "c": SANOV_B}, "c: not a generator"),
-    ({"a": SANOV_A, "b": np.eye(3)}, "b: 3x3 matrix, the other images are 2x2"),
+    # exactly invertible, but np.linalg.norm, which _projective divides
+    # by, is inf or 0 on them
+    ({"a": [[1e300, 1e300], [0.0, 1e300]], "b": SANOV_B},
+     "a: matrix norm overflows"),
+    ({"a": [[1e-300, 0.0], [0.0, 1e-300]], "b": SANOV_B},
+     "a: matrix norm underflows"),
 ])
 def test_limit_set_refuses_bad_images_naming_the_generator(f2, rep, message):
     with pytest.raises(InvalidParameterError, match=f"^{message}"):
@@ -307,7 +399,9 @@ def test_limit_set_refuses_bad_images_naming_the_generator(f2, rep, message):
 
 
 def test_limit_set_refuses_d3(f2):
-    with pytest.raises(UnsupportedKindError, match="d = 3"):
+    with pytest.raises(UnsupportedKindError, match="^b: .*d = 2.*, got d = 3"):
+        q_limit_set({"a": SANOV_A, "b": np.eye(3)}, f2, 2)
+    with pytest.raises(UnsupportedKindError, match="^a: .*got d = 3"):
         q_limit_set(D3_REP, f2, 2)
 
 
@@ -353,8 +447,8 @@ D3_REP = {"a": np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.5]]),
 
 
 @pytest.mark.parametrize("rep", [{"a": SANOV_A, "b": SANOV_B},
-                                 elliptic_generators(10), D3_REP],
-                         ids=["sanov", "elliptic-10", "d3"])
+                                 elliptic_generators(10)],
+                         ids=["sanov", "elliptic-10"])
 def test_ball_images_match_syllable_products(f2, rep):
     tree = ball_tree(f2, 6)
     images = ball_images(rep, f2, tree)
@@ -362,6 +456,21 @@ def test_ball_images_match_syllable_products(f2, rep):
     for g, m in zip(tree.elements, images):
         ref = _syllable_image(rep, f2, g)
         assert np.linalg.norm(m - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_ball_images_of_z2_stay_finite_at_depth_10():
+    # b = a^2, so a^2 b^-1 and its powers map to the identity; rescaling
+    # each level by its computed determinant divided two long words by a
+    # det that rounds to 0, which gave inf and NaN images (two rejections)
+    z2 = make_oracle({"kind": "free-abelian", "rank": 2})
+    a = np.array([[2.0, 1.0], [1.0, 1.0]])
+    rep = {"a": a, "b": a @ a}
+    unit = {n: m / np.linalg.norm(m) for n, m in rep.items()}   # as q_limit_set
+    tree = ball_tree(z2, 10)
+    assert np.all(np.isfinite(ball_images(unit, z2, tree)))
+    with np.errstate(divide="ignore"):     # see the closed forms' det
+        cloud = q_limit_set(rep, z2, 10)
+    assert (cloud.words_seen, cloud.gap_rejections) == (len(tree.level), 7)
 
 
 def test_ball_images_on_a_filled_quotient():
@@ -536,7 +645,7 @@ def _letters(mats):
     """Letters as q_limit_set forms them: each image and its inverse."""
     out = []
     for m in mats:
-        e = ProjectiveMatrix(m).entries
+        e = _projective(m)
         out += [e, np.linalg.inv(e)]
     return np.array(out)
 

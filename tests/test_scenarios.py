@@ -340,6 +340,7 @@ def test_bundled_scenario_validates():
      r"tasks\.0\.queries\.0: repelling and attracting balls are not separated"),
     ({"check": "edf", "queries": [{"attracting": [{"angle": 0.0, "radius": -0.5}]}]},
      r"tasks\.0\.queries\.0: ball radius -0\.5 is not in \(0, 1\)"),
+    ({"check": "limitset", "screen_powers": 7}, "screen_powers"),
 ])
 def test_task_parameters_are_schema_checked(task, where):
     with pytest.raises(SchemaError, match=where):

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from rhfill.convergence import RepFamily, limit_set_convergence, sanov_generators
+from rhfill.convergence import (RepFamily, fiber_consistency_check,
+                                limit_set_convergence, sanov_generators)
 from rhfill.groups import standard_f2_pair
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -41,12 +42,16 @@ def test_trace_target_resolves(layer, target):
 
 
 def test_tracer_counts_the_flag_layer():
+    pair = standard_f2_pair()
     rep = sanov_generators()
-    family = RepFamily(standard_f2_pair(), rep, {3: rep})
+    family = RepFamily(pair, rep, {3: rep})
+    a = [pair.group.generator("a", k) for k in range(1, 7)]
     with spans.Tracer() as tracer:
         report = limit_set_convergence(family, word_depth=3)
+        fiber_consistency_check(rep, pair, [a])
     metrics = tracer.metrics()
-    # the base and the member are screened, then one cloud each
-    assert metrics["flags.q_divergence.calls"] == 2
+    # the screening classifies exactly and takes no gaps; the fiber check
+    # takes one divergence certificate per sequence, then one cloud each
+    assert metrics["flags.q_divergence.calls"] == 1
     assert metrics["flags.limit_cloud_points"] == 2 * report["base_size"] > 0
     assert metrics["flags.q_limit_set.s"] > 0.0
