@@ -145,8 +145,9 @@ def generator_images(rep: dict, names) -> dict[str, np.ndarray]:
     finite entries, a nonzero determinant (exact on those entries) and a
     Frobenius norm in the float range, which :func:`_projective` divides
     by.  Returns unscaled float copies in the order of ``names``.  A
-    violation raises InvalidParameterError (UnsupportedKindError for
-    another size d) whose message starts with the generator's name.
+    violation raises InvalidParameterError (UnsupportedKindError when the
+    images are of one other size d) whose message starts with the
+    generator's name.
     """
     for name in rep:
         if name not in names:
@@ -163,6 +164,11 @@ def generator_images(rep: dict, names) -> dict[str, np.ndarray]:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidParameterError(
                 f"{name}: need a square matrix, got shape {m.shape}")
+        first = len(next(iter(out.values()), m))
+        if len(m) != first:
+            raise InvalidParameterError(
+                f"{name}: {len(m)}x{len(m)} matrix, the other images are "
+                f"{first}x{first}")
         if m.shape != (2, 2):
             raise UnsupportedKindError(
                 f"{name}: images act on R^2 (d = 2), got d = {len(m)}")

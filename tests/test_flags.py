@@ -386,6 +386,7 @@ def test_limit_set_of_one_hyperbolic():
     ({"a": SANOV_A, "b": [[1.0, 2.0], [2.0, 4.0]]}, "b: matrix is singular"),
     ({"a": SANOV_A}, "b: no image given"),
     ({"a": SANOV_A, "b": SANOV_B, "c": SANOV_B}, "c: not a generator"),
+    ({"a": SANOV_A, "b": np.eye(3)}, "b: 3x3 matrix, the other images are 2x2"),
     # exactly invertible, but np.linalg.norm, which _projective divides
     # by, is inf or 0 on them
     ({"a": [[1e300, 1e300], [0.0, 1e300]], "b": SANOV_B},
@@ -399,9 +400,7 @@ def test_limit_set_refuses_bad_images_naming_the_generator(f2, rep, message):
 
 
 def test_limit_set_refuses_d3(f2):
-    with pytest.raises(UnsupportedKindError, match="^b: .*d = 2.*, got d = 3"):
-        q_limit_set({"a": SANOV_A, "b": np.eye(3)}, f2, 2)
-    with pytest.raises(UnsupportedKindError, match="^a: .*got d = 3"):
+    with pytest.raises(UnsupportedKindError, match="^a: .*d = 2.*, got d = 3"):
         q_limit_set(D3_REP, f2, 2)
 
 
