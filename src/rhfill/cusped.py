@@ -46,6 +46,7 @@ from .groups import (
 
 MATRIX_CAP = 6000  # largest window for dense all-pairs work
 BFS_BLOCK = 256  # rows per block of the all-pairs BFS and of certificate scans
+INT8_REACH = 63  # distances up to this are stored in int8: any two add exactly
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +314,40 @@ class _Ball(NamedTuple):
     cost: np.ndarray     # d_X(id, key)
 
 
-def run_pairs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions i < j with labels[i] == labels[j], row-major, for labels
-    that come in contiguous runs."""
+def _run_counts(labels: np.ndarray) -> np.ndarray:
+    """For each position i, the number of j > i in its run of equal labels."""
     n = len(labels)
     cut = np.flatnonzero(np.diff(labels)) + 1
     ends = np.repeat(np.append(cut, n), np.diff(np.concatenate(([0], cut, [n]))))
-    counts = ends - np.arange(n) - 1
+    return ends - np.arange(n) - 1
+
+
+def run_pairs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions i < j with labels[i] == labels[j], row-major, for labels
+    that come in contiguous runs."""
+    counts = _run_counts(labels)
+    n = len(labels)
     return np.repeat(np.arange(n), counts), _ranges(np.arange(1, n + 1), counts)
+
+
+def run_pair_blocks(labels: np.ndarray, block: int):
+    """:func:`run_pairs` as consecutive slices of at most ``block`` pairs,
+    a run split between slices where it must. Pair p of the row-major
+    order is (i, i + 1 + p - first[i]), row i holding the pairs from
+    first[i] on; a slice repeats each of its rows once per pair it holds."""
+    counts = _run_counts(labels)
+    first = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    for lo in range(0, total, block):
+        hi = min(lo + block, total)
+        r0, r1 = np.searchsorted(first, [lo, hi - 1], side="right") - 1
+        rows = np.arange(r0, r1 + 1)
+        held = (np.minimum(first[rows] + counts[rows], hi)
+                - np.maximum(first[rows], lo))
+        i = np.repeat(rows, held)
+        p = np.arange(lo, hi)
+        p -= first[i] - i - 1
+        yield i, p
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -413,7 +440,9 @@ class CuspedGraph:
         return out
 
     def _bfs_rows(self, sources) -> np.ndarray:
-        """Read-only int16 distance rows from ``sources``, -1 if unreachable.
+        """Read-only int16 distance rows from ``sources``, -1 if unreachable;
+        always int16 (numpy's 8-bit shifts are slower), narrowed only where
+        :meth:`distance_matrix` stores a block.
 
         The k BFSs run together, one bit each: bit s of row v of the
         ``(n, ceil(k/64))`` little-endian uint64 words says that v has been
@@ -464,25 +493,36 @@ class CuspedGraph:
         return int(i)
 
     def bfs_distances(self, source) -> np.ndarray:
-        """Read-only int16 distances from ``source`` (index or key), -1
-        where unreachable; a row of the cached ``distance_matrix`` once that
-        has been formed."""
+        """Read-only distances from ``source`` (index or key), -1 where
+        unreachable: an int16 row of :meth:`_bfs_rows`, or once the matrix
+        has been formed a row of the cached ``distance_matrix``, in its
+        dtype (int8 or int16)."""
         source = self.vertex_index(source)
         if self._dist_matrix is None:
             return self._bfs_rows([source])[0]
         return self._dist_matrix[source]
 
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs window distances, n x n int16 with -1 if unreachable,
-        formed in blocks of ``BFS_BLOCK`` sources; cached and read-only."""
+        """All-pairs window distances, n x n with -1 if unreachable, formed
+        in blocks of ``BFS_BLOCK`` sources; cached and read-only.
+
+        The dtype is int8 when no distance exceeds ``INT8_REACH``, so the
+        sum or difference of any two entries is exact in int8, and int16
+        otherwise: D starts as int8 and is widened once, by the first block
+        of rows that holds a longer distance. An expression that combines
+        more than two entries must promote them first."""
         if self._dist_matrix is None:
             n = self.n_vertices
             if n > MATRIX_CAP:
                 raise BudgetExceededError("dense distance matrix vertices",
                                           MATRIX_CAP, n)
-            D = np.empty((n, n), dtype=np.int16)
+            D = np.empty((n, n), dtype=np.int8)
             for s in range(0, n, BFS_BLOCK):
-                D[s:s + BFS_BLOCK] = self._bfs_rows(np.arange(s, min(s + BFS_BLOCK, n)))
+                rows = self._bfs_rows(np.arange(s, min(s + BFS_BLOCK, n)))
+                if D.dtype == np.int8 and rows.max() > INT8_REACH:
+                    D = D.astype(np.int16)
+                D[s:s + BFS_BLOCK] = rows
+                del rows  # freed before the next block's BFS allocates
             D.flags.writeable = False
             self._dist_matrix = D
         return self._dist_matrix
@@ -490,7 +530,7 @@ class CuspedGraph:
     # -- truncation certificate ------------------------------------------
 
     def certified_pairs_matrix(self) -> tuple[np.ndarray, Certificate]:
-        """(int16 ``distance_matrix()``, -1 if unreachable; the truncation
+        """(``distance_matrix()``, -1 if unreachable; the truncation
         certificate), both cached and read-only. A pair is certified at
         window distance d >= 0 with d <= (R+1 - |i|) + (R+1 - |j|) and
         d <= (md+1 - depth i) + (md+1 - depth j), |i| = d(id, i): a shorter
@@ -509,8 +549,10 @@ class CuspedGraph:
 
 class Certificate:
     """The truncation certificate of a window: pair (i, j) is certified iff
-    d = D[i, j] satisfies 0 <= d <= min(ball[i] + ball[j], cap[i] + cap[j])
-    in int16, with the limbs ball = R+1 - d(id, .) and cap = md+1 - depth.
+    d = D[i, j] satisfies 0 <= d <= min(ball[i] + ball[j], cap[i] + cap[j]),
+    with d in the dtype of D (int8 or int16, see
+    :meth:`CuspedGraph.distance_matrix`) and the limbs in int16:
+    ball = R+1 - d(id, .) and cap = md+1 - depth.
 
     ``cert[i, j]`` evaluates it on integers or integer index arrays,
     broadcast as ``D[i, j]`` broadcasts them (``np.ix_`` blocks included);

@@ -6,10 +6,13 @@ most 2*delta. Exhaustive mode scans all quadruples (cubic memory-free,
 quartic time); sampled mode draws quadruples with a seeded generator and
 yields a lower bound for delta, which is the safe direction whenever delta
 appears on the right-hand side of a bound being verified. Graph distances
-are the cached, read-only n x n int16 matrix, -1 where unreachable; integer
-matrices are used without a float copy and checked by their minimum, so no
-n x n temporary is formed. That matrix is the only n x n array a window
-keeps: its truncation certificate is a formula over two O(n) vectors
+are the cached, read-only n x n matrix, -1 where unreachable, in int8 when
+no distance exceeds 63 and in int16 otherwise (`CuspedGraph.distance_matrix`):
+a pairing sum of two entries is exact in either, and the exhaustive scan,
+which adds six, widens int8 to int16 first. Integer matrices are used
+without a float copy and checked by their minimum, so no n x n temporary is
+formed. That matrix is the only n x n array a window keeps: its
+truncation certificate is a formula over two O(n) vectors
 (`cusped.Certificate`).
 """
 from __future__ import annotations
@@ -61,6 +64,8 @@ def _as_matrix(graph_or_matrix) -> np.ndarray:
 def four_point_delta_exhaustive(graph_or_matrix) -> HyperbolicityEstimate:
     """Exact four-point delta by scanning every quadruple."""
     D = _as_matrix(graph_or_matrix)
+    if D.dtype == np.int8:  # the defect adds six entries, up to 6 * 63
+        D = D.astype(np.int16)
     n = D.shape[0]
     best = -1.0
     wit = (0, 0, 0, 0)
@@ -86,14 +91,18 @@ def four_point_delta_exhaustive(graph_or_matrix) -> HyperbolicityEstimate:
 
 def four_point_delta_sampled(graph_or_matrix, samples: int = 200_000,
                              seed: int = 0) -> HyperbolicityEstimate:
-    """Lower bound for the four-point delta from sampled quadruples."""
+    """Lower bound for the four-point delta from sampled quadruples.
+
+    The quadruples are drawn as int32, which numpy's generator gives as
+    the same values as an int64 draw for every n < 2**31 (a test pins
+    that at the window sizes in use) in half the memory."""
     if samples < 1:
         raise InvalidParameterError(
             f"sampled delta needs samples >= 1, got {samples}")
     D = _as_matrix(graph_or_matrix)
     n = D.shape[0]
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(4, samples))
+    idx = rng.integers(0, n, size=(4, samples), dtype=np.int32)
     i, j, k, l = idx
     s1 = D[i, j] + D[k, l]
     s2 = D[i, k] + D[j, l]

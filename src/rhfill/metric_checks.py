@@ -8,6 +8,7 @@ group pair, not about the window.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,14 +20,14 @@ from .cusped import (
     geodesics,
     horo_pair,
     pair_word_costs,
-    run_pairs,
+    run_pair_blocks,
 )
 from .delta import four_point_delta_sampled
 from .errors import WindowError
 from .groups import GroupElement, RelHypPair
 
 MIN_LEMMA_RADIUS = 6
-PAIR_BLOCK = 1 << 16  # within-neighbourhood pairs gathered at once
+PAIR_BLOCK = 1 << 15  # pairs gathered at once, also within one horoball
 
 
 def _depth0_indices(window: CuspedGraph) -> np.ndarray:
@@ -87,7 +88,8 @@ def horoball_entry_check(window: CuspedGraph, delta: float,
     full on-a-geodesic scan (z is on some geodesic iff the triangle
     inequality through z is tight). The vertices within C of H are its
     C-hop neighbourhood, as a cusped window is connected; their pairs are
-    read in blocks of about ``PAIR_BLOCK``, horoball by horoball.
+    read horoball by horoball in blocks of at most ``PAIR_BLOCK``, which
+    split a horoball's pairs where they must.
     """
     D, cert = window.certified_pairs_matrix()
     bound = 3 * C + 7 * delta
@@ -99,7 +101,7 @@ def horoball_entry_check(window: CuspedGraph, delta: float,
     h, v = h[order], v[order]
     size = np.bincount(h, minlength=len(window.meta["horoball_coset"]))
     start = np.cumsum(size) - size
-    indices, indptr = window._pattern(loops=True)
+    indices, indptr = window._closed_pattern()
     near_h, near = h, v
     for _ in range(C):
         deg = indptr[near + 1] - indptr[near]
@@ -109,39 +111,35 @@ def horoball_entry_check(window: CuspedGraph, delta: float,
         near_h, near = keys // n, keys % n
     keep = size[near_h] < n  # a horoball that is the whole window has no outside
     near_h, near = near_h[keep], near[keep]
-    m = np.bincount(near_h, minlength=len(size))
-    pairs = m * (m - 1) // 2
-    block = ((np.cumsum(pairs) - pairs) // PAIR_BLOCK)[near_h]
-    cuts = np.flatnonzero(np.diff(block, prepend=-1))
     pairs_checked = 0
     scans = []
-    for lo, hi in zip(cuts, np.append(cuts[1:], len(block))):
-        a, b = run_pairs(near_h[lo:hi])
-        x, y = near[lo + a], near[lo + b]
+    for a, b in run_pair_blocks(near_h, PAIR_BLOCK):
+        x, y = near[a], near[b]
         ok = cert[x, y]
         pairs_checked += int(ok.sum())
         t = np.flatnonzero(ok & (np.ceil(D[x, y] / 2.0) > bound))
-        scans += zip(near_h[lo + a[t]].tolist(), x[t].tolist(), y[t].tolist())
+        scans += zip(near_h[a[t]].tolist(), x[t].tolist(), y[t].tolist())
     violations = []
-    d_out = {}
-    for hh, x, y in scans:  # row-major within each horoball, as i < j
-        if hh not in d_out:
+    d_out_h = -1
+    for hh, x, y in scans:  # horoball by horoball, row-major as i < j
+        if hh != d_out_h:
+            # the sentinel, 127 in int8, exceeds every distance in D
             idx_H = v[start[hh]:start[hh] + size[hh]]
             in_H = np.zeros(n, dtype=bool)
             in_H[idx_H] = True
-            d_out[hh] = np.zeros(n)
-            d_out[hh][idx_H] = np.where(in_H, np.iinfo(D.dtype).max,
-                                        D[idx_H]).min(axis=1)
+            d_out, d_out_h = np.zeros(n), hh
+            d_out[idx_H] = np.where(in_H, np.iinfo(D.dtype).max,
+                                    D[idx_H]).min(axis=1)
         on_geo = D[x] + D[y] == D[x, y]
         d_ends = np.minimum(D[x], D[y])
-        bad = on_geo & (d_ends > d_out[hh] + bound)
+        bad = on_geo & (d_ends > d_out + bound)
         for z in np.flatnonzero(bad):
             violations.append({
                 "horoball": _horoball_label(window, hh),
                 "x": window.labels[x], "y": window.labels[y],
                 "z": window.labels[int(z)],
                 "d_to_ends": float(d_ends[z]),
-                "d_outside": float(d_out[hh][z]),
+                "d_outside": float(d_out[z]),
                 "bound": bound})
     return {
         "name": "horoball-entry",
@@ -178,9 +176,12 @@ def quasidensity_check(window: CuspedGraph, delta: float,
         raise WindowError("window has no sphere vertices at its own radius")
     rays = _canonical_ray_union(window, sphere)
     ball = np.flatnonzero(dist0 <= ball_radius)
-    dmin = np.empty(len(ball), dtype=D.dtype)
-    for s in range(0, len(ball), BFS_BLOCK):
-        dmin[s:s + BFS_BLOCK] = D[np.ix_(ball[s:s + BFS_BLOCK], rays)].min(axis=1)
+    # a ball vertex on a ray is at distance 0; only the others are scanned
+    dmin = np.zeros(len(ball), dtype=D.dtype)
+    off = np.flatnonzero(~np.isin(ball, rays, assume_unique=True))
+    for s in range(0, len(off), BFS_BLOCK):
+        t = off[s:s + BFS_BLOCK]
+        dmin[t] = D[np.ix_(ball[t], rays)].min(axis=1)
     bound = 8 + 21 * delta
     bad = np.flatnonzero(dmin > bound)
     return {
@@ -203,37 +204,46 @@ def deep_horoball_isometry_check(window: CuspedGraph, depth_floor: int) -> dict:
     pair = window.pair
     D, cert = window.certified_pairs_matrix()
     deep = np.flatnonzero(window.depth >= max(depth_floor, 1))
-    # an interior vertex lies in one horoball, whose vertices are contiguous
-    a, b = run_pairs(window.meta["horoball"][deep].max(axis=1))
-    u, v = deep[a], deep[b]
-    ok = cert[u, v]
-    u, v = u[ok], v[ok]
     locals_: dict = {}
     local = np.zeros(window.n_vertices, dtype=np.int64)
     local[deep] = [locals_.setdefault((key[1], key[3]), len(locals_))
                    for key in map(window.vertices.__getitem__, deep.tolist())]
-    # d_local once per distinct pair of locals, horo_pair once per (d, k, l)
     locs, m = list(locals_), len(locals_)
-    codes, inv = _unique_inverse(local[u] * m + local[v])
-    d = np.array([pair.peripherals[locs[c // m][0]].d_local(
-        locs[c // m][1], locs[c % m][1]) for c in codes.tolist()],
-        dtype=np.int64)[inv]
+
+    @lru_cache(maxsize=None)  # d_local once per distinct pair of locals
+    def d_local(c: int) -> int:
+        (pid, p), (_, q) = locs[c // m], locs[c % m]
+        return pair.peripherals[pid].d_local(p, q)
+
     base = int(window.depth.max(initial=0)) + 1
-    dkl, inv = _unique_inverse((d * base + window.depth[u]) * base
-                               + window.depth[v])
-    expected = np.array([horo_pair(c // base ** 2, c // base % base, c % base)
-                         for c in dkl.tolist()], dtype=np.int64)[inv]
-    bad = np.flatnonzero(D[u, v] != expected)
-    violations = [{"u": window.labels[u[t]], "v": window.labels[v[t]],
-                   "window": float(D[u[t], v[t]]), "horoball": int(expected[t])}
-                  for t in bad[:10]]
+    checked, bad_count, violations = 0, 0, []
+    # an interior vertex lies in one horoball, whose vertices are contiguous
+    for a, b in run_pair_blocks(window.meta["horoball"][deep].max(axis=1),
+                                PAIR_BLOCK):
+        u, v = deep[a], deep[b]
+        ok = cert[u, v]
+        u, v = u[ok], v[ok]
+        codes, inv = _unique_inverse(local[u] * m + local[v])
+        d = np.array([d_local(c) for c in codes.tolist()], dtype=np.int64)[inv]
+        # horo_pair (cached) once per distinct (d, k, l) of the block
+        dkl, inv = _unique_inverse((d * base + window.depth[u]) * base
+                                   + window.depth[v])
+        expected = np.array([horo_pair(c // base ** 2, c // base % base,
+                                       c % base) for c in dkl.tolist()],
+                            dtype=np.int64)[inv]
+        bad = np.flatnonzero(D[u, v] != expected)
+        checked, bad_count = checked + len(u), bad_count + len(bad)
+        violations += [{"u": window.labels[u[t]], "v": window.labels[v[t]],
+                        "window": float(D[u[t], v[t]]),
+                        "horoball": int(expected[t])}
+                       for t in bad[:10 - len(violations)]]
     return {
         "name": "deep-horoball-isometry",
         "depth_floor": depth_floor,
-        "pairs_checked": len(u),
+        "pairs_checked": checked,
         "violations": violations,
-        "violation_count": len(bad),
-        "pass": not len(bad),
+        "violation_count": bad_count,
+        "pass": not bad_count,
     }
 
 

@@ -97,3 +97,18 @@ def test_thin_triangles_match_one_triangle_at_a_time(graph, seed):
     g = graph()
     assert thin_triangle_delta(g, triangles=150, seed=seed) \
         == reference_thin_triangles(g, 150, seed)
+
+
+@pytest.mark.parametrize("n,samples,seed", [
+    (407, 50_000, 7), (441, 50_000, 7),       # the bundled uniform-delta task
+    (4629, 200_000, 0),                        # the r = 6 lemma window
+    (1389, 50_000, 0), (1451, 50_000, 0),      # filling windows at r = 5
+    (7, 1_000, 0), (100_000, 1_000, 0), (2 ** 31 - 1, 1_000, 0)])
+def test_int32_draw_is_the_int64_draw(n, samples, seed):
+    # the sampled delta draws its quadruples as int32; a numpy whose int32
+    # stream differs from the int64 one would move every sampled delta
+    draw = [np.random.default_rng(seed).integers(0, n, size=(4, samples),
+                                                 dtype=dtype)
+            for dtype in (np.int32, np.int64)]
+    assert draw[0].dtype == np.int32
+    assert (draw[0] == draw[1]).all()

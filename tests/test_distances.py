@@ -1,5 +1,6 @@
 """The window-distance layer: all-pairs and single-source BFS rows, the
-truncation certificate, and the delta estimators on int16 matrices.
+truncation certificate, and the delta estimators on int8 and int16
+matrices.
 
 Distances are checked against a plain deque BFS over the edge list, written
 here and sharing nothing with the library's frontier BFS.
@@ -8,6 +9,7 @@ import collections
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from rhfill import (
     shortest_path,
     standard_f2_pair,
 )
-from rhfill.cusped import BFS_BLOCK, geodesics
+from rhfill.cusped import BFS_BLOCK, INT8_REACH, geodesics
 from rhfill.delta import (estimate_delta, four_point_delta_exhaustive,
                           four_point_delta_sampled)
 from reference_windows import (build_coned_off, build_horoball, cycle_graph,
@@ -62,6 +64,12 @@ def reference_rows(graph, sources) -> dict[int, list[int]]:
     return rows
 
 
+def rule_dtype(D):
+    """The documented dtype of a distance matrix: int8 when no distance
+    exceeds ``INT8_REACH``, int16 otherwise."""
+    return np.int8 if D.max(initial=0) <= INT8_REACH else np.int16
+
+
 def _horoball():
     base, labels = integer_interval_metric(12)
     return build_horoball(base, 5, labels)
@@ -98,7 +106,8 @@ def _sources(graph) -> list[int]:
 def test_distance_matrix_matches_reference_bfs(name):
     g = BUILDERS[name]()
     D = g.distance_matrix()
-    assert D.dtype == np.int16 and D.shape == (g.n_vertices, g.n_vertices)
+    assert D.dtype == rule_dtype(D) == np.int8
+    assert D.shape == (g.n_vertices, g.n_vertices)
     for s, row in reference_rows(g, _sources(g)).items():
         assert D[s].tolist() == row, (name, s)
 
@@ -112,7 +121,7 @@ def test_single_source_rows_before_and_after_matrix(name):
     assert before == reference_rows(g, sources)
     for s in sources:
         assert g.bfs_distances(s).tolist() == before[s]
-        assert g.bfs_distances(s).dtype == np.int16
+        assert g.bfs_distances(s).dtype == g.distance_matrix().dtype == np.int8
 
 
 def test_frontier_counts_do_not_wrap():
@@ -268,7 +277,7 @@ def test_bit_parallel_bfs_matches_reference_on_multigraphs(g, data):
         for s in sources:  # before the matrix: one bit-parallel BFS each
             assert g.bfs_distances(s).tolist() == rows[s]
     D = g.distance_matrix()
-    assert D.shape == (n, n) and D.dtype == np.int16
+    assert D.shape == (n, n) and D.dtype == rule_dtype(D)
     assert D.tolist() == [reference_rows(g, [s])[s] for s in range(n)]
 
 
@@ -301,6 +310,72 @@ def test_long_path_needs_nine_planes():
     assert g.bfs_distances(150).tolist() == [abs(150 - j) for j in range(300)]
     i = np.arange(300)
     assert (g.distance_matrix() == abs(i[:, None] - i)).all()
+    assert g.distance_matrix().dtype == np.int16  # int8 would wrap
+
+
+@pytest.mark.parametrize("n,dtype", [(64, np.int8), (65, np.int16)])
+def test_paths_at_the_int8_edge(n, dtype):
+    # the longest distance of an n-vertex path is n - 1
+    g = generic_graph(n, [(i, i + 1) for i in range(n - 1)])
+    D = g.distance_matrix()
+    i = np.arange(n)
+    assert D.dtype == dtype and D.max() == n - 1
+    assert (D == abs(i[:, None] - i)).all()
+
+
+def test_matrix_widens_in_a_later_block():
+    # a star on vertices 0..255 fills the first block with distances of at
+    # most 42; tails of 40 vertices hang off leaves 1 and 2, so the rows of
+    # the second block reach 82 and widen D after int8 rows were stored
+    hub = [(0, m) for m in range(1, 256)]
+    tail_a = [(1, 256)] + [(v, v + 1) for v in range(256, 295)]
+    tail_b = [(2, 296)] + [(v, v + 1) for v in range(296, 335)]
+    g = generic_graph(336, hub + tail_a + tail_b)
+    assert g._bfs_rows(np.arange(BFS_BLOCK)).max() <= INT8_REACH
+    D = g.distance_matrix()
+    assert D.dtype == np.int16 and D[295, 335] == 82
+    assert D.tolist() == [reference_rows(g, [s])[s] for s in range(336)]
+
+
+@st.composite
+def long_windows(draw):
+    """A path of up to 64 vertices with a few chords: distances reach 63,
+    so the exhaustive defect's sums of three entries pass int8's 127."""
+    n = draw(st.integers(2, 64))
+    vertex = st.integers(0, n - 1)
+    chords = draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    return generic_graph(n, [(i, i + 1) for i in range(n - 1)] + chords)
+
+
+@settings(max_examples=30, deadline=None)
+@given(long_windows(), st.data())
+def test_int8_matrix_gives_the_int64_results(g, data):
+    D = g.distance_matrix()
+    assert D.dtype == np.int8
+    wide = D.astype(np.int64)
+    for est in (four_point_delta_exhaustive,
+                lambda M: four_point_delta_sampled(M, samples=2_000, seed=3)):
+        a, b = est(D), est(wide)
+        assert (a.delta, a.witness) == (b.delta, b.witness)
+    vertex = st.integers(0, g.n_vertices - 1)
+    u, v = zip(*data.draw(st.lists(st.tuples(vertex, vertex), min_size=1,
+                                   max_size=8)))
+    narrow = geodesics(g, u, v)
+    g._dist_matrix = wide
+    assert geodesics(g, u, v).tolist() == narrow.tolist()
+
+
+def test_matrix_peak_stays_under_one_and_a_half_bytes_per_pair():
+    # D itself takes one byte per pair; the BFS blocks add the rest
+    g = build_cusped_ball(standard_f2_pair(), 6)
+    tracemalloc.start()
+    try:
+        D = g.distance_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert D.dtype == np.int8 and len(D) == 4629
+    assert peak < 1.5 * D.size
 
 
 @pytest.mark.parametrize("k", [1, 63, 64, 65, 257])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rhfill.cusped import (ExactCuspedMetric, build_cusped_ball, dump_graph,
-                           run_pairs)
+                           run_pair_blocks, run_pairs)
 from rhfill.groups import (make_filling, make_oracle, make_pair,
                            standard_f2_pair)
 from rhfill.metric_checks import _horoball_label
@@ -160,3 +160,17 @@ def test_run_pairs_lists_pairs_within_runs_row_major(sizes):
     want = [(i, j) for i in range(len(labels)) for j in range(i + 1, len(labels))
             if labels[i] == labels[j]]
     assert list(zip(a.tolist(), b.tolist())) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 7), max_size=12), st.integers(1, 25))
+def test_run_pair_blocks_cut_the_row_major_pairs(sizes, block):
+    # every block but the last holds exactly ``block`` pairs, so a long
+    # run is split between blocks
+    labels = np.repeat(np.arange(len(sizes)) * 3 - 2, sizes)
+    blocks = list(run_pair_blocks(labels, block))
+    assert [len(a) for a, _ in blocks][:-1] == [block] * (len(blocks) - 1)
+    assert all(len(a) == len(b) and 0 < len(a) <= block for a, b in blocks)
+    a, b = run_pairs(labels)
+    assert [p for x, y in blocks for p in zip(x.tolist(), y.tolist())] \
+        == list(zip(a.tolist(), b.tolist()))
