@@ -15,7 +15,9 @@ sequences are finite-data judgments with "inconclusive" as an honest
 third answer.
 
 Limit sets of free groups are enumerated as reduced words with batched
-2x2 arithmetic, which keeps million-word clouds cheap; other groups take
+2x2 arithmetic, breadth first while the words of a level that end in one
+letter fit in one chunk and depth first below that, so a million-word
+cloud costs its angles and one such block per level; other groups take
 their word balls from :func:`ball_images`, as the Chabauty check does.
 """
 from __future__ import annotations
@@ -357,62 +359,67 @@ def _free2_angles(letters: np.ndarray, depth: int, threshold: float
     """Sorted attracting-line angles in [0, pi) over all reduced words of
     length <= depth, with the words seen and the gap rejections.
 
-    letters has shape (2r, 2, 2) with letter 2i+1 inverse to letter 2i.  A
-    level is laid out in 2r equal blocks by last letter, in letter order, so
-    block j of the next level is letter j appended to every block but j^1:
-    two contiguous ranges of the level before.  Each range is formed in
-    slices of at most CLOSED_FORM_CHUNK words, each slice one flat
-    (2n, 2) @ (2, 2) dgemm.  That forms every entry by the same FMA chain,
-    fma(b, g, a*e), as numpy's stacked (n, 2, 2) @ (2, 2), so the clouds
-    keep their bits; a product this small also runs on one OpenBLAS
-    thread.  Per word the top singular direction and the gap
-    come from closed 2x2 forms, no SVD, taken on each slice right after
-    its product, while it is in cache.
+    letters has shape (2r, 2, 2) with letter 2i+1 inverse to letter 2i.
+    The words of a level that end in one letter form a block; a block
+    ending in l has 2r - 1 children, one for each letter j != l^1, each the
+    block times letter j and as large as it.  Levels are formed whole
+    while a block, (2r - 1)^(level - 1) words, fits in CLOSED_FORM_CHUNK.
+    Such a level is laid out in 2r blocks by last letter, in letter order,
+    so block j of the next level is letter j appended to every block but
+    j^1: two contiguous ranges of the level before.  The deepest level
+    formed whole is the switch level; below it the walk goes depth first,
+    one child at a time.  Every product is one flat (2n, 2) @ (2, 2)
+    dgemm.  That forms every entry by the same FMA chain, fma(b, g, a*e),
+    as numpy's stacked (n, 2, 2) @ (2, 2), so every word is (prefix
+    product) @ letter with the same bits whatever the order of the walk; a
+    product this small also runs on one OpenBLAS thread.  Per word the top
+    singular direction and the gap come from closed 2x2 forms, no SVD,
+    taken on each block right after its product, while it is in cache.
 
     Buffers: the output holds one angle per reduced word of length 1 to
-    depth and is filled in level and word order.  Only the levels below
-    depth are stored, each while the next one is formed from it; the words
-    of the last level go through one buffer of a slice and are never kept.
-    The peak is thus the output plus the level at depth - 1 and the one
-    before it.  Seven float buffers of a slice take every closed form
-    through out=, so each is the same ufunc on the same operands as the
-    plain expression, and the angles are written by arctan2 straight into
-    the output.  A slice whose words all clear the threshold skips the
-    boolean gathers.
+    depth, in the order the blocks are formed, which the final sort
+    erases.  Besides it the walk keeps the switch level (2r blocks, and
+    the level before it) and one block per deeper level: a child
+    overwrites its level's block once the subtree of the block there
+    before it is done.  The peak is thus the output plus O(2r chunk +
+    depth chunk) matrices.  Seven float buffers of a chunk take every closed
+    form through out=, so each is the same ufunc on the same operands as
+    the plain expression, and the angles are written by arctan2 straight
+    into the output.  A block whose words all clear the threshold skips
+    the boolean gathers.
     """
     k, chunk = letters.shape[0], CLOSED_FORM_CHUNK
-    angles = np.empty(_free_word_count(k // 2, depth) - 1)
+    total = _free_word_count(k // 2, depth)
+    angles = np.empty(total - 1)
     bufs = np.empty((7, min(chunk, len(angles))))
     mask = np.empty(bufs.shape[1], dtype=bool)
-    stream = np.empty((bufs.shape[1], 2, 2))     # words of the last level
-    filled, seen, prev = 0, 1, letters
-    for level in range(1, depth + 1):
-        n, m = len(prev), len(prev) // k        # k blocks of m words
-        # (first, end, letter): letter appended to words first..end-1 of prev
-        spans = [(0, k, None)] if level == 1 else [
-            (lo, hi, j) for j in range(k)       # j must not cancel a last j^1
-            for lo, hi in ((0, (j ^ 1) * m), ((j ^ 1) * m + m, n))]
-        size = sum(hi - lo for lo, hi, _ in spans)
-        nxt = np.empty((size, 2, 2)) if 1 < level < depth else None
-        pos = 0
-        for lo, hi, j in spans:
-            for start in range(lo, hi, chunk):
-                part = prev[start:min(start + chunk, hi)]
-                if j is None:
-                    words = part
-                else:
-                    words = (nxt[pos:pos + len(part)] if nxt is not None
-                             else stream[:len(part)])
-                    np.matmul(part.reshape(-1, 2), letters[j],
-                              out=words.reshape(-1, 2))
-                pos += len(part)
-                filled = _closed_forms(words, threshold, bufs, mask, angles, filled)
-        prev = letters if level == 1 else nxt
-        seen += size
+    level, m, filled, switch = letters, 1, 0, min(depth, 1)  # block j: letter j
+    for j in range(k * switch):     # level 1, if depth > 0
+        filled = _closed_forms(letters[j:j + 1], threshold, bufs, mask,
+                               angles, filled)
+    while switch < depth and m * (k - 1) <= chunk:      # breadth first
+        prev, p, m, switch = level, m, m * (k - 1), switch + 1
+        level = np.empty((k * m, 2, 2))
+        for j in range(k):      # letter j after prev without its block j^1
+            block, cut = level[j * m:(j + 1) * m], (j ^ 1) * p
+            for part, out in ((prev[:cut], block[:cut]), (prev[cut + p:], block[cut:])):
+                np.matmul(part.reshape(-1, 2), letters[j], out=out.reshape(-1, 2))
+            filled = _closed_forms(block, threshold, bufs, mask, angles, filled)
+    blocks = np.empty((depth - switch, m, 2, 2))    # levels switch + 1 to depth
+    todo = [(switch, i, j) for i in range(k) for j in range(k)
+            if j != i ^ 1] if switch < depth else []
+    while todo:     # (at, i, j): letter j after a block of level at ending in i
+        at, i, j = todo.pop()
+        parent = blocks[at - switch - 1] if at > switch else level[i * m:(i + 1) * m]
+        child = blocks[at - switch]
+        np.matmul(parent.reshape(-1, 2), letters[j], out=child.reshape(-1, 2))
+        filled = _closed_forms(child, threshold, bufs, mask, angles, filled)
+        if at + 1 < depth:      # the last pushed are the next popped
+            todo += [(at + 1, j, n) for n in range(k) if n != j ^ 1]
     angles = angles[:filled]
     angles[angles == math.pi] = 0.0    # theta + pi rounded up: pi mod pi
     angles.sort()
-    return angles, seen, seen - filled     # the identity is never kept
+    return angles, total, total - filled     # the identity is never kept
 
 
 def _closed_forms(words: np.ndarray, threshold: float, bufs: np.ndarray,
@@ -439,7 +446,8 @@ def _closed_forms(words: np.ndarray, threshold: float, bufs: np.ndarray,
     np.add(top, bot, out=lam)
     lam /= 2
     lam += tmp             # lambda_1 of the Gram matrix
-    lam /= det             # sigma_1 / sigma_2, since sigma products = det
+    with np.errstate(divide="ignore"):  # a det cancelled to 0: gap inf, safe side
+        lam /= det         # sigma_1 / sigma_2, since sigma products = det
     good = np.greater(lam, threshold, out=mask[:len(words)])
     mid *= 2
     if not good.all():

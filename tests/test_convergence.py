@@ -412,6 +412,14 @@ def test_chabauty_peak_memory():
     assert traced_peak(lambda: chabauty_check(fam, 10.0, 8)) <= 12 * 2 ** 20
 
 
+def test_limit_set_convergence_peak_memory():
+    # the base cloud (1.9 MiB) beside one member's q_limit_set at a time:
+    # its raw angles (8.1 MiB), one block per level and the dedup; with
+    # levels 10 and 11 stored whole it peaked at 23.2 MiB
+    fam = load_scenario(bundled_scenario_path()).family
+    assert traced_peak(lambda: limit_set_convergence(fam, 12)) <= 17 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # limit-set convergence
 

@@ -4,7 +4,10 @@ Every attracting-line angle comes from the closed 2x2 forms, never an SVD,
 so the key tests here compare the clouds element by element against one
 SVD per ball element on the same ball.
 """
+import gc
 import math
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -467,9 +470,22 @@ def test_ball_images_of_z2_stay_finite_at_depth_10():
     unit = {n: m / np.linalg.norm(m) for n, m in rep.items()}   # as q_limit_set
     tree = ball_tree(z2, 10)
     assert np.all(np.isfinite(ball_images(unit, z2, tree)))
-    with np.errstate(divide="ignore"):     # see the closed forms' det
+    with warnings.catch_warnings():     # some long words' det cancels to 0
+        warnings.simplefilter("error", RuntimeWarning)
         cloud = q_limit_set(rep, z2, 10)
     assert (cloud.words_seen, cloud.gap_rejections) == (len(tree.level), 7)
+
+
+def test_closed_forms_take_a_cancelled_det_as_an_infinite_gap():
+    # (1e8 + 1)(1e8 - 1) rounds to 1e16, so the det cancels to 0 although
+    # it is -1; the gap inf clears the threshold, and no warning is raised
+    m = np.array([[[1e8 + 1, 1e8], [1e8, 1e8 - 1]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        angles = _line_angles(m, DEFAULT_TOLS.gap_threshold)
+        gaps = q_divergence(m).gaps
+    assert gaps == (math.inf,)
+    assert angles.tolist() == pytest.approx([math.pi / 4])
 
 
 def test_ball_images_on_a_filled_quotient():
@@ -802,11 +818,31 @@ def test_free2_angles_do_not_depend_on_the_chunk(monkeypatch, chunk):
 
 
 def test_q_limit_set_peak_memory_at_depth_12():
-    # the output (8.1 MiB at 1,062,880 words) plus levels 10 and 11 (2.4
-    # and 7.2 MiB); storing level 12 and a full np.diff took 37.4 MiB
+    # the output (8.1 MiB at 1,062,880 words) plus one block per level: the
+    # switch level 9 (0.8 MiB) and one 6,561-word block for each of levels
+    # 10 to 12 (0.6 MiB), then the dedup's mask and cloud; storing levels
+    # 10 and 11 whole took 19.2 MiB, and level 12 with a full np.diff 37.4
     fam = load_scenario(bundled_scenario_path()).family
     peak = traced_peak(lambda: q_limit_set(fam.base, fam.pair.group, 12))
-    assert peak <= 24 * 2 ** 20
+    assert peak <= 13 * 2 ** 20
+
+
+def test_q_limit_set_leaves_no_cyclic_garbage():
+    # with the collector off, memory held by a reference cycle would stay
+    # allocated after the cloud is dropped
+    fam = load_scenario(bundled_scenario_path()).family
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        cloud = q_limit_set(fam.base, fam.pair.group, 12)
+        assert cloud.size > 0
+        del cloud
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert left < 2 ** 20
 
 
 def test_sorted_rp1_sends_a_rounded_up_pi_to_zero():
