@@ -117,6 +117,7 @@ def pair_word_costs(group: FreeProductOracle, elems: list[GroupElement],
     when they share a factor and add up otherwise (a missing one costs 0);
     the tails behind them are kept."""
     sylls, A = intern_syllables([g.word for g in elems])
+    A = A.astype(np.min_scalar_type(len(sylls)))  # narrow pair gathers
     each = np.array([cost(group.factors[f].p_length(p)) for f, p in sylls] + [0])
     merge = np.add.outer(each, each)
     for a, (f, p) in enumerate(sylls):
@@ -125,7 +126,11 @@ def pair_word_costs(group: FreeProductOracle, elems: list[GroupElement],
             if g == f:
                 merge[a, b] = cost(fac.p_length(fac.p_add(fac.p_neg(p), q)))
     tails = np.cumsum(each[A][:, ::-1], axis=1)[:, ::-1] - each[A]
-    c = (A[i, :-1] == A[j, :-1]).cumprod(axis=1).sum(axis=1)
+    # the common prefix ends at the first column where the words differ;
+    # the last column, a pad in every row, ends it for equal words
+    differ = A[i] != A[j]
+    differ[:, -1] = True
+    c = differ.argmax(axis=1)
     return tails[i, c] + tails[j, c] + merge[A[i, c], A[j, c]]
 
 
@@ -442,7 +447,9 @@ class CuspedGraph:
     def _bfs_rows(self, sources) -> np.ndarray:
         """Read-only int16 distance rows from ``sources``, -1 if unreachable;
         always int16 (numpy's 8-bit shifts are slower), narrowed only where
-        :meth:`distance_matrix` stores a block.
+        :meth:`distance_matrix` stores a block. The rows are the transpose of
+        an ``(n, k)`` C-order array, column s of which is the row of
+        ``sources[s]``.
 
         The k BFSs run together, one bit each: bit s of row v of the
         ``(n, ceil(k/64))`` little-endian uint64 words says that v has been
@@ -450,7 +457,8 @@ class CuspedGraph:
         closed neighbourhood (adjacency plus diagonal, so no ``reduceat``
         segment is empty) and drops the bits already seen. Each frontier is
         ORed into the binary planes of its level; planes and seen bits are
-        unpacked into the int16 rows at the end."""
+        unpacked at the end, ``BFS_BLOCK`` vertices at a time, into the
+        int16 array in place."""
         n, k = self.n_vertices, len(sources)
         nbrs, indptr = self._closed_pattern()
         starts = indptr[:-1]
@@ -473,15 +481,14 @@ class CuspedGraph:
             return np.unpackbits(words[rows].view(np.uint8), axis=1, count=k,
                                  bitorder="little").astype(np.int16)
 
-        dist = np.empty((k, n), dtype=np.int16)
+        dist = np.empty((n, k), dtype=np.int16)
         for s in range(0, n, BFS_BLOCK):
             rows = slice(s, s + BFS_BLOCK)
-            block = bits(seen, rows) - 1
+            block = np.subtract(bits(seen, rows), 1, out=dist[rows])
             for b, plane in planes.items():
                 block += bits(plane, rows) << b
-            dist[:, rows] = block.T
         dist.flags.writeable = False
-        return dist
+        return dist.T
 
     def vertex_index(self, v) -> int:
         """Index of vertex ``v``, given as an index or as a key tuple;
@@ -510,7 +517,9 @@ class CuspedGraph:
         sum or difference of any two entries is exact in int8, and int16
         otherwise: D starts as int8 and is widened once, by the first block
         of rows that holds a longer distance. An expression that combines
-        more than two entries must promote them first."""
+        more than two entries must promote them first. D is symmetric, so
+        each block of BFS rows is stored as a block of columns, in the
+        C order that :meth:`_bfs_rows` unpacks."""
         if self._dist_matrix is None:
             n = self.n_vertices
             if n > MATRIX_CAP:
@@ -521,7 +530,7 @@ class CuspedGraph:
                 rows = self._bfs_rows(np.arange(s, min(s + BFS_BLOCK, n)))
                 if D.dtype == np.int8 and rows.max() > INT8_REACH:
                     D = D.astype(np.int16)
-                D[s:s + BFS_BLOCK] = rows
+                D[:, s:s + BFS_BLOCK] = rows.T
                 del rows  # freed before the next block's BFS allocates
             D.flags.writeable = False
             self._dist_matrix = D
@@ -556,8 +565,9 @@ class Certificate:
 
     ``cert[i, j]`` evaluates it on integers or integer index arrays,
     broadcast as ``D[i, j]`` broadcasts them (``np.ix_`` blocks included);
-    it takes no item assignment. :meth:`pairs` scans a block of pairs in
-    slices of ``BFS_BLOCK`` rows, so no scan forms an n x n temporary."""
+    it takes no item assignment. :meth:`rows` gives it on whole rows, and
+    :meth:`pairs` scans a block of pairs in slices of ``BFS_BLOCK`` rows,
+    so no scan forms an n x n temporary."""
 
     def __init__(self, D: np.ndarray, ball: np.ndarray, cap: np.ndarray):
         self.D, self.ball, self.cap = D, ball, cap
@@ -571,6 +581,10 @@ class Certificate:
         ball, cap = self.ball, self.cap
         return (d >= 0) & (d <= np.minimum(ball[i] + ball[j], cap[i] + cap[j]))
 
+    def rows(self, r: np.ndarray) -> np.ndarray:
+        """The certificate of the rows r of D, against every vertex."""
+        return self._holds(self.D[r], r[:, None], slice(None))
+
     def pairs(self, rows: np.ndarray, cols: np.ndarray | None = None,
               upper: bool = False):
         """The certified pairs (rows[a], cols[b]) as position arrays (a, b),
@@ -579,7 +593,7 @@ class Certificate:
         for s in range(0, len(rows), BFS_BLOCK):
             r = rows[s:s + BFS_BLOCK]
             if cols is None:  # whole rows of D: a row gather, no 2-d index
-                block = self._holds(self.D[r], r[:, None], slice(None))
+                block = self.rows(r)
             else:
                 block = self[r[:, None], cols]
             a, b = np.nonzero(np.triu(block, k=1 + s) if upper else block)

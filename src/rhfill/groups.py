@@ -626,12 +626,17 @@ class PeripheralSubgroup:
 
 class RelHypPair:
     """A group oracle together with its peripheral subgroups and a compatible
-    generating set (all generators lie in some peripheral)."""
+    generating set (all generators lie in some peripheral).
+
+    ``window`` is one slot for the pair's last source window of a filling,
+    as a (key, window) tuple or None, kept by ``build_quotient_cusped`` so
+    that every filling of the pair compares with one unfilled window."""
 
     def __init__(self, group: FreeProductOracle, peripherals: list[PeripheralSubgroup]):
         self.group = group
         self.peripherals = peripherals
         self.genset = group.generators()
+        self.window = None
 
     def syllables(self, g: GroupElement) -> list[tuple[int, Any]]:
         """(peripheral id, local payload) decomposition of the normal form."""
@@ -689,7 +694,9 @@ def standard_f2_pair() -> RelHypPair:
 
 class FillingData:
     """A filling of a pair: per-peripheral kernels, the quotient pair, and
-    the projection homomorphism (syllable-wise through abelian quotients)."""
+    the projection homomorphism (syllable-wise through abelian quotients).
+
+    Each syllable is projected once: ``image`` memoises its image syllable."""
 
     def __init__(self, pair: RelHypPair, kernel_locals: list[list]):
         self.pair = pair
@@ -701,6 +708,7 @@ class FillingData:
         self.quotient_pair = RelHypPair(
             self.quotient_group,
             [PeripheralSubgroup(i, f) for i, f in enumerate(qfactors)])
+        self._images: dict = {}
 
     def project_local(self, pid: int, p):
         src = self.pair.peripherals[pid].factor
@@ -713,9 +721,15 @@ class FillingData:
             return p[0] % dst.order if isinstance(p, tuple) else p % dst.order
         return p  # trivial kernel: factor unchanged
 
+    def image(self, s: tuple) -> tuple:
+        """Image (factor, payload) of the syllable s, memoised."""
+        if s not in self._images:
+            self._images[s] = (s[0], self.project_local(*s))
+        return self._images[s]
+
     def project(self, g: GroupElement) -> GroupElement:
-        sylls = [(fi, self.project_local(fi, p)) for fi, p in g.word]
-        return self.quotient_group.from_syllables(sylls)
+        return self.quotient_group.from_syllables(map(self.image, g.word))
+
 
 def _quotient_factor(factor: AbelianFactor, kernels: list) -> AbelianFactor:
     if not kernels:

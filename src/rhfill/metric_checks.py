@@ -60,7 +60,7 @@ def comparison_lemma_check(window: CuspedGraph) -> dict:
     dg, dh = (pair_word_costs(window.pair.group, elems, a, b, cost)
               for cost in (int, lambda n: min(n, 2)))
     # the scalar bound once per distinct distance, as a pair loop forms it
-    bound = {x: x * math.sqrt(2.0) ** x for x in np.unique(dx)}
+    bound = {x: x * math.sqrt(2.0) ** x for x in _unique_inverse(dx)[0]}
     ub = np.array([bound[x] for x in dx.tolist()], dtype=float)
     bad = np.flatnonzero(~((dh <= dx) & (dx <= dg) & (dg <= ub + 1e-9)))
     violations = [{"u": window.labels[d0[a[t]]], "v": window.labels[d0[b[t]]],
@@ -159,7 +159,7 @@ def _canonical_ray_union(window: CuspedGraph, targets: np.ndarray) -> np.ndarray
     from the identity to each target, sorted."""
     i0 = window.index[("c", ())]
     paths = geodesics(window, np.full(len(targets), i0), targets)
-    return np.union1d(paths[paths >= 0], [i0])
+    return _unique_inverse(np.append(paths[paths >= 0], i0))[0]
 
 
 def quasidensity_check(window: CuspedGraph, delta: float,

@@ -662,6 +662,10 @@ def run_scenario(path, output_dir=None) -> tuple[int, dict]:
     budget_s = sc.budgets.get("seconds")
     entries = []
     all_pass = True
+    # the pair's source window serves its filling tasks only, so it is
+    # freed once the last of them has run
+    last_filling = max((i for i, task in enumerate(sc.tasks)
+                        if task["check"] == "filling"), default=None)
     for i, task in enumerate(sc.tasks):
         if budget_s is not None and time.monotonic() - started > budget_s:
             raise BudgetExceededError("seconds", budget_s)
@@ -680,6 +684,9 @@ def run_scenario(path, output_dir=None) -> tuple[int, dict]:
             if entry["asserted"]:
                 all_pass = False
             continue
+        finally:
+            if i == last_filling:
+                sc.pair.window = None
         report_file = f"{name}.json"
         (out_dir / report_file).write_text(_dump_json(report))
         entry["report_file"] = report_file

@@ -5,7 +5,9 @@ witness search with one SVD per margin, the per-element SVD limit clouds
 that the closed 2x2 forms replace, the word-ball Cayley and coned-off windows, a standalone
 horoball, small generic graphs, the one-path-at-a-time geodesic walk, lift,
 path projection and filling checks that the batched ones in
-``rhfill.cusped`` and ``rhfill.filling_geometry`` replace, the full-scan
+``rhfill.cusped`` and ``rhfill.filling_geometry`` replace, the filling
+projection as a product of projected syllables, the stretch from pair
+lists, the cumulative-product word costs, the full-scan
 RP^1 Hausdorff distance, the sine-of-every-gap dedup, the whole-level
 free limit clouds, the row-block window deviation and the uncached
 element fold, per-matrix SVD gaps, a rational classification of 2x2
@@ -39,6 +41,7 @@ from rhfill.filling_geometry import FillingGeometry
 from rhfill.flags import (_dedup_sorted, _hausdorff_sorted, _sorted_rp1,
                           _unit_det)
 from rhfill.groups import (
+    FillingData,
     FreeAbelianOracle,
     FreeProductOracle,
     GroupElement,
@@ -740,6 +743,40 @@ def reference_map_edges(fg: FillingGeometry) -> dict:
     return {"surjective": len(set(fg.vertex_map.tolist())) == fg.target.n_vertices,
             "collapsed_edges": collapsed, "vertical_loops": loops,
             "kind_mismatches": mismatches}
+
+
+def reference_project(filling: FillingData, g: GroupElement) -> GroupElement:
+    """The image of g as the product of its projected syllables."""
+    return filling.quotient_group.from_syllables(
+        (fi, filling.project_local(fi, p)) for fi, p in g.word)
+
+
+def reference_max_stretch(fg: FillingGeometry) -> float:
+    """Largest Dt[vmap[a], vmap[b]] - Ds[a, b] over the certified source
+    pairs (a, b), from their index lists; 0 if there are none."""
+    Ds, cert = fg.source.certified_pairs_matrix()
+    Dt, vmap = fg.target.distance_matrix(), fg.vertex_map
+    stretch = [int((Dt[vmap[a], vmap[b]] - Ds[a, b]).max())
+               for a, b in cert.pairs(np.arange(fg.source.n_vertices))
+               if len(a)]
+    return float(max(stretch, default=0))
+
+
+def reference_pair_word_costs(group: FreeProductOracle, elems, i, j,
+                              cost) -> np.ndarray:
+    """``pair_word_costs`` with the common-prefix length as the sum of the
+    cumulative product of the column matches."""
+    sylls, A = intern_syllables([g.word for g in elems])
+    each = np.array([cost(group.factors[f].p_length(p)) for f, p in sylls] + [0])
+    merge = np.add.outer(each, each)
+    for a, (f, p) in enumerate(sylls):
+        fac = group.factors[f]
+        for b, (g, q) in enumerate(sylls):
+            if g == f:
+                merge[a, b] = cost(fac.p_length(fac.p_add(fac.p_neg(p), q)))
+    tails = np.cumsum(each[A][:, ::-1], axis=1)[:, ::-1] - each[A]
+    c = (A[i, :-1] == A[j, :-1]).cumprod(axis=1).sum(axis=1)
+    return tails[i, c] + tails[j, c] + merge[A[i, c], A[j, c]]
 
 
 def reference_thin_triangles(graph: CuspedGraph, triangles: int,

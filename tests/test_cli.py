@@ -1,7 +1,13 @@
 """Command line verbs end to end, driven in process through main()."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import rhfill
 
 from rhfill.cli import main
 from rhfill.convergence import elliptic_generators
@@ -547,3 +553,21 @@ def test_run_unsafe_output_name_is_usage(tmp_path, capsys, tasks, where):
     assert where in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "escaped.json").exists()
+
+
+@pytest.mark.parametrize("code", [
+    "from rhfill.cli import main; "
+    "main(['fill', '--checks', 'local-isometry,descent,uniform-delta,map,"
+    "injectivity,lift', '--kernels', '{\"0\": [\"a^2\"], \"1\": [\"b^9\"]}', "
+    "'--radius', '3'])",
+    "from rhfill import standard_f2_pair, verify_metric_lemmas; "
+    "verify_metric_lemmas(standard_f2_pair(), radius=6)"])
+def test_checks_leave_numpy_ma_unimported(code):
+    # np.unique without return_* imports numpy.ma, 9-11 ms in a fresh process
+    src = str(Path(rhfill.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code + "; import sys; "
+         "print('numpy.ma' in sys.modules, file=sys.stderr)"],
+        env=env, check=True, capture_output=True, text=True)
+    assert out.stderr.strip() == "False"

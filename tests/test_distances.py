@@ -6,6 +6,7 @@ Distances are checked against a plain deque BFS over the edge list, written
 here and sharing nothing with the library's frontier BFS.
 """
 import collections
+import hashlib
 import os
 import subprocess
 import sys
@@ -432,6 +433,25 @@ def test_csr_patterns_are_the_sorted_neighbour_sets(g):
             and indptr[-1] == len(indices)
         assert [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(n)] \
             == [sorted(nbrs[i] | {i} if loops else nbrs[i]) for i in range(n)]
+
+
+# sha256 of distance_matrix().tobytes() of the F2 windows; both are int8
+PINNED_MATRICES = {
+    5: "a887b4dfd81bb6e39ad9e9b4064d98635e33ff3a3cf87ed27d4d2bc871da194c",
+    6: "809035c4c9f4224cc0025cdc7bbab7abefb804999163f1c8af92e34c155d7263",
+}
+
+
+@pytest.mark.parametrize("radius", sorted(PINNED_MATRICES))
+def test_distance_matrix_bytes_are_pinned(radius):
+    window = build_cusped_ball(standard_f2_pair(), radius)
+    rows = window._bfs_rows(np.arange(BFS_BLOCK - 3, BFS_BLOCK + 3))
+    D = window.distance_matrix()
+    assert D.dtype == np.int8 and D.flags.c_contiguous
+    assert hashlib.sha256(D.tobytes()).hexdigest() == PINNED_MATRICES[radius]
+    # the rows are the columns of one C-order array
+    assert rows.T.flags.c_contiguous and not rows.flags.writeable
+    assert (rows == D[BFS_BLOCK - 3:BFS_BLOCK + 3]).all()
 
 
 def test_import_leaves_scipy_out():

@@ -12,18 +12,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rhfill import filling_geometry
-from rhfill.errors import InvalidParameterError, NoPreimageEdgeError, WindowError
+from rhfill.errors import (BudgetExceededError, InvalidParameterError,
+                           NoPreimageEdgeError, WindowError)
 from rhfill.filling_geometry import (FillingGeometry, build_quotient_cusped,
                                      check_descent_quasigeodesic,
                                      check_local_isometry, check_uniform_delta,
                                      filling_map_report, injectivity_report,
                                      lift_path, lift_roundtrip_report,
                                      project_vertex_key)
-from rhfill.groups import make_filling, standard_f2_pair
-from rhfill.cusped import build_cusped_ball, geodesics, shortest_path
+from rhfill.groups import (GroupElement, enumerate_ball, make_filling,
+                           make_oracle, make_pair, standard_f2_pair)
+from rhfill.cusped import (Certificate, build_cusped_ball, geodesics,
+                           shortest_path)
 from reference_windows import (project_path, reference_descent,
                                reference_lift_path, reference_lift_roundtrip,
-                               reference_map_edges, reference_shortest_path)
+                               reference_map_edges, reference_max_stretch,
+                               reference_project, reference_shortest_path)
 
 
 @pytest.fixture(scope="module")
@@ -345,3 +349,103 @@ def test_descent_needs_a_sample(fg50):
 def test_lift_needs_a_path(fg50):
     with pytest.raises(InvalidParameterError, match="n_paths >= 1"):
         lift_roundtrip_report(fg50, n_paths=0)
+
+
+Z2_Z = make_pair(make_oracle({"kind": "free-product", "factors": [
+    {"kind": "free-abelian", "rank": 2}, {"kind": "free-abelian", "rank": 1}]}))
+# kernels that kill syllables of the radius-3 ball (a^1, a^2, b^3 and the
+# Z^2 kernels) and kernels that kill none (a^5, b^20, <(4, 1)>)
+KERNELS = {
+    "F2": [{0: ["a"]}, {0: ["a^2"]}, {1: ["b^3"]}, {0: ["a^2"], 1: ["b^3"]},
+           {0: ["a"], 1: ["b"]}, {0: ["a^5"], 1: ["b^20"]}, {}],
+    "Z^2 * Z": [{0: [[1, 0]]}, {0: [[2, 0], [0, 2]]}, {0: [[1, 1]], 1: [[2]]},
+                {0: [[4, 1]]}, {1: [[1]]}],
+}
+
+
+@functools.cache
+def _pair(name):
+    return standard_f2_pair() if name == "F2" else Z2_Z
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(name, t) for name, ks in KERNELS.items()
+                        for t in range(len(ks))]),
+       st.integers(1, 3))
+def test_projection_is_the_product_of_projected_syllables(which, radius):
+    name, t = which
+    pair = _pair(name)
+    filling = make_filling(pair, KERNELS[name][t])
+    ball = enumerate_ball(pair.group, radius)
+    assert [filling.project(g) for g in ball] \
+        == [reference_project(filling, g) for g in ball]
+
+
+def test_killing_kernel_projects_syllables_to_the_identity():
+    # a^2 kills a^2 and a^-2 but no other syllable of the radius-3 ball
+    pair = standard_f2_pair()
+    filling = make_filling(pair, {0: ["a^2"]})
+    identity = filling.quotient_group.identity()
+    dying = {s for g in enumerate_ball(pair.group, 3) for s in g.word
+             if filling.project(GroupElement((s,))) == identity}
+    assert dying == {(0, (2,)), (0, (-2,))}
+    assert injectivity_report(filling, 3)["collisions"] > 0
+
+
+def _swapped(fg):
+    """fg's vertex map with the images of the identity and of a vertex
+    farthest from it swapped."""
+    vmap = fg.vertex_map.copy()
+    far = int(np.argmax(fg.source.meta["dist_from_id"]))
+    vmap[[0, far]] = vmap[[far, 0]]
+    return vmap
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_max_stretch_matches_the_pair_lists(fg3, seed):
+    # a hand-permuted vertex map, or a random permutation of its images
+    vmap = _swapped(fg3) if seed is None else np.random.default_rng(
+        seed).permutation(fg3.target.n_vertices)[fg3.vertex_map]
+    fg = FillingGeometry(fg3.source, fg3.target, fg3.filling, vmap)
+    rep = filling_map_report(fg)
+    assert rep["max_stretch"] == reference_max_stretch(fg) > 0
+    assert not rep["lipschitz_on_certified"] and not rep["pass"]
+
+
+def test_max_stretch_reads_certified_pairs_only(pair, fg3):
+    # certify only the pairs within the vertices off a random set, which
+    # the swapped map stretches by 1; the set's random images stretch more
+    source = build_cusped_ball(pair, radius=4, max_depth=4)
+    D, n = source.distance_matrix(), source.n_vertices
+    rng = np.random.default_rng(5)
+    off = rng.choice(np.arange(1, n), 40, replace=False)
+    cap = np.full(n, 100, dtype=np.int16)
+    cap[off] = -100
+    source._cert = Certificate(D, np.full(n, 100, dtype=np.int16), cap)
+    vmap = _swapped(fg3)
+    vmap[off] = rng.integers(0, fg3.target.n_vertices, len(off))
+    fg = FillingGeometry(source, fg3.target, fg3.filling, vmap)
+    Dt = fg3.target.distance_matrix()
+    assert (Dt[np.ix_(vmap, vmap)] - D).max() > 1
+    assert filling_map_report(fg)["max_stretch"] \
+        == reference_max_stretch(fg) == 1
+
+
+def test_fillings_of_one_pair_share_one_source_window():
+    pair = standard_f2_pair()
+    f3, f5 = (make_filling(pair, {0: [f"a^{n}"], 1: [f"b^{n}"]})
+              for n in (3, 5))
+    fg1 = build_quotient_cusped(pair, f3, 3)
+    fg2 = build_quotient_cusped(pair, f5, 3)
+    assert fg1.source is fg2.source
+    # no max_depth is max_depth = radius
+    assert build_quotient_cusped(pair, f5, 3, 3).source is fg1.source
+    for args in ((2,), (3, 2), (3, None, 10_000)):
+        other = build_quotient_cusped(pair, f3, *args).source
+        assert other is not fg1.source
+        assert other.vertices == build_cusped_ball(pair, *args).vertices
+        assert build_quotient_cusped(pair, f5, *args).source is other
+    with pytest.raises(BudgetExceededError):
+        build_quotient_cusped(pair, f3, 3, cap=10)
+    again = build_quotient_cusped(pair, f3, 3).source
+    assert again is not fg1.source and again.vertices == fg1.source.vertices

@@ -104,6 +104,20 @@ def test_lemma_checks_form_no_window_sized_array(pair):
     assert peak < D.nbytes / 3
 
 
+def test_comparison_check_peak_at_radius_6(pair):
+    # the pair gathers hold one-byte syllable ids and the common prefix is
+    # one argmax: 4.28 MiB traced, 5.12 MiB with int64 ids and a cumprod
+    window = build_cusped_ball(pair, 6)
+    window.certified_pairs_matrix()
+    tracemalloc.start()
+    try:
+        assert comparison_lemma_check(window)["pairs_checked"] == 38960
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.75 * 2 ** 20
+
+
 def test_truncation_monotonicity_small(pair):
     # growing the window never changes a certified distance and never
     # increases any window distance

@@ -279,6 +279,27 @@ def test_filling_tasks_write_the_library_reports(tmp_path):
                 == PINNED_FILLINGS_R5[n, check], (n, check)
 
 
+def test_source_window_is_freed_after_the_last_filling_task(tmp_path,
+                                                            monkeypatch):
+    # the window slot of the scenario's pair as each task starts
+    held = []
+    run = rhfill.scenarios.run_task
+
+    def spy(sc, task):
+        held.append(sc.pair.window is not None)
+        return run(sc, task)
+
+    monkeypatch.setattr(rhfill.scenarios, "run_task", spy)
+    fill = {"check": "filling", "kernels": {"0": ["a^5"]}, "radius": 2,
+            "checks": ["map"]}
+    p = scenario_file(tmp_path, {"pair": {"builtin": "f2"}, "seed": 0,
+                                 "tasks": [fill, fill,
+                                           {"check": "metric-lemmas",
+                                            "radius": 6, "samples": 10}]})
+    assert run_scenario(p, output_dir=tmp_path / "out")[0] == 0
+    assert held == [False, True, False]
+
+
 def test_lemma_report_r6_is_pinned():
     report = verify_metric_lemmas(standard_f2_pair(), radius=6)
     assert report["pass"]

@@ -6,7 +6,7 @@ length of g^-1 h, on the free group, on its fillings a^n, b^n (finite cyclic
 factors, where merged exponents wrap) and on a free product with a rank-two
 free abelian factor and a filling of it (a quotient-abelian factor).
 """
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from rhfill.cusped import ExactCuspedMetric, horo_flat, pair_word_costs
 from rhfill.groups import (enumerate_ball, make_filling, make_oracle,
                            make_pair, standard_f2_pair)
-from reference_windows import coned_distance
+from reference_windows import coned_distance, reference_pair_word_costs
 
 F2 = standard_f2_pair()
 Z2_Z = make_pair(make_oracle({"kind": "free-product", "factors": [
@@ -87,3 +87,21 @@ def test_word_costs_of_no_pairs_and_of_the_identity_alone():
     assert pair_word_costs(G, [G.identity()], none, none, int).shape == (0,)
     zero = np.array([0])
     assert pair_word_costs(G, [G.identity()], zero, zero, int).tolist() == [0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SPACES), st.data())
+def test_first_mismatch_is_the_cumulative_product(name, data):
+    # random products of generators, repeats and equal pairs included
+    pair = space(name, 0)[0]
+    G = pair.group
+    gens = G.generators()
+    words = data.draw(st.lists(st.lists(st.sampled_from(gens), max_size=9),
+                               min_size=1, max_size=12))
+    elems = [reduce(G.multiply, w, G.identity()) for w in words]
+    index = st.integers(0, len(elems) - 1)
+    i, j = (np.array(x, dtype=np.int64) for x in zip(*data.draw(
+        st.lists(st.tuples(index, index), min_size=1, max_size=40))))
+    for cost in COSTS.values():
+        assert pair_word_costs(G, elems, i, j, cost).tolist() \
+            == reference_pair_word_costs(G, elems, i, j, cost).tolist()
