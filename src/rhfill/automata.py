@@ -422,7 +422,8 @@ def check_compatibility(rep, auto: AutomatonGraph, sys_: SetSystem,
     under alpha of each ball at w inflated by the system margin must land
     inside the set at v.  The arc test is exact, so a negative margin is a
     refutation; a margin within the transversality tolerance of zero is
-    inconclusive, since its sign may be a rounding artifact.
+    inconclusive, since its sign may be a rounding artifact. So is a run
+    that checks no containment, as at a depth that enumerates no label.
     """
     for u, w in auto.edges:
         for v in (u, w):
@@ -469,7 +470,9 @@ def check_compatibility(rep, auto: AutomatonGraph, sys_: SetSystem,
                             "ball": bi,
                             "margin": margin,
                         })
-    if min_margin > DEFAULT_TOLS.transversality:  # inf when none checked
+    if not containments:  # nothing checked certifies nothing
+        verdict = "inconclusive"
+    elif min_margin > DEFAULT_TOLS.transversality:
         verdict = "pass"
     elif min_margin < -DEFAULT_TOLS.transversality:
         verdict = "fail"

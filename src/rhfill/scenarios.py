@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from functools import cached_property
+from numbers import Number
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .automata import (
@@ -130,6 +131,8 @@ TASK_PARAMS = {
 _TASK_COMMON = {"check": {"enum": list(TASK_PARAMS)}, "name": _STRING,
                 "assert": {"type": "boolean"}}
 
+# JSON Schema (2020-12) of a scenario file, checked by _schema_error; the
+# jsonschema package is only the oracle the tests compare that check against
 SCENARIO_SCHEMA = {
     "type": "object",
     "required": ["pair", "tasks"],
@@ -193,8 +196,112 @@ SCENARIO_SCHEMA = {
     },
 }
 
-# built once: jsonschema.validate would check the schema itself on every call
-_VALIDATOR = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+SCHEMA_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, Number) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+# the keywords _schema_errors reads; "then" is read by "if"
+SCHEMA_KEYWORDS = frozenset({
+    "type", "required", "properties", "additionalProperties", "enum",
+    "const", "minimum", "exclusiveMinimum", "minItems", "items",
+    "propertyNames", "pattern", "allOf", "if", "then"})
+
+
+def _same(a, b) -> bool:
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _schema_errors(schema: dict, x, path: tuple = ()):
+    """Yield ``(path, message)`` for each keyword of ``schema`` that ``x``
+    fails, subschemas included, in the order jsonschema yields them: the
+    keys of each schema in their order."""
+    is_dict, is_num = isinstance(x, dict), SCHEMA_TYPES["number"](x)
+    for key, value in schema.items():
+        msg = None
+        if key == "type":
+            types = [value] if isinstance(value, str) else value
+            if not any(SCHEMA_TYPES[t](x) for t in types):
+                msg = f"{x!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "enum" and not any(_same(v, x) for v in value):
+            msg = f"{x!r} is not one of {value!r}"
+        elif key == "const" and not _same(value, x):
+            msg = f"{value!r} was expected"
+        elif key == "minimum" and is_num and x < value:
+            msg = f"{x!r} is less than the minimum of {value!r}"
+        elif key == "exclusiveMinimum" and is_num and x <= value:
+            msg = f"{x!r} is less than or equal to the minimum of {value!r}"
+        elif (key == "pattern" and isinstance(x, str)
+              and not re.search(value, x)):
+            msg = f"{x!r} does not match {value!r}"
+        elif key == "minItems" and isinstance(x, list) and len(x) < value:
+            short = "should be non-empty" if value == 1 else "is too short"
+            msg = f"{x!r} {short}"
+        elif key == "items" and isinstance(x, list):
+            for i, item in enumerate(x):
+                yield from _schema_errors(value, item, path + (i,))
+        elif key == "allOf":
+            for sub in value:
+                yield from _schema_errors(sub, x, path)
+        elif key == "if" and "then" in schema and next(
+                _schema_errors(value, x), None) is None:
+            yield from _schema_errors(schema["then"], x, path)
+        elif not is_dict:
+            pass
+        elif key == "required":
+            for name in value:
+                if name not in x:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, sub in value.items():
+                if name in x:
+                    yield from _schema_errors(sub, x[name], path + (name,))
+        elif key == "propertyNames":
+            for name in x:
+                yield from _schema_errors(value, name, path)
+        elif key == "additionalProperties":
+            extra = [k for k in x if k not in schema.get("properties", {})]
+            if isinstance(value, dict):
+                for k in extra:
+                    yield from _schema_errors(value, x[k], path + (k,))
+            elif value is False and extra:
+                names = ", ".join(map(repr, sorted(extra, key=str)))
+                msg = (f"Additional properties are not allowed ({names} "
+                       f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        if msg is not None:
+            yield path, msg
+
+
+def _schema_error(spec) -> str | None:
+    """The ``path: message`` of the error in ``spec`` that
+    ``jsonschema.exceptions.best_match`` picks, or None when it is valid.
+
+    Supported keywords: exactly ``SCHEMA_KEYWORDS``, with the 2020-12
+    semantics; ``additionalProperties`` may be false or a schema, ``items``
+    is a schema. A bool is neither an integer nor a number, and a float
+    with an integral value, such as 4.0, is an integer. ``enum`` and
+    ``const`` tell a bool from 1 or 0.
+
+    The pick: the shallowest path wins, then the greatest path (so
+    ``tasks.1`` beats ``tasks.0``); a tie goes to the error yielded first,
+    in schema key order. So in a task's ``then`` schema an extra key, from
+    ``additionalProperties``, beats a missing one, from ``required``. The
+    unexpected names of ``additionalProperties`` are listed sorted.
+    (``best_match`` breaks a tie first for an error whose schema has no
+    ``type``, or one the value is not of; in ``SCENARIO_SCHEMA`` no two
+    errors at one path differ in that.)
+    """
+    best = max(_schema_errors(SCENARIO_SCHEMA, spec),
+               key=lambda e: (-len(e[0]), e[0]), default=None)
+    if best is None:
+        return None
+    path, message = best
+    return f"{'.'.join(map(str, path)) or '<root>'}: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +330,9 @@ class Scenario:
     """
 
     def __init__(self, spec: dict):
-        e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(spec))
-        if e is not None:
-            path = ".".join(str(p) for p in e.absolute_path) or "<root>"
-            raise SchemaError(f"{path}: {e.message}")
+        error = _schema_error(spec)
+        if error is not None:
+            raise SchemaError(error)
         self.spec = spec
         self.seed = int(spec.get("seed", 0))
         self.budgets = {**DEFAULT_BUDGETS, **spec.get("budgets", {})}

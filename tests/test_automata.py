@@ -135,6 +135,15 @@ def test_bundled_compatibility_at_depth_12(bundled):
     assert report["min_margin"] == pytest.approx(0.19955362909943897, abs=1e-12)
 
 
+def test_compatibility_checking_nothing_is_inconclusive(bundled):
+    # depth 1 enumerates no transition label, so no containment is tested
+    auto, sys_ = bundled
+    report = check_compatibility(SANOV, auto, sys_, enumeration_depth=1)
+    assert report["containments_checked"] == 0
+    assert report["min_margin"] is None
+    assert report["verdict"] == "inconclusive" and not report["pass"]
+
+
 def test_compatibility_report_is_deterministic(bundled):
     auto, sys_ = bundled
     a = check_compatibility(SANOV, auto, sys_, enumeration_depth=8)

@@ -168,6 +168,14 @@ def test_automaton_compat_is_the_compatibility_task(capsys):
     assert report["compatibility"] == json.loads(_dump_json(expected))
 
 
+def test_automaton_compat_checking_nothing_exits_one(capsys):
+    assert main(["automaton", "--compat", "--depth", "1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["compatibility"]["containments_checked"] == 0
+    assert report["compatibility"]["verdict"] == "inconclusive"
+    assert not report["pass"]
+
+
 def test_automaton_compat_needs_bundled_sets(tmp_path, capsys):
     auto = tmp_path / "auto.json"
     assert main(["automaton", "--dump", str(auto),

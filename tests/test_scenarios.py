@@ -3,9 +3,11 @@ and CSV emission."""
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import jsonschema
 import pytest
 
 import rhfill
@@ -19,10 +21,10 @@ from rhfill.filling_geometry import (build_quotient_cusped,
                                      injectivity_report, lift_roundtrip_report)
 from rhfill.groups import make_filling, standard_f2_pair
 from rhfill.metric_checks import verify_metric_lemmas
-from rhfill.scenarios import (SCENARIO_SCHEMA, Scenario, _dump_json,
-                              bundled_scenario_path, emit_plot_data,
-                              load_scenario, pair_from_spec, run_scenario,
-                              run_task)
+from rhfill.scenarios import (SCENARIO_SCHEMA, SCHEMA_KEYWORDS, SCHEMA_TYPES,
+                              Scenario, _dump_json, bundled_scenario_path,
+                              emit_plot_data, load_scenario, pair_from_spec,
+                              run_scenario, run_task)
 
 # frozen from the bundled scenario run (seed 7)
 CONTRACTION_MAX_RATE = 0.058372998207474325
@@ -335,8 +337,54 @@ def test_unknown_check_is_schema_error(tmp_path):
 
 
 def test_scenario_schema_is_a_valid_schema():
+    jsonschema = pytest.importorskip("jsonschema")
     jsonschema.validators.validator_for(SCENARIO_SCHEMA).check_schema(
         SCENARIO_SCHEMA)
+
+
+def _schema_keywords(schema: dict) -> set:
+    """Every keyword of ``schema`` and its subschemas; a subschema that is
+    not an object, but for ``additionalProperties: false``, fails."""
+    keywords = set(schema)
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    assert set(types) <= set(SCHEMA_TYPES)
+    assert ("then" in schema) <= ("if" in schema)
+    for key, value in schema.items():
+        if key == "properties":
+            subs = list(value.values())
+        elif key == "allOf":
+            subs = value
+        elif key in ("additionalProperties", "items", "propertyNames", "if",
+                     "then"):
+            subs = [] if key == "additionalProperties" and value is False \
+                else [value]
+        else:
+            continue
+        for sub in subs:
+            assert isinstance(sub, dict), (key, sub)
+            keywords |= _schema_keywords(sub)
+    return keywords
+
+
+def test_scenario_schema_uses_only_supported_keywords():
+    # the validator skips a keyword it does not know, as if it held
+    assert _schema_keywords(SCENARIO_SCHEMA) <= SCHEMA_KEYWORDS
+
+
+def test_validation_leaves_jsonschema_unimported():
+    src = str(Path(rhfill.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, rhfill, rhfill.cli; "
+            "from rhfill.scenarios import load_scenario, "
+            "bundled_scenario_path; "
+            "load_scenario(bundled_scenario_path())\n"
+            "try:\n    rhfill.cli.main(['--help'])\n"
+            "except SystemExit:\n    pass\n"
+            "print('jsonschema' in sys.modules, file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stderr.strip() == "False"
 
 
 def test_bundled_scenario_validates():
@@ -585,6 +633,14 @@ def test_one_bundled_automaton_per_scenario(monkeypatch):
                  {"check": "fiber", "path_length": 2, "count": 1}):
         assert run_task(sc, task)["pass"] is not None
     assert built == [sc.pair]
+
+
+def test_compatibility_task_checking_nothing_is_inconclusive():
+    task = {"check": "compatibility", "enumeration_depth": 1}
+    report = run_task(Scenario({"pair": {"builtin": "f2"}, "tasks": [task]}),
+                      task)
+    assert report["containments_checked"] == 0
+    assert report["verdict"] == "inconclusive" and not report["pass"]
 
 
 def test_automaton_compat_builds_one_automaton(monkeypatch, capsys):
