@@ -63,7 +63,6 @@ from .filling_geometry import (
     check_uniform_delta,
     filling_map_report,
     injectivity_report,
-    lift_path,
     lift_roundtrip_report,
 )
 from .flags import (
@@ -99,11 +98,8 @@ from .convergence import (
     edf_condition_check,
     elliptic_family,
     elliptic_generators,
-    fiber_consistency_check,
-    gpath_tracking_check,
     limit_set_convergence,
     sanov_generators,
-    sequences_from_gpaths,
 )
 from .scenarios import (
     SCENARIO_SCHEMA,
@@ -155,7 +151,6 @@ __all__ = [
     "check_uniform_delta",
     "filling_map_report",
     "injectivity_report",
-    "lift_path",
     "lift_roundtrip_report",
     "DivergenceCertificate",
     "FlagCloud",
@@ -185,11 +180,8 @@ __all__ = [
     "edf_condition_check",
     "elliptic_family",
     "elliptic_generators",
-    "fiber_consistency_check",
-    "gpath_tracking_check",
     "limit_set_convergence",
     "sanov_generators",
-    "sequences_from_gpaths",
     "SCENARIO_SCHEMA",
     "Scenario",
     "bundled_scenario_path",

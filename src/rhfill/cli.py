@@ -13,6 +13,7 @@ input problems, 3 a budget was exceeded.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -68,6 +69,17 @@ def _family_task(args, task: dict) -> int:
         raise InvalidParameterError("--indices must name at least one index")
     return _emit(_one_task(args, task, filling_family={
         "builtin": "elliptic", "indices": ns}), args.out)
+
+
+def _finite_float(text: str) -> float:
+    """A float that a scenario file could also hold (JSON has no nan or inf)."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
 
 
 def _emit(report: dict, out: str | None) -> int:
@@ -275,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chabauty", help="windowed group convergence table")
     family_args(p)
-    p.add_argument("--radius", type=float, default=10.0)
+    p.add_argument("--radius", type=_finite_float, default=10.0)
     p.add_argument("--depth", type=int, default=8)
     p.set_defaults(func=cmd_chabauty)
 
     p = sub.add_parser("limitset", help="limit set convergence table")
     family_args(p)
     p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--max-final", type=float, default=None)
+    p.add_argument("--max-final", type=_finite_float, default=None)
     p.set_defaults(func=cmd_limitset)
 
     p = sub.add_parser("run", help="run a scenario file")

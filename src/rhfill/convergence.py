@@ -3,12 +3,10 @@
 A :class:`RepFamily` bundles a base representation with finitely many
 deformed members, usually one per filling length, together with the kernel
 words that each member is supposed to kill.  The checks in this module
-compare members against the base from four angles: the extended filling
+compare members against the base from three angles: the extended filling
 condition on a repelling/attracting ball pair, local Hausdorff distance of
-windowed matrix sets (the Chabauty picture), Hausdorff convergence of
-limit-set clouds, and consistency of limit flags along group-element
-sequences that stay close in the cusped metric.  A path-tracking check ties
-partial products of automaton paths back to honest cusped geodesics.
+windowed matrix sets (the Chabauty picture), and Hausdorff convergence of
+limit-set clouds.
 """
 
 from __future__ import annotations
@@ -18,18 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import (Ball, GPath, _contain_exact, _element_matrix, _rep_matrices,
-                       _sindist)
-from .cusped import (
-    ExactCuspedMetric,
-    build_cusped_ball,
-    depth0_key,
-    key_base_element,
-    shortest_path,
-)
-from .errors import InvalidParameterError, UnsupportedKindError, WindowError
+from .automata import Ball, _contain_exact, _element_matrix, _rep_matrices, _sindist
+from .errors import InvalidParameterError, UnsupportedKindError
 from .flags import (_projective, _unit_det, ball_images, classify,
-                    generator_images, line_distance, q_divergence, q_limit_set)
+                    generator_images, q_limit_set)
 from .groups import (
     BALL_CAP,
     FillingData,
@@ -52,9 +42,6 @@ __all__ = [
     "edf_condition_check",
     "chabauty_check",
     "limit_set_convergence",
-    "fiber_consistency_check",
-    "sequences_from_gpaths",
-    "gpath_tracking_check",
 ]
 
 
@@ -586,139 +573,3 @@ def limit_set_convergence(family: RepFamily, word_depth: int = 12,
         "final_distance": dists[-1] if dists else None,
     }
 
-
-# ---------------------------------------------------------------------------
-# fiber consistency
-
-
-def sequences_from_gpaths(paths) -> list[list[GroupElement]]:
-    """Partial-product sequences of automaton paths, identity dropped."""
-    return [list(p.partial_products())[1:] for p in paths]
-
-
-def fiber_consistency_check(rep: dict, pair: RelHypPair, sequences,
-                            distance_bound: float = 3.0) -> dict:
-    """Sequences that stay close in the cusped metric share a limit flag.
-
-    Each sequence gets a divergence certificate and, when divergent, the
-    attracting line of its last element.  For every pair of divergent
-    sequences whose element sets are within ``distance_bound`` of each
-    other in Hausdorff cusped distance, the limit lines must agree to the
-    fiber tolerance in the sine metric (``flag_distance`` in the report);
-    distant pairs carry no constraint and are only reported.
-    """
-    if not sequences:
-        raise InvalidParameterError("need at least one sequence")
-    mats = _rep_matrices(rep, pair)
-    metric = ExactCuspedMetric(pair)
-    cache: dict = {}
-
-    entries = []
-    for si, seq in enumerate(sequences):
-        seq = list(seq)
-        if not seq:
-            raise InvalidParameterError(f"sequence {si} is empty")
-        ms = [_element_matrix(mats, pair.group, g, cache) for g in seq]
-        cert = q_divergence(ms)
-        entries.append({
-            "index": si,
-            "length": len(seq),
-            "verdict": cert.verdict,
-            "elements": seq,
-            "angle": cert.limit_angle,
-        })
-
-    rows = []
-    ok_all = True
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            ei, ej = entries[i], entries[j]
-            h = 0.0
-            for x in ei["elements"]:
-                h = max(h, min(metric.elem_dist(x, y) for y in ej["elements"]))
-            for y in ej["elements"]:
-                h = max(h, min(metric.elem_dist(x, y) for x in ei["elements"]))
-            paired = h <= distance_bound
-            row = {"i": i, "j": j, "window_hausdorff": h, "paired": paired}
-            if ei["verdict"] != "divergent" or ej["verdict"] != "divergent":
-                # no certified limits, nothing to compare: unverified, not failed
-                row["flag_distance"] = None
-                row["verified"] = False
-                row["ok"] = True
-            else:
-                fd = line_distance(ei["angle"], ej["angle"])
-                row["flag_distance"] = fd
-                row["verified"] = True
-                row["ok"] = (not paired) or fd <= DEFAULT_TOLS.fiber
-            ok_all = ok_all and row["ok"]
-            rows.append(row)
-
-    return {
-        "name": "fiber-consistency",
-        "sequences": [{"index": e["index"], "length": e["length"],
-                       "verdict": e["verdict"]} for e in entries],
-        "distance_bound": distance_bound,
-        "pairs": rows,
-        "unverified": sum(1 for r in rows if not r["verified"]),
-        "pass": ok_all,
-    }
-
-
-# ---------------------------------------------------------------------------
-# path tracking
-
-
-def gpath_tracking_check(pair: RelHypPair, gpath, radius: int,
-                         cap: int = BALL_CAP) -> dict:
-    """Partial products of a path stay near the cusped geodesic they track.
-
-    Builds the exact cusped window of the given radius, runs BFS between
-    the identity and the final product, and Hausdorff-compares the partial
-    products against the Cayley points of that geodesic.  The maximal
-    horoball depth along the geodesic is then checked against the additive
-    bound (max step cost) + 3 * (Hausdorff distance).
-    """
-    if isinstance(gpath, GPath):
-        products = list(gpath.partial_products())
-    else:
-        products = list(gpath)
-        if not products or not pair.group.is_identity(products[0]):
-            products = [pair.group.identity()] + products
-    metric = ExactCuspedMetric(pair)
-    costs = [metric.elem_cost(g) for g in products]
-    if max(costs) > radius:
-        worst = products[int(np.argmax(costs))]
-        raise WindowError(
-            f"partial product {format_word(pair.group, worst)!r} sits at "
-            f"cusped distance {max(costs)}, beyond the window radius {radius}")
-    steps = [
-        metric.elem_cost(pair.group.multiply(pair.group.inverse(u), v))
-        for u, v in zip(products, products[1:])
-    ]
-    step_cost = max(steps) if steps else 0
-
-    window = build_cusped_ball(pair, radius, cap=cap)
-    path = shortest_path(window, depth0_key(products[0]),
-                         depth0_key(products[-1]))
-    depth = window.depth[path.vertices]
-    cayley = [key_base_element(pair, k)
-              for k, d in zip(path.keys(), depth) if d == 0]
-    h = 0.0
-    for g in products:
-        h = max(h, min(metric.elem_dist(g, c) for c in cayley))
-    for c in cayley:
-        h = max(h, min(metric.elem_dist(g, c) for g in products))
-    max_depth = int(depth.max())
-    bound = step_cost + 3.0 * h
-    return {
-        "name": "gpath-tracking",
-        "points": len(products),
-        "geodesic_length": path.length,
-        "direct_distance": metric.elem_dist(products[0], products[-1]),
-        "hausdorff": h,
-        "step_cost_max": step_cost,
-        "max_geodesic_depth": max_depth,
-        "depth_bound": bound,
-        "depth_bound_ok": max_depth <= bound,
-        "pass": max_depth <= bound,
-    }

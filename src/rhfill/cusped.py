@@ -376,8 +376,6 @@ class GraphPath:
     def length(self) -> int:
         return len(self.vertices) - 1
 
-    def keys(self):
-        return [self.graph.vertices[i] for i in self.vertices]
 
 class CuspedGraph:
     """Finite truncated graph with depth-tagged vertices and typed edges."""
@@ -670,6 +668,8 @@ def build_cusped_ball(pair: RelHypPair, radius: int,
     """
     if radius < 0:
         raise InvalidParameterError("radius must be >= 0")
+    if max_depth is not None and max_depth < 0:
+        raise InvalidParameterError(f"max_depth must be >= 0, got {max_depth}")
     metric = ExactCuspedMetric(pair)
     md = radius if max_depth is None else max_depth
     b = metric._ball_rows(radius, md, cap)

@@ -42,9 +42,5 @@ class SchemaError(RhfillError):
     """Scenario or descriptor JSON violates the schema. Maps to CLI exit 2."""
 
 
-class NoPreimageEdgeError(RhfillError):
-    """Path lifting hit a target edge with no preimage edge in the window."""
-
-
 class NoTabularDataError(RhfillError):
     """The report passed to the CSV emitter has no tabular section."""

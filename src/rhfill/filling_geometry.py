@@ -27,7 +27,6 @@ from .cusped import (
     BFS_BLOCK,
     CuspedGraph,
     ExactCuspedMetric,
-    GraphPath,
     build_cusped_ball,
     depth0_key,
     geodesics,
@@ -37,11 +36,7 @@ from .cusped import (
     pair_word_costs,
 )
 from .delta import four_point_delta_sampled
-from .errors import (
-    InvalidParameterError,
-    NoPreimageEdgeError,
-    WindowError,
-)
+from .errors import InvalidParameterError, WindowError
 from .groups import FillingData, GroupElement, RelHypPair, enumerate_ball
 
 DRAW_BLOCK = 8192  # most random pairs drawn, walked or lifted in one batch
@@ -173,23 +168,6 @@ def lift_paths(fg: FillingGeometry, paths: np.ndarray,
         act = act[step >= 0]
         lifts[act, t] = step[step >= 0]
     return lifts
-
-
-def lift_path(fg: FillingGeometry, path: GraphPath, base_lift) -> GraphPath:
-    """Edge-by-edge lift of a target path starting at ``base_lift`` (index
-    or key), the one-path case of :func:`lift_paths`."""
-    src = fg.source
-    start = src.index[base_lift] if not isinstance(base_lift, (int, np.integer)) \
-        else int(base_lift)
-    if int(fg.vertex_map[start]) != path.vertices[0]:
-        raise InvalidParameterError("base lift does not project to path start")
-    lift = lift_paths(fg, np.array([path.vertices]), [start])[0]
-    if lift[-1] < 0:
-        t = int(np.argmax(lift < 0))
-        raise NoPreimageEdgeError(
-            f"no preimage edge toward {fg.target.labels[path.vertices[t]]!r} "
-            f"from {src.labels[lift[t - 1]]!r} inside the window")
-    return GraphPath(src, lift.tolist())
 
 
 def lift_roundtrip_report(fg: FillingGeometry, n_paths: int = 1000,

@@ -36,11 +36,8 @@ from .convergence import (
     chabauty_check,
     edf_condition_check,
     elliptic_family,
-    fiber_consistency_check,
-    gpath_tracking_check,
     limit_set_convergence,
     sanov_generators,
-    sequences_from_gpaths,
 )
 from .errors import (
     BudgetExceededError,
@@ -122,10 +119,6 @@ TASK_PARAMS = {
     "limitset": {"word_depth": _int(1),
                  "max_final_distance": {"type": ["number", "null"], "minimum": 0},
                  "csv": _STRING},
-    "fiber": {"path_length": _int(1), "count": _int(1), "label_cutoff": _int(0),
-              "distance_bound": {"type": "number", "minimum": 0}},
-    "tracking": {"path_length": _int(1), "label_cutoff": _int(0),
-                 "radius": _int(0)},
 }
 # csv is a parameter of the checks whose reports emit_plot_data renders
 _TASK_COMMON = {"check": {"enum": list(TASK_PARAMS)}, "name": _STRING,
@@ -592,24 +585,19 @@ def _task_limitset(sc: Scenario, params: dict) -> dict:
     return rep
 
 
-def _paths_of_length(sc: Scenario, length: int, cutoff: int, count: int):
-    auto, sys_ = sc.automaton
-    out = []
-    for p in enumerate_gpaths(auto, length, label_cutoff=cutoff):
-        if len(p) == length:
-            out.append(p)
-            if len(out) == count:
-                break
-    return sys_, out
-
-
 def _task_contraction(sc: Scenario, params: dict) -> dict:
     length = int(params.get("path_length", 10))
     count = int(params.get("count", 50))
     cutoff = int(params.get("label_cutoff", 8))
     rate_bound = float(params.get("rate_bound", 0.9))
     rep_bound = int(params.get("max_repetition", 2))
-    sys_, paths = _paths_of_length(sc, length, cutoff, count)
+    auto, sys_ = sc.automaton
+    paths = []
+    for p in enumerate_gpaths(auto, length, label_cutoff=cutoff):
+        if len(p) == length:
+            paths.append(p)
+            if len(paths) == count:
+                break
     table = []
     for i, p in enumerate(paths):
         rep = nested_diameters(sc.family.base, p, sys_)
@@ -633,29 +621,6 @@ def _task_contraction(sc: Scenario, params: dict) -> dict:
     }
 
 
-def _task_fiber(sc: Scenario, params: dict) -> dict:
-    length = int(params.get("path_length", 6))
-    count = int(params.get("count", 2))
-    cutoff = int(params.get("label_cutoff", 2))
-    _, paths = _paths_of_length(sc, length, cutoff, count)
-    seqs = sequences_from_gpaths(paths)
-    return fiber_consistency_check(
-        sc.family.base, sc.pair, seqs,
-        distance_bound=float(params.get("distance_bound", 3.0)))
-
-
-def _task_tracking(sc: Scenario, params: dict) -> dict:
-    length = int(params.get("path_length", 4))
-    cutoff = int(params.get("label_cutoff", 2))
-    _, paths = _paths_of_length(sc, length, cutoff, 1)
-    if not paths:
-        raise InvalidParameterError("no automaton path of the requested length")
-    return gpath_tracking_check(
-        sc.pair, paths[0],
-        radius=int(params.get("radius", 8)),
-        cap=sc.budgets["elements"])
-
-
 _TASK_RUNNERS = {
     "compatibility": _task_compatibility,
     "filling": _task_filling,
@@ -665,8 +630,6 @@ _TASK_RUNNERS = {
     "chabauty": _task_chabauty,
     "limitset": _task_limitset,
     "contraction": _task_contraction,
-    "fiber": _task_fiber,
-    "tracking": _task_tracking,
 }
 
 

@@ -21,8 +21,6 @@ class Tolerances:
     tail_window: int = 5
     # declared filling kernels must map this close to the identity
     kernel: float = 1e-10
-    # limit lines of sequences tracked by one automaton path must agree to this
-    fiber: float = 1e-3
 
 
 DEFAULT_TOLS = Tolerances()

@@ -52,8 +52,7 @@ from rhfill.groups import (
     intern_syllables,
     sort_columns,
 )
-from rhfill.errors import (DisconnectedError, NoPreimageEdgeError,
-                           UnsupportedKindError)
+from rhfill.errors import DisconnectedError, UnsupportedKindError
 
 
 def reference_ball_tree(oracle: GroupOracle, radius: int):
@@ -626,6 +625,10 @@ def project_path(fg: FillingGeometry, path: GraphPath) -> GraphPath:
     return GraphPath(fg.target, out)
 
 
+class NoPreimageEdge(Exception):
+    """A reference lift reached a target edge with no preimage edge."""
+
+
 def reference_lift_path(fg: FillingGeometry, path: list[int],
                         start: int) -> list[int]:
     """Edge-by-edge lift from ``start``: the smallest source neighbour over
@@ -635,7 +638,7 @@ def reference_lift_path(fg: FillingGeometry, path: list[int],
         candidates = [int(u) for u in fg.source.neighbors(out[-1])
                       if int(fg.vertex_map[u]) == tnext]
         if not candidates:
-            raise NoPreimageEdgeError(f"no preimage edge toward {tnext}")
+            raise NoPreimageEdge(f"no preimage edge toward {tnext}")
         out.append(min(candidates))
     return out
 
@@ -702,7 +705,7 @@ def reference_lift_roundtrip(fg: FillingGeometry, n_paths: int,
             continue
         try:
             lift = reference_lift_path(fg, tpath, preimages[u])
-        except NoPreimageEdgeError:
+        except NoPreimageEdge:
             skipped += 1
             continue
         lifted += 1

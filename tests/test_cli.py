@@ -208,13 +208,17 @@ def test_limitset_max_final_gate(tmp_path, capsys):
     capsys.readouterr()
 
 
+# a cheap task that passes on the free pair
+CONTRACTION_TASK = {"check": "contraction", "path_length": 2, "count": 1}
+
+
 def test_run_verb(tmp_path, capsys):
     sc = tmp_path / "sc.json"
     sc.write_text(json.dumps({"pair": {"builtin": "f2"},
-                              "tasks": [{"check": "tracking"}]}))
+                              "tasks": [CONTRACTION_TASK]}))
     assert main(["run", str(sc), "--out", str(tmp_path / "out")]) == 0
     assert "scenario: pass" in capsys.readouterr().out
-    assert (tmp_path / "out" / "00-tracking.json").is_file()
+    assert (tmp_path / "out" / "00-contraction.json").is_file()
 
 
 @pytest.mark.parametrize("task", [{"check": "uniform-delta", "radius": "abc"},
@@ -224,7 +228,7 @@ def test_run_verb(tmp_path, capsys):
 def test_run_bad_task_parameter_is_usage(tmp_path, capsys, task):
     sc = tmp_path / "sc.json"
     sc.write_text(json.dumps({"pair": {"builtin": "f2"},
-                              "tasks": [{"check": "tracking"}, task]}))
+                              "tasks": [CONTRACTION_TASK, task]}))
     assert main(["run", str(sc), "--out", str(tmp_path / "out")]) == 2
     assert "tasks.1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -260,7 +264,7 @@ def test_run_malformed_filling_task_is_usage(tmp_path, capsys, edit, where):
     task = {k: v for k, v in {**FILLING_TASK, **edit}.items() if v is not None}
     sc = tmp_path / "sc.json"
     sc.write_text(json.dumps({"pair": {"builtin": "f2"},
-                              "tasks": [{"check": "tracking"}, task]}))
+                              "tasks": [CONTRACTION_TASK, task]}))
     assert main(["run", str(sc), "--out", str(tmp_path / "out")]) == 2
     assert where in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -286,8 +290,7 @@ def _run_scenario(tmp_path, spec) -> int:
     return main(["run", str(sc), "--out", str(tmp_path / "out")])
 
 
-@pytest.mark.parametrize("check", ["compatibility", "metric-lemmas", "fiber",
-                                   "tracking"])
+@pytest.mark.parametrize("check", ["compatibility", "metric-lemmas"])
 def test_run_csv_on_a_check_without_table_is_usage(tmp_path, capsys, check):
     code = _run_scenario(tmp_path, {"pair": {"builtin": "f2"},
                                     "tasks": [{"check": check, "csv": "c.csv"}]})
@@ -463,6 +466,16 @@ def test_run_non_finite_json_is_usage(tmp_path, capsys, part):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [["chabauty", "--radius", "nan"],
+                                  ["chabauty", "--radius", "inf"],
+                                  ["limitset", "--max-final", "nan"],
+                                  ["limitset", "--max-final", "inf"]])
+def test_non_finite_float_argument_is_usage(capsys, argv):
+    # a scenario file cannot hold these values, so no verb takes them either
+    assert main(argv + ["--indices", "10"]) == 2
+    assert f"argument {argv[1]}: expected a finite number" in capsys.readouterr().err
+
+
 FREE_PRODUCT = {"kind": "free-product",
                 "factors": [{"kind": "free-abelian", "rank": 1}] * 2}
 
@@ -495,6 +508,11 @@ def test_malformed_pair_is_usage(tmp_path, capsys, pair, where, verb):
         code = _run_scenario(tmp_path, {"pair": pair, "tasks": []})
     assert code == 2
     assert where in capsys.readouterr().err
+
+
+def test_cusped_negative_max_depth_is_usage(capsys):
+    assert main(["cusped", "--radius", "3", "--max-depth", "-2"]) == 2
+    assert "max_depth must be >= 0, got -2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["auto", "exhaustive", "sampled", "triangles"])

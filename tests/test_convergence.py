@@ -1,5 +1,4 @@
-"""Filling families: EDF queries, Chabauty windows, limit sets, fibers,
-and geodesic tracking of automaton paths."""
+"""Filling families: EDF queries, Chabauty windows and limit sets."""
 import math
 from fractions import Fraction
 from unittest import mock
@@ -7,18 +6,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from rhfill.automata import Ball, bundled_sanov_automaton, enumerate_gpaths
+from rhfill.automata import Ball
 from rhfill import convergence
 from rhfill.convergence import (EdfQuery, RepFamily, _gram, _sign_canonical,
                                 _sup_min,
                                 bundled_edf_queries,
                                 chabauty_check, edf_condition_check,
                                 elliptic_family, elliptic_generators,
-                                fiber_consistency_check, gpath_tracking_check,
-                                limit_set_convergence, sanov_generators,
-                                sequences_from_gpaths)
-from rhfill.errors import (InvalidParameterError, UnsupportedKindError,
-                           WindowError)
+                                limit_set_convergence, sanov_generators)
+from rhfill.errors import InvalidParameterError, UnsupportedKindError
 from rhfill.groups import standard_f2_pair
 from rhfill.scenarios import bundled_scenario_path, load_scenario
 from reference_windows import constant_family, reference_sup_min, traced_peak
@@ -477,128 +473,6 @@ def test_limit_set_base_must_pass_screening(pair):
 def test_limit_set_parameter_validation(family):
     with pytest.raises(InvalidParameterError):
         limit_set_convergence(family, word_depth=0)
-
-
-# ---------------------------------------------------------------------------
-# fiber consistency
-
-
-def test_fiber_bounded_perturbation_shares_limit(pair):
-    g = pair.group
-    s1 = [g.generator("a", k) for k in range(1, 25)]
-    s2 = [g.multiply(g.generator("a", k), g.generator("b", 1))
-          for k in range(1, 25)]
-    rep = fiber_consistency_check(sanov_generators(), pair, [s1, s2])
-    row = rep["pairs"][0]
-    assert row["paired"]
-    assert row["window_hausdorff"] == 1
-    assert row["flag_distance"] == pytest.approx(0.00016342422855682883,
-                                                 abs=1e-12)
-    assert row["ok"] and rep["pass"]
-
-
-def test_fiber_transverse_tails_are_far(pair):
-    g = pair.group
-    s1 = [g.generator("a", k) for k in range(1, 25)]
-    s3 = [g.generator("b", k) for k in range(1, 25)]
-    rep = fiber_consistency_check(sanov_generators(), pair, [s1, s3])
-    row = rep["pairs"][0]
-    assert not row["paired"]
-    assert row["window_hausdorff"] > 3
-    assert row["flag_distance"] > 0.1
-    assert rep["pass"]  # distant pairs carry no constraint
-
-
-def test_fiber_same_sequence_identical(pair):
-    g = pair.group
-    s1 = [g.generator("a", k) for k in range(1, 25)]
-    rep = fiber_consistency_check(sanov_generators(), pair, [s1, list(s1)])
-    row = rep["pairs"][0]
-    assert row["window_hausdorff"] == 0
-    assert row["flag_distance"] == 0.0
-
-
-def test_fiber_short_sequences_unverified_not_failed(pair):
-    g = pair.group
-    short = [g.generator("a", 1), g.generator("a", 2)]
-    rep = fiber_consistency_check(sanov_generators(), pair, [short, short])
-    assert rep["sequences"][0]["verdict"] == "inconclusive"
-    assert rep["unverified"] == 1
-    assert rep["pairs"][0]["flag_distance"] is None
-    assert rep["pass"]
-
-
-def test_fiber_sequences_from_gpaths(pair):
-    auto, _ = bundled_sanov_automaton(pair)
-    paths = [p for p in enumerate_gpaths(auto, 3, label_cutoff=2)
-             if len(p) == 3]
-    seqs = sequences_from_gpaths(paths[:2])
-    assert len(seqs) == 2 and all(len(s) == 3 for s in seqs)
-    assert seqs[0][0] == paths[0].steps[0][1]
-    rep = fiber_consistency_check(sanov_generators(), pair, seqs)
-    assert rep["name"] == "fiber-consistency"
-
-
-def test_fiber_validation(pair):
-    with pytest.raises(InvalidParameterError):
-        fiber_consistency_check(sanov_generators(), pair, [])
-    with pytest.raises(InvalidParameterError):
-        fiber_consistency_check(sanov_generators(), pair, [[]])
-    d3 = {"a": np.eye(3), "b": np.eye(3)}
-    with pytest.raises(UnsupportedKindError):
-        fiber_consistency_check(d3, pair, [[pair.group.generator("a", 1)]])
-
-
-def test_fiber_refuses_a_singular_image(pair):
-    rep = {"a": [[1.0, 2.0], [2.0, 4.0]], "b": np.eye(2)}
-    with pytest.raises(InvalidParameterError, match="^a: matrix is singular"):
-        fiber_consistency_check(rep, pair, [[pair.group.generator("a", 1)]])
-
-
-# ---------------------------------------------------------------------------
-# path tracking
-
-
-def test_tracking_ping_pong_path(pair):
-    auto, _ = bundled_sanov_automaton(pair)
-    path = next(p for p in enumerate_gpaths(auto, 4, label_cutoff=2)
-                if len(p) == 4)
-    assert path.words() == ["a^-2", "b^-2", "a^-2", "b^-2"]
-    rep = gpath_tracking_check(pair, path, radius=8)
-    assert rep["geodesic_length"] == rep["direct_distance"] == 8
-    assert rep["hausdorff"] == 1
-    assert rep["step_cost_max"] == 2
-    assert rep["max_geodesic_depth"] == 0
-    assert rep["depth_bound"] == 5.0
-    assert rep["pass"]
-
-
-def test_tracking_window_too_small(pair):
-    auto, _ = bundled_sanov_automaton(pair)
-    path = next(p for p in enumerate_gpaths(auto, 4, label_cutoff=2)
-                if len(p) == 4)
-    with pytest.raises(WindowError, match="beyond the window"):
-        gpath_tracking_check(pair, path, radius=6)
-
-
-def test_tracking_singleton_powers(pair):
-    g = pair.group
-    rep = gpath_tracking_check(pair, [g.generator("a", k) for k in (1, 2, 3)],
-                               radius=4)
-    assert rep["hausdorff"] == 0.0
-    assert rep["geodesic_length"] == 3
-    assert rep["max_geodesic_depth"] == 0
-    assert rep["depth_bound"] == 1.0
-    assert rep["pass"]
-
-
-def test_tracking_deep_horoball_travel(pair):
-    # one jump a^16: the geodesic dives two levels into the horoball
-    rep = gpath_tracking_check(pair, [pair.group.generator("a", 16)], radius=8)
-    assert rep["geodesic_length"] == 8
-    assert rep["hausdorff"] == 0.0
-    assert rep["max_geodesic_depth"] == 2
-    assert rep["pass"]
 
 
 def _unique_reference(rows):

@@ -13,18 +13,18 @@ from hypothesis import given, settings, strategies as st
 
 from rhfill import filling_geometry
 from rhfill.errors import (BudgetExceededError, InvalidParameterError,
-                           NoPreimageEdgeError, WindowError)
+                           WindowError)
 from rhfill.filling_geometry import (FillingGeometry, build_quotient_cusped,
                                      check_descent_quasigeodesic,
                                      check_local_isometry, check_uniform_delta,
                                      filling_map_report, injectivity_report,
-                                     lift_path, lift_roundtrip_report,
+                                     lift_paths, lift_roundtrip_report,
                                      project_vertex_key)
 from rhfill.groups import (GroupElement, enumerate_ball, make_filling,
                            make_oracle, make_pair, standard_f2_pair)
-from rhfill.cusped import (Certificate, build_cusped_ball, geodesics,
+from rhfill.cusped import (Certificate, GraphPath, build_cusped_ball, geodesics,
                            shortest_path)
-from reference_windows import (project_path, reference_descent,
+from reference_windows import (NoPreimageEdge, project_path, reference_descent,
                                reference_lift_path, reference_lift_roundtrip,
                                reference_map_edges, reference_max_stretch,
                                reference_project, reference_shortest_path)
@@ -92,16 +92,6 @@ def test_lift_roundtrip(fg50):
     assert rep["no_preimage_skipped"] == 0
     # deterministic: same seed, same counts
     assert lift_roundtrip_report(fg50, n_paths=200, seed=3) == rep
-
-
-def test_lift_base_must_match(fg50):
-    tgt = fg50.target
-    path = shortest_path(tgt, tgt.vertices[0], tgt.vertices[5])
-    # a base vertex projecting elsewhere is refused
-    wrong = next(i for i in range(len(fg50.vertex_map))
-                 if int(fg50.vertex_map[i]) != path.vertices[0])
-    with pytest.raises(InvalidParameterError):
-        lift_path(fg50, path, wrong)
 
 
 def test_project_path_drops_nothing_here(fg50):
@@ -318,19 +308,24 @@ def test_lift_path_matches_the_edge_by_edge_lift(fg3):
     tgt = fg3.target
     lifted = stuck = 0
     rng = np.random.default_rng(0)
-    for u, v in rng.integers(0, tgt.n_vertices, size=(200, 2)).tolist():
-        path = shortest_path(tgt, u, v)
-        start = int(np.flatnonzero(fg3.vertex_map == u)[0])
-        try:
-            ref = reference_lift_path(fg3, path.vertices, start)
-        except NoPreimageEdgeError:
-            with pytest.raises(NoPreimageEdgeError, match="no preimage edge"):
-                lift_path(fg3, path, start)
+    u, v = rng.integers(0, tgt.n_vertices, size=(2, 200))
+    starts = [int(np.flatnonzero(fg3.vertex_map == x)[0]) for x in u]
+    paths = geodesics(tgt, u, v)
+    lifts = lift_paths(fg3, paths, np.array(starts))
+    for path, lift, start in zip(paths.tolist(), lifts.tolist(), starts):
+        path = [x for x in path if x >= 0]
+        lift = lift[:len(path)]
+        if lift[-1] < 0:
+            # the row holds -1 from the step where the reference gets stuck
+            t = lift.index(-1)
+            assert set(lift[t:]) == {-1}
+            assert reference_lift_path(fg3, path[:t], start) == lift[:t]
+            with pytest.raises(NoPreimageEdge, match="no preimage edge"):
+                reference_lift_path(fg3, path[:t + 1], start)
             stuck += 1
             continue
-        assert lift_path(fg3, path, start).vertices == ref
-        assert project_path(fg3, lift_path(fg3, path, start)).vertices \
-            == path.vertices
+        assert reference_lift_path(fg3, path, start) == lift
+        assert project_path(fg3, GraphPath(fg3.source, lift)).vertices == path
         lifted += 1
     assert lifted and stuck
 

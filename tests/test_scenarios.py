@@ -336,6 +336,23 @@ def test_unknown_check_is_schema_error(tmp_path):
         load_scenario(p)
 
 
+@pytest.mark.parametrize("check", ["fiber", "tracking"])
+def test_deleted_checks_are_refused(tmp_path, capsys, check):
+    p = scenario_file(tmp_path, {"pair": {"builtin": "f2"},
+                                 "tasks": [{"check": check}]})
+    where = f"tasks.0.check: '{check}' is not one of ["
+    with pytest.raises(SchemaError) as e:
+        run_scenario(p, output_dir=tmp_path / "out")
+    assert str(e.value).startswith(where)
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_task_kind_has_a_runner():
+    assert set(rhfill.scenarios.TASK_PARAMS) == set(rhfill.scenarios._TASK_RUNNERS)
+
+
 def test_scenario_schema_is_a_valid_schema():
     jsonschema = pytest.importorskip("jsonschema")
     jsonschema.validators.validator_for(SCENARIO_SCHEMA).check_schema(
@@ -399,7 +416,8 @@ def test_bundled_scenario_validates():
     ({"check": "limitset", "word_depht": 8}, "word_depht"),
     ({"check": "edf", "queries": [{"peripheral": "x"}]},
      r"tasks\.0\.queries\.0\.peripheral"),
-    ({"check": "tracking", "assert": "yes"}, r"tasks\.0\.assert"),
+    ({"check": "contraction", "path_length": 2, "count": 1, "assert": "yes"},
+     r"tasks\.0\.assert"),
     ({"check": "edf", "queries": [{"excluded": ["zz"]}]},
      r"tasks\.0\.queries\.0\.excluded"),
     ({"check": "edf", "queries": [{"peripheral": 5}]},
@@ -570,7 +588,7 @@ def test_seconds_budget_is_enforced(tmp_path):
     p = scenario_file(tmp_path, {
         "pair": {"builtin": "f2"},
         "budgets": {"seconds": 1e-9},
-        "tasks": [{"check": "tracking"}]})
+        "tasks": [{"check": "contraction", "path_length": 2, "count": 1}]})
     with pytest.raises(BudgetExceededError, match="seconds"):
         run_scenario(p, output_dir=tmp_path / "out")
 
@@ -612,7 +630,7 @@ def test_emit_contraction_rows():
 
 def test_emit_rejects_reports_without_tables():
     with pytest.raises(NoTabularDataError, match="no-tabular-data"):
-        emit_plot_data({"name": "gpath-tracking", "pass": True})
+        emit_plot_data({"name": "compatibility", "pass": True})
     # no task renders a single edf query or a nested-diameter list
     with pytest.raises(NoTabularDataError):
         emit_plot_data({"name": "edf-condition", "query": "a-side", "edf": []})
@@ -630,7 +648,7 @@ def test_one_bundled_automaton_per_scenario(monkeypatch):
     sc = load_scenario(bundled_scenario_path())
     for task in ({"check": "compatibility", "enumeration_depth": 4},
                  {"check": "contraction", "path_length": 3, "count": 2},
-                 {"check": "fiber", "path_length": 2, "count": 1}):
+                 {"check": "contraction", "path_length": 2, "count": 1}):
         assert run_task(sc, task)["pass"] is not None
     assert built == [sc.pair]
 

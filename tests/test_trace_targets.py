@@ -10,10 +10,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rhfill.convergence import (RepFamily, fiber_consistency_check,
-                                limit_set_convergence, sanov_generators)
+from rhfill import flags
+from rhfill.convergence import RepFamily, limit_set_convergence, sanov_generators
 from rhfill.groups import standard_f2_pair
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -45,13 +46,14 @@ def test_tracer_counts_the_flag_layer():
     pair = standard_f2_pair()
     rep = sanov_generators()
     family = RepFamily(pair, rep, {3: rep})
-    a = [pair.group.generator("a", k) for k in range(1, 7)]
+    powers = [np.linalg.matrix_power(rep["a"], k) for k in range(1, 7)]
     with spans.Tracer() as tracer:
         report = limit_set_convergence(family, word_depth=3)
-        fiber_consistency_check(rep, pair, [a])
+        # looked up at call time, where the tracer has wrapped it
+        flags.q_divergence(powers)
     metrics = tracer.metrics()
-    # the screening classifies exactly and takes no gaps; the fiber check
-    # takes one divergence certificate per sequence, then one cloud each
+    # the screening classifies exactly and takes no gaps, so the one
+    # divergence certificate is the direct call; then one cloud per member
     assert metrics["flags.q_divergence.calls"] == 1
     assert metrics["flags.limit_cloud_points"] == 2 * report["base_size"] > 0
     assert metrics["flags.q_limit_set.s"] > 0.0
