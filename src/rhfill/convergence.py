@@ -443,7 +443,8 @@ def chabauty_check(family: RepFamily, ball_radius: float = 10.0,
 
     The word ball is enumerated once as a BFS tree; each representation's
     unit-|det| images come from one :func:`ball_images` call, and the
-    peripheral sets are rows of that array.
+    peripheral sets are rows of that array.  A member whose window holds
+    no point on either side has tested nothing, so the check fails.
     """
     if word_depth < 1:
         raise InvalidParameterError("word_depth must be >= 1")
@@ -465,12 +466,13 @@ def chabauty_check(family: RepFamily, ball_radius: float = 10.0,
                                        for pid, idx in per_rows.items()}
 
     base_full, base_peri = image_sets(family.base)
-    table = []
+    table, untested = [], 0
     for idx in family.indices:
         rep = family.members[idx]
         mem_full, mem_peri = image_sets(rep)
         a_side = _sup_min(base_full, mem_full, ball_radius)
         b_side = _sup_min(mem_full, base_full, ball_radius)
+        untested += a_side["points"] + b_side["points"] == 0
         row = {
             "index": idx,
             "full": {
@@ -510,8 +512,8 @@ def chabauty_check(family: RepFamily, ball_radius: float = 10.0,
         seq = [r["peripheral"][pid]["distance"] for r in table]
         report["decreasing"][f"peripheral-{pid}"] = all(
             x > y for x, y in zip(seq, seq[1:]))
-    report["pass"] = all(report["decreasing"].values()) if len(table) > 1 \
-        else bool(table)
+    report["pass"] = bool(table) and not untested and all(
+        report["decreasing"].values())
     return report
 
 

@@ -380,10 +380,9 @@ class GraphPath:
 class CuspedGraph:
     """Finite truncated graph with depth-tagged vertices and typed edges."""
 
-    def __init__(self, kind: str, vertices: list, depth, labels, coset_labels,
+    def __init__(self, vertices: list, depth, labels, coset_labels,
                  edges_u, edges_v, edge_kind, pair: RelHypPair | None = None,
                  meta: dict | None = None):
-        self.kind = kind
         self.vertices = vertices
         self.index = {k: i for i, k in enumerate(vertices)}
         self.depth = np.asarray(depth, dtype=np.int64)
@@ -395,7 +394,6 @@ class CuspedGraph:
         self.pair = pair
         self.meta = meta or {}
         self._closed = None
-        self._neighbor_lists = None
         self._dist_matrix = None
         self._cert = None
 
@@ -407,25 +405,15 @@ class CuspedGraph:
     def n_edges(self) -> int:
         return len(self.edges_u)
 
-    def _pattern(self, loops: bool) -> tuple[np.ndarray, np.ndarray]:
-        """CSR (indices, indptr) of the symmetric adjacency pattern, plus the
-        diagonal if ``loops``; parallel edges count once, columns sorted."""
-        n, u, v = self.n_vertices, self.edges_u, self.edges_v
-        diagonal = np.arange(n if loops else 0) * (n + 1)
-        keys = np.sort(np.concatenate([u * n + v, v * n + u, diagonal]))
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        return keys % n, np.searchsorted(keys, np.arange(n + 1) * n)
-
-    def neighbors(self, i: int) -> np.ndarray:
-        if self._neighbor_lists is None:
-            indices, indptr = self._pattern(loops=False)
-            self._neighbor_lists = np.split(indices, indptr[1:-1])
-        return self._neighbor_lists[i]
-
     def _closed_pattern(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_pattern(loops=True)``, cached."""
+        """CSR (indices, indptr) of the symmetric adjacency pattern with the
+        diagonal, cached; parallel edges count once, columns sorted."""
         if self._closed is None:
-            self._closed = self._pattern(loops=True)
+            n, u, v = self.n_vertices, self.edges_u, self.edges_v
+            keys = np.sort(np.concatenate([u * n + v, v * n + u,
+                                           np.arange(n) * (n + 1)]))
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            self._closed = keys % n, np.searchsorted(keys, np.arange(n + 1) * n)
         return self._closed
 
     def first_neighbours(self, cur: np.ndarray, accept) -> np.ndarray:
@@ -759,7 +747,7 @@ def build_cusped_ball(pair: RelHypPair, radius: int,
     meta = {"radius": radius, "max_depth": md, "dist_from_id": b.cost[perm],
             "metric": metric, "horoball": member,
             "horoball_coset": np.column_stack([ids % P, at[ids // P]])}
-    return CuspedGraph("cusped", [b.keys[v] for v in perm.tolist()], k[perm],
+    return CuspedGraph([b.keys[v] for v in perm.tolist()], k[perm],
                        [labels[v] for v in perm.tolist()],
                        [coset_labels[v] for v in perm.tolist()],
                        eu, ev, kinds, pair, meta)
@@ -824,5 +812,5 @@ def load_graph(text: str) -> CuspedGraph:
             raise InvalidParameterError(
                 f"line {no}: edge ({u}, {v}) leaves the vertex range 0..{n - 1}")
     keys = [("v", i) for i in range(n)]
-    return CuspedGraph("generic", keys, depth, labels, coset_labels,
+    return CuspedGraph(keys, depth, labels, coset_labels,
                        eu, ev, ek, None, {})

@@ -20,13 +20,13 @@ the generator state and redraws the block up to the skip.
 from __future__ import annotations
 
 import bisect
+from typing import Iterable
 
 import numpy as np
 
 from .cusped import (
     BFS_BLOCK,
     CuspedGraph,
-    ExactCuspedMetric,
     build_cusped_ball,
     depth0_key,
     geodesics,
@@ -52,14 +52,6 @@ class FillingGeometry:
         self.filling = filling
         self.vertex_map = vertex_map
 
-    @property
-    def source_metric(self) -> ExactCuspedMetric:
-        return self.source.meta["metric"]
-
-    @property
-    def target_metric(self) -> ExactCuspedMetric:
-        return self.target.meta["metric"]
-
 
 def project_vertex_key(filling: FillingData, key):
     """Image of a source window vertex key under the filling projection."""
@@ -73,23 +65,19 @@ def project_vertex_key(filling: FillingData, key):
 
 
 def build_quotient_cusped(pair: RelHypPair, filling: FillingData,
-                          radius: int, max_depth: int | None = None,
-                          cap: int = 2_000_000) -> FillingGeometry:
+                          radius: int) -> FillingGeometry:
     """Windows of the same radius on both sides plus the vertex map.
 
     The source window is built once for every filling of the pair: the
-    pair's ``window`` slot keeps the last one, keyed by (radius, max_depth,
-    cap). Another key drops it and builds anew, so a smaller ``cap`` still
-    raises BudgetExceededError."""
+    pair's ``window`` slot keeps the last one, keyed by its radius alone.
+    Another radius drops it and builds anew."""
     if filling.pair is not pair:
         raise InvalidParameterError("filling was built for a different pair")
-    key = (radius, radius if max_depth is None else max_depth, cap)
-    if pair.window is None or pair.window[0] != key:
+    if pair.window is None or pair.window.meta["radius"] != radius:
         pair.window = None  # the old window is freed before the new is built
-        pair.window = key, build_cusped_ball(pair, radius, key[1], cap)
-    source = pair.window[1]
-    target = build_cusped_ball(filling.quotient_pair, radius,
-                               max_depth=max_depth, cap=cap)
+        pair.window = build_cusped_ball(pair, radius)
+    source = pair.window
+    target = build_cusped_ball(filling.quotient_pair, radius)
     vmap = np.empty(source.n_vertices, dtype=np.int64)
     for i, key in enumerate(source.vertices):
         image = project_vertex_key(filling, key)
@@ -277,7 +265,8 @@ def check_local_isometry(fg: FillingGeometry, r: int, *,
     flat = depth0[idx]
     at, both = np.cumsum(flat) - 1, flat[a] & flat[b]
     d = np.zeros((2, len(a)), dtype=np.int64)
-    sides = ((fg.source_metric, keys), (fg.target_metric, images))
+    sides = ((fg.source.meta["metric"], keys),
+             (fg.target.meta["metric"], images))
     for side, (metric, ks) in enumerate(sides):
         d[side, both] = pair_word_costs(
             metric.G, [GroupElement(k[1]) for k in ks if k[0] == "c"],
@@ -379,23 +368,28 @@ def check_descent_quasigeodesic(fg: FillingGeometry, K: float,
     }
 
 
-def check_uniform_delta(pair: RelHypPair, fillings: dict[int, FillingData],
-                        radius: int, slack: float = 2.0,
-                        samples: int = 100_000, seed: int = 0) -> dict:
+def check_uniform_delta(source: CuspedGraph,
+                        filled: Iterable[tuple[int, CuspedGraph]],
+                        slack: float = 2.0, samples: int = 100_000,
+                        seed: int = 0) -> dict:
     """Window delta per filling index, against the unfilled window delta.
+
+    ``source`` is the unfilled window; ``filled`` yields (index, window)
+    pairs of filled windows of its radius, read one at a time, in order.
 
     Every delta here is the four-point delta over ``samples`` random
     quadruples of the window, a lower bound on the window's delta.  The test
     ``filled <= unfilled + slack`` therefore compares lower bounds, and a
     pass is not a certificate of uniform hyperbolicity.
     """
-    source = build_cusped_ball(pair, radius)
+    radius = source.meta["radius"]
     base = four_point_delta_sampled(source.distance_matrix(),
                                     samples=samples, seed=seed).delta
     table = {}
-    for n in sorted(fillings):
-        tgt = build_cusped_ball(fillings[n].quotient_pair, radius)
-        table[n] = four_point_delta_sampled(tgt.distance_matrix(),
+    for n, window in filled:
+        if window.meta["radius"] != radius:
+            raise InvalidParameterError(f"window {n} is not of radius {radius}")
+        table[n] = four_point_delta_sampled(window.distance_matrix(),
                                             samples=samples, seed=seed).delta
     uniform = all(v <= base + slack for v in table.values())
     return {

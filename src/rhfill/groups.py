@@ -447,10 +447,6 @@ class FreeProductOracle(GroupOracle):
             return self.identity()
         return GroupElement(((fi, g.word),))
 
-    def syllable_list(self, x) -> list[tuple[int, Any]]:
-        """(factor index, local payload) pairs; the raw alternating form."""
-        return list(x.word)
-
     def from_syllables(self, sylls: Iterable[tuple[int, Any]]) -> GroupElement:
         acc = self.identity()
         for fi, p in sylls:
@@ -628,19 +624,13 @@ class RelHypPair:
     """A group oracle together with its peripheral subgroups and a compatible
     generating set (all generators lie in some peripheral).
 
-    ``window`` is one slot for the pair's last source window of a filling,
-    as a (key, window) tuple or None, kept by ``build_quotient_cusped`` so
-    that every filling of the pair compares with one unfilled window."""
+    ``window`` is one slot, None or the pair's last source window of a
+    filling, kept by ``build_quotient_cusped`` and keyed by its radius."""
 
     def __init__(self, group: FreeProductOracle, peripherals: list[PeripheralSubgroup]):
         self.group = group
         self.peripherals = peripherals
-        self.genset = group.generators()
         self.window = None
-
-    def syllables(self, g: GroupElement) -> list[tuple[int, Any]]:
-        """(peripheral id, local payload) decomposition of the normal form."""
-        return self.group.syllable_list(g)
 
 
 def make_pair(oracle: GroupOracle, peripheral_spec=None) -> RelHypPair:
@@ -693,14 +683,13 @@ def standard_f2_pair() -> RelHypPair:
 
 
 class FillingData:
-    """A filling of a pair: per-peripheral kernels, the quotient pair, and
+    """A filling of a pair by per-peripheral kernels: the quotient pair and
     the projection homomorphism (syllable-wise through abelian quotients).
 
     Each syllable is projected once: ``image`` memoises its image syllable."""
 
     def __init__(self, pair: RelHypPair, kernel_locals: list[list]):
         self.pair = pair
-        self.kernel_locals = kernel_locals
         qfactors: list[AbelianFactor] = []
         for per, kernels in zip(pair.peripherals, kernel_locals):
             qfactors.append(_quotient_factor(per.factor, kernels))

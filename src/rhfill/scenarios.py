@@ -14,7 +14,7 @@ import math
 import re
 import time
 from functools import cached_property
-from numbers import Number
+from numbers import Integral, Number
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ from .convergence import (
     limit_set_convergence,
     sanov_generators,
 )
+from .cusped import build_cusped_ball
 from .errors import (
     BudgetExceededError,
     InvalidParameterError,
@@ -195,7 +196,8 @@ SCHEMA_TYPES = {
     "string": lambda x: isinstance(x, str),
     "boolean": lambda x: isinstance(x, bool),
     "null": lambda x: x is None,
-    "number": lambda x: isinstance(x, Number) and not isinstance(x, bool),
+    "number": lambda x: (isinstance(x, Number) and not isinstance(x, bool)
+                         and (isinstance(x, Integral) or math.isfinite(x))),
     "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
                           or isinstance(x, float) and x.is_integer()),
 }
@@ -278,7 +280,9 @@ def _schema_error(spec) -> str | None:
     semantics; ``additionalProperties`` may be false or a schema, ``items``
     is a schema. A bool is neither an integer nor a number, and a float
     with an integral value, such as 4.0, is an integer. ``enum`` and
-    ``const`` tell a bool from 1 or 0.
+    ``const`` tell a bool from 1 or 0. NaN and the infinities are neither
+    numbers nor integers, where jsonschema takes them as numbers; this is
+    the one deviation from it, so that ``nan`` cannot pass ``minimum``.
 
     The pick: the shallowest path wins, then the greatest path (so
     ``tasks.1`` beats ``tasks.0``); a tie goes to the error yielded first,
@@ -496,12 +500,14 @@ def _task_metric_lemmas(sc: Scenario, params: dict) -> dict:
 
 
 def _task_uniform_delta(sc: Scenario, params: dict) -> dict:
-    if not sc.family.fillings:
+    fillings, radius = sc.family.fillings, int(params.get("radius", 4))
+    if not fillings:
         raise InvalidParameterError(
             "uniform-delta needs a filling family with kernels")
     return check_uniform_delta(
-        sc.pair, sc.family.fillings,
-        radius=int(params.get("radius", 4)),
+        build_cusped_ball(sc.pair, radius),
+        ((n, build_cusped_ball(fillings[n].quotient_pair, radius))
+         for n in sorted(fillings)),
         slack=float(params.get("slack", 2.0)),
         samples=int(params.get("samples", 50_000)),
         seed=sc.seed)
@@ -510,20 +516,20 @@ def _task_uniform_delta(sc: Scenario, params: dict) -> dict:
 def _task_filling(sc: Scenario, params: dict) -> dict:
     """The checks at fixed parameters: local isometry at radius - 1,
     descent with K = 1 at depth 2 over 200 pairs, 1,000 lift paths, and the
-    delta of radius-4 windows over 50,000 quadruples, indexed by the
-    largest finite peripheral order."""
+    delta of the task's windows over 50,000 quadruples, indexed by the
+    largest finite peripheral order. Injectivity alone builds no window."""
     filling, radius, checks = (params["filling"], int(params["radius"]),
                                params["checks"])
     fg = (build_quotient_cusped(sc.pair, filling, radius)
-          if set(checks) - {"injectivity", "uniform-delta"} else None)
+          if set(checks) != {"injectivity"} else None)
     orders = [p.factor.p_order() for p in filling.quotient_pair.peripherals]
     runners = {
         "local-isometry": lambda: check_local_isometry(fg, max(1, radius - 1)),
         "descent": lambda: check_descent_quasigeodesic(
             fg, K=1.0, max_depth_used=2, samples=200, seed=sc.seed),
         "uniform-delta": lambda: check_uniform_delta(
-            sc.pair, {max((o for o in orders if o), default=0): filling},
-            radius=4, samples=50_000, seed=sc.seed),
+            fg.source, [(max((o for o in orders if o), default=0), fg.target)],
+            samples=50_000, seed=sc.seed),
         "map": lambda: filling_map_report(fg),
         "injectivity": lambda: injectivity_report(filling, radius),
         "lift": lambda: lift_roundtrip_report(fg, n_paths=1000, seed=sc.seed),

@@ -214,8 +214,9 @@ def _coset_label(pair, pid, coset: GroupElement) -> str:
 def _cayley_edges(pair: RelHypPair, vertices, index: dict):
     """Generator edges (i, j) with i < j, from (vertex id, element) pairs to
     the depth-zero vertices that ``index`` maps to ids."""
+    genset = pair.group.generators()
     for i, g in vertices:
-        for s in pair.genset:
+        for s in genset:
             j = index.get(depth0_key(pair.group.multiply(g, s)))
             if j is not None and j > i:
                 yield i, j
@@ -301,7 +302,7 @@ def reference_build_cusped_ball(pair: RelHypPair, radius: int,
                         add_edge(index[group_keys[a]],
                                  index[group_keys[b]], "horizontal")
     meta = {"radius": radius, "max_depth": md, "dist_from_id": dist0}
-    return CuspedGraph("cusped", keys, depth, labels, coset_labels,
+    return CuspedGraph(keys, depth, labels, coset_labels,
                        eu, ev, ek, pair, meta)
 
 
@@ -317,7 +318,7 @@ def build_cayley_ball(pair: RelHypPair, radius: int,
     labels = [format_word(G, g) for g in elems]
     meta = {"radius": radius, "max_depth": 0,
             "dist_from_id": np.array([G.word_length(g) for g in elems])}
-    return CuspedGraph("cayley", keys, [0] * len(keys), labels,
+    return CuspedGraph(keys, [0] * len(keys), labels,
                        ["-"] * len(keys), eu, ev, ek, pair, meta)
 
 
@@ -361,7 +362,7 @@ def build_coned_off(pair: RelHypPair, radius: int,
             ev.append(j)
             ek.append("cone")
     meta = {"radius": radius, "max_depth": 0, "n_cones": len(cones)}
-    return CuspedGraph("coned", keys, depth, labels, coset_labels,
+    return CuspedGraph(keys, depth, labels, coset_labels,
                        eu, ev, ek, pair, meta)
 
 
@@ -396,7 +397,7 @@ def exact_ball(metric: ExactCuspedMetric, radius: int,
 def coned_length(pair: RelHypPair, g: GroupElement) -> int:
     """Exact coned-off length: each syllable costs min(word length, 2)."""
     return sum(min(pair.peripherals[fi].factor.p_length(p), 2)
-               for fi, p in pair.syllables(g))
+               for fi, p in g.word)
 
 
 def coned_distance(pair: RelHypPair, g: GroupElement, h: GroupElement) -> int:
@@ -428,13 +429,13 @@ def build_horoball(base_metric: np.ndarray, max_depth: int,
         eu += range(k * n, (k + 1) * n)
         ev += range((k + 1) * n, (k + 2) * n)
         ek += ["vertical"] * n
-    return CuspedGraph("horoball", keys, [k for _, _, k in keys],
+    return CuspedGraph(keys, [k for _, _, k in keys],
                        [base_labels[i] for _, i, _ in keys], ["-"] * len(keys),
                        eu, ev, ek)
 
 
 def generic_graph(n: int, edges: list[tuple[int, int]]) -> CuspedGraph:
-    return CuspedGraph("generic", [("v", i) for i in range(n)], [0] * n,
+    return CuspedGraph([("v", i) for i in range(n)], [0] * n,
                        [str(i) for i in range(n)], ["-"] * n,
                        [e[0] for e in edges], [e[1] for e in edges],
                        ["cayley"] * len(edges))
@@ -602,6 +603,12 @@ def constant_family(pair: RelHypPair, rep: dict,
 # geodesics, lifts and the filling checks one path at a time
 
 
+def neighbours(graph: CuspedGraph, i: int) -> np.ndarray:
+    """The sorted distinct neighbours of vertex i, from the edge lists."""
+    u, v = graph.edges_u, graph.edges_v
+    return np.unique(np.concatenate([v[u == i], u[v == i]]))
+
+
 def reference_shortest_path(graph: CuspedGraph, u: int, v: int) -> list[int]:
     """BFS geodesic from u to v: from v, step to the smallest neighbour one
     level closer to u until u is reached."""
@@ -610,7 +617,7 @@ def reference_shortest_path(graph: CuspedGraph, u: int, v: int) -> list[int]:
         raise DisconnectedError(f"vertices {u} and {v} not connected in window")
     path = [v]
     while path[-1] != u:
-        nbrs = graph.neighbors(path[-1])
+        nbrs = neighbours(graph, path[-1])
         path.append(int(nbrs[dist[nbrs] == dist[path[-1]] - 1].min()))
     return path[::-1]
 
@@ -635,7 +642,7 @@ def reference_lift_path(fg: FillingGeometry, path: list[int],
     the next target vertex each time."""
     out = [start]
     for tnext in path[1:]:
-        candidates = [int(u) for u in fg.source.neighbors(out[-1])
+        candidates = [int(u) for u in neighbours(fg.source, out[-1])
                       if int(fg.vertex_map[u]) == tnext]
         if not candidates:
             raise NoPreimageEdge(f"no preimage edge toward {tnext}")

@@ -94,6 +94,32 @@ def test_fill_short_filling_fails(pair_file, capsys):
     assert report["checks"]["local-isometry"]["violation_count"] > 0
 
 
+def test_fill_builds_each_window_once(pair_file, monkeypatch, capsys):
+    # the default checks, uniform-delta among them, read one unfilled and
+    # one filled window
+    built = []
+    build = rhfill.cusped.build_cusped_ball
+
+    def counting(pair, radius, *args, **kwargs):
+        built.append((id(pair), radius))
+        return build(pair, radius, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rhfill") \
+                and getattr(module, "build_cusped_ball", None) is build:
+            monkeypatch.setattr(module, "build_cusped_ball", counting)
+    assert main(["fill", "--pair", pair_file,
+                 "--kernels", '{"0":["a^20"],"1":["b^20"]}',
+                 "--radius", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["checks"]) == {"local-isometry", "descent",
+                                     "uniform-delta"}
+    assert report["checks"]["uniform-delta"]["radius"] == 4
+    # the unfilled pair's window and the quotient's, both of radius 4
+    assert len(built) == 2 and built[0][0] != built[1][0]
+    assert [radius for _, radius in built] == [4, 4]
+
+
 def test_fill_rejects_unknown_check(pair_file, capsys):
     assert main(["fill", "--pair", pair_file, "--kernels", "{}",
                  "--radius", "3", "--checks", "frobnicate"]) == 2
@@ -196,6 +222,15 @@ def test_chabauty_verb(tmp_path, capsys):
     assert main(["chabauty", "--indices", "10,20"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["decreasing"]["full"]
+
+
+def test_chabauty_with_an_empty_window_fails(capsys):
+    # every image has norm at least sqrt(2), so this window holds no point
+    assert main(["chabauty", "--radius", "0.001", "--indices", "10",
+                 "--depth", "4"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["table"][0]["full"]["windowed_points"] == 0
+    assert not report["pass"]
 
 
 def test_limitset_max_final_gate(tmp_path, capsys):

@@ -306,6 +306,15 @@ def test_chabauty_constant_family_is_zero(pair):
         assert row["peripheral"][0]["distance"] == 0.0
 
 
+def test_chabauty_with_an_empty_window_fails(pair):
+    fam = elliptic_family(pair, (10,))
+    assert chabauty_check(fam, word_depth=4)["pass"]
+    # every image has norm at least sqrt(2): a radius-1 window holds none
+    rep = chabauty_check(fam, ball_radius=1.0, word_depth=4)
+    assert [row["full"]["windowed_points"] for row in rep["table"]] == [0]
+    assert not rep["pass"]
+
+
 def test_chabauty_monotone_in_depth_and_radius(pair):
     fam = elliptic_family(pair, (30,))
     by_depth = [chabauty_check(fam, word_depth=L)["table"][0]["full"]["distance"]

@@ -31,7 +31,7 @@ from rhfill.delta import (estimate_delta, four_point_delta_exhaustive,
                           four_point_delta_sampled)
 from reference_windows import (build_coned_off, build_horoball, cycle_graph,
                                generic_graph, integer_interval_metric,
-                               reference_shortest_path)
+                               neighbours, reference_shortest_path)
 
 TWO_COMPONENTS = """V 0 0 - a
 V 1 0 - b
@@ -426,13 +426,12 @@ def test_csr_patterns_are_the_sorted_neighbour_sets(g):
         nbrs[u].add(v)
         nbrs[v].add(u)
     for i in range(n):
-        assert g.neighbors(i).tolist() == sorted(nbrs[i])
-    for loops in (False, True):
-        indices, indptr = g._pattern(loops)
-        assert len(indptr) == n + 1 and indptr[0] == 0 \
-            and indptr[-1] == len(indices)
-        assert [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(n)] \
-            == [sorted(nbrs[i] | {i} if loops else nbrs[i]) for i in range(n)]
+        assert neighbours(g, i).tolist() == sorted(nbrs[i])
+    indices, indptr = g._closed_pattern()
+    assert len(indptr) == n + 1 and indptr[0] == 0 \
+        and indptr[-1] == len(indices)
+    assert [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(n)] \
+        == [sorted(nbrs[i] | {i}) for i in range(n)]
 
 
 # sha256 of distance_matrix().tobytes() of the F2 windows; both are int8

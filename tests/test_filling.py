@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rhfill
 from rhfill import filling_geometry
 from rhfill.errors import (BudgetExceededError, InvalidParameterError,
                            WindowError)
@@ -24,10 +25,11 @@ from rhfill.groups import (GroupElement, enumerate_ball, make_filling,
                            make_oracle, make_pair, standard_f2_pair)
 from rhfill.cusped import (Certificate, GraphPath, build_cusped_ball, geodesics,
                            shortest_path)
-from reference_windows import (NoPreimageEdge, project_path, reference_descent,
-                               reference_lift_path, reference_lift_roundtrip,
-                               reference_map_edges, reference_max_stretch,
-                               reference_project, reference_shortest_path)
+from reference_windows import (NoPreimageEdge, neighbours, project_path,
+                               reference_descent, reference_lift_path,
+                               reference_lift_roundtrip, reference_map_edges,
+                               reference_max_stretch, reference_project,
+                               reference_shortest_path)
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +49,12 @@ def f3(pair):
 
 @pytest.fixture(scope="module")
 def fg50(pair, f50):
-    return build_quotient_cusped(pair, f50, radius=4, max_depth=4)
+    return build_quotient_cusped(pair, f50, radius=4)
 
 
 @pytest.fixture(scope="module")
 def fg3(pair, f3):
-    return build_quotient_cusped(pair, f3, radius=4, max_depth=4)
+    return build_quotient_cusped(pair, f3, radius=4)
 
 
 def test_map_report_clean(fg50):
@@ -70,7 +72,7 @@ def test_map_report_clean(fg50):
 
 
 def test_trivial_filling_is_bijective(pair):
-    fg = build_quotient_cusped(pair, make_filling(pair, {}), radius=3, max_depth=3)
+    fg = build_quotient_cusped(pair, make_filling(pair, {}), radius=3)
     assert filling_map_report(fg)["pass"]
     assert np.array_equal(np.sort(fg.vertex_map),
                           np.arange(len(fg.target.vertices)))
@@ -79,7 +81,7 @@ def test_trivial_filling_is_bijective(pair):
 def test_foreign_pair_rejected(f50):
     other = standard_f2_pair()
     with pytest.raises(InvalidParameterError):
-        build_quotient_cusped(other, f50, radius=3, max_depth=3)
+        build_quotient_cusped(other, f50, radius=3)
 
 
 def test_lift_roundtrip(fg50):
@@ -100,7 +102,7 @@ def test_project_path_drops_nothing_here(fg50):
     q = project_path(fg50, p)
     assert q.length == p.length  # no collapsed edges in this window
     tgt = fg50.target
-    assert all(v in tgt.neighbors(u) for u, v in zip(q.vertices, q.vertices[1:]))
+    assert all(v in neighbours(tgt, u) for u, v in zip(q.vertices, q.vertices[1:]))
 
 
 def test_local_isometry_long_filling(fg50):
@@ -149,17 +151,49 @@ def test_descent_quasigeodesic(fg50):
     assert rep["failure_count"] == 0
 
 
-def test_uniform_delta(pair, f50, f3):
-    rep = check_uniform_delta(pair, {50: f50, 3: f3}, radius=4, slack=2.0)
+def test_uniform_delta(pair, fg50, fg3):
+    rep = check_uniform_delta(fg50.source,
+                              [(3, fg3.target), (50, fg50.target)], slack=2.0)
     assert rep["uniform"]
+    assert rep["radius"] == 4
     assert rep["unfilled_delta"] == 1.5
     assert rep["delta_by_n"] == {3: 1.0, 50: 1.5}
+    # the windows it reads are those the builder makes
+    assert rep == check_uniform_delta(
+        build_cusped_ball(pair, 4),
+        ((n, build_cusped_ball(f.quotient_pair, 4)) for n, f in
+         ((3, fg3.filling), (50, fg50.filling))), slack=2.0)
+
+
+def test_uniform_delta_needs_one_radius(fg50, f3):
+    with pytest.raises(InvalidParameterError, match="window 3 is not of radius 4"):
+        check_uniform_delta(fg50.source,
+                            [(3, build_cusped_ball(f3.quotient_pair, 3))])
+
+
+def test_checks_build_no_window(fg50, monkeypatch):
+    # builders build windows, checks take them
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check built a window")
+
+    for module in (filling_geometry, rhfill.cusped, rhfill.metric_checks,
+                   rhfill.scenarios):
+        monkeypatch.setattr(module, "build_cusped_ball", refuse)
+    reports = [check_local_isometry(fg50, 3),
+               check_local_isometry(fg50, 2, include_interior=True),
+               check_descent_quasigeodesic(fg50, K=1.0, max_depth_used=2,
+                                           samples=20),
+               check_uniform_delta(fg50.source, [(50, fg50.target)],
+                                   samples=1000),
+               filling_map_report(fg50),
+               lift_roundtrip_report(fg50, n_paths=20)]
+    assert all(rep["pass"] for rep in reports)
 
 
 def _reference_local_isometry(fg, r, include_interior):
     """The pair-by-pair loop over exact metric distances, in row-major
     order, stopping at the 50th violation."""
-    sm, tm = fg.source_metric, fg.target_metric
+    sm, tm = fg.source.meta["metric"], fg.target.meta["metric"]
     dist0 = np.asarray(fg.source.meta["dist_from_id"])
     keys = [k for i, k in enumerate(fg.source.vertices)
             if dist0[i] <= r and (include_interior or k[0] == "c")]
@@ -432,15 +466,17 @@ def test_fillings_of_one_pair_share_one_source_window():
               for n in (3, 5))
     fg1 = build_quotient_cusped(pair, f3, 3)
     fg2 = build_quotient_cusped(pair, f5, 3)
-    assert fg1.source is fg2.source
-    # no max_depth is max_depth = radius
-    assert build_quotient_cusped(pair, f5, 3, 3).source is fg1.source
-    for args in ((2,), (3, 2), (3, None, 10_000)):
-        other = build_quotient_cusped(pair, f3, *args).source
-        assert other is not fg1.source
-        assert other.vertices == build_cusped_ball(pair, *args).vertices
-        assert build_quotient_cusped(pair, f5, *args).source is other
-    with pytest.raises(BudgetExceededError):
-        build_quotient_cusped(pair, f3, 3, cap=10)
+    assert fg1.source is fg2.source is pair.window
+    assert fg1.source.vertices == build_cusped_ball(pair, 3).vertices
+    # another radius replaces the slot's window
+    other = build_quotient_cusped(pair, f3, 2).source
+    assert other is not fg1.source and other is pair.window
+    assert other.vertices == build_cusped_ball(pair, 2).vertices
+    assert build_quotient_cusped(pair, f5, 2).source is other
     again = build_quotient_cusped(pair, f3, 3).source
     assert again is not fg1.source and again.vertices == fg1.source.vertices
+
+
+def test_window_cap_is_enforced(pair):
+    with pytest.raises(BudgetExceededError):
+        build_cusped_ball(pair, 3, cap=10)

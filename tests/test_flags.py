@@ -396,6 +396,8 @@ def test_limit_set_of_one_hyperbolic():
      "a: matrix norm overflows"),
     ({"a": [[1e-300, 0.0], [0.0, 1e-300]], "b": SANOV_B},
      "a: matrix norm underflows"),
+    ({"a": [[1.0, 2.0], [0.0, float("nan")]], "b": SANOV_B},
+     "a: matrix entries must be finite"),
 ])
 def test_limit_set_refuses_bad_images_naming_the_generator(f2, rep, message):
     with pytest.raises(InvalidParameterError, match=f"^{message}"):

@@ -166,7 +166,7 @@ def test_coset_key_iff_same_coset(xi, pid):
 def test_peripheral_generation():
     # the generators inside each peripheral reach its whole radius-4 ball
     for per in F2.peripherals:
-        steps = [per.local(g) for g in F2.genset if per.membership(g)]
+        steps = [per.local(g) for g in F2.group.generators() if per.membership(g)]
         seen = frontier = {per.factor.p_identity()}
         for _ in range(4):
             frontier = {per.factor.p_add(p, q) for p in frontier for q in steps}

@@ -17,8 +17,9 @@ from rhfill.convergence import elliptic_generators
 from rhfill.errors import BudgetExceededError, NoTabularDataError, SchemaError
 from rhfill.filling_geometry import (build_quotient_cusped,
                                      check_descent_quasigeodesic,
-                                     check_local_isometry, filling_map_report,
-                                     injectivity_report, lift_roundtrip_report)
+                                     check_local_isometry, check_uniform_delta,
+                                     filling_map_report, injectivity_report,
+                                     lift_roundtrip_report)
 from rhfill.groups import make_filling, standard_f2_pair
 from rhfill.metric_checks import verify_metric_lemmas
 from rhfill.scenarios import (SCENARIO_SCHEMA, SCHEMA_KEYWORDS, SCHEMA_TYPES,
@@ -281,6 +282,17 @@ def test_filling_tasks_write_the_library_reports(tmp_path):
                 == PINNED_FILLINGS_R5[n, check], (n, check)
 
 
+def test_filling_delta_reads_the_task_windows():
+    sc = Scenario({"pair": {"builtin": "f2"}, "seed": 3, "tasks": [
+        {"check": "filling", "kernels": {"0": ["a^3"], "1": ["b^3"]},
+         "radius": 2, "checks": ["uniform-delta"]}]})
+    rep = run_task(sc, sc.tasks[0])["checks"]["uniform-delta"]
+    fg = build_quotient_cusped(sc.pair, sc.tasks[0]["filling"], 2)
+    assert rep["radius"] == 2
+    assert rep == check_uniform_delta(fg.source, [(3, fg.target)],
+                                      samples=50_000, seed=3)
+
+
 def test_source_window_is_freed_after_the_last_filling_task(tmp_path,
                                                             monkeypatch):
     # the window slot of the scenario's pair as each task starts
@@ -434,12 +446,31 @@ def test_task_parameters_are_schema_checked(task, where):
         Scenario({"pair": {"builtin": "f2"}, "tasks": [task]})
 
 
+@pytest.mark.parametrize("task", [
+    {"check": "chabauty", "ball_radius": float("nan")},
+    {"check": "chabauty", "ball_radius": float("inf")},
+    {"check": "uniform-delta", "slack": float("nan")},
+    {"check": "uniform-delta", "slack": -float("inf")},
+    {"check": "limitset", "max_final_distance": float("nan")},
+    {"check": "uniform-delta", "radius": float("nan")},
+    {"check": "uniform-delta", "radius": float("inf")},
+])
+def test_non_finite_numbers_fail_the_schema(task):
+    # files cannot carry these values, but a dict built in Python can
+    key = next(k for k in task if k != "check")
+    with pytest.raises(SchemaError, match=rf"tasks\.0\.{key}: .* is not of type"):
+        Scenario({"pair": {"builtin": "f2"}, "tasks": [task]})
+    # an int past the float range is still finite
+    assert SCHEMA_TYPES["number"](10 ** 400) and SCHEMA_TYPES["integer"](10 ** 400)
+
+
 def test_non_finite_matrix_entry_names_the_field():
     spec = {"pair": {"builtin": "f2"}, "tasks": [],
             "representation": {"matrices": {"a": [[1.0, 2.0], [0.0, float("nan")]],
                                             "b": [[1.0, 0.0], [2.0, 1.0]]}}}
+    # the schema refuses it, naming the entry
     with pytest.raises(SchemaError,
-                       match="representation.matrices.a: matrix entries must be finite"):
+                       match=r"representation\.matrices\.a\.1\.1: nan is not of type 'number'"):
         Scenario(spec)
 
 
