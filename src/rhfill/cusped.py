@@ -45,7 +45,8 @@ from .groups import (
 )
 
 MATRIX_CAP = 6000  # largest window for dense all-pairs work
-BFS_BLOCK = 256  # rows per block of the all-pairs BFS and of certificate scans
+BFS_BLOCK = 256  # rows per block of the all-pairs BFS and of row scans of D
+PAIR_BLOCK = 1 << 15  # pairs gathered at once, also within one horoball
 INT8_REACH = 63  # distances up to this are stored in int8: any two add exactly
 
 
@@ -148,17 +149,6 @@ def depth0_key(g: GroupElement):
 
 def horo_key(pid: int, coset: GroupElement, local, k: int):
     return ("h", pid, coset.word, local, k)
-
-
-def key_base_element(pair: RelHypPair, key) -> GroupElement:
-    """Underlying group element (the base point under a horoball vertex)."""
-    if key[0] == "c":
-        return GroupElement(key[1])
-    if key[0] == "h":
-        _, pid, cw, local, _k = key
-        per = pair.peripherals[pid]
-        return pair.group.multiply(GroupElement(cw), per.embed(local))
-    raise InvalidParameterError(f"key {key!r} has no group element")
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +542,9 @@ class Certificate:
     ``cert[i, j]`` evaluates it on integers or integer index arrays,
     broadcast as ``D[i, j]`` broadcasts them (``np.ix_`` blocks included);
     it takes no item assignment. :meth:`rows` gives it on whole rows, and
-    :meth:`pairs` scans a block of pairs in slices of ``BFS_BLOCK`` rows,
-    so no scan forms an n x n temporary."""
+    :meth:`pairs` scans a block of pairs in slices of rows that hold at
+    most ``PAIR_BLOCK`` pairs (one row at least), so no scan forms an
+    n x n temporary."""
 
     def __init__(self, D: np.ndarray, ball: np.ndarray, cap: np.ndarray):
         self.D, self.ball, self.cap = D, ball, cap
@@ -574,10 +565,12 @@ class Certificate:
     def pairs(self, rows: np.ndarray, cols: np.ndarray | None = None,
               upper: bool = False):
         """The certified pairs (rows[a], cols[b]) as position arrays (a, b),
-        yielded per ``BFS_BLOCK`` rows, row-major; ``cols`` defaults to
-        every vertex, and ``upper`` keeps only the pairs with b > a."""
-        for s in range(0, len(rows), BFS_BLOCK):
-            r = rows[s:s + BFS_BLOCK]
+        yielded per slice of rows holding at most ``PAIR_BLOCK`` pairs,
+        row-major; ``cols`` defaults to every vertex, and ``upper`` keeps
+        only the pairs with b > a."""
+        step = PAIR_BLOCK // max(1, len(self.D if cols is None else cols)) or 1
+        for s in range(0, len(rows), step):
+            r = rows[s:s + step]
             if cols is None:  # whole rows of D: a row gather, no 2-d index
                 block = self.rows(r)
             else:
@@ -653,6 +646,15 @@ def build_cusped_ball(pair: RelHypPair, radius: int,
     horoball the vertex lies in or -1. Ids follow the first interior vertex,
     then the coset vertex and peripheral; ``meta["horoball_coset"]`` holds
     each id's (peripheral, coset vertex).
+
+    The vertices are also kept as syllable arrays, in window order: vertex
+    v is (``element[v]``, ``local[v]``, ``depth[v]``), the depth-zero vertex
+    of its coset element (v itself at depth zero), the id of its local
+    syllable (the pad at depth zero) and its depth. Row i of ``words`` is
+    the normal form of depth-zero vertex i as ids into ``syllables``, padded
+    on the right with the pad ``len(syllables)``; the syllables include the
+    identity local of every peripheral. Every window carries these arrays,
+    so they are unsigned and as narrow as their values allow.
     """
     if radius < 0:
         raise InvalidParameterError("radius must be >= 0")
@@ -664,6 +666,7 @@ def build_cusped_ball(pair: RelHypPair, radius: int,
     factors, P = pair.group.factors, len(pair.peripherals)
     sylls, A = intern_syllables(b.words, b.sylls)
     pad, n0, n = len(sylls), len(b.words), len(b.keys)
+    sid_type = np.min_scalar_type(pad)  # syllable ids kept in meta
     # per syllable id (the pad last): peripheral, length, coordinates, text
     spid = np.array([f for f, _ in sylls] + [-1], dtype=np.int64)
     slen = np.array([factors[f].p_length(p) for f, p in sylls] + [0])
@@ -746,7 +749,10 @@ def build_cusped_ball(pair: RelHypPair, radius: int,
              + ["horizontal"] * len(hor))
     meta = {"radius": radius, "max_depth": md, "dist_from_id": b.cost[perm],
             "metric": metric, "horoball": member,
-            "horoball_coset": np.column_stack([ids % P, at[ids // P]])}
+            "horoball_coset": np.column_stack([ids % P, at[ids // P]]),
+            "syllables": sylls, "words": A[perm[:n0]].astype(sid_type),
+            "element": at[e[perm]].astype(np.min_scalar_type(n)),
+            "local": sid[perm].astype(sid_type)}
     return CuspedGraph([b.keys[v] for v in perm.tolist()], k[perm],
                        [labels[v] for v in perm.tolist()],
                        [coset_labels[v] for v in perm.tolist()],

@@ -107,9 +107,10 @@ def four_point_delta_sampled(graph_or_matrix, samples: int = 200_000,
     s1 = D[i, j] + D[k, l]
     s2 = D[i, k] + D[j, l]
     s3 = D[i, l] + D[j, k]
-    stacked = np.stack([s1, s2, s3])
-    stacked.sort(axis=0)
-    defect = stacked[2] - stacked[1]
+    # largest minus middle by comparisons alone, exact in any dtype: the
+    # middle of three is max(min(s1, s2), min(max(s1, s2), s3))
+    lo, hi = np.minimum(s1, s2), np.maximum(s1, s2)
+    defect = np.maximum(hi, s3) - np.maximum(lo, np.minimum(hi, s3))
     t = int(defect.argmax())
     wit = (int(i[t]), int(j[t]), int(k[t]), int(l[t]))
     return HyperbolicityEstimate(float(defect[t]) / 2.0, "four-point-sampled",

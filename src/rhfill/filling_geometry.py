@@ -7,6 +7,15 @@ at the same depth. Every source edge maps to a target edge of the same kind
 or collapses to a loop (never for vertical edges), which makes the map
 1-Lipschitz; both facts are checked, not assumed, by `filling_map_report`.
 
+The vertex map is formed on syllable arrays, with no per-vertex group
+arithmetic: each source vertex is a row of syllable ids (its element's
+normal form, then its local), `FillingData.project_rows` maps the ids
+through one image per distinct syllable and reduces all rows in the
+quotient in one sweep over the columns, and the reduced rows are matched to
+the target window's rows by sorted codes. The injectivity check sweeps the
+rows of the word ball the same way, and the local-isometry check reads its
+images from the vertex map.
+
 The descent and lift checks work on batches of paths. `geodesics` walks all
 of them back from their ends at once, each step keeping the smallest
 neighbour one level closer to the start, and `lift_paths` lifts them in
@@ -25,19 +34,16 @@ from typing import Iterable
 import numpy as np
 
 from .cusped import (
-    BFS_BLOCK,
+    PAIR_BLOCK,
     CuspedGraph,
     build_cusped_ball,
-    depth0_key,
     geodesics,
     horo_flat,
-    horo_key,
-    key_base_element,
     pair_word_costs,
 )
 from .delta import four_point_delta_sampled
 from .errors import InvalidParameterError, WindowError
-from .groups import FillingData, GroupElement, RelHypPair, enumerate_ball
+from .groups import FillingData, GroupElement, RelHypPair, ball_tree
 
 DRAW_BLOCK = 8192  # most random pairs drawn, walked or lifted in one batch
 
@@ -53,24 +59,14 @@ class FillingGeometry:
         self.vertex_map = vertex_map
 
 
-def project_vertex_key(filling: FillingData, key):
-    """Image of a source window vertex key under the filling projection."""
-    if key[0] == "c":
-        return depth0_key(filling.project(GroupElement(key[1])))
-    _, pid, cw, local, k = key
-    base = key_base_element(filling.pair, key)
-    img = filling.project(base)
-    qper = filling.quotient_pair.peripherals[pid]
-    return horo_key(pid, qper.coset_key(img), qper.local(img), k)
-
-
 def build_quotient_cusped(pair: RelHypPair, filling: FillingData,
                           radius: int) -> FillingGeometry:
     """Windows of the same radius on both sides plus the vertex map.
 
     The source window is built once for every filling of the pair: the
     pair's ``window`` slot keeps the last one, keyed by its radius alone.
-    Another radius drops it and builds anew."""
+    Another radius drops it and builds anew. The vertex map is
+    :func:`_vertex_map`."""
     if filling.pair is not pair:
         raise InvalidParameterError("filling was built for a different pair")
     if pair.window is None or pair.window.meta["radius"] != radius:
@@ -78,15 +74,61 @@ def build_quotient_cusped(pair: RelHypPair, filling: FillingData,
         pair.window = build_cusped_ball(pair, radius)
     source = pair.window
     target = build_cusped_ball(filling.quotient_pair, radius)
-    vmap = np.empty(source.n_vertices, dtype=np.int64)
-    for i, key in enumerate(source.vertices):
-        image = project_vertex_key(filling, key)
-        j = target.index.get(image)
-        if j is None:
-            # cannot happen for exact balls: projection shrinks distances
-            raise WindowError(f"image of {key!r} missing from target window")
-        vmap[i] = j
-    return FillingGeometry(source, target, filling, vmap)
+    return FillingGeometry(source, target, filling,
+                           _vertex_map(source, target, filling))
+
+
+def _vertex_map(source: CuspedGraph, target: CuspedGraph,
+                filling: FillingData) -> np.ndarray:
+    """Target index of the image of every source vertex, from the syllable
+    arrays of both windows (:func:`build_cusped_ball`).
+
+    Source vertex v is the row of its element with its local syllable
+    appended; one :meth:`FillingData.project_rows` sweep reduces all rows.
+    An interior image keeps a last syllable of its peripheral as its local
+    and the rest as its coset, at the same depth. The coset rows are found
+    among the target's depth-zero rows by one ``np.unique``, and the
+    (coset, local, depth) codes among the target's by sorted search."""
+    sm, tm = source.meta, target.meta
+    sylls, tsylls = sm["syllables"], tm["syllables"]
+    tpad = len(tsylls)
+    qsylls, img = filling.project_rows(
+        sylls, np.column_stack([sm["words"][sm["element"]], sm["local"]]))
+    # image syllables as target ids, -1 for one no target vertex holds
+    tid = {s: i for i, s in enumerate(tsylls)}
+    img = np.array([tid.get(s, -1) for s in qsylls] + [tpad])[img]
+    pid = np.array([f for f, _ in sylls] + [-1])[sm["local"]]  # -1: depth 0
+    tpid = np.array([f for f, _ in tsylls] + [-1])
+    one = np.array([tid[f, q.p_identity()] for f, q in
+                    enumerate(filling.quotient_group.factors)] + [tpad])
+    held = np.count_nonzero(img != tpad, axis=1)
+    last = img[np.arange(len(img)), np.maximum(held - 1, 0)]
+    keep = (pid >= 0) & (held > 0) & (tpid[last] == pid)
+    local = np.where(keep, last, one[pid])
+    img[keep, held[keep] - 1] = tpad
+    words = tm["words"]
+    n0, width = len(words), max(words.shape[1], img.shape[1])
+    rows = np.full((n0 + len(img), width), tpad, dtype=np.int64)
+    rows[:n0, :words.shape[1]] = words
+    rows[n0:, :img.shape[1]] = img
+    # a target row comes first, so the first of its kind is the target's
+    _, first, inv = np.unique(rows.view(np.dtype((np.void, 8 * width))).ravel(),
+                              return_index=True, return_inverse=True)
+    coset = first[inv[n0:]]
+    levels = int(max(source.depth.max(), target.depth.max())) + 1
+    want = (coset * (tpad + 1) + local) * levels + source.depth
+    have = (tm["element"].astype(np.int64) * (tpad + 1) + tm["local"]) \
+        * levels + target.depth
+    order = np.argsort(have)
+    vmap = order[np.minimum(np.searchsorted(have, want, sorter=order),
+                            len(order) - 1)]
+    missing = (coset >= n0) | (have[vmap] != want)
+    if missing.any():
+        # cannot happen for exact balls: projection shrinks distances
+        v = int(np.argmax(missing))
+        raise WindowError(
+            f"image of {source.vertices[v]!r} missing from target window")
+    return vmap
 
 
 def filling_map_report(fg: FillingGeometry) -> dict:
@@ -113,11 +155,11 @@ def filling_map_report(fg: FillingGeometry) -> dict:
         ~collapsed & ((keys[at] != q) | (kinds[at] != src_kind)))
     Ds, cert = src.certified_pairs_matrix()
     Dt = tgt.distance_matrix()
-    # certified pairs per BFS_BLOCK source rows; each diagonal pair is
-    # certified at stretch 0, so 0 is the maximum of none
-    worst = 0
-    for s in range(0, src.n_vertices, BFS_BLOCK):
-        r = np.arange(s, min(s + BFS_BLOCK, src.n_vertices))
+    # certified pairs per slice of at most PAIR_BLOCK pairs; each diagonal
+    # pair is certified at stretch 0, so 0 is the maximum of none
+    worst, step = 0, PAIR_BLOCK // src.n_vertices or 1
+    for s in range(0, src.n_vertices, step):
+        r = np.arange(s, min(s + step, src.n_vertices))
         stretch = Dt[vmap[r]][:, vmap] - Ds[r]
         worst = max(worst, int(stretch.max(where=cert.rows(r), initial=0)))
     lip_ok = worst <= 0
@@ -254,19 +296,20 @@ def check_local_isometry(fg: FillingGeometry, r: int, *,
         raise InvalidParameterError(f"local isometry needs r >= 1, got {r}")
     if r > fg.source.meta["radius"]:
         raise WindowError(f"r={r} exceeds window radius; rebuild larger")
-    dist0 = np.asarray(fg.source.meta["dist_from_id"])
-    depth0 = fg.source.depth == 0
+    src, tgt = fg.source, fg.target
+    dist0 = np.asarray(src.meta["dist_from_id"])
+    depth0 = src.depth == 0
     idx = np.flatnonzero((dist0 <= r) & (depth0 | include_interior))
-    keys = [fg.source.vertices[i] for i in idx]
-    images = [project_vertex_key(fg.filling, k) for k in keys]
+    image = fg.vertex_map[idx]
+    keys = [src.vertices[i] for i in idx]
+    images = [tgt.vertices[j] for j in image]
     # all depth-zero pairs from the syllable arrays; pairs with an interior
     # key from the exact metrics, in row-major order until 50 violations
     a, b = np.triu_indices(len(keys), k=1)
     flat = depth0[idx]
     at, both = np.cumsum(flat) - 1, flat[a] & flat[b]
     d = np.zeros((2, len(a)), dtype=np.int64)
-    sides = ((fg.source.meta["metric"], keys),
-             (fg.target.meta["metric"], images))
+    sides = ((src.meta["metric"], keys), (tgt.meta["metric"], images))
     for side, (metric, ks) in enumerate(sides):
         d[side, both] = pair_word_costs(
             metric.G, [GroupElement(k[1]) for k in ks if k[0] == "c"],
@@ -280,16 +323,15 @@ def check_local_isometry(fg: FillingGeometry, r: int, *,
             bisect.insort(bad, t)
     bad = bad[:50]
     checked = int(bad[-1]) + 1 if len(bad) == 50 else len(a)
-    violations = [{"u": fg.source.labels[idx[a[t]]],
-                   "v": fg.source.labels[idx[b[t]]],
+    violations = [{"u": src.labels[idx[a[t]]], "v": src.labels[idx[b[t]]],
                    "source": int(d[0, t]), "target": int(d[1, t])}
                   for t in bad[:10]]
     # image must be the full quotient ball of the same radius
-    tdist0 = np.asarray(fg.target.meta["dist_from_id"])
-    target_ball = {k for i, k in enumerate(fg.target.vertices)
-                   if tdist0[i] <= r and (include_interior or k[0] == "c")}
-    image_set = set(images)
-    ball_image = image_set == target_ball
+    tdist0 = np.asarray(tgt.meta["dist_from_id"])
+    target_ball = (tdist0 <= r) & ((tgt.depth == 0) | include_interior)
+    hit = np.zeros(tgt.n_vertices, dtype=bool)
+    hit[image] = True
+    ball_image = bool((hit == target_ball).all())
     return {
         "name": "local-isometry",
         "r": r,
@@ -298,8 +340,8 @@ def check_local_isometry(fg: FillingGeometry, r: int, *,
         "include_interior": include_interior,
         "violations": violations,
         "violation_count": len(bad),
-        "image_is_ball": bool(ball_image),
-        "missing_from_image": len(target_ball - image_set),
+        "image_is_ball": ball_image,
+        "missing_from_image": int(np.count_nonzero(target_ball & ~hit)),
         "pass": not len(bad) and ball_image,
     }
 
@@ -411,16 +453,11 @@ def injectivity_report(filling: FillingData, radius: int) -> dict:
     peripheral and the same bound groupwide when every kernel is that long.
     """
     pair = filling.pair
-    G = pair.group
-    ball = enumerate_ball(G, radius)
-    seen: dict = {}
-    collisions = []
-    for g in ball:
-        img = filling.project(g)
-        if img.word in seen:
-            collisions.append((seen[img.word], g))
-        else:
-            seen[img.word] = g
+    tree = ball_tree(pair.group, radius)
+    rows = filling.project_rows(tree.syllables, tree.rows)[1]
+    _, first = np.unique(rows.view(np.dtype((np.void, 8 * rows.shape[1]))),
+                         return_index=True)
+    collisions = len(rows) - len(first)
     per_reports = []
     for pid, per in enumerate(pair.peripherals):
         locals_ = per.factor.p_within(radius)
@@ -434,8 +471,8 @@ def injectivity_report(filling: FillingData, radius: int) -> dict:
     return {
         "name": "injectivity",
         "radius": radius,
-        "ball_size": len(ball),
-        "collisions": len(collisions),
+        "ball_size": len(rows),
+        "collisions": collisions,
         "group_injective": not collisions,
         "peripheral": per_reports,
         "pass": not collisions and all(p["injective"] for p in per_reports),

@@ -249,13 +249,6 @@ class FlagCloud:
         return _hausdorff_sorted(self.angles, other.angles)
 
 
-def _sorted_rp1(angles) -> np.ndarray:
-    """Line angles reduced mod pi into [0, pi) and sorted."""
-    a = np.mod(np.asarray(angles, dtype=float).ravel(), math.pi)
-    a[a == math.pi] = 0.0      # a tiny negative angle rounds up to pi
-    return np.sort(a)
-
-
 def _dedup_sorted(a: np.ndarray, resolution: float) -> np.ndarray:
     """Greedy circular dedup of sorted line angles at a sin-metric resolution.
 

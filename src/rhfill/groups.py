@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (BudgetExceededError, InvalidParameterError, SchemaError,
                      UnsupportedKindError)
-from .lattices import elementary_divisors, reduce_mod_rows, row_hermite
+from .lattices import reduce_mod_rows, row_hermite
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -295,8 +295,6 @@ class QuotientAbelianOracle(AbelianFactor):
         self.rank = rank
         self.hermite = row_hermite([list(r) for r in kernel_rows], width=rank)
         self.gen_names = tuple(names) if names else tuple(ALPHABET[:rank])
-        self.divisors = elementary_divisors([list(r) for r in kernel_rows], width=rank) \
-            if kernel_rows else []
         self._dist: dict[tuple, int] = {self.p_identity(): 0}
         self._frontier = [self.p_identity()]
         self._reached = 0
@@ -686,7 +684,10 @@ class FillingData:
     """A filling of a pair by per-peripheral kernels: the quotient pair and
     the projection homomorphism (syllable-wise through abelian quotients).
 
-    Each syllable is projected once: ``image`` memoises its image syllable."""
+    Each syllable is projected once: ``image`` memoises its image syllable.
+    :meth:`project_rows` projects many words at once, as syllable-id rows:
+    a table of one image per distinct syllable, then one sweep over the
+    columns that reduces every row in the quotient."""
 
     def __init__(self, pair: RelHypPair, kernel_locals: list[list]):
         self.pair = pair
@@ -718,6 +719,60 @@ class FillingData:
 
     def project(self, g: GroupElement) -> GroupElement:
         return self.quotient_group.from_syllables(map(self.image, g.word))
+
+    def project_rows(self, syllables: list,
+                     rows: np.ndarray) -> tuple[list, np.ndarray]:
+        """Images of the words given as :func:`intern_syllables` rows over
+        ``syllables``, as rows over a new list of quotient syllables, padded
+        on the right with at least one pad id (its length).
+
+        ``image`` is called once per entry of ``syllables``. The columns are
+        swept left to right, all rows together: an identity image is
+        skipped, an image in the factor of the row's last syllable merges
+        into it (through a table of the quotient factor's ``p_add``, filled
+        as pairs occur), a merge to the identity pops that syllable, and
+        any other image is appended. This is ``from_syllables`` row-wise."""
+        factors = self.quotient_group.factors
+        ids: dict = {}
+        out: list = []
+
+        def intern(s) -> int:
+            if s not in ids:
+                ids[s] = len(out)
+                out.append(s)
+            return ids[s]
+
+        # image id per source syllable, -1 for the identity and the pad
+        img = np.array([-1 if p == factors[f].p_identity() else intern((f, p))
+                        for f, p in map(self.image, syllables)] + [-1],
+                       dtype=np.int64)
+        merged: dict = {}  # (last, image) code -> merged id, -1 identity
+        n, width = rows.shape
+        red = np.zeros((n, width + 1), dtype=np.int64)  # valid below top
+        top = np.zeros(n, dtype=np.int64)  # syllables held per row
+        for c in range(width):
+            t = img[rows[:, c]]
+            live = np.flatnonzero(t >= 0)
+            t, h = t[live], top[live]
+            last = red[live, np.maximum(h - 1, 0)]
+            factor = np.array([f for f, _ in out], dtype=np.int64)
+            same = (h > 0) & (factor[last] == factor[t])
+            codes, inv = np.unique(last[same] * (1 << 32) + t[same],
+                                   return_inverse=True)
+            for code in set(codes.tolist()) - merged.keys():
+                (f, p), (_, q) = out[code >> 32], out[code & 0xFFFFFFFF]
+                s = factors[f].p_add(p, q)
+                merged[code] = -1 if s == factors[f].p_identity() else intern((f, s))
+            m = np.array([merged[x] for x in codes.tolist()],
+                         dtype=np.int64)[inv]
+            at, pop = live[same], m < 0
+            red[at[~pop], top[at[~pop]] - 1] = m[~pop]
+            top[at[pop]] -= 1
+            app = live[~same]
+            red[app, top[app]] = t[~same]
+            top[app] += 1
+        k = top.max(initial=0) + 1
+        return out, np.where(np.arange(k) < top[:, None], red[:, :k], len(out))
 
 
 def _quotient_factor(factor: AbelianFactor, kernels: list) -> AbelianFactor:

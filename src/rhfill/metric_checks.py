@@ -14,6 +14,7 @@ import numpy as np
 
 from .cusped import (
     BFS_BLOCK,
+    PAIR_BLOCK,
     CuspedGraph,
     _ranges,
     build_cusped_ball,
@@ -27,7 +28,6 @@ from .errors import WindowError
 from .groups import GroupElement, RelHypPair
 
 MIN_LEMMA_RADIUS = 6
-PAIR_BLOCK = 1 << 15  # pairs gathered at once, also within one horoball
 
 
 def _depth0_indices(window: CuspedGraph) -> np.ndarray:

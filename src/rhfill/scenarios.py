@@ -330,7 +330,6 @@ class Scenario:
         error = _schema_error(spec)
         if error is not None:
             raise SchemaError(error)
-        self.spec = spec
         self.seed = int(spec.get("seed", 0))
         self.budgets = {**DEFAULT_BUDGETS, **spec.get("budgets", {})}
         self.output_dir = spec.get("output_dir", "reports")

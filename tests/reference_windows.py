@@ -6,7 +6,8 @@ that the closed 2x2 forms replace, the word-ball Cayley and coned-off windows, a
 horoball, small generic graphs, the one-path-at-a-time geodesic walk, lift,
 path projection and filling checks that the batched ones in
 ``rhfill.cusped`` and ``rhfill.filling_geometry`` replace, the filling
-projection as a product of projected syllables, the stretch from pair
+projection as a product of projected syllables and the vertex map one
+projected key at a time, the sorted RP^1 angles, the stretch from pair
 lists, the cumulative-product word costs, the full-scan
 RP^1 Hausdorff distance, the sine-of-every-gap dedup, the whole-level
 free limit clouds, the row-block window deviation and the uncached
@@ -34,12 +35,10 @@ from rhfill.cusped import (
     horo_flat,
     horo_key,
     horo_pair,
-    key_base_element,
 )
 from rhfill.delta import HyperbolicityEstimate, four_point_delta_sampled
 from rhfill.filling_geometry import FillingGeometry
-from rhfill.flags import (_dedup_sorted, _hausdorff_sorted, _sorted_rp1,
-                          _unit_det)
+from rhfill.flags import _dedup_sorted, _hausdorff_sorted, _unit_det
 from rhfill.groups import (
     FillingData,
     FreeAbelianOracle,
@@ -53,6 +52,32 @@ from rhfill.groups import (
     sort_columns,
 )
 from rhfill.errors import DisconnectedError, UnsupportedKindError
+
+
+def key_base_element(pair: RelHypPair, key) -> GroupElement:
+    """Underlying group element (the base point under a horoball vertex)."""
+    if key[0] == "c":
+        return GroupElement(key[1])
+    _, pid, cw, local, _k = key
+    return pair.group.multiply(GroupElement(cw), pair.peripherals[pid].embed(local))
+
+
+def project_vertex_key(filling: FillingData, key):
+    """Image of a source window vertex key under the filling projection,
+    one group projection per key."""
+    if key[0] == "c":
+        return depth0_key(filling.project(GroupElement(key[1])))
+    _, pid, cw, local, k = key
+    img = filling.project(key_base_element(filling.pair, key))
+    qper = filling.quotient_pair.peripherals[pid]
+    return horo_key(pid, qper.coset_key(img), qper.local(img), k)
+
+
+def reference_vertex_map(fg: FillingGeometry) -> np.ndarray:
+    """The vertex map one key at a time: each source key projected and
+    looked up among the target's keys."""
+    return np.array([fg.target.index[project_vertex_key(fg.filling, key)]
+                     for key in fg.source.vertices], dtype=np.int64)
 
 
 def reference_ball_tree(oracle: GroupOracle, radius: int):
@@ -539,10 +564,17 @@ def reference_element_matrix(mats, oracle, g: GroupElement) -> np.ndarray:
     return m
 
 
+def sorted_rp1(angles) -> np.ndarray:
+    """Line angles reduced mod pi into [0, pi) and sorted."""
+    a = np.mod(np.asarray(angles, dtype=float).ravel(), math.pi)
+    a[a == math.pi] = 0.0      # a tiny negative angle rounds up to pi
+    return np.sort(a)
+
+
 def hausdorff_rp1(a, b) -> float:
     """Hausdorff distance between two nonempty sets of lines in RP^1, given
     as angles (radians, any reals), in the metric |sin(s - t)|."""
-    return _hausdorff_sorted(_sorted_rp1(a), _sorted_rp1(b))
+    return _hausdorff_sorted(sorted_rp1(a), sorted_rp1(b))
 
 
 def svd_gaps(seq) -> list[float]:
@@ -589,7 +621,7 @@ def reference_svd_cloud(rep: dict, oracle: GroupOracle, depth: int,
         angle = svd_line_angle(_unit_det(m), threshold)
         if angle is not None:
             raw.append(angle)
-    return (_dedup_sorted(_sorted_rp1(raw), resolution), len(ball),
+    return (_dedup_sorted(sorted_rp1(raw), resolution), len(ball),
             len(ball) - len(raw))
 
 

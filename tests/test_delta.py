@@ -1,9 +1,13 @@
 """Hyperbolicity estimates on graphs with known answers."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rhfill.cusped import build_cusped_ball
-from rhfill.delta import estimate_delta, thin_triangle_delta
+from rhfill.delta import (estimate_delta, four_point_delta_sampled,
+                          thin_triangle_delta)
 from rhfill.errors import DisconnectedError, InvalidParameterError
 from rhfill.groups import standard_f2_pair
 from reference_windows import (build_cayley_ball, cycle_graph,
@@ -112,3 +116,30 @@ def test_int32_draw_is_the_int64_draw(n, samples, seed):
             for dtype in (np.int32, np.int64)]
     assert draw[0].dtype == np.int32
     assert (draw[0] == draw[1]).all()
+
+
+def _sorted_pairings_delta(D, samples, seed):
+    """The sampled delta with the three pairing sums sorted per quadruple:
+    (delta, witness) of the first largest gap between the two largest."""
+    i, j, k, l = np.random.default_rng(seed).integers(
+        0, len(D), size=(4, samples), dtype=np.int32)
+    sums = np.sort(np.stack([D[i, j] + D[k, l], D[i, k] + D[j, l],
+                             D[i, l] + D[j, k]]), axis=0)
+    defect = sums[2] - sums[1]
+    t = int(defect.argmax())
+    return float(defect[t]) / 2.0, (int(i[t]), int(j[t]), int(k[t]), int(l[t]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+           st.integers(0, 3), min_size=n * n, max_size=n * n)),
+       st.sampled_from([np.int8, np.int16, np.int64, 0.1]),
+       st.integers(1, 60), st.integers(0, 1000))
+def test_sampled_delta_is_the_sorted_pairings(entries, dtype, samples, seed):
+    # entries 0..3 on at most six vertices tie often; 0.1 scales them to
+    # floats whose sums round
+    n = math.isqrt(len(entries))
+    D = np.array(entries).reshape(n, n)
+    D = D * dtype if dtype == 0.1 else D.astype(dtype)
+    est = four_point_delta_sampled(D, samples=samples, seed=seed)
+    assert (est.delta, est.witness) == _sorted_pairings_delta(D, samples, seed)

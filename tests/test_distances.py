@@ -26,7 +26,7 @@ from rhfill import (
     shortest_path,
     standard_f2_pair,
 )
-from rhfill.cusped import BFS_BLOCK, INT8_REACH, geodesics
+from rhfill.cusped import BFS_BLOCK, INT8_REACH, PAIR_BLOCK, geodesics
 from rhfill.delta import (estimate_delta, four_point_delta_exhaustive,
                           four_point_delta_sampled)
 from reference_windows import (build_coned_off, build_horoball, cycle_graph,
@@ -171,9 +171,9 @@ def test_certificate_is_the_pair_formula_and_cached():
     assert (mask == expected).all()
     D2, cert2 = g.certified_pairs_matrix()
     assert cert2 is cert and D2 is D and D is g.distance_matrix()
-    # the block scans (n = 441, two blocks of rows) list the same pairs,
+    # the slice scans (n = 441, slices of 74 rows) list the same pairs,
     # with the columns given or by default
-    assert n > BFS_BLOCK
+    assert n * n > PAIR_BLOCK
     for cols in (every, None):
         for upper, want in ((False, expected), (True, np.triu(expected, 1))):
             a, b = map(np.concatenate, zip(*cert.pairs(every, cols, upper)))

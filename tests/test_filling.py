@@ -4,6 +4,7 @@ The two standing examples are (F_2, Z*Z) filled along <a^50, b^50> (long:
 everything should look like the unfilled pair near the identity) and along
 <a^3, b^3> (short: local isometry and injectivity must fail visibly).
 """
+import collections
 import functools
 import json
 
@@ -19,17 +20,18 @@ from rhfill.filling_geometry import (FillingGeometry, build_quotient_cusped,
                                      check_descent_quasigeodesic,
                                      check_local_isometry, check_uniform_delta,
                                      filling_map_report, injectivity_report,
-                                     lift_paths, lift_roundtrip_report,
-                                     project_vertex_key)
-from rhfill.groups import (GroupElement, enumerate_ball, make_filling,
+                                     lift_paths, lift_roundtrip_report)
+from rhfill.groups import (FillingData, FreeProductOracle, GroupElement,
+                           ball_tree, enumerate_ball, make_filling,
                            make_oracle, make_pair, standard_f2_pair)
 from rhfill.cusped import (Certificate, GraphPath, build_cusped_ball, geodesics,
                            shortest_path)
 from reference_windows import (NoPreimageEdge, neighbours, project_path,
-                               reference_descent, reference_lift_path,
-                               reference_lift_roundtrip, reference_map_edges,
-                               reference_max_stretch, reference_project,
-                               reference_shortest_path)
+                               project_vertex_key, reference_descent,
+                               reference_lift_path, reference_lift_roundtrip,
+                               reference_map_edges, reference_max_stretch,
+                               reference_project, reference_shortest_path,
+                               reference_vertex_map)
 
 
 @pytest.fixture(scope="module")
@@ -380,27 +382,30 @@ def test_lift_needs_a_path(fg50):
         lift_roundtrip_report(fg50, n_paths=0)
 
 
-Z2_Z = make_pair(make_oracle({"kind": "free-product", "factors": [
-    {"kind": "free-abelian", "rank": 2}, {"kind": "free-abelian", "rank": 1}]}))
-# kernels that kill syllables of the radius-3 ball (a^1, a^2, b^3 and the
-# Z^2 kernels) and kernels that kill none (a^5, b^20, <(4, 1)>)
+PAIRS = {name: make_pair(make_oracle({"kind": "free-product", "factors": [
+    factor, {"kind": "free-abelian", "rank": 1}]})) for name, factor in (
+        ("Z^2 * Z", {"kind": "free-abelian", "rank": 2}),
+        ("Z/3 * Z", {"kind": "finite-cyclic", "order": 3}))}
+# kernels that kill syllables of the radius-3 ball (a^1, a^2, b^3, b^2, the
+# Z^2 kernels and a on Z/3) and kernels that kill none (a^5, b^20, <(4, 1)>)
 KERNELS = {
     "F2": [{0: ["a"]}, {0: ["a^2"]}, {1: ["b^3"]}, {0: ["a^2"], 1: ["b^3"]},
            {0: ["a"], 1: ["b"]}, {0: ["a^5"], 1: ["b^20"]}, {}],
     "Z^2 * Z": [{0: [[1, 0]]}, {0: [[2, 0], [0, 2]]}, {0: [[1, 1]], 1: [[2]]},
                 {0: [[4, 1]]}, {1: [[1]]}],
+    "Z/3 * Z": [{0: ["a"]}, {1: ["b^2"]}, {0: ["a"], 1: ["b^3"]},
+                {1: ["b^20"]}, {}],
 }
+FILLINGS = [(name, t) for name, ks in KERNELS.items() for t in range(len(ks))]
 
 
 @functools.cache
 def _pair(name):
-    return standard_f2_pair() if name == "F2" else Z2_Z
+    return standard_f2_pair() if name == "F2" else PAIRS[name]
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from([(name, t) for name, ks in KERNELS.items()
-                        for t in range(len(ks))]),
-       st.integers(1, 3))
+@given(st.sampled_from(FILLINGS), st.integers(1, 3))
 def test_projection_is_the_product_of_projected_syllables(which, radius):
     name, t = which
     pair = _pair(name)
@@ -408,6 +413,13 @@ def test_projection_is_the_product_of_projected_syllables(which, radius):
     ball = enumerate_ball(pair.group, radius)
     assert [filling.project(g) for g in ball] \
         == [reference_project(filling, g) for g in ball]
+    # the same images as syllable rows, each with a pad on its right
+    tree = ball_tree(pair.group, radius)
+    sylls, rows = filling.project_rows(tree.syllables, tree.rows)
+    assert (rows[:, -1] == len(sylls)).all()
+    assert [tuple(sylls[i] for i in row if i < len(sylls))
+            for row in rows.tolist()] == [g.word for g in
+                                          map(filling.project, ball)]
 
 
 def test_killing_kernel_projects_syllables_to_the_identity():
@@ -419,6 +431,68 @@ def test_killing_kernel_projects_syllables_to_the_identity():
              if filling.project(GroupElement((s,))) == identity}
     assert dying == {(0, (2,)), (0, (-2,))}
     assert injectivity_report(filling, 3)["collisions"] > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FILLINGS), st.integers(2, 4))
+def test_vertex_map_is_the_per_key_projection(which, radius):
+    name, t = which
+    pair = _pair(name)
+    fg = build_quotient_cusped(pair, make_filling(pair, KERNELS[name][t]),
+                               radius)
+    assert fg.vertex_map.dtype == np.int64
+    assert fg.vertex_map.tolist() == reference_vertex_map(fg).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FILLINGS), st.integers(0, 4))
+def test_injectivity_counts_collisions_of_projected_elements(which, radius):
+    name, t = which
+    pair = _pair(name)
+    filling = make_filling(pair, KERNELS[name][t])
+    ball = enumerate_ball(pair.group, radius)
+    images = {reference_project(filling, g) for g in ball}
+    rep = injectivity_report(filling, radius)
+    assert rep["ball_size"] == len(ball)
+    assert rep["collisions"] == len(ball) - len(images)
+    assert rep["group_injective"] == (len(images) == len(ball))
+
+
+@pytest.mark.parametrize("kernels", [{0: ["a"], 1: ["b^3"]},
+                                     {0: ["a^20"], 1: ["b^20"]}])
+def test_projection_takes_one_image_per_syllable(monkeypatch, kernels):
+    # the vertex map and the injectivity ball project a table of distinct
+    # syllables, and no word is multiplied out vertex by vertex
+    pair = standard_f2_pair()
+    filling = make_filling(pair, kernels)
+    image, multiply = FillingData.image, FreeProductOracle.multiply
+    calls = collections.Counter()
+
+    def counted_image(self, s):
+        calls[s] += 1
+        return image(self, s)
+
+    def counted_multiply(self, x, y):
+        calls["multiply"] += 1
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(FillingData, "image", counted_image)
+    monkeypatch.setattr(FreeProductOracle, "multiply", counted_multiply)
+    fg = build_quotient_cusped(pair, filling, 4)
+    assert calls.pop("multiply", 0) == 0
+    assert set(calls.values()) == {1}
+    assert len(calls) == len(fg.source.meta["syllables"])
+    calls.clear()
+    injectivity_report(filling, 4)
+    assert calls.pop("multiply", 0) == 0
+    assert set(calls.values()) == {1}
+
+
+def test_vertex_map_names_a_source_vertex_whose_image_is_missing(pair, f50):
+    source = build_cusped_ball(pair, 3)
+    with pytest.raises(WindowError, match=r"image of \('c', .*\) missing"):
+        filling_geometry._vertex_map(
+            source, build_cusped_ball(f50.quotient_pair, 2), f50)
 
 
 def _swapped(fg):

@@ -21,7 +21,7 @@ from rhfill.errors import (BudgetExceededError, InvalidParameterError,
 from rhfill.flags import (FlagCloud, ball_images, classify, generator_images,
                           line_distance, q_divergence, q_limit_set)
 from rhfill.flags import (_dedup_sorted, _free2_angles, _hausdorff_sorted,
-                          _line_angles, _projective, _sorted_rp1)
+                          _line_angles, _projective)
 from rhfill import flags
 from rhfill.scenarios import bundled_scenario_path, load_scenario
 from rhfill.tolerances import DEFAULT_TOLS
@@ -31,8 +31,8 @@ from rhfill.groups import (ball_tree, enumerate_ball, make_filling, make_oracle,
 from reference_windows import (hausdorff_rp1, reference_classify,
                                reference_dedup_sorted, reference_free2_angles,
                                reference_hausdorff_sorted, reference_svd_cloud,
-                               svd_gaps, svd_line_angle, svd_margin,
-                               traced_peak, unit_vector)
+                               sorted_rp1, svd_gaps, svd_line_angle,
+                               svd_margin, traced_peak, unit_vector)
 
 SANOV_A = np.array([[1.0, 2.0], [0.0, 1.0]])
 SANOV_B = np.array([[1.0, 0.0], [2.0, 1.0]])
@@ -673,7 +673,7 @@ def _assert_same_cloud(letters, depth):
     raw, ref_seen, ref_rejected = _free2_angles_reference(letters, depth,
                                                           threshold)
     # the reference clouds were reduced mod pi a second time, in the dedup
-    assert got.tobytes() == _sorted_rp1(raw).tobytes()
+    assert got.tobytes() == sorted_rp1(raw).tobytes()
     assert (seen, rejected) == (ref_seen, ref_rejected)
     assert np.all(got[1:] >= got[:-1]) and np.all((got >= 0) & (got < math.pi))
 
@@ -766,8 +766,8 @@ def test_conditional_add_is_mod_pi_on_half_angles():
 @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40),
        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40))
 def test_cloud_hausdorff_is_hausdorff_rp1(xs, ys):
-    a = _dedup_sorted(_sorted_rp1(xs), DEFAULT_TOLS.dedup)
-    b = _dedup_sorted(_sorted_rp1(ys), DEFAULT_TOLS.dedup)
+    a = _dedup_sorted(sorted_rp1(xs), DEFAULT_TOLS.dedup)
+    b = _dedup_sorted(sorted_rp1(ys), DEFAULT_TOLS.dedup)
     ca = FlagCloud(a, len(xs), 0)
     cb = FlagCloud(b, len(ys), 0)
     assert ca.hausdorff(cb) == hausdorff_rp1(a, b) == _hausdorff_sorted(a, b)
@@ -850,8 +850,8 @@ def test_q_limit_set_leaves_no_cyclic_garbage():
 def test_sorted_rp1_sends_a_rounded_up_pi_to_zero():
     # a tiny negative angle mod pi rounds up to pi; both Hausdorff paths
     # must see it as 0.0
-    assert _sorted_rp1([-9.6e-208, 1.0]).tolist() == [0.0, 1.0]
-    a, b = _sorted_rp1([1e-09]), _sorted_rp1([-9.6e-208])
+    assert sorted_rp1([-9.6e-208, 1.0]).tolist() == [0.0, 1.0]
+    a, b = sorted_rp1([1e-09]), sorted_rp1([-9.6e-208])
     ca = FlagCloud(a, 1, 0)
     cb = FlagCloud(b, 1, 0)
     assert ca.hausdorff(cb) == hausdorff_rp1(a, b) == hausdorff_rp1([1e-09], [0.0])

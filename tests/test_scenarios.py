@@ -111,6 +111,13 @@ PINNED_FILL_STDOUT = {
     ("lift", 50):
         (0, "4a275af6374a68ef322e021f3f0662517ab09264e0871fcf7a46919f03e330d5"),
 }
+# kernels a and b^3 kill the syllables a^k and b^3k of the radius-3 window
+PINNED_KILLING_STDOUT = {
+    "fill": (1, "fd5024297f60d6e7d433f5d3904970a3c75da49ef637f466854a8bc03b20d74f"),
+    "fill-all":
+        (1, "b9308e5e281f07c11e66d5e87fe24f1d09abe7db5a48dfb91b01c5cf4fa91a79"),
+    "lift": (0, "295389fc98a338c9df2a8e47b2cf68a7189275cc0bf909d97f022d0735da0683"),
+}
 FILL_ARGV = {"fill": ["fill"], "lift": ["lift"],
              "fill-all": ["fill", "--checks", "local-isometry,descent,"
                           "uniform-delta,map,injectivity"]}
@@ -251,6 +258,14 @@ def test_fill_and_lift_stdout_is_pinned(capsys, verb, n):
     code = main([*FILL_ARGV[verb], "--kernels", kernels, "--radius", "4"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == PINNED_FILL_STDOUT[verb, n]
+
+
+@pytest.mark.parametrize("verb", sorted(PINNED_KILLING_STDOUT))
+def test_killing_kernel_stdout_is_pinned(capsys, verb):
+    kernels = json.dumps({"0": ["a^1"], "1": ["b^3"]})
+    code = main([*FILL_ARGV[verb], "--kernels", kernels, "--radius", "3"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == PINNED_KILLING_STDOUT[verb]
 
 
 def test_filling_tasks_write_the_library_reports(tmp_path):
