@@ -19,6 +19,15 @@ builder below uses it both to enumerate exact metric balls and to certify
 that the truncation cannot have cut any geodesic. That certificate is a
 closed formula over two O(n) vectors per window, so a window keeps no n x n
 array but its distance matrix.
+
+The window is a ball about the identity, so it is symmetric. An automorphism
+of the free product that negates one factor, or swaps two identical ones,
+keeps the peripheral structure and every horoball metric and fixes the
+identity: it is an isometry of the cusped space that maps the ball, and its
+depth cap, onto itself. Its vertex permutation pi has D[pi u, pi v] = D[u, v],
+so the distance matrix runs one BFS per orbit and copies the other rows.
+Each permutation is checked against the window's adjacency before it is used,
+so the copies rest on that check, not on this argument.
 """
 from __future__ import annotations
 
@@ -486,31 +495,118 @@ class CuspedGraph:
         return self._dist_matrix[source]
 
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs window distances, n x n with -1 if unreachable, formed
-        in blocks of ``BFS_BLOCK`` sources; cached and read-only.
+        """All-pairs window distances, n x n with -1 if unreachable; cached
+        and read-only.
+
+        A permutation pi of the vertices that maps the adjacency onto itself
+        gives D[pi u, pi v] = D[u, v], so the BFS runs from one vertex per
+        orbit of the verified :meth:`_symmetries`, in blocks of
+        ``BFS_BLOCK`` sources, and every other row is the permuted copy
+        D[pi x] = D[x][pi^-1] of a known row, ``BFS_BLOCK`` rows at a time.
+        With no verified symmetry every vertex is its own orbit.
 
         The dtype is int8 when no distance exceeds ``INT8_REACH``, so the
         sum or difference of any two entries is exact in int8, and int16
         otherwise: D starts as int8 and is widened once, by the first block
-        of rows that holds a longer distance. An expression that combines
-        more than two entries must promote them first. D is symmetric, so
-        each block of BFS rows is stored as a block of columns, in the
-        C order that :meth:`_bfs_rows` unpacks."""
+        of BFS rows that holds a longer distance; every copied row is a
+        permutation of a BFS row. An expression that combines more than two
+        entries must promote them first."""
         if self._dist_matrix is None:
             n = self.n_vertices
             if n > MATRIX_CAP:
                 raise BudgetExceededError("dense distance matrix vertices",
                                           MATRIX_CAP, n)
+            perms = self._symmetries()
+            reps, copies = _orbit_tree(n, perms)
             D = np.empty((n, n), dtype=np.int8)
-            for s in range(0, n, BFS_BLOCK):
-                rows = self._bfs_rows(np.arange(s, min(s + BFS_BLOCK, n)))
+            for s in range(0, len(reps), BFS_BLOCK):
+                src = reps[s:s + BFS_BLOCK]
+                rows = self._bfs_rows(src)
                 if D.dtype == np.int8 and rows.max() > INT8_REACH:
                     D = D.astype(np.int16)
-                D[:, s:s + BFS_BLOCK] = rows.T
+                D[src] = rows.astype(D.dtype)  # cast in the rows' layout, then copy
                 del rows  # freed before the next block's BFS allocates
+            buf = np.empty((min(n, BFS_BLOCK), n), dtype=D.dtype)
+            for dst, src, g in copies:
+                inv = np.argsort(perms[g])
+                for s in range(0, len(dst), BFS_BLOCK):
+                    out = buf[:len(dst[s:s + BFS_BLOCK])]
+                    np.take(D[src[s:s + BFS_BLOCK]], inv, axis=1, out=out,
+                            mode="clip")
+                    D[dst[s:s + BFS_BLOCK]] = out
             D.flags.writeable = False
             self._dist_matrix = D
         return self._dist_matrix
+
+    def _symmetries(self) -> list[np.ndarray]:
+        """Vertex permutations of a window about the identity that come from
+        automorphisms of its free product: negating one factor, or swapping
+        two identical factors. Such a map keeps the peripheral structure,
+        the horoball metric and the identity, so it maps the ball (and its
+        depth cap) onto itself (module doc).
+
+        Each candidate is derived from the syllable arrays of ``meta``: a
+        map of the syllables carries each ``words`` row to an image row, and
+        vertex (``element``, ``local``, depth) to (image element, image
+        local, depth). A swap is tried for any two factors of one type. A
+        candidate is kept only if every image is in the window, it is a
+        bijection, and it maps :meth:`_closed_pattern` onto itself. Then it
+        is a graph automorphism whatever derived it, so a wrong candidate
+        can cost speed but never change a distance. A window without
+        syllable arrays (a loaded graph) has none."""
+        m = self.meta
+        if "words" not in m:
+            return []
+        n, sylls, factors = self.n_vertices, m["syllables"], self.pair.group.factors
+        pad, F = len(sylls), len(factors)
+        words = m["words"].astype(np.int64)
+        element, local = m["element"].astype(np.int64), m["local"].astype(np.int64)
+        K = int(self.depth.max(initial=0)) + 1
+        code = (element * (pad + 1) + local) * K + self.depth
+        order = np.argsort(code)
+        code = code[order]
+        ids = {s: i for i, s in enumerate(sylls)}
+        images = [[(g, factors[g].p_neg(p) if g == f else p) for g, p in sylls]
+                  for f in range(F)]
+        images += [[({f: h, h: f}.get(g, g), p) for g, p in sylls]
+                   for f in range(F) for h in range(f + 1, F)
+                   if type(factors[f]) is type(factors[h])]
+        perms = []
+        for image in images:
+            smap = np.array([ids.get(s, -1) for s in image] + [pad])
+            if (smap < 0).any() or (smap == np.arange(pad + 1)).all():
+                continue
+            same = _row_ids(np.concatenate([words, smap[words]]))
+            at = np.full(len(same), -1)
+            at[same[:len(words)]] = np.arange(len(words))
+            img = at[same[len(words):]]
+            if (img < 0).any():
+                continue
+            want = (img[element] * (pad + 1) + smap[local]) * K + self.depth
+            pos = np.minimum(np.searchsorted(code, want), n - 1)
+            pi = order[pos]
+            hit = np.zeros(n, dtype=bool)
+            hit[pi] = True
+            if (code[pos] == want).all() and hit.all() and self._is_automorphism(pi):
+                perms.append(pi)
+        return perms
+
+    def _is_automorphism(self, pi: np.ndarray) -> bool:
+        """Whether the vertex permutation pi maps the closed neighbourhood
+        of every vertex onto that of its image, ``BFS_BLOCK`` vertices at a
+        time so that no temporary is as long as the pattern."""
+        nbrs, indptr = self._closed_pattern()
+        n = self.n_vertices
+        for s in range(0, n, BFS_BLOCK):
+            u = np.arange(s, min(s + BFS_BLOCK, n))
+            deg = np.diff(indptr[s:u[-1] + 2])
+            if not np.array_equal(deg, indptr[pi[u] + 1] - indptr[pi[u]]):
+                return False
+            seg = np.repeat(u - s, deg) * n
+            mapped = np.sort(seg + pi[nbrs[indptr[s]:indptr[u[-1] + 1]]])
+            if not np.array_equal(mapped, seg + nbrs[_ranges(indptr[pi[u]], deg)]):
+                return False
+        return True
 
     # -- truncation certificate ------------------------------------------
 
@@ -577,6 +673,43 @@ class Certificate:
                 block = self[r[:, None], cols]
             a, b = np.nonzero(np.triu(block, k=1 + s) if upper else block)
             yield a + s, b
+
+
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """Ids of the rows of a non-negative integer array, below the number of
+    rows, equal exactly for equal rows: one ``np.unique`` per column."""
+    ids, base = np.zeros(len(rows), dtype=np.int64), int(rows.max()) + 1
+    for col in rows.T:
+        ids = np.unique(ids * base + col, return_inverse=True)[1]
+    return ids
+
+
+def _orbit_tree(n: int, perms: list) -> tuple[np.ndarray, list]:
+    """Orbits of the group generated by the vertex permutations ``perms``:
+    the smallest vertex of each orbit, ascending, and the steps that reach
+    every other vertex from them, as (dst, src, g) with dst = perms[g][src],
+    each src a representative or a dst of an earlier step."""
+    label = np.arange(n)
+    while True:  # each label falls to the smallest vertex of its orbit
+        low = label
+        for pi in perms:
+            low = np.minimum(low, low[pi])
+        if np.array_equal(low, label):
+            break
+        label = low
+    known = label == np.arange(n)
+    reps = frontier = np.flatnonzero(known)
+    steps = []
+    while perms and len(frontier):
+        level = []
+        for g, pi in enumerate(perms):
+            dst, first = np.unique(pi[frontier], return_index=True)
+            new = ~known[dst]
+            known[dst[new]] = True
+            level.append((dst[new], frontier[first[new]], g))
+        steps += level
+        frontier = np.concatenate([dst for dst, _, _ in level])
+    return reps, steps
 
 
 def geodesics(graph: CuspedGraph, u, v) -> np.ndarray:

@@ -6,8 +6,10 @@ most 2*delta. Exhaustive mode scans all quadruples (cubic memory-free,
 quartic time); sampled mode draws quadruples with a seeded generator and
 yields a lower bound for delta, which is the safe direction whenever delta
 appears on the right-hand side of a bound being verified. Graph distances
-are the cached, read-only n x n matrix, -1 where unreachable, in int8 when
-no distance exceeds 63 and in int16 otherwise (`CuspedGraph.distance_matrix`):
+are the cached, read-only n x n matrix, -1 where unreachable, formed from
+one BFS per orbit of the window's verified symmetries and permuted copies
+of those rows, in int8 when no distance exceeds 63 and in int16 otherwise
+(`CuspedGraph.distance_matrix`):
 a pairing sum of two entries is exact in either, and the exhaustive scan,
 which adds six, widens int8 to int16 first. Integer matrices are used
 without a float copy and checked by their minimum, so no n x n temporary is
@@ -123,9 +125,14 @@ def estimate_delta(graph_or_matrix, mode: str = "auto",
     """Four-point delta of a graph window.
 
     ``auto`` picks exhaustive when the quadruple count fits the budget.
+    ``samples`` and ``budget`` are checked whichever mode runs.
     """
     if mode not in MODE_ALIASES:
         raise InvalidParameterError(f"unknown delta mode {mode!r}")
+    for name, value, least in (("samples", samples, 1), ("budget", budget, 0)):
+        if value < least:
+            raise InvalidParameterError(
+                f"delta needs {name} >= {least}, got {value}")
     mode = MODE_ALIASES[mode]
     if mode == "thin-triangles":
         return thin_triangle_delta(graph_or_matrix, seed=seed)

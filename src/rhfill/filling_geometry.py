@@ -138,19 +138,24 @@ def filling_map_report(fg: FillingGeometry) -> dict:
     vmap = fg.vertex_map
     surjective = np.bincount(vmap, minlength=tgt.n_vertices).all()
     depth_ok = bool((src.depth == tgt.depth[vmap]).all())
-    # target edge kinds by key min * n + max, the last of parallel edges
-    # winning; the key n * n, past every edge, has the kind ""
+    # edge kinds as integer codes shared by both windows, 0 for no edge;
+    # target kinds by key min * n + max, the last of parallel edges
+    # winning; the key n * n, past every edge, has no edge
+    ids = {"": 0}
+    src_kind, tgt_kind = (np.array([ids.setdefault(k, len(ids))
+                                    for k in w.edge_kind], dtype=np.int32)
+                          for w in (src, tgt))
     n = tgt.n_vertices
     mu, mv = vmap[src.edges_u], vmap[src.edges_v]
-    src_kind = np.asarray(src.edge_kind, dtype=str)
     tkey = np.minimum(tgt.edges_u, tgt.edges_v) * n + np.maximum(tgt.edges_u,
                                                                  tgt.edges_v)
     keys, last = np.unique(np.append(tkey, n * n)[::-1], return_index=True)
-    kinds = np.append(tgt.edge_kind, "")[::-1][last]
+    kinds = np.append(tgt_kind, 0)[::-1][last]
     q = np.minimum(mu, mv) * n + np.maximum(mu, mv)
     at = np.searchsorted(keys, q)
     collapsed = mu == mv
-    vertical_loops = np.count_nonzero(collapsed & (src_kind == "vertical"))
+    vertical_loops = np.count_nonzero(
+        collapsed & (src_kind == ids.get("vertical", -1)))
     kind_mismatches = np.count_nonzero(
         ~collapsed & ((keys[at] != q) | (kinds[at] != src_kind)))
     Ds, cert = src.certified_pairs_matrix()

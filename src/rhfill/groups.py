@@ -445,14 +445,6 @@ class FreeProductOracle(GroupOracle):
             return self.identity()
         return GroupElement(((fi, g.word),))
 
-    def from_syllables(self, sylls: Iterable[tuple[int, Any]]) -> GroupElement:
-        acc = self.identity()
-        for fi, p in sylls:
-            if p == self.factors[fi].p_identity():
-                continue
-            acc = self.multiply(acc, GroupElement(((fi, p),)))
-        return acc
-
 
 def tuple_key(k):
     return k if isinstance(k, tuple) else (k,)
@@ -717,9 +709,6 @@ class FillingData:
             self._images[s] = (s[0], self.project_local(*s))
         return self._images[s]
 
-    def project(self, g: GroupElement) -> GroupElement:
-        return self.quotient_group.from_syllables(map(self.image, g.word))
-
     def project_rows(self, syllables: list,
                      rows: np.ndarray) -> tuple[list, np.ndarray]:
         """Images of the words given as :func:`intern_syllables` rows over
@@ -731,7 +720,8 @@ class FillingData:
         skipped, an image in the factor of the row's last syllable merges
         into it (through a table of the quotient factor's ``p_add``, filled
         as pairs occur), a merge to the identity pops that syllable, and
-        any other image is appended. This is ``from_syllables`` row-wise."""
+        any other image is appended: the product of the image syllables,
+        reduced in the quotient."""
         factors = self.quotient_group.factors
         ids: dict = {}
         out: list = []

@@ -1,13 +1,11 @@
 """Exact integer-lattice arithmetic: row echelon (Hermite) forms, canonical
-representatives modulo a sublattice, and elementary divisors.
+representatives modulo a sublattice.
 
 Everything here is plain Python integers; matrices are lists of row lists.
 Desk-scale inputs only, so no effort is spent on asymptotics beyond keeping
 pivots small (smallest-absolute-value pivot rule) to avoid entry blowup.
 """
 from __future__ import annotations
-
-import math
 
 
 def _check_widths(rows, width):
@@ -70,62 +68,3 @@ def reduce_mod_rows(vec: list[int], hermite: list[list[int]]) -> tuple[int, ...]
         if q:
             v = [a - q * b for a, b in zip(v, row)]
     return tuple(v)
-
-
-def elementary_divisors(rows: list[list[int]], width: int | None = None) -> list[int]:
-    """Elementary divisors d_1 | d_2 | ... of the integer matrix.
-
-    Smith-style reduction; pivot is the smallest absolute nonzero entry.
-    Divisors equal to 1 are kept (they carry rank information); structural
-    zeros are dropped.
-    """
-    if width is None:
-        width = len(rows[0]) if rows else 0
-    _check_widths(rows, width)
-    m = [list(r) for r in rows]
-    divisors: list[int] = []
-    top = 0
-    while top < len(m) and top < width:
-        entries = [(abs(m[i][j]), i, j) for i in range(top, len(m))
-                   for j in range(top, width) if m[i][j] != 0]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            piv = m[top][top]
-            dirty = False
-            for i in range(top + 1, len(m)):
-                q = m[i][top] // piv
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-                if m[i][top] != 0:
-                    m[top], m[i] = m[i], m[top]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(top + 1, width):
-                q = m[top][j] // piv
-                if q:
-                    for row in m:
-                        row[j] -= q * row[top]
-                if m[top][j] != 0:
-                    for row in m:
-                        row[top], row[j] = row[j], row[top]
-                    dirty = True
-                    break
-            if not dirty:
-                break
-        divisors.append(abs(m[top][top]))
-        top += 1
-    # enforce the divisibility chain d_i | d_{i+1}
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            a, b = divisors[i], divisors[j]
-            g = math.gcd(a, b)
-            if g:
-                divisors[i], divisors[j] = g, a * b // g
-    return [d for d in divisors if d != 0]

@@ -6,13 +6,14 @@ that the closed 2x2 forms replace, the word-ball Cayley and coned-off windows, a
 horoball, small generic graphs, the one-path-at-a-time geodesic walk, lift,
 path projection and filling checks that the batched ones in
 ``rhfill.cusped`` and ``rhfill.filling_geometry`` replace, the filling
-projection as a product of projected syllables and the vertex map one
+projection as a product of projected syllables (with ``from_syllables``,
+the one-multiplication-per-syllable product) and the vertex map one
 projected key at a time, the sorted RP^1 angles, the stretch from pair
 lists, the cumulative-product word costs, the full-scan
 RP^1 Hausdorff distance, the sine-of-every-gap dedup, the whole-level
 free limit clouds, the row-block window deviation and the uncached
 element fold, per-matrix SVD gaps, a rational classification of 2x2
-matrices, a tracemalloc peak, and the plain forms of a few library routines (coned
+matrices, Smith-form elementary divisors, a tracemalloc peak, and the plain forms of a few library routines (coned
 lengths, the exact metric ball, RP^1 Hausdorff distances, constant
 families). Tests compare
 the library against these, so they favour plainness over speed.
@@ -66,9 +67,9 @@ def project_vertex_key(filling: FillingData, key):
     """Image of a source window vertex key under the filling projection,
     one group projection per key."""
     if key[0] == "c":
-        return depth0_key(filling.project(GroupElement(key[1])))
+        return depth0_key(reference_project(filling, GroupElement(key[1])))
     _, pid, cw, local, k = key
-    img = filling.project(key_base_element(filling.pair, key))
+    img = reference_project(filling, key_base_element(filling.pair, key))
     qper = filling.quotient_pair.peripherals[pid]
     return horo_key(pid, qper.coset_key(img), qper.local(img), k)
 
@@ -787,10 +788,80 @@ def reference_map_edges(fg: FillingGeometry) -> dict:
             "kind_mismatches": mismatches}
 
 
+def from_syllables(group: FreeProductOracle, sylls) -> GroupElement:
+    """The product of the syllables (factor, payload) in ``group``, one
+    multiplication each; identity payloads are skipped."""
+    acc = group.identity()
+    for fi, p in sylls:
+        if p != group.factors[fi].p_identity():
+            acc = group.multiply(acc, GroupElement(((fi, p),)))
+    return acc
+
+
 def reference_project(filling: FillingData, g: GroupElement) -> GroupElement:
     """The image of g as the product of its projected syllables."""
-    return filling.quotient_group.from_syllables(
-        (fi, filling.project_local(fi, p)) for fi, p in g.word)
+    return from_syllables(filling.quotient_group,
+                          ((fi, filling.project_local(fi, p)) for fi, p in g.word))
+
+
+def elementary_divisors(rows: list[list[int]], width: int | None = None) -> list[int]:
+    """Elementary divisors d_1 | d_2 | ... of the integer matrix.
+
+    Smith-style reduction; pivot is the smallest absolute nonzero entry.
+    Divisors equal to 1 are kept (they carry rank information); structural
+    zeros are dropped.
+    """
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    if any(len(r) != width for r in rows):
+        raise ValueError("ragged matrix")
+    m = [list(r) for r in rows]
+    divisors: list[int] = []
+    top = 0
+    while top < len(m) and top < width:
+        entries = [(abs(m[i][j]), i, j) for i in range(top, len(m))
+                   for j in range(top, width) if m[i][j] != 0]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        m[top], m[pi] = m[pi], m[top]
+        for row in m:
+            row[top], row[pj] = row[pj], row[top]
+        while True:
+            piv = m[top][top]
+            dirty = False
+            for i in range(top + 1, len(m)):
+                q = m[i][top] // piv
+                if q:
+                    m[i] = [a - q * b for a, b in zip(m[i], m[top])]
+                if m[i][top] != 0:
+                    m[top], m[i] = m[i], m[top]
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            for j in range(top + 1, width):
+                q = m[top][j] // piv
+                if q:
+                    for row in m:
+                        row[j] -= q * row[top]
+                if m[top][j] != 0:
+                    for row in m:
+                        row[top], row[j] = row[j], row[top]
+                    dirty = True
+                    break
+            if not dirty:
+                break
+        divisors.append(abs(m[top][top]))
+        top += 1
+    # enforce the divisibility chain d_i | d_{i+1}
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            a, b = divisors[i], divisors[j]
+            g = math.gcd(a, b)
+            if g:
+                divisors[i], divisors[j] = g, a * b // g
+    return [d for d in divisors if d != 0]
 
 
 def reference_max_stretch(fg: FillingGeometry) -> float:

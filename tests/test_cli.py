@@ -587,6 +587,21 @@ def test_sampled_delta_without_samples_is_usage(small_graph, capsys):
     assert "samples >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["auto", "exhaustive", "sampled", "triangles"])
+@pytest.mark.parametrize("flag,value,least", [
+    ("--samples", "0", 1), ("--samples", "-5", 1), ("--budget", "-1", 0)])
+def test_delta_counts_are_checked_in_every_mode(tmp_path, capsys, mode, flag,
+                                                value, least):
+    # a two-vertex dump: auto scans it exhaustively under the default
+    # budget and samples it under --budget -1, so each mode ignores one count
+    graph = tmp_path / "two.graph"
+    graph.write_text("V 0 0 - a\nV 1 0 - b\nE 0 1 cayley\n")
+    assert main(["delta", "--graph", str(graph), "--mode", mode, flag, value,
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert f"{flag[2:]} >= {least}, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_delta_negative_seed_is_usage(small_graph, capsys):
     assert main(["delta", "--graph", small_graph, "--mode", "sampled",
                  "--seed", "-1"]) == 2

@@ -23,10 +23,14 @@ from rhfill import (
     InvalidParameterError,
     build_cusped_ball,
     load_graph,
+    make_filling,
+    make_oracle,
+    make_pair,
     shortest_path,
     standard_f2_pair,
 )
-from rhfill.cusped import BFS_BLOCK, INT8_REACH, PAIR_BLOCK, geodesics
+from rhfill.cusped import (BFS_BLOCK, INT8_REACH, PAIR_BLOCK, CuspedGraph,
+                           geodesics)
 from rhfill.delta import (estimate_delta, four_point_delta_exhaustive,
                           four_point_delta_sampled)
 from reference_windows import (build_coned_off, build_horoball, cycle_graph,
@@ -451,6 +455,98 @@ def test_distance_matrix_bytes_are_pinned(radius):
     # the rows are the columns of one C-order array
     assert rows.T.flags.c_contiguous and not rows.flags.writeable
     assert (rows == D[BFS_BLOCK - 3:BFS_BLOCK + 3]).all()
+
+
+# windows of other groups and of fillings, taken before the matrix was
+# formed from one BFS per orbit of the window's symmetries
+PINNED_SYMMETRIC = {
+    ("a^20, b^20", 5):
+        "2efd16c54c0b9deef19c5166b696a29be8d4c10b89cb2e21e71419713431a840",
+    ("Z^2 * Z", 4):
+        "3fb078d39ad9d0a9c3fd314bcb2d0027cb3fca8938ad2af998b1c862bced477b",
+}
+
+
+def _free_product(*factors):
+    return make_pair(make_oracle({"kind": "free-product", "factors": list(factors)}))
+
+
+Z1 = {"kind": "free-abelian", "rank": 1}
+SYMMETRIC_PAIRS = {
+    "F2": standard_f2_pair(),
+    "Z^2 * Z": _free_product({"kind": "free-abelian", "rank": 2}, Z1),
+    "Z/3 * Z": _free_product({"kind": "finite-cyclic", "order": 3}, Z1),
+    "Z/4 * Z/4 * Z": _free_product({"kind": "finite-cyclic", "order": 4},
+                                   {"kind": "finite-cyclic", "order": 4}, Z1),
+    "a^3, b^3": make_filling(standard_f2_pair(),
+                             {0: ["a^3"], 1: ["b^3"]}).quotient_pair,
+    "a^2, b^3": make_filling(standard_f2_pair(),
+                             {0: ["a^2"], 1: ["b^3"]}).quotient_pair,
+    "a^20, b^20": make_filling(standard_f2_pair(),
+                               {0: ["a^20"], 1: ["b^20"]}).quotient_pair,
+}
+SYMMETRIC_PAIRS["Z^2/<(2,0),(0,2)> * Z"] = make_filling(
+    SYMMETRIC_PAIRS["Z^2 * Z"], {0: [[2, 0], [0, 2]]}).quotient_pair
+
+
+@pytest.mark.parametrize("name,radius", sorted(PINNED_SYMMETRIC))
+def test_symmetric_window_matrices_are_pinned(name, radius):
+    window = build_cusped_ball(SYMMETRIC_PAIRS[name], radius)
+    assert window._symmetries()
+    D = window.distance_matrix()
+    assert D.dtype == np.int8 and D.flags.c_contiguous
+    assert (hashlib.sha256(D.tobytes()).hexdigest()
+            == PINNED_SYMMETRIC[name, radius])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(SYMMETRIC_PAIRS)), st.integers(2, 4),
+       st.sampled_from([None, 0, 1, 2]), st.data())
+def test_orbit_filled_matrix_is_the_bfs_matrix(name, radius, max_depth, data):
+    window = build_cusped_ball(SYMMETRIC_PAIRS[name], radius, max_depth=max_depth)
+    n = window.n_vertices
+    perms = window._symmetries()
+    D = window.distance_matrix()
+    # the BFS from every vertex, and a plain BFS from drawn vertices
+    assert D.dtype == rule_dtype(D)
+    assert np.array_equal(D, window._bfs_rows(np.arange(n)))
+    sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    for s, row in reference_rows(window, sources).items():
+        assert D[s].tolist() == row, (name, s)
+    for pi in perms:  # every kept symmetry is a graph automorphism
+        assert sorted(pi.tolist()) == list(range(n))
+        assert np.array_equal(D[np.ix_(pi, pi)], D)
+
+
+def test_a_symmetry_that_breaks_an_edge_is_dropped():
+    # without its first edge (identity to a) the window keeps b -> b^-1
+    # only: a -> a^-1 and the swap of a and b move that edge to one it has
+    whole = build_cusped_ball(standard_f2_pair(), 3)
+    assert len(whole._symmetries()) == 3
+    cut = CuspedGraph(whole.vertices, whole.depth, whole.labels,
+                      whole.coset_labels, whole.edges_u[1:], whole.edges_v[1:],
+                      whole.edge_kind[1:], whole.pair, whole.meta)
+    assert len(cut._symmetries()) == 1
+    D = cut.distance_matrix()
+    rows = reference_rows(cut, range(cut.n_vertices))
+    assert D.tolist() == [rows[s] for s in range(cut.n_vertices)]
+    u, v = whole.edges_u[0], whole.edges_v[0]
+    assert whole.distance_matrix()[u, v] == 1 and D[u, v] == 3
+
+
+@pytest.mark.parametrize("radius,sources", [(5, 220), (6, 654)])
+def test_bfs_runs_from_one_vertex_per_orbit(monkeypatch, radius, sources):
+    window = build_cusped_ball(standard_f2_pair(), radius)
+    bfs, seen = CuspedGraph._bfs_rows, []
+
+    def counting(graph, src):
+        seen.append(len(src))
+        return bfs(graph, src)
+
+    monkeypatch.setattr(CuspedGraph, "_bfs_rows", counting)
+    window.distance_matrix()
+    assert sum(seen) == sources
+    assert max(seen) <= BFS_BLOCK
 
 
 def test_import_leaves_scipy_out():

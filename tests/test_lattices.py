@@ -3,11 +3,8 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhfill.lattices import (
-    elementary_divisors,
-    reduce_mod_rows,
-    row_hermite,
-)
+from rhfill.lattices import reduce_mod_rows, row_hermite
+from reference_windows import elementary_divisors
 
 
 def test_hermite_fixed_cases():

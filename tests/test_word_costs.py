@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from rhfill.cusped import ExactCuspedMetric, horo_flat, pair_word_costs
 from rhfill.groups import (enumerate_ball, make_filling, make_oracle,
                            make_pair, standard_f2_pair)
-from reference_windows import coned_distance, reference_pair_word_costs
+from reference_windows import (coned_distance, reference_pair_word_costs,
+                               reference_project)
 
 F2 = standard_f2_pair()
 Z2_Z = make_pair(make_oracle({"kind": "free-product", "factors": [
@@ -39,7 +40,7 @@ def space(name: str, radius: int):
         return Z2_Z, enumerate_ball(Z2_Z.group, radius)
     base, kernels = FILLINGS[name]
     filling = make_filling(base, kernels)
-    images = [filling.project(g) for g in enumerate_ball(base.group, radius)]
+    images = [reference_project(filling, g) for g in enumerate_ball(base.group, radius)]
     return filling.quotient_pair, list(dict.fromkeys(images))
 
 
